@@ -69,10 +69,10 @@ cover-gate:
 conform:
 	$(GO) run ./cmd/daelite-conform -scenarios 25 -seed 1
 
-# The CI workloads gate: both example application packs swept across
-# kernel worker counts with fast-forward checked against the
-# cycle-accurate reference, each pack's mutation smoke, and the DNN pack
-# soaked under per-phase fault injection and repair.
+# The CI workloads gate: both example application packs with
+# fast-forward checked against the cycle-accurate reference, each pack's
+# mutation smoke, and the DNN pack soaked under per-phase fault injection
+# and repair.
 workloads:
 	$(GO) run ./cmd/daelite-conform -workload examples/workloads/dnn.json -fastforward
 	$(GO) run ./cmd/daelite-conform -workload examples/workloads/tinytera.json -fastforward
@@ -99,13 +99,13 @@ soak:
 	$(GO) run ./cmd/daelite-bench -experiment E19
 
 # Produce a Perfetto-loadable causal trace of a regioned 6x6 run with
-# the flight recorder armed, and verify it is byte-identical across
-# kernel worker counts — the determinism contract the CI jobs gate.
+# the flight recorder armed, and verify it is byte-identical across two
+# runs — the determinism contract the CI jobs gate.
 trace:
-	$(GO) run ./cmd/daelite-sim -mesh 6x6 -workers 1 -cycles 2000 -trace-out trace_w1.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
-	$(GO) run ./cmd/daelite-sim -mesh 6x6 -workers 2 -cycles 2000 -trace-out trace.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
-	cmp trace_w1.json trace.json
-	@rm -f trace_w1.json
+	$(GO) run ./cmd/daelite-sim -mesh 6x6 -cycles 2000 -trace-out trace_run1.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
+	$(GO) run ./cmd/daelite-sim -mesh 6x6 -cycles 2000 -trace-out trace.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
+	cmp trace_run1.json trace.json
+	@rm -f trace_run1.json
 	@echo "wrote trace.json — load it at https://ui.perfetto.dev"
 
 # Profile the admission engine end to end (E17) and drop cpu.pprof /

@@ -237,30 +237,21 @@ func BenchmarkPlatformCycleFastForward(b *testing.B) {
 	b.ReportMetric(float64(period)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
-// benchBigMesh measures raw kernel throughput (one simulated cycle per
-// op) on the full 16x16 torus platform — 512 elements set up through six
-// hierarchical config regions, the size the parallel kernel targets. The
-// 7-bit config ID space caps a single region at 127 elements; the
-// region partition is what lets this platform configure at all.
-func benchBigMesh(b *testing.B, workers int) {
-	bm, err := experiments.BuildBigMesh(16, 16, 8, workers)
+// BenchmarkBigMesh16x16 measures raw kernel throughput (one simulated
+// cycle per op) on the full 16x16 torus platform — 512 elements set up
+// through six hierarchical config regions. The 7-bit config ID space
+// caps a single region at 127 elements; the region partition is what
+// lets this platform configure at all.
+func BenchmarkBigMesh16x16(b *testing.B) {
+	bm, err := experiments.BuildBigMesh(16, 16, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer bm.Sim.Shutdown()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bm.Run(1)
 	}
 }
-
-// BenchmarkBigMesh16x16 runs the big mesh on the sequential kernel.
-func BenchmarkBigMesh16x16(b *testing.B) { benchBigMesh(b, 1) }
-
-// BenchmarkBigMesh16x16Par runs the big mesh with one worker per CPU;
-// comparing against BenchmarkBigMesh16x16 gives the parallel speedup on
-// this machine (the ISSUE's >=2x target; see also experiment E16).
-func BenchmarkBigMesh16x16Par(b *testing.B) { benchBigMesh(b, 0) }
 
 // BenchmarkConnectionOpenClose measures the host-side cost of a full
 // connection lifecycle including simulation until settled.

@@ -1,22 +1,18 @@
 package daelite
 
-// The parallel-kernel determinism soak: a full platform under seeded CBR
-// traffic, fault injection and online repair must produce bit-identical
-// results for every worker count. A probe fingerprints every NI output
-// wire every cycle, so even a single transiently different flit anywhere
-// in the network — not just a different end-to-end outcome — fails the
+// The chaos determinism soak: a full platform under seeded CBR traffic,
+// fault injection and online repair must produce bit-identical results
+// every time it runs. A probe fingerprints every NI output wire every
+// cycle, so even a single transiently different flit anywhere in the
+// network — not just a different end-to-end outcome — fails the
 // comparison. This is the system-level counterpart of the kernel-level
 // tests in internal/sim and internal/experiments.
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"daelite/internal/core"
-	"daelite/internal/experiments"
 	"daelite/internal/fault"
 	"daelite/internal/sim"
 	"daelite/internal/topology"
@@ -46,16 +42,13 @@ type soakResult struct {
 	endCycle  uint64
 }
 
-// runChaosSoak builds a 4x4 platform with the given kernel worker count,
-// opens seeded connections with CBR sources and sinks, schedules link
-// failures mid-run, and repairs stalled connections as the health monitor
-// latches them. Everything is derived from seed; the return value is a
-// pure function of (seed, cycles) and must not depend on workers.
-func runChaosSoak(t *testing.T, workers int, seed uint64, cycles int) soakResult {
+// runChaosSoak builds a 4x4 platform, opens seeded connections with CBR
+// sources and sinks, schedules link failures mid-run, and repairs stalled
+// connections as the health monitor latches them. Everything is derived
+// from seed; the return value is a pure function of (seed, cycles).
+func runChaosSoak(t *testing.T, seed uint64, cycles int) soakResult {
 	t.Helper()
-	params := core.DefaultParams()
-	params.Workers = workers
-	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, params, 0, 0)
+	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, core.DefaultParams(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +138,14 @@ func runChaosSoak(t *testing.T, workers int, seed uint64, cycles int) soakResult
 	return res
 }
 
-// TestParallelChaosSoakDeterministic is the PR's headline invariant: the
-// same seeded chaos soak — traffic, injected link failures, online
-// repair — is bit-identical on the sequential kernel and on parallel
-// kernels of several widths, down to every flit on every NI wire.
+// TestParallelChaosSoakDeterministic: the same seeded chaos soak —
+// traffic, injected link failures, online repair — is bit-identical from
+// run to run, down to every flit on every NI wire, and a different seed
+// gives a different soak. (The name predates the removal of the kernel
+// worker pool and is kept so the suite's test IDs stay stable.)
 func TestParallelChaosSoakDeterministic(t *testing.T) {
 	const seed, cycles = 42, 12000
-	ref := runChaosSoak(t, 1, seed, cycles)
+	ref := runChaosSoak(t, seed, cycles)
 	if ref.received == 0 {
 		t.Fatal("soak delivered no traffic")
 	}
@@ -161,51 +155,10 @@ func TestParallelChaosSoakDeterministic(t *testing.T) {
 	if ref.repairs == 0 {
 		t.Fatal("soak performed no repairs")
 	}
-	for _, w := range []int{0, 4, runtime.GOMAXPROCS(0)} {
-		got := runChaosSoak(t, w, seed, cycles)
-		if got != ref {
-			t.Errorf("workers=%d diverged from sequential:\n got %+v\nwant %+v", w, got, ref)
-		}
+	if got := runChaosSoak(t, seed, cycles); got != ref {
+		t.Errorf("second run of seed %d diverged:\n got %+v\nwant %+v", seed, got, ref)
 	}
-}
-
-// TestParallelSpeedup16x16 checks the performance half of the tentpole:
-// on a machine with enough cores, the parallel kernel runs the full
-// 16x16 torus platform (regioned configuration trees and all) at least
-// 2x faster than the sequential kernel. It
-// skips on small machines (the determinism tests above still run there);
-// BenchmarkBigMesh16x16[Par] report the exact ratio on any machine.
-func TestParallelSpeedup16x16(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup measurement in -short mode")
-	}
-	ncpu := runtime.GOMAXPROCS(0)
-	if ncpu < 4 {
-		t.Skipf("GOMAXPROCS=%d: need >=4 cores for a meaningful speedup measurement", ncpu)
-	}
-	const cycles = 3000
-	run := func(workers int) float64 {
-		bm, err := experiments.BuildBigMesh(16, 16, 8, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer bm.Sim.Shutdown()
-		bm.Run(200) // warm-up
-		best := math.MaxFloat64
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			bm.Run(cycles)
-			if s := time.Since(start).Seconds(); s < best {
-				best = s
-			}
-		}
-		return best
-	}
-	seq := run(1)
-	par := run(ncpu)
-	speedup := seq / par
-	t.Logf("16x16 torus, %d cycles: sequential %.3fs, %d workers %.3fs, speedup %.2fx", cycles, seq, ncpu, par, speedup)
-	if speedup < 2 {
-		t.Errorf("speedup %.2fx < 2x with %d workers", speedup, ncpu)
+	if other := runChaosSoak(t, seed+1, cycles); other == ref {
+		t.Errorf("seed %d reproduced seed %d's result %+v — the soak ignores its seed", seed+1, seed, ref)
 	}
 }

@@ -87,7 +87,6 @@ func main() {
 		MaxBatch:          maxBatch,
 		GatherWindow:      gatherWindow,
 		DefaultQueueDepth: queueDepth,
-		Workers:           pf.Workers,
 		JournalPath:       journal,
 		SnapshotPath:      snapshot,
 		SnapshotEvery:     snapshotEvery,

@@ -1,7 +1,7 @@
 // Command daelite-conform runs the conformance harness from the command
 // line: a differential sweep of seeded random scenarios — each executed
-// under several kernel worker counts with the online invariant checkers
-// attached and compared against the analytical reference model — followed
+// twice with the online invariant checkers attached, compared against
+// the analytical reference model and against each other — followed
 // by the mutation smoke drill (seeded slot-table and credit corruptions
 // the checkers must catch). Any disagreement, invariant violation or
 // missed mutation exits non-zero, so the command is the CI conformance
@@ -12,17 +12,16 @@
 //
 // With -workload pack.json the same discipline is applied to an
 // application workload pack instead of random scenarios: the pack runs
-// under every worker count (and fast-forward when -fastforward is set),
-// everything observable must match the single-worker cycle-accurate
-// reference bit for bit, and the pack's own mutation smoke proves the
-// checkers can see a planted slot-table flip mid-broadcast.
+// twice (the second time fast-forwarded when -fastforward is set),
+// everything observable must match the cycle-accurate reference bit for
+// bit, and the pack's own mutation smoke proves the checkers can see a
+// planted slot-table flip mid-broadcast.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"daelite/internal/cli"
 	"daelite/internal/conformance"
@@ -39,26 +38,23 @@ func main() {
 	flag.Uint64Var(&mutSeed, "mutation-seed", 3, "seed for the mutation smoke drill")
 	flag.BoolVar(&verbose, "v", false, "print every scenario, not just failures")
 	flag.BoolVar(&fastforward, "fastforward", false, "sweep with fast-forwarding armed, checked against a cycle-accurate reference run per scenario")
-	flag.StringVar(&workloadPath, "workload", "", "sweep this workload pack JSON across worker counts instead of random scenarios")
+	flag.StringVar(&workloadPath, "workload", "", "sweep this workload pack JSON instead of random scenarios")
 	flag.Parse()
 
 	failed := false
-	workers := []int{1, 2, runtime.NumCPU()}
 
 	if workloadPath != "" {
-		if err := cli.SweepWorkload(os.Stdout, workloadPath, workers, fastforward, mutate); err != nil {
+		if err := cli.SweepWorkload(os.Stdout, workloadPath, fastforward, mutate); err != nil {
 			fatal("%v", err)
 		}
 		return
 	}
 	if scenarios > 0 {
-		var entries []*conformance.SweepEntry
-		var err error
+		sweep := conformance.Sweep
 		if fastforward {
-			entries, err = conformance.SweepFastForward(seed, scenarios, workers)
-		} else {
-			entries, err = conformance.Sweep(seed, scenarios, workers)
+			sweep = conformance.SweepFastForward
 		}
+		entries, err := sweep(seed, scenarios)
 		if err != nil {
 			fatal("sweep: %v", err)
 		}
@@ -77,19 +73,18 @@ func main() {
 				continue
 			}
 			failed = true
-			fmt.Printf("FAIL seed=%d %s worker-mismatch=%v\n", e.Scenario.Seed, e.Scenario, e.Mismatch)
+			fmt.Printf("FAIL seed=%d %s run-mismatch=%v\n", e.Scenario.Seed, e.Scenario, e.Mismatch)
 			for _, r := range e.Results {
 				if r.Passed() {
 					continue
 				}
-				fmt.Printf("     workers=%d violations=%d\n", r.Workers, r.Violations)
+				fmt.Printf("     violations=%d\n", r.Violations)
 				for _, f := range r.Failures {
 					fmt.Printf("       %s\n", f)
 				}
 			}
 		}
-		fmt.Printf("sweep: %d/%d scenarios passed, bit-exact across workers %v\n",
-			passed, len(entries), workers)
+		fmt.Printf("sweep: %d/%d scenarios passed, bit-exact across two runs\n", passed, len(entries))
 		if fastforward {
 			fmt.Printf("fast-forward: %d cycles skipped across all runs, bit-exact vs accurate reference\n", skipped)
 		}
@@ -99,7 +94,7 @@ func main() {
 	// sample structural state, and a skip could step over a planted
 	// corruption's observable window.
 	if mutate {
-		res, err := conformance.MutationSmoke(mutSeed, 1)
+		res, err := conformance.MutationSmoke(mutSeed)
 		if err != nil {
 			fatal("mutation smoke: %v", err)
 		}

@@ -86,9 +86,6 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		if pf.Workers != 0 {
-			sp.Params.Workers = pf.Workers
-		}
 		inst, err := sp.Build()
 		if err != nil {
 			fatal("%v", err)

@@ -70,7 +70,7 @@ func main() {
 		mc.SetupCycles(), mc.Setup.Regions, uc.SetupCycles())
 
 	// The Chrome export is a pure function of the simulation — run it
-	// with any -workers value and the bytes are identical.
+	// again and the bytes are identical.
 	var buf bytes.Buffer
 	if err := daelite.WriteChromeTrace(&buf, tr); err != nil {
 		log.Fatal(err)

@@ -3,18 +3,17 @@ package daelite
 // The fast-forward determinism soak: a seeded chaos run — bounded
 // traffic, link failures, stall detection, online repair, a teardown,
 // and a long settled tail — executed cycle-accurately and with
-// model-guided fast-forwarding, under several kernel worker counts.
-// Everything observable must be byte-identical: the wire fingerprint,
+// model-guided fast-forwarding. Everything observable must be
+// byte-identical: the wire fingerprint,
 // the rendered telemetry exports (Prometheus text and NDJSON) and the
 // causal-trace exports (Chrome JSON and NDJSON). The bounded sources
-// drain partway through, so the fast-forwarded runs genuinely skip a
-// large fraction of the tail — the test fails if they never skip,
+// drain partway through, so the fast-forwarded run genuinely skips a
+// large fraction of the tail — the test fails if it never skips,
 // because identical exports would then prove nothing about the
 // fast-forward path.
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -39,16 +38,14 @@ type ffSoakExports struct {
 	traceND     string
 }
 
-func runFastForwardSoak(t *testing.T, workers int, ff bool, seed uint64, cycles int) ffSoakExports {
+func runFastForwardSoak(t *testing.T, ff bool, seed uint64, cycles int) ffSoakExports {
 	t.Helper()
 	params := core.DefaultParams()
-	params.Workers = workers
 	params.FastForward = ff
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, params, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	p.AttachTelemetry(reg, 8)
 	tr := tracing.New(tracing.Options{})
@@ -152,11 +149,11 @@ func runFastForwardSoak(t *testing.T, workers int, ff bool, seed uint64, cycles 
 // TestFastForwardExportsByteIdentical is the tentpole's correctness
 // contract end to end: fingerprints, telemetry exports and trace exports
 // of the chaos soak are byte-identical between cycle-accurate and
-// fast-forwarded execution, under every kernel worker count — and the
-// fast-forwarded runs actually skipped a substantial stretch.
+// fast-forwarded execution — and the fast-forwarded run actually
+// skipped a substantial stretch.
 func TestFastForwardExportsByteIdentical(t *testing.T) {
 	const seed, cycles = 42, 12000
-	ref := runFastForwardSoak(t, 1, false, seed, cycles)
+	ref := runFastForwardSoak(t, false, seed, cycles)
 	if ref.skipped != 0 {
 		t.Fatalf("cycle-accurate reference skipped %d cycles", ref.skipped)
 	}
@@ -172,26 +169,24 @@ func TestFastForwardExportsByteIdentical(t *testing.T) {
 			t.Fatalf("soak export missing %q", want)
 		}
 	}
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got := runFastForwardSoak(t, w, true, seed, cycles)
-		if got.skipped == 0 {
-			t.Errorf("workers=%d: fast-forward never engaged", w)
-		}
-		if got.fingerprint != ref.fingerprint {
-			t.Errorf("workers=%d: fingerprint %016x != cycle-accurate %016x (skipped %d)",
-				w, got.fingerprint, ref.fingerprint, got.skipped)
-		}
-		if got.prom != ref.prom {
-			t.Errorf("workers=%d: Prometheus export diverged (%d vs %d bytes)", w, len(got.prom), len(ref.prom))
-		}
-		if got.ndjson != ref.ndjson {
-			t.Errorf("workers=%d: telemetry NDJSON diverged (%d vs %d bytes)", w, len(got.ndjson), len(ref.ndjson))
-		}
-		if got.chrome != ref.chrome {
-			t.Errorf("workers=%d: Chrome trace diverged (%d vs %d bytes)", w, len(got.chrome), len(ref.chrome))
-		}
-		if got.traceND != ref.traceND {
-			t.Errorf("workers=%d: trace NDJSON diverged (%d vs %d bytes)", w, len(got.traceND), len(ref.traceND))
-		}
+	got := runFastForwardSoak(t, true, seed, cycles)
+	if got.skipped == 0 {
+		t.Error("fast-forward never engaged")
+	}
+	if got.fingerprint != ref.fingerprint {
+		t.Errorf("fingerprint %016x != cycle-accurate %016x (skipped %d)",
+			got.fingerprint, ref.fingerprint, got.skipped)
+	}
+	if got.prom != ref.prom {
+		t.Errorf("Prometheus export diverged (%d vs %d bytes)", len(got.prom), len(ref.prom))
+	}
+	if got.ndjson != ref.ndjson {
+		t.Errorf("telemetry NDJSON diverged (%d vs %d bytes)", len(got.ndjson), len(ref.ndjson))
+	}
+	if got.chrome != ref.chrome {
+		t.Errorf("Chrome trace diverged (%d vs %d bytes)", len(got.chrome), len(ref.chrome))
+	}
+	if got.traceND != ref.traceND {
+		t.Errorf("trace NDJSON diverged (%d vs %d bytes)", len(got.traceND), len(ref.traceND))
 	}
 }

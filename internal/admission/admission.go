@@ -61,9 +61,6 @@ type Config struct {
 	// SettleBudget bounds the cycles one tick may run the platform to
 	// drain configuration (default 1<<20).
 	SettleBudget uint64
-	// Workers is the batch evaluation parallelism handed to alloc.Batch
-	// through core (0 = one per CPU; results are bit-identical).
-	Workers int
 	// JournalPath appends one NDJSON record per mutating tick when
 	// non-empty.
 	JournalPath string

@@ -1,6 +1,6 @@
 // Package cli carries the command-line surface shared by the daelite
-// simulation front-ends (daelite-sim, daelite-chaos): the mesh/wheel/
-// workers platform flags, platform construction from them, and the
+// simulation front-ends (daelite-sim, daelite-chaos): the mesh/wheel
+// platform flags, platform construction from them, and the
 // optional telemetry exporters — a Prometheus text endpoint served over
 // HTTP while the run is in flight, and an NDJSON snapshot written when it
 // ends. Front-ends register the shared flags once and keep only their
@@ -33,9 +33,6 @@ type PlatformFlags struct {
 	Mesh string
 	// Wheel is the TDM slot-table size.
 	Wheel int
-	// Workers is the simulation kernel parallelism (0 = one per CPU,
-	// 1 = sequential; results are identical for every value).
-	Workers int
 	// FastForward arms model-guided fast-forwarding: the kernel skips
 	// whole hyper-periods while the platform is provably quiescent.
 	// Results are bit-identical to a cycle-accurate run.
@@ -72,7 +69,6 @@ func RegisterPlatformFlags(fs *flag.FlagSet) *PlatformFlags {
 	f := &PlatformFlags{}
 	fs.StringVar(&f.Mesh, "mesh", "4x4", "mesh dimensions WxH")
 	fs.IntVar(&f.Wheel, "wheel", 16, "TDM slot-table size")
-	fs.IntVar(&f.Workers, "workers", 0, "simulation kernel workers (0 = one per CPU, 1 = sequential; results are identical)")
 	fs.BoolVar(&f.FastForward, "fastforward", false, "skip whole hyper-periods while the platform is quiescent (bit-identical results)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve Prometheus metrics on this address (host:port) during the run")
 	fs.StringVar(&f.TelemetryOut, "telemetry-out", "", "write an NDJSON telemetry snapshot to this file at the end of the run")
@@ -87,7 +83,6 @@ func RegisterPlatformFlags(fs *flag.FlagSet) *PlatformFlags {
 func (f *PlatformFlags) Params() core.Params {
 	params := core.DefaultParams()
 	params.Wheel = f.Wheel
-	params.Workers = f.Workers
 	params.FastForward = f.FastForward
 	return params
 }

@@ -24,8 +24,20 @@ func newFlags(t *testing.T, args ...string) *PlatformFlags {
 	return f
 }
 
+// TestWorkersFlagRejected: the kernel worker pool is gone, and a command
+// line that still names its flag fails at parse instead of being ignored.
+func TestWorkersFlagRejected(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterPlatformFlags(fs)
+	err := fs.Parse([]string{"-mesh", "3x2", "-workers", "1"})
+	if err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Fatalf("Parse(-workers 1) = %v, want an error naming the flag", err)
+	}
+}
+
 func TestBuildMesh(t *testing.T) {
-	f := newFlags(t, "-mesh", "3x2", "-wheel", "8", "-workers", "1")
+	f := newFlags(t, "-mesh", "3x2", "-wheel", "8")
 	p, err := f.BuildMesh()
 	if err != nil {
 		t.Fatal(err)

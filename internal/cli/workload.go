@@ -3,7 +3,7 @@ package cli
 // The shared -workload front-end: daelite-sim, daelite-chaos and
 // daelite-conform all load a pack file, execute it against the model's
 // predictions and render the same report — only the knobs differ
-// (chaos cadence, sweep worker counts). The commands stay thin argv
+// (chaos cadence, sweep mode). The commands stay thin argv
 // shims over these functions, which return errors instead of exiting
 // so the behaviour is testable in-process.
 
@@ -56,11 +56,10 @@ func RunWorkload(out io.Writer, pf *PlatformFlags, run WorkloadRun) error {
 	if err != nil {
 		return err
 	}
-	p, err := wc.BuildPlatform(pf.Workers, pf.FastForward)
+	p, err := wc.BuildPlatform(pf.FastForward)
 	if err != nil {
 		return err
 	}
-	defer p.Sim.Shutdown()
 	exp, err := pf.StartExporters(p)
 	if err != nil {
 		return err
@@ -106,17 +105,17 @@ func RunWorkload(out io.Writer, pf *PlatformFlags, run WorkloadRun) error {
 	return nil
 }
 
-// SweepWorkload is the -workload mode of daelite-conform: one pack,
-// every worker count, bit-exact or bust, then the pack's own mutation
-// smoke (a planted slot-table flip the checkers must catch). Progress
-// renders to out; any divergence, violation or undetected corruption
-// returns an error.
-func SweepWorkload(out io.Writer, path string, workers []int, fastforward, mutate bool) error {
+// SweepWorkload is the -workload mode of daelite-conform: one pack, run
+// twice (the second time fast-forwarded when fastforward is set),
+// bit-exact or bust, then the pack's own mutation smoke (a planted
+// slot-table flip the checkers must catch). Progress renders to out; any
+// divergence, violation or undetected corruption returns an error.
+func SweepWorkload(out io.Writer, path string, fastforward, mutate bool) error {
 	wc, err := LoadWorkload(path)
 	if err != nil {
 		return err
 	}
-	sw, err := workload.Sweep(wc, workers, fastforward)
+	sw, err := workload.Sweep(wc, fastforward)
 	if err != nil {
 		return fmt.Errorf("sweep %s: %w", wc.Name(), err)
 	}
@@ -124,27 +123,23 @@ func SweepWorkload(out io.Writer, path string, workers []int, fastforward, mutat
 	for _, m := range sw.Mismatches {
 		fmt.Fprintf(out, "FAIL %s: %s\n", wc.Name(), m)
 	}
-	for _, r := range append([]*workload.Result{sw.Reference}, sw.Results...) {
+	for _, r := range []*workload.Result{sw.Reference, sw.Compared} {
 		if r.Passed() {
 			continue
 		}
-		fmt.Fprintf(out, "FAIL %s workers=%d ff=%v violations=%d\n", wc.Name(), r.Workers, r.FastForward, r.Violations)
+		fmt.Fprintf(out, "FAIL %s ff=%v violations=%d\n", wc.Name(), r.FastForward, r.Violations)
 		for _, msg := range r.Failures {
 			fmt.Fprintf(out, "     %s\n", msg)
 		}
 	}
-	var skipped uint64
-	for _, r := range sw.Results {
-		skipped += r.Skipped
-	}
-	fmt.Fprintf(out, "workload %s: %d phases, fingerprint=%016x delivered=%d, bit-exact across workers %v\n",
-		wc.Name(), len(wc.Phases), sw.Reference.Fingerprint, sw.Reference.Delivered, workers)
+	fmt.Fprintf(out, "workload %s: %d phases, fingerprint=%016x delivered=%d, bit-exact across two runs\n",
+		wc.Name(), len(wc.Phases), sw.Reference.Fingerprint, sw.Reference.Delivered)
 	if fastforward {
-		fmt.Fprintf(out, "fast-forward: %d cycles skipped across all runs, bit-exact vs accurate reference\n", skipped)
+		fmt.Fprintf(out, "fast-forward: %d cycles skipped, bit-exact vs accurate reference\n", sw.Compared.Skipped)
 	}
 
 	if mutate {
-		violations, err := workload.MutationSmoke(wc, 1)
+		violations, err := workload.MutationSmoke(wc)
 		if err != nil {
 			return fmt.Errorf("mutation smoke %s: %w", wc.Name(), err)
 		}
@@ -154,7 +149,7 @@ func SweepWorkload(out io.Writer, path string, workers []int, fastforward, mutat
 		}
 	}
 	if failed {
-		return fmt.Errorf("workload %s diverged across worker counts", wc.Name())
+		return fmt.Errorf("workload %s diverged between runs", wc.Name())
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -46,7 +45,6 @@ func TestRunWorkloadPack(t *testing.T) {
 	path := writePack(t, workload.ExampleDNN())
 	dir := t.TempDir()
 	pf := &PlatformFlags{
-		Workers:      1,
 		TelemetryOut: filepath.Join(dir, "telemetry.ndjson"),
 		TraceOut:     filepath.Join(dir, "trace.json"),
 	}
@@ -69,7 +67,7 @@ func TestRunWorkloadPack(t *testing.T) {
 		}
 	}
 
-	if err := RunWorkload(&out, &PlatformFlags{Workers: 1},
+	if err := RunWorkload(&out, &PlatformFlags{},
 		WorkloadRun{Path: path, ExpectFingerprint: "deadbeef"}); err == nil {
 		t.Fatal("wrong -expect-fingerprint accepted")
 	}
@@ -80,7 +78,7 @@ func TestRunWorkloadPack(t *testing.T) {
 func TestRunWorkloadPackChaos(t *testing.T) {
 	path := writePack(t, workload.ExampleDNN())
 	var out strings.Builder
-	if err := RunWorkload(&out, &PlatformFlags{Workers: 1}, WorkloadRun{Path: path, ChaosEvery: 2}); err != nil {
+	if err := RunWorkload(&out, &PlatformFlags{}, WorkloadRun{Path: path, ChaosEvery: 2}); err != nil {
 		t.Fatalf("chaos run: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "repaired") {
@@ -89,16 +87,15 @@ func TestRunWorkloadPackChaos(t *testing.T) {
 }
 
 // TestSweepWorkloadPack runs the conformance front-end on the Tiny Tera
-// pack: bit-exact across worker counts with fast-forward, then the
-// mutation smoke.
+// pack: bit-exact against the fast-forwarded run, then the mutation
+// smoke.
 func TestSweepWorkloadPack(t *testing.T) {
 	path := writePack(t, workload.ExampleTinyTera("hotspot"))
 	var out strings.Builder
-	workers := []int{1, runtime.NumCPU()}
-	if err := SweepWorkload(&out, path, workers, true, true); err != nil {
+	if err := SweepWorkload(&out, path, true, true); err != nil {
 		t.Fatalf("sweep: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"bit-exact across workers", "fast-forward:", "mutation smoke:"} {
+	for _, want := range []string{"bit-exact across two runs", "fast-forward:", "mutation smoke:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}

@@ -23,12 +23,10 @@ import (
 
 func TestFlightRecorderDumpsOnPlantedViolation(t *testing.T) {
 	params := core.DefaultParams()
-	params.Workers = 1
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 3, Height: 3, NIsPerRouter: 1}, params, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Sim.Shutdown()
 
 	tr := tracing.New(tracing.Options{})
 	p.AttachTracer(tr)

@@ -37,10 +37,9 @@ func (m MutationResult) Detected() bool {
 
 // mutationPlatform builds a small healthy platform with one open
 // connection, traffic and an attached checker.
-func mutationPlatform(workers int) (*core.Platform, *telemetry.Registry, *Checker, *core.Connection, error) {
+func mutationPlatform() (*core.Platform, *telemetry.Registry, *Checker, *core.Connection, error) {
 	params := core.DefaultParams()
 	params.RecvQueueDepth = 16 // below MaxCreditValue so an over-write is illegal
-	params.Workers = workers
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 3, Height: 3, NIsPerRouter: 1}, params, 0, 0)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -60,13 +59,12 @@ func mutationPlatform(workers int) (*core.Platform, *telemetry.Registry, *Checke
 }
 
 // MutationSmoke plants both corruptions (each on a fresh platform) and
-// returns what the checkers reported. seed drives the fault injector;
-// workers selects the kernel width.
-func MutationSmoke(seed uint64, workers int) (MutationResult, error) {
+// returns what the checkers reported. seed drives the fault injector.
+func MutationSmoke(seed uint64) (MutationResult, error) {
 	var res MutationResult
 
 	// 1. Slot-table upset: clear a programmed router table entry.
-	p, reg, ck, c, err := mutationPlatform(workers)
+	p, reg, ck, c, err := mutationPlatform()
 	if err != nil {
 		return res, err
 	}
@@ -86,11 +84,10 @@ func MutationSmoke(seed uint64, workers int) (MutationResult, error) {
 	p.Run(256)
 	res.SlotTableViolations = ck.ViolationCount(CheckTable) + ck.ViolationCount(CheckContention)
 	res.Events += len(reg.Events())
-	p.Sim.Shutdown()
 
 	// 2. Credit-accounting corruption: a rogue write sets the source
 	// credit counter far above the receive queue capacity.
-	p, reg, ck, c, err = mutationPlatform(workers)
+	p, reg, ck, c, err = mutationPlatform()
 	if err != nil {
 		return res, err
 	}
@@ -114,6 +111,5 @@ func MutationSmoke(seed uint64, workers int) (MutationResult, error) {
 	p.Run(256)
 	res.CreditViolations = ck.ViolationCount(CheckCredit)
 	res.Events += len(reg.Events())
-	p.Sim.Shutdown()
 	return res, nil
 }

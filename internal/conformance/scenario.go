@@ -117,10 +117,9 @@ func Generate(seed uint64) *Scenario {
 // Result is the outcome of one scenario run.
 type Result struct {
 	Scenario *Scenario
-	Workers  int
 	// Fingerprint folds every NI output flit, every delivery count and
-	// the checker verdicts — the bit-exactness witness across worker
-	// counts.
+	// the checker verdicts — the bit-exactness witness across runs and
+	// fast-forward modes.
 	Fingerprint uint64
 	// Violations is the checkers' total violation count (zero for a
 	// healthy platform).
@@ -147,31 +146,29 @@ type runConn struct {
 	sinks []*traffic.Sink
 }
 
-// Run executes a scenario on a fresh platform with the given kernel
-// worker count (0 selects GOMAXPROCS) and returns the measured result.
-func Run(sc *Scenario, workers int) (*Result, error) {
-	return run(sc, workers, false)
+// Run executes a scenario on a fresh platform and returns the measured
+// result.
+func Run(sc *Scenario) (*Result, error) {
+	return run(sc, false)
 }
 
 // RunFastForward executes a scenario with model-guided fast-forwarding
 // armed. The result — fingerprint, verdicts, deliveries — must be
 // bit-identical to Run's; only Skipped differs.
-func RunFastForward(sc *Scenario, workers int) (*Result, error) {
-	return run(sc, workers, true)
+func RunFastForward(sc *Scenario) (*Result, error) {
+	return run(sc, true)
 }
 
-func run(sc *Scenario, workers int, ff bool) (*Result, error) {
-	res := &Result{Scenario: sc, Workers: workers}
+func run(sc *Scenario, ff bool) (*Result, error) {
+	res := &Result{Scenario: sc}
 	params := core.DefaultParams()
 	params.Wheel = sc.Wheel
-	params.Workers = workers
 	params.FastForward = ff
 	spec := topology.MeshSpec{Width: sc.Width, Height: sc.Height, NIsPerRouter: 1}
 	p, err := core.NewMeshPlatform(spec, params, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: build %dx%d: %w", sc.Width, sc.Height, err)
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	ck := Attach(p, reg, Options{LineRate: true})
 	model := NewModel(p)

@@ -33,13 +33,12 @@ type chanPref struct {
 }
 
 // OpenBatch admits many connections as one batch: all slot reservations
-// are computed through the allocator's parallel batch engine
-// (Params.Workers controls the evaluation parallelism; results are
-// bit-identical for every worker count), then each admitted connection's
-// configuration packets are built and submitted in spec order. It returns
-// one connection or one error per spec, index-aligned; a failed spec
-// never blocks the others. Like Open, returned connections are in state
-// Opening until the configuration settles (CompleteConfig/AwaitOpen).
+// are computed through the allocator's batch engine, then each admitted
+// connection's configuration packets are built and submitted in spec
+// order. It returns one connection or one error per spec, index-aligned;
+// a failed spec never blocks the others. Like Open, returned connections
+// are in state Opening until the configuration settles
+// (CompleteConfig/AwaitOpen).
 func (p *Platform) OpenBatch(specs []ConnectionSpec) ([]*Connection, []error) {
 	prefs := make([]chanPref, len(specs))
 	for i := range prefs {
@@ -98,7 +97,7 @@ func (p *Platform) openBatch(specs []ConnectionSpec, prefs []chanPref, parents [
 		normalized[i], items[i], preErr[i] = AllocItem(spec)
 	}
 
-	results, _ := p.Alloc.Batch(items, p.Params.Workers)
+	results, _ := p.Alloc.Batch(items, 0)
 
 	conns := make([]*Connection, len(specs))
 	errs := make([]error, len(specs))

@@ -58,12 +58,6 @@ type Params struct {
 	ReadTimeout uint64
 	ReadRetries int
 	ReadBackoff uint64
-	// Workers is the simulation kernel's parallelism (sim.Options): 0
-	// uses one worker per available CPU, 1 forces the sequential
-	// kernel, larger values are used as given. Small platforms fall
-	// back to the sequential path automatically, and the simulated
-	// behaviour is bit-identical for every value.
-	Workers int
 	// MaxRegionElements caps the elements per configuration region; 0
 	// selects 127, the full 7-bit element-ID space (ID 127 is the
 	// reserved padding element). Platforms that fit one region keep the
@@ -98,9 +92,6 @@ func DefaultParams() Params {
 
 // Validate checks parameter sanity.
 func (p Params) Validate() error {
-	if p.Workers < 0 {
-		return fmt.Errorf("core: workers %d out of range (0 = auto)", p.Workers)
-	}
 	if p.MaxRegionElements != 0 && (p.MaxRegionElements < 2 || p.MaxRegionElements > 127) {
 		return fmt.Errorf("core: MaxRegionElements %d out of range 2..127 (0 = default 127)", p.MaxRegionElements)
 	}
@@ -190,7 +181,7 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 	if regions.Num() > cfgproto.MaxRegions {
 		return nil, fmt.Errorf("core: %d configuration regions exceed the region-ID space (%d)", regions.Num(), cfgproto.MaxRegions)
 	}
-	s := sim.NewWithOptions(sim.Options{Workers: params.Workers})
+	s := sim.New()
 	p := &Platform{
 		Sim:          s,
 		Mesh:         m,
@@ -399,26 +390,10 @@ func (lp *linkPipeline) Eval(uint64) {
 // Commit implements sim.Component.
 func (lp *linkPipeline) Commit() {}
 
-// Idle implements sim.Idler: when the feeding wire and every stage hold
-// the zero flit, Eval would only re-latch zeros, so both phases can be
-// skipped for the cycle. This reads settled register values only, so
-// the verdict is evaluation-order independent.
-func (lp *linkPipeline) Idle() bool {
-	if lp.in.Get() != (phit.Flit{}) {
-		return false
-	}
-	for _, r := range lp.regs {
-		if r.Get() != (phit.Flit{}) {
-			return false
-		}
-	}
-	return true
-}
-
 // Quiescence implements sim.Quiescer: quiet while the feeding wire and
-// every stage carry only inert flits. Unlike Idle this admits the
-// zero-credit carriers of settled open connections — they shift through
-// the pipeline hyper-period-periodically.
+// every stage carry only inert flits, which admits the zero-credit
+// carriers of settled open connections — they shift through the
+// pipeline hyper-period-periodically.
 func (lp *linkPipeline) Quiescence(now uint64) sim.Quiescence {
 	if !lp.in.Get().Inert() {
 		return sim.Quiescence{}

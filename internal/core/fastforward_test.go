@@ -11,11 +11,10 @@ import (
 // every valid flit on every link wire (data and cycle), the delivered
 // word counts, and the number of fast-forwarded cycles. The digest must
 // be bit-identical with fast-forward on and off.
-func ffWorkload(t *testing.T, ff bool, workers int) (digest uint64, skipped uint64) {
+func ffWorkload(t *testing.T, ff bool) (digest uint64, skipped uint64) {
 	t.Helper()
 	params := DefaultParams()
 	params.FastForward = ff
-	params.Workers = workers
 	p := newTestPlatform(t, 3, 3, params)
 
 	h := uint64(14695981039346656037)
@@ -66,20 +65,15 @@ func ffWorkload(t *testing.T, ff bool, workers int) (digest uint64, skipped uint
 }
 
 func TestFastForwardMatchesCycleAccurate(t *testing.T) {
-	ref, refSkip := ffWorkload(t, false, 1)
+	ref, refSkip := ffWorkload(t, false)
 	if refSkip != 0 {
 		t.Fatalf("cycle-accurate run skipped %d cycles", refSkip)
 	}
-	got, skip := ffWorkload(t, true, 1)
+	got, skip := ffWorkload(t, true)
 	if skip == 0 {
 		t.Fatal("fast-forward never engaged on a settled platform")
 	}
 	if got != ref {
 		t.Fatalf("digest mismatch: fast-forward %#x, cycle-accurate %#x (skipped %d)", got, ref, skip)
-	}
-	// Bit-identical across worker counts too.
-	got2, _ := ffWorkload(t, true, 2)
-	if got2 != ref {
-		t.Fatalf("digest mismatch with 2 workers: %#x vs %#x", got2, ref)
 	}
 }

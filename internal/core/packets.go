@@ -16,12 +16,19 @@ import (
 // slot). Within one packet the pairs must have strictly decreasing,
 // contiguous depths — that is what the decoder's rotate-per-pair scheme
 // encodes. segments with depth gaps are split into separate packets
-// ("independent path segments").
+// ("independent path segments"). element is a global node ID until
+// splitRegionRuns rewrites it, so a padding pair carries padPair, not
+// cfgproto.PadElement: global node 127 is a real element on platforms
+// past one region.
 type pairAt struct {
 	element int
 	spec    cfgproto.PortSpec
 	depth   int
 }
+
+// padPair is the pairAt.element of a padding pair; segmentsToPackets
+// turns it into cfgproto.PadElement when it builds the packet.
+const padPair = -1
 
 // cfgPacket is a configuration packet addressed to one region's tree.
 // The words are the bare packet; the region-select envelope (if the
@@ -51,7 +58,7 @@ func (p *Platform) splitRegionRuns(seg []pairAt) []regionRun {
 	var runs []regionRun
 	cur := regionRun{region: -1}
 	flush := func() {
-		for len(cur.pairs) > 0 && cur.pairs[len(cur.pairs)-1].element == cfgproto.PadElement {
+		for len(cur.pairs) > 0 && cur.pairs[len(cur.pairs)-1].element == padPair {
 			cur.pairs = cur.pairs[:len(cur.pairs)-1]
 		}
 		if len(cur.pairs) > 0 {
@@ -60,7 +67,7 @@ func (p *Platform) splitRegionRuns(seg []pairAt) []regionRun {
 		cur = regionRun{region: -1}
 	}
 	for _, pr := range seg {
-		if pr.element == cfgproto.PadElement {
+		if pr.element == padPair {
 			if len(cur.pairs) > 0 {
 				cur.pairs = append(cur.pairs, pr)
 			}
@@ -99,6 +106,9 @@ func (p *Platform) segmentsToPackets(inject slots.Mask, segments [][]pairAt) ([]
 				chunk := run.pairs[start:end]
 				pkt := cfgproto.PathSetup{Mask: inject.RotateUp(chunk[0].depth)}
 				for _, pr := range chunk {
+					if pr.element == padPair {
+						pr.element = cfgproto.PadElement
+					}
 					pkt.Pairs = append(pkt.Pairs, cfgproto.Pair{Element: pr.element, Spec: pr.spec})
 				}
 				words, err := pkt.Words()
@@ -119,7 +129,7 @@ func (p *Platform) segmentsToPackets(inject slots.Mask, segments [][]pairAt) ([]
 // burnt here, keeping the decoder's rotate-once-per-pair law intact.
 func padTo(seg []pairAt, from, to int) []pairAt {
 	for d := from - 1; d > to; d-- {
-		seg = append(seg, pairAt{element: cfgproto.PadElement, spec: cfgproto.RouterSpec(0, 0), depth: d})
+		seg = append(seg, pairAt{element: padPair, spec: cfgproto.RouterSpec(0, 0), depth: d})
 	}
 	return seg
 }

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"daelite/internal/cfgproto"
 	"daelite/internal/topology"
+	"daelite/internal/traffic"
 )
 
 // TestPacketStreamGolden pins the exact configuration word stream of a
@@ -70,5 +72,51 @@ func TestPadElementNeverAssigned(t *testing.T) {
 	params.MaxRegionElements = 8
 	if _, err := NewPlatform(m, params, m.NI(0, 0, 0)); err == nil {
 		t.Fatal("column larger than the region capacity accepted")
+	}
+}
+
+// TestGlobalNode127IsConfigured: past one region, global node ID 127 is a
+// real element whose region-local ID differs, and its set-up pair must
+// reach the wire — it used to be mistaken for a padding pair and dropped,
+// leaving a connection that settled and carried nothing.
+func TestGlobalNode127IsConfigured(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		spec           topology.MeshSpec
+		sx, sy, dx, dy int
+		node           func(m *topology.Mesh) topology.NodeID
+	}{
+		{"torus16x16 through router 15,7",
+			topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true}, 14, 7, 0, 7,
+			func(m *topology.Mesh) topology.NodeID { return m.Router(15, 7) }},
+		{"mesh8x8 ending at NI 7,7",
+			topology.MeshSpec{Width: 8, Height: 8, NIsPerRouter: 1}, 5, 7, 7, 7,
+			func(m *topology.Mesh) topology.NodeID { return m.NI(7, 7, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewMeshPlatform(tc.spec, DefaultParams(), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id := tc.node(p.Mesh); id != cfgproto.PadElement {
+				t.Fatalf("node has global ID %d, want %d", id, cfgproto.PadElement)
+			}
+			c := openUnicast(t, p, tc.sx, tc.sy, tc.dx, tc.dy, 2)
+			visits := false
+			for _, l := range c.Fwd.Paths[0].Path {
+				visits = visits || p.Mesh.Graph.Link(l).To == cfgproto.PadElement
+			}
+			if !visits {
+				t.Fatalf("forward path %v does not visit node %d", c.Fwd.Paths[0].Path, cfgproto.PadElement)
+			}
+			const offered = 64
+			src := traffic.NewSource(p.Sim, "src", p.NI(c.Spec.Src), c.SrcChannel,
+				traffic.SourceConfig{Pattern: traffic.CBR, Rate: 0.2, Limit: offered, Seed: 1})
+			sink := traffic.NewSink(p.Sim, "sink", p.NI(c.Spec.Dst), c.DstChannel)
+			p.Run(4000)
+			if src.Sent() != offered || sink.Received() != offered {
+				t.Fatalf("offered %d words, sent %d, delivered %d", offered, src.Sent(), sink.Received())
+			}
+		})
 	}
 }

@@ -19,8 +19,8 @@ import (
 // sustains while connections come and go. This experiment drives the
 // batch admission engine over torus meshes with a seeded churn workload
 // (short unicasts, multipath, multicast trees) and sweeps the what-if
-// evaluation worker count. Like the sim kernel (E16), batch admission is
-// an optimistic-concurrency design proven bit-identical across worker
+// evaluation worker count. Batch admission is an
+// optimistic-concurrency design proven bit-identical across worker
 // counts: every sweep entry must reproduce the sequential fingerprint.
 //
 // Set-ups/sec numbers are wall-clock and machine-dependent, so E17 is

@@ -14,8 +14,8 @@ import (
 // against the analytical reference model — link occupancy bit for bit,
 // single-path traversal latency to the exact cycle, end-to-end latency
 // under the scheduling bound, attained bandwidth within the model's
-// slack — and each scenario must replay bit-identically under 1-worker
-// and 2-worker kernels. The mutation smoke drill then corrupts a healthy
+// slack — and each scenario must replay bit-identically when run a
+// second time. The mutation smoke drill then corrupts a healthy
 // platform twice (slot-table upset, credit-counter overwrite) and the
 // checkers must catch both; a harness that cannot see planted faults
 // proves nothing about real ones.
@@ -23,20 +23,20 @@ func ConformanceSweep() (*Result, error) {
 	r := newResult("E18", "conformance: sim-vs-model differential + mutation smoke")
 
 	const baseSeed, count = 1, 6
-	workers := []int{1, 2}
-	// With fast-forwarding armed (SetFastForward) the sweep runs through
-	// SweepFastForward, which adds a cycle-accurate reference run per
-	// scenario and requires the fast-forwarded results to match it bit
-	// for bit; the rendered table is identical either way.
+	// Every scenario runs twice and the runs must agree bit for bit. With
+	// fast-forwarding armed (SetFastForward) the sweep runs through
+	// SweepFastForward, whose second run is fast-forwarded and must match
+	// the cycle-accurate first; the rendered table is identical either
+	// way.
 	sweepFn := conformance.Sweep
 	if platformFastForward {
 		sweepFn = conformance.SweepFastForward
 	}
-	entries, err := sweepFn(baseSeed, count, workers)
+	entries, err := sweepFn(baseSeed, count)
 	if err != nil {
 		return nil, err
 	}
-	t := report.NewTable(fmt.Sprintf("E18 — differential sweep, %d seeded scenarios x workers %v", count, workers),
+	t := report.NewTable(fmt.Sprintf("E18 — differential sweep, %d seeded scenarios x 2 runs", count),
 		"Seed", "Scenario", "Fingerprint", "Violations", "Delivered", "Agree")
 	passed, mismatches := 0, 0
 	for _, e := range entries {
@@ -52,7 +52,7 @@ func ConformanceSweep() (*Result, error) {
 			first.Delivered, !e.Mismatch)
 	}
 
-	smoke, err := conformance.MutationSmoke(3, 1)
+	smoke, err := conformance.MutationSmoke(3)
 	if err != nil {
 		return nil, err
 	}
@@ -63,11 +63,11 @@ func ConformanceSweep() (*Result, error) {
 
 	r.Metrics["scenarios"] = float64(len(entries))
 	r.Metrics["passed"] = float64(passed)
-	r.Metrics["worker_mismatches"] = float64(mismatches)
+	r.Metrics["run_mismatches"] = float64(mismatches)
 	r.Metrics["mutation_table_violations"] = float64(smoke.SlotTableViolations)
 	r.Metrics["mutation_credit_violations"] = float64(smoke.CreditViolations)
 	r.Metrics["mutation_detected"] = b2f(smoke.Detected())
 	r.Text = t.Render() + "\n" + mt.Render() +
-		"\nEvery scenario agrees with the closed-form model and replays bit-identically across kernel widths; both planted corruptions are flagged through the telemetry registry.\n"
+		"\nEvery scenario agrees with the closed-form model and replays bit-identically from run to run; both planted corruptions are flagged through the telemetry registry.\n"
 	return r, nil
 }

@@ -30,16 +30,6 @@ func newResult(id, artifact string) *Result {
 	return &Result{ID: id, Artifact: artifact, Metrics: make(map[string]float64)}
 }
 
-// platformWorkers is the kernel parallelism every experiment platform is
-// built with; see SetWorkers.
-var platformWorkers int
-
-// SetWorkers fixes the simulation kernel's worker count for platforms
-// built by the experiments (0 = one worker per CPU, 1 = sequential). The
-// regenerated tables are bit-identical for every value; the knob only
-// changes wall-clock cost.
-func SetWorkers(w int) { platformWorkers = w }
-
 // platformFastForward arms quiescence-driven fast-forward on every
 // platform built by the experiments; see SetFastForward.
 var platformFastForward bool
@@ -54,7 +44,6 @@ func SetFastForward(ff bool) { platformFastForward = ff }
 func daelitePlatform(w, h, wheel int) (*core.Platform, error) {
 	params := core.DefaultParams()
 	params.Wheel = wheel
-	params.Workers = platformWorkers
 	params.FastForward = platformFastForward
 	return core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, params, 0, 0)
 }

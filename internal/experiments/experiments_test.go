@@ -406,8 +406,8 @@ func TestConformanceSweep(t *testing.T) {
 	if r.Metrics["passed"] != r.Metrics["scenarios"] || r.Metrics["scenarios"] == 0 {
 		t.Fatalf("passed %v of %v scenarios", r.Metrics["passed"], r.Metrics["scenarios"])
 	}
-	if r.Metrics["worker_mismatches"] != 0 {
-		t.Fatalf("%v scenarios diverged across kernel widths", r.Metrics["worker_mismatches"])
+	if r.Metrics["run_mismatches"] != 0 {
+		t.Fatalf("%v scenarios diverged between two runs", r.Metrics["run_mismatches"])
 	}
 	// The smoke drill is only meaningful if both corruptions were seen.
 	if r.Metrics["mutation_detected"] != 1 {

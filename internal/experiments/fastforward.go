@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"daelite/internal/core"
@@ -12,16 +10,16 @@ import (
 )
 
 // FastForwardThroughput is experiment E22: simulation throughput with
-// model-guided fast-forwarding versus the sequential and parallel
-// cycle-accurate kernels, on a full 16x16 torus platform set up through
-// the hierarchical config regions. Four workloads bound the win: idle
+// model-guided fast-forwarding versus cycle-accurate execution, on a
+// full 16x16 torus platform set up through the hierarchical config
+// regions. Four workloads bound the win: idle
 // (sources drain almost immediately), settled CBR (a burst of traffic,
 // then a long quiescent tail), churn (connections torn down mid-run)
 // and chaos (a link failure, stall detection and online repair). Every
 // run ends in a settled stretch; the headline cycles/sec is measured
 // over that window, where fast-forward skips whole hyper-periods and
-// the cycle-accurate kernels still evaluate every component. All three
-// modes must produce bit-identical delivery fingerprints — the paper's
+// the cycle-accurate run still evaluates every component. Both modes
+// must produce bit-identical delivery fingerprints — the paper's
 // determinism contract extended to the fast-forward path.
 //
 // The cycles/sec numbers are wall-clock measurements and
@@ -34,11 +32,10 @@ func FastForwardThroughput() (*Result, error) {
 	const window = 8000 // settled measurement window
 
 	type mode struct {
-		name    string
-		workers int
-		ff      bool
+		name string
+		ff   bool
 	}
-	modes := []mode{{"seq", 1, false}, {"par", 0, false}, {"ff", 1, true}}
+	modes := []mode{{"seq", false}, {"ff", true}}
 
 	workloads := []struct {
 		name  string
@@ -52,13 +49,13 @@ func FastForwardThroughput() (*Result, error) {
 		{"chaos", 300, false, true},
 	}
 
-	t := report.NewTable("E22 — fast-forward cycles/sec vs cycle-accurate kernels (16x16 torus, regioned set-up)",
-		"Workload", "Mode", "Workers", "Settled cycles/sec", "Skipped", "Deterministic")
+	t := report.NewTable("E22 — fast-forward cycles/sec vs cycle-accurate (16x16 torus, regioned set-up)",
+		"Workload", "Mode", "Settled cycles/sec", "Skipped", "Deterministic")
 	for _, wl := range workloads {
 		var refFP uint64
 		var seqCPS float64
 		for i, m := range modes {
-			bm, err := BuildBigMeshFF(width, height, wheel, m.workers, wl.limit, m.ff)
+			bm, err := BuildBigMeshFF(width, height, wheel, wl.limit, m.ff)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E22 %s/%s: %w", wl.name, m.name, err)
 			}
@@ -124,21 +121,16 @@ func FastForwardThroughput() (*Result, error) {
 			}
 			total := p.Cycle()
 			skipped := p.Sim.SkippedCycles()
-			t.AddRow(wl.name, m.name, m.workers, fmt.Sprintf("%.0f", cps),
+			t.AddRow(wl.name, m.name, fmt.Sprintf("%.0f", cps),
 				fmt.Sprintf("%d/%d (%.0f%%)", skipped, total, 100*float64(skipped)/float64(total)), det)
 			res.Metrics[fmt.Sprintf("cycles_per_sec_%s_%s", wl.name, m.name)] = cps
 			if m.ff {
 				res.Metrics[fmt.Sprintf("skipped_frac_%s", wl.name)] = float64(skipped) / float64(total)
 				res.Metrics[fmt.Sprintf("ff_speedup_%s", wl.name)] = cps / seqCPS
 			}
-			bm.Sim.Shutdown()
 		}
 	}
 
-	var sb strings.Builder
-	sb.WriteString(t.Render())
-	sb.WriteString(fmt.Sprintf("\nGOMAXPROCS %d; every mode reproduced the sequential delivery fingerprint bit-identically.\n",
-		runtime.GOMAXPROCS(0)))
-	res.Text = sb.String()
+	res.Text = t.Render() + "\nBoth modes reproduced the same delivery fingerprint bit-identically.\n"
 	return res, nil
 }

@@ -40,7 +40,6 @@ func RegionSetup() (*Result, error) {
 	for _, v := range variants {
 		params := core.DefaultParams()
 		params.Wheel = wheel
-		params.Workers = platformWorkers
 		params.FastForward = platformFastForward
 		params.MaxRegionElements = v.cap
 		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, params, 0, 0)
@@ -65,7 +64,6 @@ func RegionSetup() (*Result, error) {
 		t.AddRow(v.name, p.Regions.Num(), "total", "-", totalCycles, totalWords, totalPred)
 		res.Metrics[fmt.Sprintf("setup_cycles_%s", v.name)] = float64(totalCycles)
 		res.Metrics[fmt.Sprintf("setup_words_%s", v.name)] = float64(totalWords)
-		p.Sim.Shutdown()
 	}
 	sb.WriteString(t.Render())
 	sb.WriteString("\nThe regioned variant pays the region-select envelope on every packet and an extra\n" +

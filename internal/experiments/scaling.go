@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"daelite/internal/core"
@@ -49,25 +47,19 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // BuildBigMesh assembles a Width x Height torus platform with the given
-// TDM wheel on the simulation kernel with the given worker count, and
-// opens one guaranteed-bandwidth connection per row through the
-// configuration trees.
-func BuildBigMesh(width, height, wheel, workers int) (*BigMesh, error) {
-	return buildBigMesh(width, height, wheel, workers, 0, false)
+// TDM wheel and opens one guaranteed-bandwidth connection per row through
+// the configuration trees.
+func BuildBigMesh(width, height, wheel int) (*BigMesh, error) {
+	return BuildBigMeshFF(width, height, wheel, 0, false)
 }
 
 // BuildBigMeshFF is BuildBigMesh with bounded sources (limit words per
 // row, 0 = unlimited) and optional fast-forwarding — the E22 harness.
 // Bounded sources drain, so the platform eventually settles and a
 // fast-forwarding kernel can start skipping hyper-periods.
-func BuildBigMeshFF(width, height, wheel, workers int, limit uint64, ff bool) (*BigMesh, error) {
-	return buildBigMesh(width, height, wheel, workers, limit, ff)
-}
-
-func buildBigMesh(width, height, wheel, workers int, limit uint64, ff bool) (*BigMesh, error) {
+func BuildBigMeshFF(width, height, wheel int, limit uint64, ff bool) (*BigMesh, error) {
 	params := core.DefaultParams()
 	params.Wheel = wheel
-	params.Workers = workers
 	params.FastForward = ff
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: width, Height: height, NIsPerRouter: 1, Wrap: true}, params, 0, 0)
 	if err != nil {
@@ -146,58 +138,32 @@ func (bm *BigMesh) Fingerprint() uint64 {
 func (bm *BigMesh) Connections() []*core.Connection { return bm.conns }
 
 // ScalingThroughput is experiment E16: full-system throughput (simulated
-// cycles per wall-clock second) versus mesh size and worker count, on
-// complete torus platforms set up through the real configuration path —
-// including 16x16, which only exists thanks to hierarchical config
-// regions. For every mesh size it also re-checks the determinism
-// contract: all worker counts must produce bit-identical fingerprints.
-// The cycles/sec numbers are wall-clock measurements and
-// machine-dependent, so E16 is excluded from the golden experiment
-// output (All) and surfaces through daelite-bench -json instead.
+// cycles per wall-clock second) versus mesh size, on complete torus
+// platforms set up through the real configuration path — including
+// 16x16, which only exists thanks to hierarchical config regions. The
+// cycles/sec numbers are wall-clock measurements and machine-dependent,
+// so E16 is excluded from the golden experiment output (All) and
+// surfaces through daelite-bench -json instead.
 func ScalingThroughput() (*Result, error) {
-	res := newResult("E16", "parallel kernel scaling")
-	ncpu := runtime.GOMAXPROCS(0)
-	workerSweep := []int{1, 2, ncpu}
-	if ncpu <= 2 {
-		workerSweep = []int{1, 2}
-	}
+	res := newResult("E16", "kernel scaling")
 	type size struct{ w, h int }
 	sizes := []size{{4, 4}, {8, 8}, {16, 16}}
 	const cycles = 2000
 
-	t := report.NewTable("E16 — simulated cycles/sec vs mesh size vs workers (full platforms, regioned set-up)",
-		"Mesh", "Workers", "Elements", "Regions", "Cycles/sec", "Flits", "Deterministic")
-	var sb strings.Builder
+	t := report.NewTable("E16 — simulated cycles/sec vs mesh size (full platforms, regioned set-up)",
+		"Mesh", "Elements", "Regions", "Cycles/sec", "Flits")
 	for _, sz := range sizes {
-		var firstFP uint64
-		for i, w := range workerSweep {
-			bm, err := BuildBigMesh(sz.w, sz.h, 8, w)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			bm.Run(cycles)
-			elapsed := time.Since(start)
-			cps := float64(cycles) / elapsed.Seconds()
-			fp := bm.Fingerprint()
-			det := "-"
-			if i == 0 {
-				firstFP = fp
-			} else if fp == firstFP {
-				det = "yes"
-			} else {
-				det = "NO"
-				return nil, fmt.Errorf("experiments: E16 %dx%d workers=%d fingerprint %x != sequential %x",
-					sz.w, sz.h, w, fp, firstFP)
-			}
-			t.AddRow(fmt.Sprintf("%dx%d", sz.w, sz.h), w, bm.Platform.Mesh.NumNodes(),
-				bm.Platform.Regions.Num(), fmt.Sprintf("%.0f", cps), bm.Flits(), det)
-			res.Metrics[fmt.Sprintf("cycles_per_sec_%dx%d_w%d", sz.w, sz.h, w)] = cps
-			bm.Sim.Shutdown()
+		bm, err := BuildBigMesh(sz.w, sz.h, 8)
+		if err != nil {
+			return nil, err
 		}
+		start := time.Now()
+		bm.Run(cycles)
+		cps := float64(cycles) / time.Since(start).Seconds()
+		t.AddRow(fmt.Sprintf("%dx%d", sz.w, sz.h), bm.Platform.Mesh.NumNodes(),
+			bm.Platform.Regions.Num(), fmt.Sprintf("%.0f", cps), bm.Flits())
+		res.Metrics[fmt.Sprintf("cycles_per_sec_%dx%d", sz.w, sz.h)] = cps
 	}
-	sb.WriteString(t.Render())
-	sb.WriteString(fmt.Sprintf("\nGOMAXPROCS %d; every worker count reproduced the sequential fingerprint bit-identically.\n", ncpu))
-	res.Text = sb.String()
+	res.Text = t.Render()
 	return res, nil
 }

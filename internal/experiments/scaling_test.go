@@ -2,33 +2,33 @@ package experiments
 
 import "testing"
 
-// TestBigMeshDeterministicAcrossWorkers pins E16's core claim: the
-// datapath-only big mesh produces bit-identical fingerprints on the
-// sequential kernel and the parallel kernel, and it actually carries
-// traffic.
+// TestBigMeshDeterministicAcrossWorkers pins what E16 and E22 rest on:
+// the big mesh produces bit-identical fingerprints from run to run and
+// with fast-forward on, and it actually carries traffic. (The name
+// predates the removal of the kernel worker pool and is kept so the
+// suite's test IDs stay stable.)
 func TestBigMeshDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (uint64, uint64) {
-		bm, err := BuildBigMesh(8, 8, 8, workers)
+	run := func(ff bool) (uint64, uint64) {
+		bm, err := BuildBigMeshFF(8, 8, 8, 40, ff)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm.Run(500)
+		bm.Run(2000)
 		return bm.Fingerprint(), bm.Flits()
 	}
-	seqFP, seqFlits := run(1)
-	if seqFlits == 0 {
+	refFP, refFlits := run(false)
+	if refFlits == 0 {
 		t.Fatal("big mesh carried no traffic")
 	}
-	for _, w := range []int{0, 3} {
-		fp, flits := run(w)
-		if fp != seqFP || flits != seqFlits {
-			t.Fatalf("workers=%d diverged: fp %x/%x flits %d/%d", w, fp, seqFP, flits, seqFlits)
+	for _, ff := range []bool{false, true} {
+		fp, flits := run(ff)
+		if fp != refFP || flits != refFlits {
+			t.Fatalf("ff=%v diverged: fp %x/%x flits %d/%d", ff, fp, refFP, flits, refFlits)
 		}
 	}
 }
 
-// TestScalingThroughputRuns exercises the full E16 sweep, including its
-// built-in determinism cross-check.
+// TestScalingThroughputRuns exercises the full E16 sweep.
 func TestScalingThroughputRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scaling sweep in -short mode")

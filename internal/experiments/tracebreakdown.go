@@ -56,7 +56,6 @@ func TraceBreakdown() (*Result, error) {
 	for _, v := range variants {
 		params := core.DefaultParams()
 		params.Wheel = wheel
-		params.Workers = platformWorkers
 		params.FastForward = platformFastForward
 		params.MaxRegionElements = v.cap
 		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, params, 0, 0)
@@ -108,7 +107,6 @@ func TraceBreakdown() (*Result, error) {
 		res.Metrics[fmt.Sprintf("inject_cycles_%s", v.name)] = float64(totInject)
 		res.Metrics[fmt.Sprintf("settle_cycles_%s", v.name)] = float64(totSettle)
 		res.Metrics[fmt.Sprintf("total_cycles_%s", v.name)] = float64(totTotal)
-		p.Sim.Shutdown()
 	}
 	res.Metrics["span_mismatches"] = float64(mismatches)
 	sb.WriteString(t.Render())

@@ -19,7 +19,7 @@ func runPack(s *workload.Spec) (*workload.Compiled, *workload.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := workload.Run(c, workload.RunOptions{Workers: platformWorkers, FastForward: platformFastForward})
+	res, err := workload.Run(c, workload.RunOptions{FastForward: platformFastForward})
 	if err != nil {
 		return nil, nil, err
 	}

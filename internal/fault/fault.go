@@ -8,11 +8,11 @@
 // cycle — even when the platform evaluates on the parallel kernel — and
 // its Reg.Set overrides the pending value the owning element just drove.
 // Peek exposes that pending value, which is what makes corrupt-in-place
-// faults (bit flips) possible. Because the ordered tail runs sequentially
-// in registration order and all randomness comes from a seeded sim.RNG, a
+// faults (bit flips) possible. Because the ordered tail runs in
+// registration order and all randomness comes from a seeded sim.RNG, a
 // fault schedule is fully determined by (seed, cycle-window, target): the
-// same run replays bit-identically, with any worker count, which is the
-// property every chaos experiment in this repository asserts.
+// same run replays bit-identically, which is the property every chaos
+// experiment in this repository asserts.
 package fault
 
 import (
@@ -138,7 +138,7 @@ type LinkErrors struct {
 // Injector drives a fault schedule into a platform. It is a sim.Component
 // that must be attached after the platform is built; Attach registers it
 // in the simulator's ordered tail (sim.AddOrdered), which guarantees it
-// evaluates after every platform element regardless of worker count.
+// evaluates after every platform element.
 type Injector struct {
 	name   string
 	p      *core.Platform
@@ -249,8 +249,8 @@ func (inj *Injector) Name() string { return inj.name }
 // AttachTelemetry publishes the injector into a registry: per-kind
 // activation counters (mirrored as the injector runs) and one "fault"
 // event per scheduled fault when it first becomes active. Attach before
-// the run; the injector evaluates in the sequential ordered tail, so the
-// published values are deterministic for every kernel worker count.
+// the run; the injector evaluates in the ordered tail, so the published
+// values are deterministic.
 func (inj *Injector) AttachTelemetry(reg *telemetry.Registry) {
 	inj.tel = reg
 	inj.announced = make([]bool, len(inj.faults))

@@ -1,16 +1,12 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // BenchmarkKernelStep measures raw kernel throughput: N relay components
 // shifting values through registers, the workload shape of a platform
-// simulation. The Par variants run the same model on the parallel kernel
-// with one worker per CPU.
-func benchKernel(b *testing.B, workers, n int) {
-	s := NewWithOptions(Options{Workers: workers})
+// simulation.
+func benchKernel(b *testing.B, n int) {
+	s := New()
 	regs := make([]*Reg[int], n+1)
 	for i := range regs {
 		regs[i] = NewReg(s, 0)
@@ -24,11 +20,9 @@ func benchKernel(b *testing.B, workers, n int) {
 	}
 }
 
-func BenchmarkKernelStep16(b *testing.B)      { benchKernel(b, 1, 16) }
-func BenchmarkKernelStep256(b *testing.B)     { benchKernel(b, 1, 256) }
-func BenchmarkKernelStep4096(b *testing.B)    { benchKernel(b, 1, 4096) }
-func BenchmarkKernelStep256Par(b *testing.B)  { benchKernel(b, runtime.GOMAXPROCS(0), 256) }
-func BenchmarkKernelStep4096Par(b *testing.B) { benchKernel(b, runtime.GOMAXPROCS(0), 4096) }
+func BenchmarkKernelStep16(b *testing.B)   { benchKernel(b, 16) }
+func BenchmarkKernelStep256(b *testing.B)  { benchKernel(b, 256) }
+func BenchmarkKernelStep4096(b *testing.B) { benchKernel(b, 4096) }
 
 // BenchmarkRegSetGet isolates the register primitive.
 func BenchmarkRegSetGet(b *testing.B) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 )
 
@@ -194,57 +193,5 @@ func TestFastForwardSettleRestartsAfterActivity(t *testing.T) {
 	wantSkip := uint64((n - busyThrough - settle) / period * period)
 	if s.SkippedCycles() != wantSkip {
 		t.Fatalf("SkippedCycles = %d, want %d", s.SkippedCycles(), wantSkip)
-	}
-}
-
-// lazyComp counts Evals/Commits and implements Idler.
-type lazyComp struct {
-	idle           bool
-	evals, commits int
-}
-
-func (l *lazyComp) Name() string      { return "lazy" }
-func (l *lazyComp) Eval(cycle uint64) { l.evals++ }
-func (l *lazyComp) Commit()           { l.commits++ }
-func (l *lazyComp) Idle() bool        { return l.idle }
-
-func TestIdlerSkipsEvalAndCommit(t *testing.T) {
-	s := New()
-	l := &lazyComp{idle: true}
-	s.Add(l)
-	busy := &quietComp{}
-	s.Add(busy)
-	s.Run(25)
-	if l.evals != 0 || l.commits != 0 {
-		t.Fatalf("idle component ran: %d evals, %d commits", l.evals, l.commits)
-	}
-	if busy.evals != 25 {
-		t.Fatalf("non-idler evaluated %d times, want 25", busy.evals)
-	}
-	l.idle = false
-	s.Run(10)
-	if l.evals != 10 || l.commits != 10 {
-		t.Fatalf("woken component ran %d evals, %d commits, want 10 each", l.evals, l.commits)
-	}
-}
-
-func TestIdlerSkipsUnderParallelKernel(t *testing.T) {
-	s := NewWithOptions(Options{Workers: runtime.NumCPU()})
-	defer s.Shutdown()
-	const n = 200 // well above minParallelComponents
-	comps := make([]*lazyComp, n)
-	for i := range comps {
-		comps[i] = &lazyComp{idle: i%2 == 0}
-		s.Add(comps[i])
-	}
-	s.Run(30)
-	for i, l := range comps {
-		want := 30
-		if i%2 == 0 {
-			want = 0
-		}
-		if l.evals != want || l.commits != want {
-			t.Fatalf("component %d: %d evals, %d commits, want %d", i, l.evals, l.commits, want)
-		}
 	}
 }

@@ -2,9 +2,9 @@ package sim
 
 // Fingerprint is an order-sensitive FNV-1a fold used to summarize a
 // simulation run into one word: determinism checks hash every observed
-// wire value (with its cycle) and compare the folds across kernel
-// worker counts or repeated runs — any divergence, however small,
-// changes the fingerprint. The zero value is ready to use.
+// wire value (with its cycle) and compare the folds across repeated
+// runs or execution modes — any divergence, however small, changes the
+// fingerprint. The zero value is ready to use.
 type Fingerprint uint64
 
 const (

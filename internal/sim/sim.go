@@ -8,16 +8,12 @@
 // Because Eval never observes a value written in the same cycle, the result
 // is independent of component evaluation order and therefore deterministic.
 //
-// That order-independence is also what makes the Eval phase embarrassingly
-// parallel: NewWithOptions shards components and registers across a
-// persistent worker pool, with a barrier between the Eval, Commit and
-// register-commit phases of every Step, and the result stays bit-identical
-// to the sequential kernel. Components that deliberately break the
-// order-independence contract — traffic endpoints that drain NI queues,
-// fault injectors that override pending wire values — register through
-// AddOrdered instead of Add and run sequentially, in registration order,
-// after the parallel set in both phases. Probes and Stop handling always
-// stay sequential on the stepping goroutine.
+// Components that deliberately break the order-independence contract —
+// traffic endpoints that drain NI queues, fault injectors that override
+// pending wire values — register through AddOrdered instead of Add and
+// run, in registration order, after the Add'ed set in both phases. The
+// kernel is single-threaded: every phase and every probe runs on the
+// stepping goroutine.
 package sim
 
 import (
@@ -96,21 +92,12 @@ type Simulator struct {
 	probes     []Probe
 	cycle      uint64
 
-	workers int
-	pool    *workerPool
-
-	// Cached interface views of the parallel set, index-aligned with
-	// components: idlers[i] is non-nil iff components[i] implements
-	// Idler, likewise quiescers[i]. idleSkip[i] records the Idle()
-	// verdict taken at the start of the Eval phase so the Commit phase
-	// skips the exact same set.
-	idlers    []Idler
-	idleSkip  []bool
-	nIdlers   int
+	// quiescers is index-aligned with components: quiescers[i] is
+	// non-nil iff components[i] implements Quiescer.
 	quiescers []Quiescer
 
 	// Fast-forward state (see fastforward.go). nonQuiescers counts
-	// registered components — parallel and ordered — that do not
+	// registered components — Add'ed and ordered — that do not
 	// implement Quiescer; any such component pins the simulator to
 	// cycle-accurate execution (default-deny).
 	nonQuiescers int
@@ -130,30 +117,15 @@ type Simulator struct {
 	stopReason string
 }
 
-// New returns an empty sequential simulator at cycle 0. Use
-// NewWithOptions to enable the parallel kernel.
-func New() *Simulator {
-	return NewWithOptions(Options{Workers: 1})
-}
-
-// NewWithOptions returns an empty simulator at cycle 0 with the given
-// execution options. See Options.Workers for the parallelism knob.
-func NewWithOptions(o Options) *Simulator {
-	return &Simulator{workers: resolveWorkers(o.Workers)}
-}
+// New returns an empty simulator at cycle 0.
+func New() *Simulator { return &Simulator{} }
 
 // Add registers a component with the simulator. Components added this way
-// may be evaluated concurrently: their Eval must only read foreign state
-// through Reg.Get and write through Regs (or plain state) they own, so
-// that the result is independent of evaluation order.
+// are evaluated in no promised order: their Eval must only read foreign
+// state through Reg.Get and write through Regs (or plain state) they own,
+// so that the result is independent of evaluation order.
 func (s *Simulator) Add(c Component) {
 	s.components = append(s.components, c)
-	idl, _ := c.(Idler)
-	s.idlers = append(s.idlers, idl)
-	s.idleSkip = append(s.idleSkip, false)
-	if idl != nil {
-		s.nIdlers++
-	}
 	q, _ := c.(Quiescer)
 	s.quiescers = append(s.quiescers, q)
 	if q == nil {
@@ -168,10 +140,8 @@ func (s *Simulator) Add(c Component) {
 // AddOrdered registers a component that depends on evaluation order:
 // its Eval reads or writes state owned by other components (a traffic
 // endpoint draining an NI queue, a fault injector overriding pending
-// wire values via Peek/Set). Ordered components run sequentially on the
-// stepping goroutine, in registration order, after all Add'ed
-// components have finished each phase — the same position a component
-// added last held under the sequential kernel.
+// wire values via Peek/Set). Ordered components run in registration
+// order after all Add'ed components have finished each phase.
 func (s *Simulator) AddOrdered(c Component) {
 	s.ordered = append(s.ordered, c)
 	if _, ok := c.(Quiescer); !ok {
@@ -196,8 +166,8 @@ func (s *Simulator) AddProbe(p Probe) {
 func (s *Simulator) Cycle() uint64 { return s.cycle }
 
 // Stop requests that the simulation halt after the current cycle completes.
-// It is safe to call from concurrently evaluating components; the first
-// caller's reason is retained.
+// It is safe to call from another goroutine (a signal handler) while Run
+// is stepping; the first caller's reason is retained.
 func (s *Simulator) Stop(reason string) {
 	s.stopMu.Lock()
 	defer s.stopMu.Unlock()
@@ -221,99 +191,28 @@ func (s *Simulator) halted() bool {
 }
 
 // Step advances the simulation by exactly one clock cycle: Eval of every
-// component (parallel set, then ordered tail), Commit likewise, then the
-// register commit, then the probes. Each phase finishes completely — a
-// barrier on the worker pool when the phase ran parallel — before the
-// next begins.
+// component (Add'ed set, then ordered tail), Commit likewise, then the
+// register commit, then the probes.
 func (s *Simulator) Step() {
 	cycle := s.cycle
-	// Platforms with no Idler components (the common case for short
-	// links) take the plain loops: no per-component idler lookup, no
-	// idleSkip bookkeeping, no closure escaping into the shard runner.
-	par := s.parallel(len(s.components), minParallelComponents)
-	switch {
-	case s.nIdlers == 0 && par:
-		s.runSharded(len(s.components), componentChunk, func(start, end int) {
-			for _, c := range s.components[start:end] {
-				c.Eval(cycle)
-			}
-		})
-	case s.nIdlers == 0:
-		for _, c := range s.components {
-			c.Eval(cycle)
-		}
-	case par:
-		s.runSharded(len(s.components), componentChunk, func(start, end int) {
-			s.evalIdleAware(cycle, start, end)
-		})
-	default:
-		s.evalIdleAware(cycle, 0, len(s.components))
+	for _, c := range s.components {
+		c.Eval(cycle)
 	}
 	for _, c := range s.ordered {
 		c.Eval(cycle)
 	}
-
-	switch {
-	case s.nIdlers == 0 && par:
-		s.runSharded(len(s.components), componentChunk, func(start, end int) {
-			for _, c := range s.components[start:end] {
-				c.Commit()
-			}
-		})
-	case s.nIdlers == 0:
-		for _, c := range s.components {
-			c.Commit()
-		}
-	case par:
-		s.runSharded(len(s.components), componentChunk, s.commitIdleAware)
-	default:
-		s.commitIdleAware(0, len(s.components))
+	for _, c := range s.components {
+		c.Commit()
 	}
 	for _, c := range s.ordered {
 		c.Commit()
 	}
-
-	if s.parallel(len(s.regs), minParallelRegs) {
-		s.runSharded(len(s.regs), regChunk, func(start, end int) {
-			for _, r := range s.regs[start:end] {
-				r.commit()
-			}
-		})
-	} else {
-		for _, r := range s.regs {
-			r.commit()
-		}
+	for _, r := range s.regs {
+		r.commit()
 	}
 	s.cycle++
 	for _, p := range s.probes {
 		p(s.cycle)
-	}
-}
-
-// evalIdleAware is the Eval shard body for platforms with Idler
-// components: an idle component's Eval is skipped and the verdict is
-// recorded so commitIdleAware skips the exact same set.
-func (s *Simulator) evalIdleAware(cycle uint64, start, end int) {
-	for i, c := range s.components[start:end] {
-		if idl := s.idlers[start+i]; idl != nil {
-			if idl.Idle() {
-				s.idleSkip[start+i] = true
-				continue
-			}
-			s.idleSkip[start+i] = false
-		}
-		c.Eval(cycle)
-	}
-}
-
-// commitIdleAware mirrors evalIdleAware for the Commit phase. idleSkip
-// entries of non-Idler components are never written and stay false.
-func (s *Simulator) commitIdleAware(start, end int) {
-	for i, c := range s.components[start:end] {
-		if s.idleSkip[start+i] {
-			continue
-		}
-		c.Commit()
 	}
 }
 
@@ -356,7 +255,7 @@ func (s *Simulator) RunUntil(cond func() bool, budget uint64) (uint64, bool) {
 }
 
 // ComponentNames returns the sorted names of all registered components
-// (parallel set and ordered tail), useful for debugging platform assembly.
+// (Add'ed set and ordered tail), useful for debugging platform assembly.
 func (s *Simulator) ComponentNames() []string {
 	names := make([]string, 0, len(s.components)+len(s.ordered))
 	for _, c := range s.components {
@@ -396,6 +295,6 @@ func (f *Func) Commit() {
 
 // String renders a short simulator status line.
 func (s *Simulator) String() string {
-	return fmt.Sprintf("sim{cycle=%d components=%d+%d regs=%d workers=%d}",
-		s.cycle, len(s.components), len(s.ordered), len(s.regs), s.workers)
+	return fmt.Sprintf("sim{cycle=%d components=%d+%d regs=%d}",
+		s.cycle, len(s.components), len(s.ordered), len(s.regs))
 }

@@ -275,3 +275,122 @@ func TestComponentNamesSorted(t *testing.T) {
 		t.Fatalf("ComponentNames = %v", names)
 	}
 }
+
+// TestStopFromProbeMidRun covers the probe -> Stop path: probes run after
+// commit, and a Stop they issue must halt Run after the current cycle with
+// the cycle counter intact.
+func TestStopFromProbeMidRun(t *testing.T) {
+	s := New()
+	s.Add(&counter{r: NewReg(s, 0)})
+	s.AddProbe(func(cy uint64) {
+		if cy == 7 {
+			s.Stop("probe says enough")
+		}
+	})
+	if ran := s.Run(1000); ran != 7 {
+		t.Fatalf("Run executed %d cycles, want 7", ran)
+	}
+	if s.Cycle() != 7 {
+		t.Fatalf("Cycle() = %d, want 7", s.Cycle())
+	}
+	stopped, reason := s.Stopped()
+	if !stopped || reason != "probe says enough" {
+		t.Fatalf("Stopped() = %v %q", stopped, reason)
+	}
+}
+
+// idle is a component that never Sets any register.
+type idle struct{ evals, commits int }
+
+func (c *idle) Name() string { return "idle" }
+func (c *idle) Eval(uint64)  { c.evals++ }
+func (c *idle) Commit()      { c.commits++ }
+
+// TestComponentNeverSets covers the never-Set edge case: a register no
+// component writes keeps its initial value through every commit, and the
+// silent component's Eval still runs every cycle.
+func TestComponentNeverSets(t *testing.T) {
+	s := New()
+	quiet := NewReg(s, 42)
+	silent := &idle{}
+	s.Add(silent)
+	s.Add(&counter{r: NewReg(s, 0)})
+	s.Run(25)
+	if got := quiet.Get(); got != 42 {
+		t.Fatalf("untouched register changed to %d", got)
+	}
+	if silent.evals != 25 {
+		t.Fatalf("silent component evaluated %d times, want 25", silent.evals)
+	}
+}
+
+// idleReporter is an idle component that also has a method Idle() bool,
+// as aelite.ConfigUnit happens to.
+type idleReporter struct{ idle }
+
+func (*idleReporter) Idle() bool { return true }
+
+// TestIdleMethodDoesNotSkipComponent pins that the kernel matches no
+// method beyond Component: a component reporting Idle() == true is
+// Eval'ed and Commit'ed every cycle, in the Add'ed set and the ordered
+// tail alike.
+func TestIdleMethodDoesNotSkipComponent(t *testing.T) {
+	s := New()
+	added, ordered := &idleReporter{}, &idleReporter{}
+	s.Add(added)
+	s.AddOrdered(ordered)
+	s.Run(25)
+	for _, c := range []*idleReporter{added, ordered} {
+		if c.evals != 25 || c.commits != 25 {
+			t.Fatalf("component ran %d evals, %d commits, want 25 each", c.evals, c.commits)
+		}
+	}
+}
+
+// TestOrderedTailSemantics pins the AddOrdered contract the fault injector
+// and traffic endpoints rely on: ordered components run after the whole
+// Add'ed set in both phases, observe pending values via Peek, and may
+// override them — whether they were registered before or after it.
+func TestOrderedTailSemantics(t *testing.T) {
+	for _, orderedFirst := range []bool{false, true} {
+		s := New()
+		wires := []*Reg[int]{NewReg(s, 0), NewReg(s, 0)}
+		var sawPending bool
+		var commits []string
+		override := &Func{Label: "override",
+			OnEval: func(cy uint64) {
+				if wires[0].Peek() == int(cy)+100 {
+					sawPending = true
+				}
+				wires[0].Set(-1)
+			},
+			OnCommit: func() { commits = append(commits, "override") },
+		}
+		if orderedFirst {
+			s.AddOrdered(override)
+		}
+		for _, w := range wires {
+			w := w
+			s.Add(&Func{Label: "drv",
+				OnEval:   func(cy uint64) { w.Set(int(cy) + 100) },
+				OnCommit: func() { commits = append(commits, "drv") },
+			})
+		}
+		if !orderedFirst {
+			s.AddOrdered(override)
+		}
+		s.Step()
+		if !sawPending {
+			t.Fatalf("orderedFirst=%v: ordered component did not observe the pending value", orderedFirst)
+		}
+		if got := wires[0].Get(); got != -1 {
+			t.Fatalf("orderedFirst=%v: override lost, wire committed %d", orderedFirst, got)
+		}
+		if got := wires[1].Get(); got != 100 {
+			t.Fatalf("orderedFirst=%v: untouched wire committed %d, want 100", orderedFirst, got)
+		}
+		if len(commits) != 3 || commits[2] != "override" {
+			t.Fatalf("orderedFirst=%v: commit order %v, want the ordered component last", orderedFirst, commits)
+		}
+	}
+}

@@ -38,9 +38,7 @@ type MeshSpec struct {
 	Torus        bool   `json:"torus,omitempty"`
 }
 
-// ParamsSpec mirrors core.Params; zero fields inherit defaults. Workers
-// sets the simulation kernel's parallelism (0 = one worker per CPU, 1 =
-// sequential); the simulated behaviour is identical for every value.
+// ParamsSpec mirrors core.Params; zero fields inherit defaults.
 type ParamsSpec struct {
 	Wheel          int `json:"wheel,omitempty"`
 	SlotWords      int `json:"slotWords,omitempty"`
@@ -48,7 +46,6 @@ type ParamsSpec struct {
 	SendQueueDepth int `json:"sendQueueDepth,omitempty"`
 	RecvQueueDepth int `json:"recvQueueDepth,omitempty"`
 	Cooldown       int `json:"cooldown,omitempty"`
-	Workers        int `json:"workers,omitempty"`
 }
 
 // Coord addresses an NI by router position and local index.
@@ -167,9 +164,6 @@ func (s *Spec) params() core.Params {
 	}
 	if v := s.Params.Cooldown; v != 0 {
 		p.Cooldown = v
-	}
-	if v := s.Params.Workers; v != 0 {
-		p.Workers = v
 	}
 	return p
 }

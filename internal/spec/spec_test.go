@@ -95,6 +95,13 @@ func TestValidation(t *testing.T) {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
+	// A spec written for the removed kernel worker pool is rejected by
+	// field name, not silently accepted.
+	_, err := Parse(strings.NewReader(
+		`{"mesh": {"width": 2, "height": 2}, "host": {"x":0,"y":0}, "params": {"workers": 2}}`))
+	if err == nil || !strings.Contains(err.Error(), `"workers"`) {
+		t.Fatalf("params.workers: err = %v, want an unknown-field error naming it", err)
+	}
 }
 
 func TestTorusSpec(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // deterministic order: every metric (sorted by key), every span and every
 // event (emission order). encoding/json marshals maps with sorted keys,
 // so two identical registry states produce byte-identical streams — the
-// property the root determinism test asserts across worker counts.
+// property the root determinism test asserts across runs.
 
 type ndMeta struct {
 	Record  string `json:"record"`

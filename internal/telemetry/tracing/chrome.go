@@ -19,7 +19,7 @@ import (
 //
 // Output is deterministic: rings are written in insertion order and
 // every byte is derived from cycle-domain state, so two runs of the
-// same workload — at any kernel worker count — produce identical files.
+// same workload produce identical files.
 func WriteChrome(w io.Writer, t *Tracer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {

@@ -17,7 +17,7 @@ import (
 // The conformance checkers must report table/contention violations; a
 // harness that cannot see a planted flip proves nothing about real ones.
 // Returns the violation count observed after the flip.
-func MutationSmoke(c *Compiled, workers int) (uint64, error) {
+func MutationSmoke(c *Compiled) (uint64, error) {
 	if len(c.Phases) == 0 {
 		return 0, fmt.Errorf("workload: pack %s has no phases", c.Name())
 	}
@@ -31,11 +31,10 @@ func MutationSmoke(c *Compiled, workers int) (uint64, error) {
 		}
 	}
 
-	p, err := c.BuildPlatform(workers, false)
+	p, err := c.BuildPlatform(false)
 	if err != nil {
 		return 0, err
 	}
-	defer p.Sim.Shutdown()
 	reg := telemetry.NewRegistry()
 	ck := conformance.Attach(p, reg, conformance.Options{SampleEvery: 32, LineRate: true})
 	node := func(co ConnReq) core.ConnectionSpec {

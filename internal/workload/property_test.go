@@ -68,7 +68,7 @@ func TestDNNPackAdmissibilityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		p, err := c.BuildPlatform(1, false)
+		p, err := c.BuildPlatform(false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -136,7 +136,6 @@ func TestDNNPackAdmissibilityProperty(t *testing.T) {
 					seed, ph.Name, got, preFP)
 			}
 		}
-		p.Sim.Shutdown()
 	}
 }
 
@@ -148,7 +147,7 @@ func TestDNNPackPropertyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, RunOptions{Workers: 1})
+	res, err := Run(c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

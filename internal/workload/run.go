@@ -15,15 +15,12 @@ import (
 
 // RunOptions parameterizes one pack execution.
 type RunOptions struct {
-	// Workers selects the kernel worker count (0: the spec's, then
-	// GOMAXPROCS). Ignored when Platform is supplied.
-	Workers int
 	// FastForward arms model-guided fast-forwarding. Ignored when
 	// Platform is supplied.
 	FastForward bool
 	// Platform, when non-nil, is a prebuilt platform (see BuildPlatform)
-	// the caller keeps ownership of — exporters stay attached and the
-	// kernel is not shut down. When nil, Run builds and owns one.
+	// the caller keeps ownership of — exporters stay attached. When nil,
+	// Run builds and owns one.
 	Platform *core.Platform
 	// Registry receives the invariant checkers' counters and events; nil
 	// allocates a private one.
@@ -70,7 +67,6 @@ type PhaseResult struct {
 // Result is the outcome of a pack run.
 type Result struct {
 	Pack        string
-	Workers     int
 	FastForward bool
 	Phases      []PhaseResult
 	// Opened counts admitted connections across all phases; Delivered
@@ -80,8 +76,8 @@ type Result struct {
 	// Violations is the invariant checkers' total count.
 	Violations uint64
 	// Fingerprint folds every NI output flit, delivery counts and
-	// checker verdicts — the bit-exactness witness across worker counts
-	// and fast-forward modes.
+	// checker verdicts — the bit-exactness witness across runs and
+	// fast-forward modes.
 	Fingerprint uint64
 	// Skipped counts fast-forwarded cycles (outside the fingerprint).
 	Skipped  uint64
@@ -101,14 +97,10 @@ func (r *Result) Summary() string {
 		verdict, r.Pack, len(r.Phases), r.Opened, r.Delivered, r.Violations, len(r.Failures), r.Fingerprint, r.Skipped)
 }
 
-// BuildPlatform instantiates the pack's platform with the given kernel
-// width and execution mode, without opening any connections.
-func (c *Compiled) BuildPlatform(workers int, fastForward bool) (*core.Platform, error) {
-	ps := c.Platform
-	if workers != 0 {
-		ps.Params.Workers = workers
-	}
-	p, err := ps.BuildPlatform()
+// BuildPlatform instantiates the pack's platform with the given
+// execution mode, without opening any connections.
+func (c *Compiled) BuildPlatform(fastForward bool) (*core.Platform, error) {
+	p, err := c.Platform.BuildPlatform()
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +113,8 @@ func (c *Compiled) BuildPlatform(workers int, fastForward bool) (*core.Platform,
 // phaseBudget is the closed-form cycle budget for draining a phase: the
 // slowest connection needs Words×wheel/slots cycles at its reserved
 // bandwidth, padded by the model's ramp slack. The budget is a pure
-// function of the compiled pack, so every worker count and execution
-// mode makes the give-up decision at the same cycle.
+// function of the compiled pack, so every execution mode makes the
+// give-up decision at the same cycle.
 func phaseBudget(ph *Phase, wheel int) uint64 {
 	var worst uint64
 	for _, cn := range ph.Conns {
@@ -142,17 +134,16 @@ func phaseBudget(ph *Phase, wheel int) uint64 {
 // link occupancy bit-for-bit, exact single-path and multicast latency,
 // complete delivery within the closed-form bandwidth bound, and
 // occupancy restoration after teardown. The entire run folds into a
-// fingerprint that must be bit-identical across kernel worker counts and
-// fast-forward on/off.
+// fingerprint that must be bit-identical across runs and fast-forward
+// on/off.
 func Run(c *Compiled, opt RunOptions) (*Result, error) {
 	p := opt.Platform
 	if p == nil {
 		var err error
-		p, err = c.BuildPlatform(opt.Workers, opt.FastForward)
+		p, err = c.BuildPlatform(opt.FastForward)
 		if err != nil {
 			return nil, err
 		}
-		defer p.Sim.Shutdown()
 	}
 	reg := opt.Registry
 	if reg == nil {
@@ -160,7 +151,7 @@ func Run(c *Compiled, opt RunOptions) (*Result, error) {
 	}
 	ck := conformance.Attach(p, reg, conformance.Options{LineRate: true})
 	model := conformance.NewModel(p)
-	res := &Result{Pack: c.Name(), Workers: opt.Workers, FastForward: opt.FastForward}
+	res := &Result{Pack: c.Name(), FastForward: opt.FastForward}
 
 	var fp sim.Fingerprint
 	for _, id := range p.Mesh.AllNIs {

@@ -2,71 +2,61 @@ package workload
 
 import "fmt"
 
-// SweepResult is the outcome of running one pack under several kernel
-// worker counts (and optionally fast-forward) and comparing everything
-// observable.
+// SweepResult is the outcome of running one pack twice (the second time
+// optionally fast-forwarded) and comparing everything observable.
 type SweepResult struct {
 	Pack string
-	// Reference is the cycle-accurate single-worker run every other
-	// execution is compared against.
+	// Reference is the cycle-accurate run the other execution is
+	// compared against.
 	Reference *Result
-	// Results holds one entry per swept worker count, in order.
-	Results []*Result
+	// Compared is the second run.
+	Compared *Result
 	// Mismatches lists cross-execution divergences (empty on pass).
 	Mismatches []string
 }
 
-// Passed reports whether every execution passed its own differential
-// checks and matched the reference bit for bit.
+// Passed reports whether both executions passed their own differential
+// checks and matched bit for bit.
 func (s *SweepResult) Passed() bool {
-	if len(s.Mismatches) > 0 || !s.Reference.Passed() {
-		return false
-	}
-	for _, r := range s.Results {
-		if !r.Passed() {
-			return false
-		}
-	}
-	return true
+	return len(s.Mismatches) == 0 && s.Reference.Passed() && s.Compared.Passed()
 }
 
-// Sweep runs the pack cycle-accurately with one worker as the reference,
-// then once per requested worker count (fast-forwarded when ff is set),
-// and requires fingerprints, admission outcomes, delivery counts and
-// checker verdicts to be bit-identical across all of them. With ff set,
-// every non-reference run must also have genuinely skipped cycles —
-// identical results without skipping would prove nothing about the
-// fast-forward path.
-func Sweep(c *Compiled, workers []int, ff bool) (*SweepResult, error) {
-	ref, err := Run(c, RunOptions{Workers: 1})
+// Sweep runs the pack cycle-accurately as the reference, then once more
+// (fast-forwarded when ff is set), and requires fingerprints, admission
+// outcomes, delivery counts and checker verdicts to be bit-identical
+// between the two. With ff set, the second run must also have genuinely
+// skipped cycles — identical results without skipping would prove
+// nothing about the fast-forward path.
+func Sweep(c *Compiled, ff bool) (*SweepResult, error) {
+	ref, err := Run(c, RunOptions{})
 	if err != nil {
 		return nil, err
 	}
-	sr := &SweepResult{Pack: c.Name(), Reference: ref}
-	if ref.Skipped != 0 {
-		sr.Mismatches = append(sr.Mismatches, fmt.Sprintf("cycle-accurate reference skipped %d cycles", ref.Skipped))
+	r, err := Run(c, RunOptions{FastForward: ff})
+	if err != nil {
+		return nil, err
 	}
-	for _, w := range workers {
-		r, err := Run(c, RunOptions{Workers: w, FastForward: ff})
-		if err != nil {
-			return nil, err
-		}
-		sr.Results = append(sr.Results, r)
-		tag := fmt.Sprintf("workers=%d ff=%v", w, ff)
-		if r.Fingerprint != ref.Fingerprint {
-			sr.Mismatches = append(sr.Mismatches, fmt.Sprintf("%s: fingerprint %016x != reference %016x", tag, r.Fingerprint, ref.Fingerprint))
-		}
-		if r.Opened != ref.Opened || r.Delivered != ref.Delivered {
-			sr.Mismatches = append(sr.Mismatches, fmt.Sprintf("%s: opened/delivered %d/%d != reference %d/%d",
-				tag, r.Opened, r.Delivered, ref.Opened, ref.Delivered))
-		}
-		if r.Violations != ref.Violations || len(r.Failures) != len(ref.Failures) {
-			sr.Mismatches = append(sr.Mismatches, fmt.Sprintf("%s: verdicts %d/%d != reference %d/%d",
-				tag, r.Violations, len(r.Failures), ref.Violations, len(ref.Failures)))
-		}
-		if ff && r.Skipped == 0 {
-			sr.Mismatches = append(sr.Mismatches, fmt.Sprintf("%s: fast-forward never engaged", tag))
-		}
+	sr := &SweepResult{Pack: c.Name(), Reference: ref, Compared: r}
+	mismatch := func(format string, args ...interface{}) {
+		sr.Mismatches = append(sr.Mismatches, fmt.Sprintf(format, args...))
+	}
+	if ref.Skipped != 0 {
+		mismatch("cycle-accurate reference skipped %d cycles", ref.Skipped)
+	}
+	tag := fmt.Sprintf("ff=%v", ff)
+	if r.Fingerprint != ref.Fingerprint {
+		mismatch("%s: fingerprint %016x != reference %016x", tag, r.Fingerprint, ref.Fingerprint)
+	}
+	if r.Opened != ref.Opened || r.Delivered != ref.Delivered {
+		mismatch("%s: opened/delivered %d/%d != reference %d/%d",
+			tag, r.Opened, r.Delivered, ref.Opened, ref.Delivered)
+	}
+	if r.Violations != ref.Violations || len(r.Failures) != len(ref.Failures) {
+		mismatch("%s: verdicts %d/%d != reference %d/%d",
+			tag, r.Violations, len(r.Failures), ref.Violations, len(ref.Failures))
+	}
+	if ff && r.Skipped == 0 {
+		mismatch("%s: fast-forward never engaged", tag)
 	}
 	return sr, nil
 }

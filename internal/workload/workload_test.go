@@ -189,7 +189,7 @@ func TestRunDNNPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, RunOptions{Workers: 1})
+	res, err := Run(c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRunSwitchPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, RunOptions{Workers: 1})
+	res, err := Run(c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +238,15 @@ func TestSweepBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := Sweep(c, []int{1, 2}, true)
+	sr, err := Sweep(c, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sr.Passed() {
 		t.Fatalf("sweep failed: %v", sr.Mismatches)
 	}
-	for _, r := range sr.Results {
-		if r.Skipped == 0 {
-			t.Fatalf("fast-forwarded run never skipped")
-		}
+	if sr.Compared.Skipped == 0 {
+		t.Fatalf("fast-forwarded run never skipped")
 	}
 }
 
@@ -257,7 +255,7 @@ func TestWorkloadMutationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caught, err := MutationSmoke(c, 1)
+	caught, err := MutationSmoke(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +269,11 @@ func TestChaosRunStaysDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(c, RunOptions{Workers: 1, ChaosEvery: 2})
+	a, err := Run(c, RunOptions{ChaosEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, RunOptions{Workers: 2, ChaosEvery: 2})
+	b, err := Run(c, RunOptions{ChaosEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +301,7 @@ func TestChaosUnrepairableRunsDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, RunOptions{Workers: 1, ChaosEvery: 1})
+	res, err := Run(c, RunOptions{ChaosEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func TestResultReportRendersEveryPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, RunOptions{Workers: 1})
+	res, err := Run(c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,8 +197,8 @@ func NewFlightRecorder(t *Tracer, prefix string) *FlightRecorder {
 }
 
 // WriteChromeTrace renders the trace as Chrome trace-event JSON —
-// loadable in Perfetto / chrome://tracing, byte-identical across kernel
-// worker counts.
+// loadable in Perfetto / chrome://tracing, byte-identical from run to
+// run.
 func WriteChromeTrace(w io.Writer, t *Tracer) error { return tracing.WriteChrome(w, t) }
 
 // WriteTraceNDJSON writes the trace as newline-delimited JSON records.
