@@ -39,11 +39,14 @@ bench-baseline:
 experiments:
 	$(GO) run ./cmd/daelite-bench
 
-# Check the regenerated tables against the committed golden output —
-# the same diff as the CI golden job.
+# Check the regenerated tables against the committed golden output,
+# then one selected experiment against its section of it — the same two
+# diffs as the CI golden job.
 golden:
 	$(GO) run ./cmd/daelite-bench > /tmp/daelite_experiments.txt
 	diff -u experiments_output.txt /tmp/daelite_experiments.txt
+	$(GO) run ./cmd/daelite-bench -experiment E3 > /tmp/daelite_e3.txt
+	awk '/^==== /{p = /^==== E3 /} p' experiments_output.txt | diff -u - /tmp/daelite_e3.txt
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -59,11 +62,12 @@ examples:
 cover:
 	$(GO) test -cover ./...
 
-# The CI coverage floor: total statement coverage must not drop below
-# the figure recorded when the conformance harness landed.
+# The CI coverage floor (COVER_FLOOR in .github/workflows/ci.yml), by
+# CI's command: -coverpkg=./... credits the root-level integration tests
+# to the internal packages they exercise.
 cover-gate:
-	$(GO) test -coverprofile=cover.out ./...
-	$(GO) tool cover -func=cover.out | awk '/^total:/ {sub("%","",$$3); print "total coverage: " $$3 "%"; if ($$3+0 < 72.6) { print "below the 72.6% floor"; exit 1 }}'
+	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
+	$(GO) tool cover -func=cover.out | awk '/^total:/ {sub("%","",$$3); print "total coverage: " $$3 "% (floor: 75.2%)"; if ($$3+0 < 75.2) { print "coverage " $$3 "% fell below the 75.2% floor"; exit 1 }}'
 
 # The CI conformance gate: differential sweep + mutation smoke.
 conform:

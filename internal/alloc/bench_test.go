@@ -107,9 +107,10 @@ func BenchmarkCandidateSlots(b *testing.B) {
 	}
 }
 
-// churnTorus builds the 16x16 torus the admission-engine benchmarks run
-// on: no 7-bit config-ID concern applies because the allocator works on
-// the bare graph.
+// churnTorus builds the 16x16 torus of the admission-engine benchmarks
+// (the Alloc* entries of experiments.Micro run on the same size): no
+// 7-bit config-ID concern applies because the allocator works on the
+// bare graph.
 func churnTorus(b *testing.B) *topology.Mesh {
 	b.Helper()
 	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
@@ -118,135 +119,6 @@ func churnTorus(b *testing.B) *topology.Mesh {
 	}
 	return m
 }
-
-// churnStep is one admission decision of the steady-state churn workload:
-// mostly short unicasts (NoC locality), some multipath and multicast, a
-// use-case transaction now and then, with releases keeping occupancy
-// bounded. Shared by BenchmarkAllocChurn and experiment E17.
-func churnStep(a *Allocator, m *topology.Mesh, rng *sim.RNG, liveU *[]*Unicast, liveM *[]*Multicast) {
-	w := m.Spec.Width
-	h := m.Spec.Height
-	pick := func() (topology.NodeID, topology.NodeID) {
-		sx, sy := rng.Intn(w), rng.Intn(h)
-		dx := (sx + 1 + rng.Intn(4)) % w
-		dy := (sy + rng.Intn(4)) % h
-		return m.NI(sx, sy, 0), m.NI(dx, dy, 0)
-	}
-	release := func() {
-		if len(*liveU) > 0 {
-			i := rng.Intn(len(*liveU))
-			a.ReleaseUnicast((*liveU)[i])
-			(*liveU)[i] = (*liveU)[len(*liveU)-1]
-			*liveU = (*liveU)[:len(*liveU)-1]
-		}
-		if len(*liveM) > 0 {
-			i := rng.Intn(len(*liveM))
-			a.ReleaseMulticast((*liveM)[i])
-			(*liveM)[i] = (*liveM)[len(*liveM)-1]
-			*liveM = (*liveM)[:len(*liveM)-1]
-		}
-	}
-	if len(*liveU)+len(*liveM) > 384 {
-		release()
-	}
-	switch op := rng.Intn(10); {
-	case op < 6: // plain unicast
-		src, dst := pick()
-		if u, err := a.Unicast(src, dst, 1+rng.Intn(2), Options{}); err == nil {
-			*liveU = append(*liveU, u)
-		} else {
-			release()
-		}
-	case op < 8: // multipath unicast
-		src, dst := pick()
-		if u, err := a.Unicast(src, dst, 2, Options{Multipath: true, MaxDetour: 2}); err == nil {
-			*liveU = append(*liveU, u)
-		} else {
-			release()
-		}
-	case op < 9: // multicast tree
-		src, d1 := pick()
-		_, d2 := pick()
-		if d1 == src || d2 == src || d1 == d2 {
-			return
-		}
-		if mc, err := a.Multicast(src, []topology.NodeID{d1, d2}, 1); err == nil {
-			*liveM = append(*liveM, mc)
-		} else {
-			release()
-		}
-	default: // use-case transaction (may abort)
-		s1, d1 := pick()
-		s2, d2 := pick()
-		uc, err := a.AllocateUseCase([]Request{
-			{Src: s1, Dst: d1, Slots: 1},
-			{Src: s2, Dst: d2, Slots: 1},
-		})
-		if err == nil {
-			*liveU = append(*liveU, uc.Unicasts...)
-		} else {
-			release()
-		}
-	}
-}
-
-// BenchmarkAllocChurn measures sequential admission throughput (one op =
-// one admission decision) under steady-state churn on a 16x16 torus —
-// the headline set-ups/sec number of the admission engine.
-func BenchmarkAllocChurn(b *testing.B) {
-	m := churnTorus(b)
-	a := New(m.Graph, 32)
-	rng := sim.NewRNG(7)
-	var liveU []*Unicast
-	var liveM []*Multicast
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		churnStep(a, m, rng, &liveU, &liveM)
-	}
-}
-
-// batchChurnItems builds one seeded 32-item batch of the churn mix for
-// the Batch benchmarks.
-func batchChurnItems(m *topology.Mesh, rng *sim.RNG) []BatchItem {
-	w, h := m.Spec.Width, m.Spec.Height
-	items := make([]BatchItem, 32)
-	for i := range items {
-		sx, sy := rng.Intn(w), rng.Intn(h)
-		dx := (sx + 1 + rng.Intn(4)) % w
-		dy := (sy + rng.Intn(4)) % h
-		src, dst := m.NI(sx, sy, 0), m.NI(dx, dy, 0)
-		items[i] = BatchItem{Reqs: []Request{
-			{Src: src, Dst: dst, Slots: 1 + rng.Intn(2)},
-			{Src: dst, Dst: src, Slots: 1},
-		}}
-	}
-	return items
-}
-
-func benchAllocBatch(b *testing.B, workers int) {
-	m := churnTorus(b)
-	a := New(m.Graph, 32)
-	rng := sim.NewRNG(17)
-	var live []*UseCaseAlloc
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, _ := a.Batch(batchChurnItems(m, rng), workers)
-		for _, r := range results {
-			if r.Err == nil {
-				live = append(live, r.Alloc)
-			}
-		}
-		for len(live) > 256 {
-			a.ReleaseUseCase(live[0])
-			live = live[1:]
-		}
-	}
-}
-
-// BenchmarkAllocBatch admits one 32-item batch per op, sequentially and
-// with one worker per CPU; the pair bounds the parallel evaluation gain.
-func BenchmarkAllocBatch(b *testing.B)    { benchAllocBatch(b, 1) }
-func BenchmarkAllocBatchPar(b *testing.B) { benchAllocBatch(b, 0) }
 
 func benchUsable(b *testing.B, exclude bool) {
 	m := churnTorus(b)

@@ -50,8 +50,7 @@ func AblationCooldown() (*Result, error) {
 	t := report.NewTable("Cool-down ablation (4x4 mesh, 16 slots, 3-router-hop connection, 2 slots)",
 		"Cooldown (cycles)", "Setup measured (cycles)")
 	for _, cd := range []int{0, 2, 4, 8, 16} {
-		params := core.DefaultParams()
-		params.Wheel = 16
+		params := platformParams(16)
 		params.Cooldown = cd
 		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, params, 0, 0)
 		if err != nil {
@@ -77,9 +76,7 @@ func AblationTreeDepth() (*Result, error) {
 	t := report.NewTable("Host-placement ablation (4x4 mesh, 16 slots, connection NI01 -> NI31)",
 		"Host at", "Tree depth", "Setup measured (cycles)")
 	for _, host := range [][2]int{{0, 0}, {1, 1}, {3, 3}} {
-		params := core.DefaultParams()
-		params.Wheel = 16
-		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, params, host[0], host[1])
+		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, platformParams(16), host[0], host[1])
 		if err != nil {
 			return nil, err
 		}
@@ -104,8 +101,7 @@ func AblationQueueDepth() (*Result, error) {
 	t := report.NewTable("Receive-queue-depth ablation (5-hop connection, 4 of 16 slots reserved = 0.25 words/cycle)",
 		"Recv queue depth", "Delivered (words/cycle)", "Reservation attained")
 	for _, depth := range []int{2, 4, 8, 16, 32} {
-		params := core.DefaultParams()
-		params.Wheel = 16
+		params := platformParams(16)
 		params.RecvQueueDepth = depth
 		params.SendQueueDepth = 64
 		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 1, NIsPerRouter: 1}, params, 0, 0)

@@ -27,37 +27,40 @@ import (
 // excluded from the golden experiment output and surfaces through
 // daelite-bench -json (and -experiment E17) instead.
 
+// nearPair draws a source NI and a destination at most four hops away
+// in each dimension: the NoC locality both churn workloads share.
+func nearPair(m *topology.Mesh, rng *sim.RNG) (src, dst topology.NodeID) {
+	w, h := m.Spec.Width, m.Spec.Height
+	sx, sy := rng.Intn(w), rng.Intn(h)
+	dx := (sx + 1 + rng.Intn(4)) % w
+	dy := (sy + rng.Intn(4)) % h
+	return m.NI(sx, sy, 0), m.NI(dx, dy, 0)
+}
+
 // admissionBatch builds one seeded batch of mixed admission requests with
 // NoC-local destinations on a torus mesh.
 func admissionBatch(m *topology.Mesh, rng *sim.RNG, n int) []alloc.BatchItem {
-	w, h := m.Spec.Width, m.Spec.Height
-	pick := func() (topology.NodeID, topology.NodeID) {
-		sx, sy := rng.Intn(w), rng.Intn(h)
-		dx := (sx + 1 + rng.Intn(4)) % w
-		dy := (sy + rng.Intn(4)) % h
-		return m.NI(sx, sy, 0), m.NI(dx, dy, 0)
-	}
 	items := make([]alloc.BatchItem, n)
 	for i := range items {
 		switch op := rng.Intn(10); {
 		case op < 6: // plain bidirectional unicast (the core.Open shape)
-			src, dst := pick()
+			src, dst := nearPair(m, rng)
 			slots := 1 + rng.Intn(2)
 			items[i] = alloc.BatchItem{Reqs: []alloc.Request{
 				{Src: src, Dst: dst, Slots: slots},
 				{Src: dst, Dst: src, Slots: 1},
 			}}
 		case op < 8: // multipath forward leg
-			src, dst := pick()
+			src, dst := nearPair(m, rng)
 			items[i] = alloc.BatchItem{Reqs: []alloc.Request{
 				{Src: src, Dst: dst, Slots: 2, Opts: alloc.Options{Multipath: true, MaxDetour: 2}},
 				{Src: dst, Dst: src, Slots: 1},
 			}}
 		default: // multicast tree
-			src, d1 := pick()
-			_, d2 := pick()
+			src, d1 := nearPair(m, rng)
+			_, d2 := nearPair(m, rng)
 			if d1 == src || d2 == src || d1 == d2 {
-				src2, dst2 := pick()
+				src2, dst2 := nearPair(m, rng)
 				items[i] = alloc.BatchItem{Reqs: []alloc.Request{
 					{Src: src2, Dst: dst2, Slots: 1},
 					{Src: dst2, Dst: src2, Slots: 1},
@@ -201,8 +204,10 @@ func AdmissionThroughput() (*Result, error) {
 }
 
 // AllocChurnOp returns the sequential admission-churn step op on a 16x16
-// torus — the BenchmarkAllocChurn workload — for the machine-readable
-// snapshot (cmd/daelite-bench -json).
+// torus, the body of the AllocChurn entry of Micro. One op is one
+// admission decision of the steady-state churn workload: mostly short
+// unicasts (NoC locality), some multipath and multicast, a use-case
+// transaction now and then, with releases keeping occupancy bounded.
 func AllocChurnOp() (func(), error) {
 	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
 	if err != nil {
@@ -212,13 +217,6 @@ func AllocChurnOp() (func(), error) {
 	rng := sim.NewRNG(7)
 	var liveU []*alloc.Unicast
 	var liveM []*alloc.Multicast
-	w, h := m.Spec.Width, m.Spec.Height
-	pick := func() (topology.NodeID, topology.NodeID) {
-		sx, sy := rng.Intn(w), rng.Intn(h)
-		dx := (sx + 1 + rng.Intn(4)) % w
-		dy := (sy + rng.Intn(4)) % h
-		return m.NI(sx, sy, 0), m.NI(dx, dy, 0)
-	}
 	release := func() {
 		if len(liveU) > 0 {
 			i := rng.Intn(len(liveU))
@@ -239,22 +237,22 @@ func AllocChurnOp() (func(), error) {
 		}
 		switch op := rng.Intn(10); {
 		case op < 6:
-			src, dst := pick()
+			src, dst := nearPair(m, rng)
 			if u, err := a.Unicast(src, dst, 1+rng.Intn(2), alloc.Options{}); err == nil {
 				liveU = append(liveU, u)
 			} else {
 				release()
 			}
 		case op < 8:
-			src, dst := pick()
+			src, dst := nearPair(m, rng)
 			if u, err := a.Unicast(src, dst, 2, alloc.Options{Multipath: true, MaxDetour: 2}); err == nil {
 				liveU = append(liveU, u)
 			} else {
 				release()
 			}
 		case op < 9:
-			src, d1 := pick()
-			_, d2 := pick()
+			src, d1 := nearPair(m, rng)
+			_, d2 := nearPair(m, rng)
 			if d1 == src || d2 == src || d1 == d2 {
 				return
 			}
@@ -264,8 +262,8 @@ func AllocChurnOp() (func(), error) {
 				release()
 			}
 		default:
-			s1, d1 := pick()
-			s2, d2 := pick()
+			s1, d1 := nearPair(m, rng)
+			s2, d2 := nearPair(m, rng)
 			uc, err := a.AllocateUseCase([]alloc.Request{
 				{Src: s1, Dst: d1, Slots: 1},
 				{Src: s2, Dst: d2, Slots: 1},
@@ -280,8 +278,8 @@ func AllocChurnOp() (func(), error) {
 }
 
 // AllocBatchOp returns an op admitting one 32-item churn batch on a 16x16
-// torus with the given worker count (0 = GOMAXPROCS) — the
-// BenchmarkAllocBatch workload for the snapshot.
+// torus with the given worker count (0 = GOMAXPROCS), the body of the
+// AllocBatch and AllocBatchPar entries of Micro.
 func AllocBatchOp(workers int) (func(), error) {
 	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
 	if err != nil {

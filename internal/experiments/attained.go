@@ -19,8 +19,7 @@ import (
 func AttainedBandwidth() (*Result, error) {
 	r := newResult("E14", "attained vs reserved bandwidth (QoS claim)")
 	const wheel = 16
-	params := core.DefaultParams()
-	params.Wheel = wheel
+	params := platformParams(wheel)
 	params.SendQueueDepth = 64
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 3, Height: 3, NIsPerRouter: 1}, params, 0, 0)
 	if err != nil {
@@ -99,8 +98,7 @@ func AblationLongLinks() (*Result, error) {
 	t := report.NewTable("Long-link ablation (3x1 mesh, both router-router links pipelined, 16 slots)",
 		"Stages per link", "Slot advance (path)", "Traversal latency (cycles)", "Setup words", "Setup cycles")
 	for _, stages := range []int{0, 1, 2, 4} {
-		params := core.DefaultParams()
-		params.Wheel = 16
+		params := platformParams(16)
 		m, err := topology.NewMesh(topology.MeshSpec{Width: 3, Height: 1, NIsPerRouter: 1})
 		if err != nil {
 			return nil, err

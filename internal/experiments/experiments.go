@@ -1,14 +1,13 @@
 // Package experiments regenerates every table, figure and quantified
-// claim of the paper's evaluation section (the E1–E13 index in DESIGN.md).
-// Each experiment returns a Result holding the rendered table(s) plus the
-// headline metrics, so the same code backs both the root benchmark
-// harness (bench_test.go) and the cmd/daelite-bench binary, and tests can
-// assert the paper's shape — who wins and by roughly what factor.
+// claim of the paper's evaluation section (the E1–E24 and A1–A9 index in
+// DESIGN.md §4, listed once in Registry). Each experiment returns a
+// Result holding the rendered table(s) plus the headline metrics, so the
+// same code backs both the root benchmark harness (bench_test.go) and the
+// cmd/daelite-bench binary, and tests can assert the paper's shape — who
+// wins and by roughly what factor.
 package experiments
 
 import (
-	"fmt"
-
 	"daelite/internal/aelite"
 	"daelite/internal/core"
 	"daelite/internal/topology"
@@ -16,7 +15,7 @@ import (
 
 // Result is one regenerated artifact.
 type Result struct {
-	// ID is the experiment identifier from DESIGN.md (E1..E13).
+	// ID is the experiment identifier from DESIGN.md (E1..E24, A1..A9).
 	ID string
 	// Artifact names the paper artifact ("Table III", "Fig. 7", ...).
 	Artifact string
@@ -40,12 +39,20 @@ var platformFastForward bool
 // what running the full suite both ways verifies.
 func SetFastForward(ff bool) { platformFastForward = ff }
 
-// daelitePlatform builds a daelite mesh with the host at (0, 0).
-func daelitePlatform(w, h, wheel int) (*core.Platform, error) {
+// platformParams returns the parameters every experiment platform starts
+// from: the defaults at the given wheel size, with the package-wide
+// policy (today SetFastForward alone) applied. A policy that must reach
+// every experiment is one line here.
+func platformParams(wheel int) core.Params {
 	params := core.DefaultParams()
 	params.Wheel = wheel
 	params.FastForward = platformFastForward
-	return core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, params, 0, 0)
+	return params
+}
+
+// daelitePlatform builds a daelite mesh with the host at (0, 0).
+func daelitePlatform(w, h, wheel int) (*core.Platform, error) {
+	return core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, platformParams(wheel), 0, 0)
 }
 
 // aeliteNetwork builds an aelite mesh with the host at (0, 0).
@@ -77,49 +84,4 @@ func openAelite(n *aelite.Network, src, dst topology.NodeID, slotsFwd int) (*ael
 		return nil, err
 	}
 	return c, nil
-}
-
-// All runs every paper experiment (E1..E13) followed by the ablations
-// (A1..A5) and returns the results in index order.
-func All() ([]*Result, error) {
-	runs := []func() (*Result, error){
-		TableIFeatures,
-		TableIIArea,
-		TableIIISetup,
-		TraversalLatency,
-		HeaderOverhead,
-		ConfigSlotLoss,
-		MultipathGain,
-		SchedulingLatency,
-		Fig6PathSetup,
-		MulticastTreeVsUnicast,
-		ContentionFreedom,
-		CriticalPath,
-		UseCaseSwitch,
-		AttainedBandwidth,
-		FaultRepair,
-		ConformanceSweep,
-		AblationWheelSize,
-		AblationCooldown,
-		AblationTreeDepth,
-		AblationQueueDepth,
-		AblationLongLinks,
-		EnergyPerWord,
-		SlotPlacement,
-		PartialReconfig,
-		ModelVsModelArea,
-		RegionSetup,
-		TraceBreakdown,
-		DNNWorkload,
-		SwitchWorkload,
-	}
-	var out []*Result
-	for _, run := range runs {
-		r, err := run()
-		if err != nil {
-			return out, fmt.Errorf("experiments: %w", err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -416,33 +417,66 @@ func TestConformanceSweep(t *testing.T) {
 	}
 }
 
-// TestAllSmoke runs the complete experiment suite end to end — exactly
-// what cmd/daelite-bench executes — and checks every result carries an ID,
-// an artifact, rendered text and at least one metric.
+// TestAllSmoke runs every Registry entry end to end, wall-clock ones
+// included, and checks the table against what each entry returns: IDs
+// are unique, the Result carries the entry's ID and Artifact, rendered
+// text and metrics, and every Headline key names a metric the experiment
+// really produces.
 func TestAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite")
 	}
-	results, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) < 20 {
-		t.Fatalf("only %d experiments ran", len(results))
-	}
 	seen := map[string]bool{}
-	for _, r := range results {
-		if r.ID == "" || r.Artifact == "" || r.Text == "" || len(r.Metrics) == 0 {
-			t.Fatalf("incomplete result: %+v", r.ID)
+	for _, e := range Registry {
+		if seen[e.ID] {
+			t.Fatalf("duplicate experiment ID %s", e.ID)
 		}
-		if seen[r.ID] {
-			t.Fatalf("duplicate experiment ID %s", r.ID)
+		seen[e.ID] = true
+		r, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		seen[r.ID] = true
+		if r.ID != e.ID || r.Artifact != e.Artifact {
+			t.Errorf("%s: result is %q / %q, registry says %q / %q", e.ID, r.ID, r.Artifact, e.ID, e.Artifact)
+		}
+		if r.Text == "" || len(r.Metrics) == 0 {
+			t.Errorf("%s: no rendered text or no metrics", e.ID)
+		}
+		for _, key := range e.Headline {
+			if _, ok := r.Metrics[key]; !ok {
+				t.Errorf("%s: headline metric %q missing", e.ID, key)
+			}
+		}
 	}
-	for _, id := range []string{"E1", "E3", "E9", "E14", "E15", "E18", "A7", "A9"} {
-		if !seen[id] {
-			t.Fatalf("experiment %s missing from All()", id)
+}
+
+// TestSelect pins the one selection rule: ID or artifact substring, both
+// ignoring case, in Registry order; the empty string is the golden set.
+func TestSelect(t *testing.T) {
+	var golden []string
+	for _, e := range Registry {
+		if !e.WallClock {
+			golden = append(golden, e.ID)
+		}
+	}
+	for _, tc := range []struct {
+		which string
+		want  []string
+	}{
+		{"E3", []string{"E3"}},
+		{"e3", []string{"E3"}},
+		{"Table I", []string{"E1", "E2", "E3"}},
+		{"E16", []string{"E16"}},
+		{"fast-forward THROUGHPUT", []string{"E22"}},
+		{"", golden},
+		{"nonesuch", nil},
+	} {
+		var got []string
+		for _, e := range Select(tc.which) {
+			got = append(got, e.ID)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Select(%q) = %v, want %v", tc.which, got, tc.want)
 		}
 	}
 }

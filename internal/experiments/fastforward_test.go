@@ -5,41 +5,33 @@ import (
 	"testing"
 )
 
-// TestExperimentsFastForwardBitIdentical regenerates the experiments
-// whose workloads exercise the fast-forward entry/exit machinery
-// hardest — E15 (chaos repair), E18 (conformance differential sweep)
-// and E21 (per-stage set-up traces) — with fast-forwarding off and on.
-// The rendered tables and every headline metric must be byte-identical:
-// fast-forward is a wall-clock optimization, never an observable one.
+// TestExperimentsFastForwardBitIdentical regenerates the golden suite
+// with fast-forwarding off and on. The rendered tables and every metric
+// must be byte-identical: fast-forward is a wall-clock optimization,
+// never an observable one. E15 (chaos repair), E18 (conformance
+// differential sweep) and E21 (per-stage set-up traces) exercise the
+// entry/exit machinery hardest.
 func TestExperimentsFastForwardBitIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func() (*Result, error)
-	}{
-		{"E15", FaultRepair},
-		{"E18", ConformanceSweep},
-		{"E21", TraceBreakdown},
-	}
 	defer SetFastForward(false)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			SetFastForward(false)
-			ref, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			SetFastForward(true)
-			got, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Text != ref.Text {
+	SetFastForward(false)
+	ref, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetFastForward(true)
+	got, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range ref {
+		t.Run(want.ID, func(t *testing.T) {
+			if got[i].Text != want.Text {
 				t.Errorf("%s text diverged under fast-forward:\n--- accurate ---\n%s\n--- fast-forward ---\n%s",
-					tc.name, ref.Text, got.Text)
+					want.ID, want.Text, got[i].Text)
 			}
-			if !reflect.DeepEqual(got.Metrics, ref.Metrics) {
+			if !reflect.DeepEqual(got[i].Metrics, want.Metrics) {
 				t.Errorf("%s metrics diverged under fast-forward:\naccurate:     %v\nfast-forward: %v",
-					tc.name, ref.Metrics, got.Metrics)
+					want.ID, want.Metrics, got[i].Metrics)
 			}
 		})
 	}

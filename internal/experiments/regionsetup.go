@@ -38,9 +38,7 @@ func RegionSetup() (*Result, error) {
 		"Variant", "Regions", "Conn", "SpanRegions", "SetupCycles", "Words", "PredictedWords")
 	var sb strings.Builder
 	for _, v := range variants {
-		params := core.DefaultParams()
-		params.Wheel = wheel
-		params.FastForward = platformFastForward
+		params := platformParams(wheel)
 		params.MaxRegionElements = v.cap
 		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, params, 0, 0)
 		if err != nil {

@@ -54,9 +54,7 @@ func TraceBreakdown() (*Result, error) {
 	var sb strings.Builder
 	mismatches := 0
 	for _, v := range variants {
-		params := core.DefaultParams()
-		params.Wheel = wheel
-		params.FastForward = platformFastForward
+		params := platformParams(wheel)
 		params.MaxRegionElements = v.cap
 		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: w, Height: h, NIsPerRouter: 1}, params, 0, 0)
 		if err != nil {

@@ -20,9 +20,9 @@ func benchKernel(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkKernelStep16(b *testing.B)   { benchKernel(b, 16) }
-func BenchmarkKernelStep256(b *testing.B)  { benchKernel(b, 256) }
-func BenchmarkKernelStep4096(b *testing.B) { benchKernel(b, 4096) }
+// The gated 256- and 4096-relay sizes are the KernelStep* entries of
+// experiments.Micro.
+func BenchmarkKernelStep16(b *testing.B) { benchKernel(b, 16) }
 
 // BenchmarkRegSetGet isolates the register primitive.
 func BenchmarkRegSetGet(b *testing.B) {
