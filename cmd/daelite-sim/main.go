@@ -274,6 +274,8 @@ func main() {
 	if skipped := p.Sim.SkippedCycles(); skipped > 0 {
 		fmt.Printf("fast-forwarded %d of %d cycles\n", skipped, p.Cycle())
 	}
+	evaluated, offered := p.Sim.Evaluations()
+	fmt.Printf("evaluated %d of %d component-cycles\n", evaluated, offered)
 
 	t := report.NewTable(fmt.Sprintf("daelite-sim — %d cycles", cycles),
 		"Connection", "Setup (cycles)", "Sent", "Delivered", "In flight", "OoO", "Net latency", "End-to-end latency")

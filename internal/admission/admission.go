@@ -18,11 +18,15 @@
 // processes teardowns, answers what-if queries (read-only DryRun — no
 // epoch bump, no journal growth), drafts opens deterministically, admits
 // them as one alloc.Batch (bit-identical for every worker count), runs
-// the configuration to settlement, and appends one record to the request
-// journal. A snapshot captures the exact committed reservations plus
-// tenant accounting; restart = adopt the snapshot verbatim + replay the
-// journal suffix, reproducing the pre-restart allocator occupancy
-// exactly — verified by comparing alloc.Fingerprint values.
+// the configuration to settlement, appends one record to the request
+// journal, publishes the read model (GET /v1/connections,
+// /v1/fingerprint, /v1/tenants) and only then answers the tick's
+// mutations, so a client reading right after its reply sees its own
+// change; the periodic snapshot comes last. A snapshot captures the
+// exact committed reservations plus tenant accounting; restart = adopt
+// the snapshot verbatim + replay the journal suffix, reproducing the
+// pre-restart allocator occupancy exactly — verified by comparing
+// alloc.Fingerprint values.
 package admission
 
 import (
@@ -675,12 +679,7 @@ func (s *Service) runTick() {
 		s.snapDirty++
 	}
 
-	// Answer mutations only now: teardown and open latencies include the
-	// configuration settling on the platform, and the open replies carry
-	// the measured set-up span.
-	for _, rr := range closeReplies {
-		s.answer(rr.pd, rr.rep)
-	}
+	// The open replies carry the measured set-up span.
 	for _, rr := range openReplies {
 		if rr.lc != nil {
 			if rr.lc.conn.State == core.Opening {
@@ -693,16 +692,28 @@ func (s *Service) runTick() {
 				rr.rep.body["stages"] = s.stageBreakdown(rr.pd, rr.lc)
 			}
 		}
+	}
+
+	// Publish the tick's read model before answering (read-your-writes:
+	// a client that reads GET /v1/connections or /v1/fingerprint right
+	// after its 200 sees its own change), and answer mutations only now:
+	// teardown and open latencies include the configuration settling on
+	// the platform.
+	s.refreshViews()
+	for _, rr := range closeReplies {
+		s.answer(rr.pd, rr.rep)
+	}
+	for _, rr := range openReplies {
 		s.answer(rr.pd, rr.rep)
 	}
 
+	// The snapshot comes after the replies so it adds nothing to their
+	// latency.
 	if s.cfg.SnapshotEvery > 0 && s.snapDirty >= s.cfg.SnapshotEvery && s.cfg.SnapshotPath != "" {
 		if err := s.takeSnapshot(); err != nil {
 			s.reg.Emit(telemetry.Event{Cycle: s.p.Cycle(), Kind: "admission-snapshot-error", Detail: err.Error()})
 		}
 	}
-
-	s.refreshViews()
 }
 
 // processCloses tears down valid targets and answers invalid ones

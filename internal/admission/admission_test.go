@@ -621,3 +621,54 @@ func TestStopAnswersQueuedStragglers(t *testing.T) {
 		t.Fatalf("pending counter after Stop: %d", got)
 	}
 }
+
+// TestReadYourWrites: after every 200 to an open or a close, the read
+// model served over HTTP already reflects that request — the connection
+// count, the allocator fingerprint and the journal sequence. A snapshot
+// after every mutating tick keeps the service busy between its replies
+// and the end of the tick, which is where a read model published after
+// the replies would still show the previous tick.
+func TestReadYourWrites(t *testing.T) {
+	dir := t.TempDir()
+	_, srv := testService(t, 4, 4, Config{
+		JournalPath:   filepath.Join(dir, "journal.ndjson"),
+		SnapshotPath:  filepath.Join(dir, "snapshot.json"),
+		SnapshotEvery: 1,
+	})
+	type fingerprint struct {
+		Fingerprint string `json:"fingerprint"`
+		Seq         uint64 `json:"seq"`
+	}
+	get := func(path string, out any) {
+		t.Helper()
+		if err := getJSON(http.DefaultClient, srv.URL+path, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var empty fingerprint
+	get("/v1/fingerprint", &empty)
+	check := func(op string, i int, conns int, seq uint64, wantEmpty bool) {
+		t.Helper()
+		var list struct {
+			Count int `json:"count"`
+		}
+		get("/v1/connections", &list)
+		var fp fingerprint
+		get("/v1/fingerprint", &fp)
+		if list.Count != conns || fp.Seq != seq || (fp.Fingerprint == empty.Fingerprint) != wantEmpty {
+			t.Fatalf("%s %d: read model shows %d connections, seq %d, fingerprint %s (empty %s); want %d, %d, empty=%v",
+				op, i, list.Count, fp.Seq, fp.Fingerprint, empty.Fingerprint, conns, seq, wantEmpty)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		status, body := post(t, srv.URL, "/v1/connections", openReq("alpha", 4, 11, 2))
+		if status != http.StatusOK {
+			t.Fatalf("open %d: status %d body %v", i, status, body)
+		}
+		check("open", i, 1, empty.Seq+uint64(2*i+1), false)
+		if status, body := del(t, srv.URL, uint64(body["handle"].(float64)), "alpha"); status != http.StatusOK {
+			t.Fatalf("close %d: status %d body %v", i, status, body)
+		}
+		check("close", i, 0, empty.Seq+uint64(2*i+2), true)
+	}
+}

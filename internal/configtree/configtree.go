@@ -87,6 +87,9 @@ type Module struct {
 
 	readTimeouts uint64
 	readRetries  uint64
+
+	// act is the kernel handle the module sleeps and wakes through.
+	act sim.Activity
 }
 
 // packetBound marks where a packet ends in the staged word stream.
@@ -108,7 +111,7 @@ func New(s *sim.Simulator, name string, params Params) *Module {
 		params: params,
 		fwd:    sim.NewReg(s, phit.ConfigWord{}),
 	}
-	s.Add(m)
+	m.act = s.Add(m)
 	return m
 }
 
@@ -120,7 +123,10 @@ func (m *Module) Name() string { return m.name }
 func (m *Module) ForwardWire() *sim.Reg[phit.ConfigWord] { return m.fwd }
 
 // ConnectResponse attaches the root element's reverse wire.
-func (m *Module) ConnectResponse(w *sim.Reg[phit.Response]) { m.resp = w }
+func (m *Module) ConnectResponse(w *sim.Reg[phit.Response]) {
+	m.resp = w
+	w.Wakes(m.act, 0)
+}
 
 // QueueLen reports the words currently staged in the module — committed
 // queue plus pending submissions — i.e. the backlog a freshly submitted
@@ -139,9 +145,10 @@ type pendingPacket struct {
 }
 
 // SubmitPacket queues a complete configuration packet for transmission,
-// starting no earlier than the next cycle. It fails when the staging queue
-// would overflow or when a read is already outstanding (including one
-// submitted this cycle) and the packet is another read.
+// starting no earlier than the next cycle, and wakes the module. It fails
+// when the staging queue would overflow or when a read is already
+// outstanding (including one submitted this cycle) and the packet is
+// another read.
 func (m *Module) SubmitPacket(words []phit.ConfigWord) error {
 	if len(words) == 0 {
 		return fmt.Errorf("configtree: empty packet")
@@ -173,6 +180,7 @@ func (m *Module) SubmitPacket(words []phit.ConfigWord) error {
 		m.readDeadline = 0
 	}
 	m.pending = append(m.pending, pendingPacket{words: cp, isRead: isRead})
+	m.act.Wake()
 	return nil
 }
 
@@ -217,7 +225,10 @@ func (m *Module) Stats() (packets, words uint64) { return m.packetsSent, m.words
 // recent packet was driven onto the tree.
 func (m *Module) LastPacketCycle() uint64 { return m.lastPktCycle }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. The module goes to sleep when this
+// Eval drove the idle word, nothing is staged or pending, the cool-down
+// is over and no read is outstanding: its next Eval would only drive the
+// idle word again. SubmitPacket and a change on the response wire wake it.
 func (m *Module) Eval(cycle uint64) {
 	// Collect a response if one arrives.
 	if m.resp != nil {
@@ -251,15 +262,25 @@ func (m *Module) Eval(cycle uint64) {
 		}
 	}
 
-	if m.cooldown > 0 {
+	switch {
+	case m.cooldown > 0:
 		m.cooldown--
 		m.fwd.Set(phit.ConfigWord{})
-		return
-	}
-	if len(m.queue) == 0 {
+	case len(m.queue) == 0:
 		m.fwd.Set(phit.ConfigWord{})
+	default:
+		// The word just driven must be followed by an idle one, even
+		// with a zero cool-down, so the module stays awake.
+		m.send(cycle)
 		return
 	}
+	if !m.Busy() && !m.readPending {
+		m.act.Sleep()
+	}
+}
+
+// send drives the next staged word onto the tree.
+func (m *Module) send(cycle uint64) {
 	w := m.queue[0]
 	m.queue = m.queue[1:]
 	m.sent++

@@ -310,3 +310,63 @@ func TestOneOutstandingUnderSymbolLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSubmitWakesSleepingModule: an idle module sleeps after its first
+// Eval; SubmitPacket from the host wakes it, the packet drains one word
+// per cycle from the next cycle on, and the module sleeps again once its
+// cool-down is over.
+func TestSubmitWakesSleepingModule(t *testing.T) {
+	s := sim.New()
+	const cooldown = 4
+	m := New(s, "cfg", Params{Cooldown: cooldown, QueueDepth: 64})
+	got := collectWire(s, m.ForwardWire())
+	s.Run(50)
+	if evaluated, _ := s.Evaluations(); evaluated != 1 {
+		t.Fatalf("idle module evaluated %d times in 50 cycles, want 1", evaluated)
+	}
+	words := []phit.ConfigWord{cfgproto.Header(cfgproto.OpNop, 0), phit.NewConfigWord(0x11), phit.NewConfigWord(0x22)}
+	n := uint64(len(words))
+	if err := m.SubmitPacket(words); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(50)
+	if len(*got) != len(words) || m.Busy() || m.LastPacketCycle() != 50+1+n {
+		t.Fatalf("drained %d of %d words (busy %v, last word at cycle %d, want %d)",
+			len(*got), n, m.Busy(), m.LastPacketCycle(), 50+1+n)
+	}
+	// The submit step folds the packet in, one Eval per word drives it,
+	// the cool-down runs its cycles, and the last of them sleeps.
+	if evaluated, _ := s.Evaluations(); evaluated != 1+1+n+cooldown {
+		t.Fatalf("module evaluated %d times, want %d", evaluated, 1+1+n+cooldown)
+	}
+}
+
+// TestZeroCooldownDrivesEachWordOnce: with no cool-down the module must
+// not sleep in the Eval that drives a packet's last word, or the root
+// forward wire would hold that word for good. Every cycle's wire value is
+// recorded: each word appears once, then the wire is idle and the module
+// quiet.
+func TestZeroCooldownDrivesEachWordOnce(t *testing.T) {
+	s := sim.New()
+	m := New(s, "cfg", Params{Cooldown: 0, QueueDepth: 64})
+	got := collectWire(s, m.ForwardWire())
+	words := []phit.ConfigWord{cfgproto.Header(cfgproto.OpNop, 0), phit.NewConfigWord(0x11), phit.NewConfigWord(0x22)}
+	if err := m.SubmitPacket(words); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(20)
+	if len(*got) != len(words) {
+		t.Fatalf("wire carried %d valid words over 20 cycles, want %d: %v", len(*got), len(words), *got)
+	}
+	for i := range words {
+		if (*got)[i] != words[i] {
+			t.Fatalf("word %d = %v, want %v", i, (*got)[i], words[i])
+		}
+	}
+	if w := m.ForwardWire().Get(); w != (phit.ConfigWord{}) {
+		t.Fatalf("forward wire holds %v after the packet, want idle", w)
+	}
+	if !m.Quiescence(s.Cycle()).Quiet {
+		t.Fatal("drained module not quiet")
+	}
+}

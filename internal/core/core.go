@@ -365,6 +365,7 @@ type linkPipeline struct {
 	name string
 	in   *flitWire
 	regs []*flitWire
+	act  sim.Activity
 }
 
 func newLinkPipeline(s *sim.Simulator, name string, in *flitWire, depth int) *flitWire {
@@ -372,19 +373,28 @@ func newLinkPipeline(s *sim.Simulator, name string, in *flitWire, depth int) *fl
 	for i := 0; i < depth; i++ {
 		lp.regs = append(lp.regs, sim.NewReg(s, phit.Idle()))
 	}
-	s.Add(lp)
+	lp.act = s.Add(lp)
+	in.Wakes(lp.act, 0)
 	return lp.regs[len(lp.regs)-1]
 }
 
 // Name implements sim.Component.
 func (lp *linkPipeline) Name() string { return lp.name }
 
-// Eval implements sim.Component: a plain shift register.
+// Eval implements sim.Component: a plain shift register, asleep once
+// the feeding wire and every stage it shifts from are idle.
 func (lp *linkPipeline) Eval(uint64) {
+	in := lp.in.Get()
+	busy := !in.IsIdle()
 	for i := len(lp.regs) - 1; i > 0; i-- {
-		lp.regs[i].Set(lp.regs[i-1].Get())
+		f := lp.regs[i-1].Get()
+		busy = busy || !f.IsIdle()
+		lp.regs[i].Set(f)
 	}
-	lp.regs[0].Set(lp.in.Get())
+	lp.regs[0].Set(in)
+	if !busy {
+		lp.act.Sleep()
+	}
 }
 
 // Commit implements sim.Component.

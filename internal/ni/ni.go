@@ -116,6 +116,13 @@ type queuedWord struct {
 	tag  phit.Tag
 }
 
+// The inputs the NI's wires mark in sim.Activity.Changed.
+const (
+	linkInput = iota
+	cfgInput
+	respInput
+)
+
 // NI is one daelite network interface instance.
 type NI struct {
 	name   string
@@ -154,9 +161,20 @@ type NI struct {
 	delivered uint64
 	dropped   uint64
 	rejected  uint64
-	// curCycle tracks the last evaluated cycle so that IP-side Send
-	// calls can stamp submission times.
-	curCycle uint64
+
+	// sim stamps IP-side submissions (EvalCycle); act is the kernel
+	// handle the NI sleeps and wakes through. open counts channels with
+	// FlagOpen set, and host records that an IP-side call left queue
+	// mutations for Commit. outIdle records that outWire holds the idle
+	// flit (external writers only ever overwrite a driven wire with
+	// idle), and cfgIdle that the last Eval found the configuration node
+	// idle and left its registers idle.
+	sim     *sim.Simulator
+	act     sim.Activity
+	open    int
+	host    bool
+	outIdle bool
+	cfgIdle bool
 }
 
 // pendingDelivery queues a word for a receive queue until Commit.
@@ -186,13 +204,14 @@ func New(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 		cfgInReg:  sim.NewReg(s, phit.ConfigWord{}),
 		respMerge: sim.NewReg(s, phit.Response{}),
 		respOut:   sim.NewReg(s, phit.Response{}),
+		sim:       s,
 	}
 	n.channels = make([]*channel, params.NumChannels)
 	for i := range n.channels {
 		n.channels[i] = &channel{}
 	}
 	n.dec = cfgproto.NewNIDecoder(id, params.Wheel, (*niSink)(n))
-	s.Add(n)
+	n.act = s.Add(n)
 	return n, nil
 }
 
@@ -203,14 +222,20 @@ func (n *NI) Name() string { return n.name }
 func (n *NI) ID() int { return n.id }
 
 // ConnectInput attaches the wire arriving from the router.
-func (n *NI) ConnectInput(wire *sim.Reg[phit.Flit]) { n.inWire = wire }
+func (n *NI) ConnectInput(wire *sim.Reg[phit.Flit]) {
+	n.inWire = wire
+	wire.Wakes(n.act, linkInput)
+}
 
 // OutputWire returns the wire this NI drives toward its router.
 func (n *NI) OutputWire() *sim.Reg[phit.Flit] { return n.outWire }
 
 // ConnectConfigIn attaches the forward configuration wire from the tree
 // parent.
-func (n *NI) ConnectConfigIn(wire *sim.Reg[phit.ConfigWord]) { n.cfgIn = wire }
+func (n *NI) ConnectConfigIn(wire *sim.Reg[phit.ConfigWord]) {
+	n.cfgIn = wire
+	wire.Wakes(n.act, cfgInput)
+}
 
 // AddConfigChild allocates a forward wire toward a tree child.
 func (n *NI) AddConfigChild(s *sim.Simulator) *sim.Reg[phit.ConfigWord] {
@@ -222,6 +247,7 @@ func (n *NI) AddConfigChild(s *sim.Simulator) *sim.Reg[phit.ConfigWord] {
 // AddResponseChild attaches a child's reverse wire.
 func (n *NI) AddResponseChild(wire *sim.Reg[phit.Response]) {
 	n.respIns = append(n.respIns, wire)
+	wire.Wakes(n.act, respInput)
 }
 
 // ResponseWire returns the reverse wire toward the tree parent.
@@ -233,8 +259,10 @@ func (n *NI) SetBusConfigPort(p BusConfigPort) { n.busShell = p }
 // Table exposes the NI slot table for tests and probes.
 func (n *NI) Table() *slots.NITable { return n.table }
 
-// --- IP-side API (called from other components' Eval; effects are
-// two-phase safe: pushes are visible next cycle, reads see settled state).
+// --- IP-side API (called from other components' Eval or from the host
+// between steps; effects are two-phase safe: pushes are visible next
+// cycle, reads see settled state). A call that leaves a queue mutation
+// for Commit wakes the NI.
 
 // CanSend reports whether channel ch can accept another word from the IP.
 func (n *NI) CanSend(ch int) bool {
@@ -251,9 +279,10 @@ func (n *NI) Send(ch int, w phit.Word) bool {
 		n.rejected++
 		return false
 	}
-	tag := phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, SubmitCycle: n.curCycle}
+	tag := phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, SubmitCycle: n.sim.EvalCycle()}
 	c.seq++
 	c.pendSend = append(c.pendSend, queuedWord{word: w, tag: tag})
+	n.hostCall()
 	return true
 }
 
@@ -274,7 +303,15 @@ func (n *NI) Recv(ch int) (Delivery, bool) {
 	d := c.recvQ[c.recvCursor]
 	c.recvCursor++
 	c.pendDelivered++
+	n.hostCall()
 	return d, true
+}
+
+// hostCall notes an IP-side queue mutation: Commit must apply it this
+// cycle even if the NI was asleep.
+func (n *NI) hostCall() {
+	n.host = true
+	n.act.Wake()
 }
 
 // SendQueueLen returns the occupancy of channel ch's send queue.
@@ -325,15 +362,23 @@ func (n *NI) Stats() (injected, delivered uint64) { return n.injected, n.deliver
 // warns about).
 func (n *NI) Dropped() uint64 { return n.dropped }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. The NI goes to sleep when no channel
+// is open (so no TX slot emits credit carriers), no IP-side call is
+// pending, its decoder is between packets and every register it read
+// this cycle was idle: its next Eval+Commit would change nothing. A
+// change on its input, configuration or response wires, or an IP-side
+// Send or Recv, wakes it.
 func (n *NI) Eval(cycle uint64) {
-	n.curCycle = cycle
-	// Stage 1: latch the input wire.
-	var inFlit phit.Flit
-	if n.inWire != nil {
+	changed := n.act.Changed()
+	// Stage 1: latch the input wire if it changed (unchanged, it still
+	// holds what the register holds); in is the value latched last
+	// cycle, which the receive path consumes.
+	in := n.inReg.Get()
+	inFlit := in
+	if changed&(1<<linkInput) != 0 {
 		inFlit = n.inWire.Get()
+		n.inReg.Set(inFlit)
 	}
-	n.inReg.Set(inFlit)
 
 	// The slot/word position of the value our registers present next
 	// cycle.
@@ -387,11 +432,13 @@ func (n *NI) Eval(cycle uint64) {
 			}
 		}
 	}
-	n.outWire.Set(out)
+	if !out.IsIdle() || !n.outIdle {
+		n.outWire.Set(out)
+		n.outIdle = out.IsIdle()
+	}
 
 	// Receive path: the second buffering stage accepts the input
 	// register's value during the slot after it appeared on the link.
-	in := n.inReg.Get()
 	if entry.RX != slots.NoChannel && entry.RX < len(n.channels) {
 		ch := n.channels[entry.RX]
 		if in.CreditValid {
@@ -418,22 +465,32 @@ func (n *NI) Eval(cycle uint64) {
 		}
 	}
 
-	// Configuration tree node.
-	var cfgWord phit.ConfigWord
-	if n.cfgIn != nil {
-		cfgWord = n.cfgIn.Get()
+	// Configuration tree node. An idle node whose inputs did not change
+	// would only rewrite idle values.
+	if !n.cfgIdle || changed&(1<<cfgInput|1<<respInput) != 0 {
+		var cfgWord phit.ConfigWord
+		if n.cfgIn != nil {
+			cfgWord = n.cfgIn.Get()
+		}
+		n.cfgInReg.Set(cfgWord)
+		stage := n.cfgInReg.Get()
+		for _, outw := range n.cfgOuts {
+			outw.Set(stage)
+		}
+		merged := n.dec.Feed(stage)
+		for _, inw := range n.respIns {
+			merged = phit.Merge(merged, inw.Get())
+		}
+		n.respMerge.Set(merged)
+		resp := n.respMerge.Get()
+		n.respOut.Set(resp)
+		n.cfgIdle = cfgWord == (phit.ConfigWord{}) && stage == (phit.ConfigWord{}) &&
+			merged == (phit.Response{}) && resp == (phit.Response{}) && !n.dec.Busy()
 	}
-	n.cfgInReg.Set(cfgWord)
-	for _, outw := range n.cfgOuts {
-		outw.Set(n.cfgInReg.Get())
+
+	if n.open == 0 && !n.host && inFlit.IsIdle() && in.IsIdle() && n.cfgIdle {
+		n.act.Sleep()
 	}
-	localResp := n.dec.Feed(n.cfgInReg.Get())
-	merged := localResp
-	for _, inw := range n.respIns {
-		merged = phit.Merge(merged, inw.Get())
-	}
-	n.respMerge.Set(merged)
-	n.respOut.Set(n.respMerge.Get())
 }
 
 func (n *NI) pendingFor(ch int) int {
@@ -462,6 +519,10 @@ func (n *NI) Commit() {
 		c.recvQ = append(c.recvQ, p.d)
 	}
 	n.pendingPush = n.pendingPush[:0]
+	if !n.host {
+		return
+	}
+	n.host = false
 	for _, c := range n.channels {
 		if len(c.pendSend) > 0 {
 			c.sendQ = append(c.sendQ, c.pendSend...)
@@ -518,15 +579,6 @@ func (n *NI) Quiescence(now uint64) sim.Quiescence {
 	return sim.Quiescence{Quiet: true}
 }
 
-// OnFastForward implements sim.FastForwarder: resync the submission
-// clock so IP-side Send calls issued after a skip stamp the correct
-// cycle. Eval(cycle) sets curCycle = cycle; after a skip to `to`, the
-// next real Eval will run with cycle = to, so mirror the state Eval
-// would have left at to-1.
-func (n *NI) OnFastForward(from, to uint64) {
-	n.curCycle = to - 1
-}
-
 // niSink adapts the NI to cfgproto.Sink.
 type niSink NI
 
@@ -552,7 +604,15 @@ func (ns *niSink) WriteReg(reg, value uint8) {
 	switch cfgproto.RegClass(reg) {
 	case cfgproto.RegFlags:
 		if ch < len(n.channels) {
-			n.channels[ch].flags = value
+			c := n.channels[ch]
+			if was, is := c.flags&cfgproto.FlagOpen != 0, value&cfgproto.FlagOpen != 0; was != is {
+				if is {
+					n.open++
+				} else {
+					n.open--
+				}
+			}
+			c.flags = value
 		}
 	case cfgproto.RegCredit:
 		if ch < len(n.channels) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"daelite/internal/cfgproto"
+	"daelite/internal/configtree"
 	"daelite/internal/phit"
 	"daelite/internal/sim"
 	"daelite/internal/slots"
@@ -366,5 +367,122 @@ func TestDroppedCounter(t *testing.T) {
 	s2.Run(400)
 	if d.Dropped() != 0 {
 		t.Fatalf("flow-controlled channel dropped %d", d.Dropped())
+	}
+}
+
+// ladderPair is the benchmark ladder's back-to-back NI pair under one
+// configuration module, with channel 0 routed both ways (A sends in
+// slots 0-3, B in 4-7) but not yet opened.
+func ladderPair(t *testing.T) (*sim.Simulator, *NI, *NI, *configtree.Module) {
+	t.Helper()
+	s := sim.New()
+	p := Params{Wheel: 8, SlotWords: 2, NumChannels: 4, SendQueueDepth: 16, RecvQueueDepth: 32}
+	a, err := New(s, "ladder-ni-a", 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(s, "ladder-ni-b", 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.ConnectInput(b.OutputWire())
+	b.ConnectInput(a.OutputWire())
+	mod := configtree.New(s, "ladder-cfg", configtree.DefaultParams())
+	a.ConnectConfigIn(mod.ForwardWire())
+	b.ConnectConfigIn(mod.ForwardWire())
+	mod.ConnectResponse(a.ResponseWire())
+	txA, txB := slots.MaskOf(8, 0, 1, 2, 3), slots.MaskOf(8, 4, 5, 6, 7)
+	for _, e := range []error{
+		a.Table().SetSend(txA, 0), b.Table().SetReceive(txA.RotateUp(1), 0),
+		b.Table().SetSend(txB, 0), a.Table().SetReceive(txB.RotateUp(1), 0),
+	} {
+		if e != nil {
+			t.Fatal(e)
+		}
+	}
+	return s, a, b, mod
+}
+
+// openLadderPair opens channel 0 on both NIs through the configuration
+// tree and runs until both have seen it.
+func openLadderPair(t *testing.T, s *sim.Simulator, a, b *NI, mod *configtree.Module) {
+	t.Helper()
+	words, err := cfgproto.WriteRegPacket([]cfgproto.RegWrite{
+		{Element: 1, Reg: cfgproto.RegSelect(cfgproto.RegCredit, 0), Value: 32},
+		{Element: 2, Reg: cfgproto.RegSelect(cfgproto.RegCredit, 0), Value: 32},
+		{Element: 1, Reg: cfgproto.RegSelect(cfgproto.RegFlags, 0), Value: cfgproto.FlagOpen},
+		{Element: 2, Reg: cfgproto.RegSelect(cfgproto.RegFlags, 0), Value: cfgproto.FlagOpen},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mod.SubmitPacket(words); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.RunUntil(func() bool { return a.Flags(0)&b.Flags(0)&cfgproto.FlagOpen != 0 }, 1000); !ok {
+		t.Fatal("channel 0 never opened")
+	}
+}
+
+// TestLadderPairDelivers: the ladder's NI rung. Idle, the pair and its
+// configuration module are evaluated once each and then sleep; opened
+// through the tree from that sleep and driven at line rate, the pair
+// delivers exactly what it delivered before sleeping existed.
+func TestLadderPairDelivers(t *testing.T) {
+	s, a, b, mod := ladderPair(t)
+	s.Run(100)
+	if evaluated, offered := s.Evaluations(); evaluated != 3 || offered != 300 {
+		t.Fatalf("idle pair: %d of %d evaluations, want 3 of 300", evaluated, offered)
+	}
+	openLadderPair(t, s, a, b, mod)
+	s.Run(64)
+	var seq uint32
+	s.AddOrdered(&sim.Func{Label: "ladder-ip", OnEval: func(uint64) {
+		if a.Send(0, phit.Word(seq)) {
+			seq++
+		}
+		for {
+			if _, ok := b.Recv(0); !ok {
+				return
+			}
+		}
+	}})
+	s.Run(2000)
+	if b.RxWords(0) != 997 || a.CreditStallCycles(0) != 0 || a.Dropped()+b.Dropped() != 0 {
+		t.Fatalf("rx %d words, %d credit stalls, %d dropped; want 997, 0, 0",
+			b.RxWords(0), a.CreditStallCycles(0), a.Dropped()+b.Dropped())
+	}
+}
+
+// TestSendStampsEvalCycle: an NI woken from sleep by the configuration
+// that opens its channel stamps Tag.SubmitCycle from the kernel exactly
+// as the per-NI clock copy did — the cycle of the most recent Eval phase:
+// Cycle()-1 for a host Send between steps, the current cycle for a Send
+// from the ordered tail.
+func TestSendStampsEvalCycle(t *testing.T) {
+	s, a, b, mod := ladderPair(t)
+	s.Run(100) // everything asleep
+	openLadderPair(t, s, a, b, mod)
+	between := s.Cycle() - 1
+	if !a.Send(0, 1) {
+		t.Fatal("send between steps refused")
+	}
+	midAt := s.Cycle() + 5
+	var got []uint64
+	s.AddOrdered(&sim.Func{Label: "ip", OnEval: func(cy uint64) {
+		if cy == midAt && !a.Send(0, 2) {
+			t.Error("mid-step send refused")
+		}
+		for {
+			d, ok := b.Recv(0)
+			if !ok {
+				return
+			}
+			got = append(got, d.Tag.SubmitCycle)
+		}
+	}})
+	s.Run(200)
+	if len(got) != 2 || got[0] != between || got[1] != midAt {
+		t.Fatalf("SubmitCycle stamps %v, want [%d %d]", got, between, midAt)
 	}
 }

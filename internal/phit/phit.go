@@ -66,6 +66,12 @@ type Tag struct {
 // Idle returns the value of an idle link.
 func Idle() Flit { return Flit{} }
 
+// IsIdle reports whether f is the idle flit, f == Idle(), field by field
+// so the test inlines on the activity-driven kernel's hot paths.
+func (f Flit) IsIdle() bool {
+	return !f.Valid && !f.CreditValid && f.Data == 0 && f.Credit == 0 && f.Tag == (Tag{})
+}
+
 // Inert reports whether the flit changes no architectural state when it
 // arrives at an NI: no payload word, and no credit value (a CreditValid
 // flit carrying zero credits is the steady-state emission of an open but

@@ -16,6 +16,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/phit"
@@ -41,6 +42,14 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// The inputs the router's wires mark in sim.Activity.Changed: data input
+// i is input i (at most cfgproto.MaxRouterPort+1 ports), then the
+// configuration input and, shared, the children's response wires.
+const (
+	cfgInput = cfgproto.MaxRouterPort + 1 + iota
+	respInput
+)
 
 // Router is one daelite router instance.
 type Router struct {
@@ -80,6 +89,15 @@ type Router struct {
 	// the allocator's reservations.
 	forwarded uint64
 	outBusy   []uint64
+
+	// held has bit i set while input register i holds a non-idle flit
+	// (the values the last Eval latched; ports <= cfgproto.MaxRouterPort
+	// fit the byte); cfgIdle records that the last Eval found the
+	// configuration node idle and left its registers idle; act is the
+	// kernel handle the router sleeps and wakes through.
+	held    uint8
+	cfgIdle bool
+	act     sim.Activity
 }
 
 // New creates a router with the given port counts, registers its state
@@ -115,7 +133,7 @@ func New(s *sim.Simulator, name string, id int, numIn, numOut int, params Params
 		r.outIdle[o] = true
 	}
 	r.dec = cfgproto.NewDecoder(id, params.Wheel, (*routerSink)(r))
-	s.Add(r)
+	r.act = s.Add(r)
 	return r, nil
 }
 
@@ -128,6 +146,7 @@ func (r *Router) ID() int { return r.id }
 // ConnectInput attaches the wire feeding input port i.
 func (r *Router) ConnectInput(i int, wire *sim.Reg[phit.Flit]) {
 	r.inWires[i] = wire
+	wire.Wakes(r.act, i)
 }
 
 // OutputWire returns the wire driven by output port o, to be connected as
@@ -136,7 +155,10 @@ func (r *Router) OutputWire(o int) *sim.Reg[phit.Flit] { return r.outWires[o] }
 
 // ConnectConfigIn attaches the forward configuration wire from the tree
 // parent.
-func (r *Router) ConnectConfigIn(wire *sim.Reg[phit.ConfigWord]) { r.cfgIn = wire }
+func (r *Router) ConnectConfigIn(wire *sim.Reg[phit.ConfigWord]) {
+	r.cfgIn = wire
+	wire.Wakes(r.act, cfgInput)
+}
 
 // AddConfigChild allocates a forward wire toward a tree child and the
 // reverse wire back from it; the child connects to both. Returns the
@@ -150,6 +172,7 @@ func (r *Router) AddConfigChild(s *sim.Simulator) *sim.Reg[phit.ConfigWord] {
 // AddResponseChild attaches a child's reverse wire.
 func (r *Router) AddResponseChild(wire *sim.Reg[phit.Response]) {
 	r.respIns = append(r.respIns, wire)
+	wire.Wakes(r.act, respInput)
 }
 
 // ResponseWire returns this router's reverse wire toward its tree parent.
@@ -170,14 +193,25 @@ func (r *Router) OutputBusy(o int) uint64 { return r.outBusy[o] }
 // NumOutputs returns the router's output port count.
 func (r *Router) NumOutputs() int { return len(r.outWires) }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. The router goes to sleep when every
+// register it read this cycle was idle (and its decoder is between
+// packets): its next Eval would drive the same idle values again. Any
+// change on an input wire, the configuration input or a child's response
+// wire wakes it, and only what changed is read again.
 func (r *Router) Eval(cycle uint64) {
-	// Stage 1: latch input wires into the input registers.
-	for i, w := range r.inWires {
-		if w != nil {
-			r.inRegs[i].Set(w.Get())
+	changed := r.act.Changed()
+
+	// Stage 1: latch the input wires that changed into the input
+	// registers; an unchanged wire still holds what its register holds.
+	held := r.held
+	for ch := changed & (1<<len(r.inWires) - 1); ch != 0; ch &= ch - 1 {
+		i := bits.TrailingZeros32(ch)
+		f := r.inWires[i].Get()
+		r.inRegs[i].Set(f)
+		if f.IsIdle() {
+			r.held &^= 1 << i
 		} else {
-			r.inRegs[i].Set(phit.Idle())
+			r.held |= 1 << i
 		}
 	}
 
@@ -186,10 +220,16 @@ func (r *Router) Eval(cycle uint64) {
 	// cycle+1 (the output slot).
 	outSlot := slots.SlotOfCycle(cycle+1, r.params.SlotWords, r.params.Wheel)
 	for o := range r.outWires {
-		// Bitset early-out: one occupancy-word test replaces the packed
-		// selector decode for the (common) unreserved slots, and an
-		// already-idle wire needs no re-drive at all.
-		if !r.table.Occupied(o, outSlot) {
+		// Early-outs: with every input register idle no output can
+		// carry anything, one occupancy-word test replaces the packed
+		// selector decode for the (common) unreserved slots, an idle
+		// selected input drives idle, and an already-idle wire needs no
+		// re-drive at all.
+		in := slots.NoInput
+		if held != 0 && r.table.Occupied(o, outSlot) {
+			in = r.table.Input(o, outSlot)
+		}
+		if in < 0 || in >= len(r.inRegs) || held&(1<<in) == 0 {
 			if !r.outIdle[o] {
 				r.outWires[o].Set(phit.Idle())
 				r.outIdle[o] = true
@@ -197,11 +237,6 @@ func (r *Router) Eval(cycle uint64) {
 			continue
 		}
 		r.outIdle[o] = false
-		in := r.table.Input(o, outSlot)
-		if in >= len(r.inRegs) {
-			r.outWires[o].Set(phit.Idle())
-			continue
-		}
 		f := r.inRegs[in].Get()
 		if f.Valid {
 			r.forwarded++
@@ -211,24 +246,33 @@ func (r *Router) Eval(cycle uint64) {
 	}
 
 	// Configuration tree node: buffer twice per hop, feed the decoder
-	// from the first stage.
-	var inWord phit.ConfigWord
-	if r.cfgIn != nil {
-		inWord = r.cfgIn.Get()
+	// from the first stage; reverse path: merge children and local
+	// response, buffered twice. An idle node whose inputs did not change
+	// would only rewrite idle values.
+	if !r.cfgIdle || changed&(1<<cfgInput|1<<respInput) != 0 {
+		var inWord phit.ConfigWord
+		if r.cfgIn != nil {
+			inWord = r.cfgIn.Get()
+		}
+		r.cfgInReg.Set(inWord)
+		stage := r.cfgInReg.Get()
+		for _, out := range r.cfgOuts {
+			out.Set(stage)
+		}
+		merged := r.dec.Feed(stage)
+		for _, in := range r.respIns {
+			merged = phit.Merge(merged, in.Get())
+		}
+		r.respMerge.Set(merged)
+		resp := r.respMerge.Get()
+		r.respOut.Set(resp)
+		r.cfgIdle = inWord == (phit.ConfigWord{}) && stage == (phit.ConfigWord{}) &&
+			merged == (phit.Response{}) && resp == (phit.Response{}) && !r.dec.Busy()
 	}
-	r.cfgInReg.Set(inWord)
-	for _, out := range r.cfgOuts {
-		out.Set(r.cfgInReg.Get())
-	}
-	localResp := r.dec.Feed(r.cfgInReg.Get())
 
-	// Reverse path: merge children and local response, buffered twice.
-	merged := localResp
-	for _, in := range r.respIns {
-		merged = phit.Merge(merged, in.Get())
+	if held == 0 && r.held == 0 && r.cfgIdle {
+		r.act.Sleep()
 	}
-	r.respMerge.Set(merged)
-	r.respOut.Set(r.respMerge.Get())
 }
 
 // Commit implements sim.Component; all state lives in sim.Reg.

@@ -384,3 +384,54 @@ func TestGoldenModelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ladderRouter is the benchmark ladder's standalone 5x5 router. Loaded:
+// every output reserved in every slot and every input wire holding a
+// constant valid word that nobody drives; idle: empty table, idle inputs.
+func ladderRouter(t *testing.T, loaded bool) (*sim.Simulator, *Router) {
+	t.Helper()
+	s := sim.New()
+	r, err := New(s, "ladder-router", 1, 5, 5, Params{Wheel: 16, SlotWords: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := phit.Idle()
+	if loaded {
+		in = phit.Flit{Valid: true, Data: 0xDAE117E}
+		full := slots.NewMask(16)
+		for sl := 0; sl < 16; sl++ {
+			full = full.With(sl)
+		}
+		for out := 0; out < 5; out++ {
+			if err := r.Table().Set(out, full, (out+1)%5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		r.ConnectInput(i, sim.NewReg(s, in))
+	}
+	return s, r
+}
+
+// TestLoadedRouterNeverSleeps: a router whose inputs hold a constant
+// valid flit is never woken by a wire change — it must stay awake on its
+// own and forward exactly as many words as before sleeping existed
+// (every output from the second cycle on: 5 × 999). The idle router is
+// evaluated once, then sleeps.
+func TestLoadedRouterNeverSleeps(t *testing.T) {
+	const cycles = 1000
+	s, r := ladderRouter(t, true)
+	s.Run(cycles)
+	if evaluated, _ := s.Evaluations(); evaluated != cycles {
+		t.Fatalf("loaded router evaluated %d of %d cycles", evaluated, cycles)
+	}
+	if got := r.Forwarded(); got != 5*(cycles-1) {
+		t.Fatalf("Forwarded() = %d, want %d", got, 5*(cycles-1))
+	}
+	s, r = ladderRouter(t, false)
+	s.Run(cycles)
+	if evaluated, _ := s.Evaluations(); evaluated != 1 || r.Forwarded() != 0 {
+		t.Fatalf("idle router evaluated %d times and forwarded %d words, want 1 and 0", evaluated, r.Forwarded())
+	}
+}

@@ -24,13 +24,14 @@ func benchKernel(b *testing.B, n int) {
 // experiments.Micro.
 func BenchmarkKernelStep16(b *testing.B) { benchKernel(b, 16) }
 
-// BenchmarkRegSetGet isolates the register primitive.
+// BenchmarkRegSetGet isolates the register primitive: a Set of a new
+// value, its write-list entry and its latch.
 func BenchmarkRegSetGet(b *testing.B) {
 	s := New()
 	r := NewReg(s, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Set(r.Get() + 1)
-		r.commit()
+		s.Step()
 	}
 }

@@ -57,18 +57,11 @@ type Quiescer interface {
 // windows).
 type QuiescenceFunc func(now uint64) Quiescence
 
-// FastForwarder is implemented by components that keep a shadow of the
-// clock (e.g. for stamping host-side submissions) and need to resync it
-// after a skip. OnFastForward(from, to) is called on the stepping
-// goroutine immediately after the clock jumps from `from` to `to`.
-type FastForwarder interface {
-	OnFastForward(from, to uint64)
-}
-
-// FastForwardHook is the standalone form of FastForwarder, registered
-// via AddFastForwardHook — the closed-form catch-up hook for observers
-// (statistics monitors) that sample per cycle and must account for the
-// skipped stretch analytically.
+// FastForwardHook is called, via AddFastForwardHook, immediately after
+// the clock jumps from `from` to `to` — the closed-form catch-up hook for
+// observers (statistics monitors) that sample per cycle and must account
+// for the skipped stretch analytically. Components keep no copy of the
+// clock (they read Simulator.EvalCycle), so they need no such hook.
 type FastForwardHook func(from, to uint64)
 
 // EnableFastForward arms fast-forward with the platform's hyper-period
@@ -91,9 +84,6 @@ func (s *Simulator) EnableFastForward(period, settle uint64) {
 // execution (used when a per-cycle observer like a VCD recorder is
 // attached).
 func (s *Simulator) DisableFastForward() { s.ffPeriod = 0 }
-
-// FastForwardEnabled reports whether fast-forward is armed.
-func (s *Simulator) FastForwardEnabled() bool { return s.ffPeriod > 0 }
 
 // SkippedCycles returns the number of cycles fast-forward skipped so
 // far. They are included in Cycle() — a skipped cycle is a completed
@@ -197,9 +187,6 @@ func (s *Simulator) tryFastForward(budget uint64) uint64 {
 	}
 	s.cycle += skip
 	s.ffSkipped += skip
-	for _, f := range s.forwarders {
-		f.OnFastForward(now, s.cycle)
-	}
 	for _, h := range s.ffHooks {
 		h(now, s.cycle)
 	}

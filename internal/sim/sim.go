@@ -8,16 +8,21 @@
 // Because Eval never observes a value written in the same cycle, the result
 // is independent of component evaluation order and therefore deterministic.
 //
+// The kernel is activity-driven: only registers Set to a new value latch,
+// and an Add'ed component may sleep until a register it reads changes or
+// a host call wakes it. Awake components run in registration order.
+//
 // Components that deliberately break the order-independence contract —
 // traffic endpoints that drain NI queues, fault injectors that override
 // pending wire values — register through AddOrdered instead of Add and
-// run, in registration order, after the Add'ed set in both phases. The
-// kernel is single-threaded: every phase and every probe runs on the
-// stepping goroutine.
+// run, in registration order, after the Add'ed set in both phases; they
+// never sleep. The kernel is single-threaded: every phase and every probe
+// runs on the stepping goroutine.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -37,32 +42,39 @@ type Component interface {
 
 // Reg is a single-cycle register (a bank of flip-flops) holding a value of
 // type T. Get returns the currently latched value; Set schedules the value
-// to appear after the next Commit. A Reg must be committed exactly once per
-// cycle, which the Simulator does for registers created via NewReg.
-type Reg[T any] struct {
+// to appear after the next clock edge.
+type Reg[T comparable] struct {
 	cur, next T
-	dirty     bool
+	dirty     bool  // on the simulator's write list this cycle
+	id        int32 // r's entry in s.readers
+	s         *Simulator
 }
 
-// NewReg returns a register initialized to v, registered with s so that it
-// is committed automatically every cycle.
-func NewReg[T any](s *Simulator, v T) *Reg[T] {
-	r := &Reg[T]{cur: v, next: v}
-	s.addReg(r)
-	return r
+// NewReg returns a register of s initialized to v.
+func NewReg[T comparable](s *Simulator, v T) *Reg[T] {
+	s.readers = append(s.readers, nil)
+	return &Reg[T]{cur: v, next: v, s: s, id: int32(len(s.readers) - 1)}
 }
 
 // Get returns the currently latched value.
 func (r *Reg[T]) Get() T { return r.cur }
 
-// Set schedules v to become visible after the next clock edge.
+// Set schedules v to become visible after the next clock edge. Setting
+// the latched value on an unwritten register is a no-op; the first Set of
+// a new value puts the register on the write list the latch phase walks.
 func (r *Reg[T]) Set(v T) {
+	if !r.dirty {
+		if v == r.cur {
+			return
+		}
+		r.dirty = true
+		r.s.written = append(r.s.written, r)
+	}
 	r.next = v
-	r.dirty = true
 }
 
 // Peek returns the pending next value if one was Set this cycle, else the
-// current value. Intended for testing and tracing only.
+// current value. Intended for testing, tracing and the ordered tail.
 func (r *Reg[T]) Peek() T {
 	if r.dirty {
 		return r.next
@@ -70,31 +82,79 @@ func (r *Reg[T]) Peek() T {
 	return r.cur
 }
 
-func (r *Reg[T]) commit() {
-	if r.dirty {
-		r.cur = r.next
-		r.dirty = false
+// Wakes registers a as a reader of r: a latched change of r wakes a's
+// component and sets bit input of its Changed. It does so now too, so a
+// reader wired up mid-run sees what r holds.
+func (r *Reg[T]) Wakes(a Activity, input int) {
+	a.bit = 1 << input
+	r.s.readers[r.id] = append(r.s.readers[r.id], a)
+	a.Wake()
+	a.s.changed[a.idx] |= a.bit
+}
+
+// latch commits a written register. A later Set this cycle may have
+// written the held value back (an ordered-tail override): then nothing
+// changes and no reader wakes.
+func (r *Reg[T]) latch() {
+	r.dirty = false
+	if r.next == r.cur {
+		return
+	}
+	r.cur = r.next
+	for _, a := range r.s.readers[r.id] {
+		a.Wake()
+		a.s.changed[a.idx] |= a.bit
 	}
 }
 
-// committer is the untyped view of a register used by the simulator.
-type committer interface{ commit() }
+// latcher is the untyped view of a written register.
+type latcher interface{ latch() }
+
+// Activity is an Add'ed component's handle on the kernel's awake set.
+type Activity struct {
+	s   *Simulator
+	idx int32
+	bit uint32 // in a reader list: the bit Reg.Wakes marks in Changed
+}
+
+// Changed returns, and clears, the inputs whose registers latched a new
+// value since the last call: an unchanged input holds what it held then.
+func (a Activity) Changed() uint32 {
+	c := a.s.changed[a.idx]
+	a.s.changed[a.idx] = 0
+	return c
+}
+
+// Sleep takes the component out of the awake set until something wakes
+// it. Call it only when one more Eval+Commit would change nothing: no
+// owned register takes a new value, no counter or queue moves.
+func (a Activity) Sleep() { a.s.awake[a.idx>>6] &^= 1 << (a.idx & 63) }
+
+// Wake puts the component back in the awake set, beating an earlier Sleep;
+// exported methods that mutate a component outside its Eval call it.
+func (a Activity) Wake() { a.s.awake[a.idx>>6] |= 1 << (a.idx & 63) }
 
 // Probe is called after every Commit with the cycle number that just
 // completed. Probes observe fully settled state.
 type Probe func(cycle uint64)
 
-// Simulator owns the clock, the component list, and all registers.
+// Simulator owns the clock, the component list, and the write list.
 type Simulator struct {
 	components []Component
 	ordered    []Component
-	regs       []committer
+	awake      []uint64     // bit i: components[i] runs
+	changed    []uint32     // by component, see Activity.Changed
+	written    []latcher    // registers Set to a new value this cycle
+	readers    [][]Activity // by Reg.id
 	probes     []Probe
 	cycle      uint64
+	stepping   bool // between the first Eval and the clock edge of Step
 
 	// quiescers is index-aligned with components: quiescers[i] is
 	// non-nil iff components[i] implements Quiescer.
 	quiescers []Quiescer
+
+	evals, offered uint64 // see Evaluations
 
 	// Fast-forward state (see fastforward.go). nonQuiescers counts
 	// registered components — Add'ed and ordered — that do not
@@ -102,7 +162,6 @@ type Simulator struct {
 	// cycle-accurate execution (default-deny).
 	nonQuiescers int
 	gates        []QuiescenceFunc
-	forwarders   []FastForwarder
 	ffHooks      []FastForwardHook
 	ffPeriod     uint64
 	ffSettle     uint64
@@ -120,41 +179,68 @@ type Simulator struct {
 // New returns an empty simulator at cycle 0.
 func New() *Simulator { return &Simulator{} }
 
-// Add registers a component with the simulator. Components added this way
-// are evaluated in no promised order: their Eval must only read foreign
-// state through Reg.Get and write through Regs (or plain state) they own,
-// so that the result is independent of evaluation order.
-func (s *Simulator) Add(c Component) {
+// Add registers a component with the simulator, awake, and returns its
+// Activity handle; components that never sleep ignore it. Components
+// added this way are evaluated in no promised order: their Eval must only
+// read foreign state through Reg.Get and write through Regs (or plain
+// state) they own, so that the result is independent of evaluation order.
+func (s *Simulator) Add(c Component) Activity {
+	i := int32(len(s.components))
 	s.components = append(s.components, c)
+	s.changed = append(s.changed, 0)
+	if i&63 == 0 {
+		s.awake = append(s.awake, 0)
+	}
 	q, _ := c.(Quiescer)
 	s.quiescers = append(s.quiescers, q)
 	if q == nil {
 		s.nonQuiescers++
 	}
-	if f, ok := c.(FastForwarder); ok {
-		s.forwarders = append(s.forwarders, f)
-	}
 	s.ffQuiet = false
+	s.awake[i>>6] |= 1 << (i & 63)
+	return Activity{s: s, idx: i}
 }
 
 // AddOrdered registers a component that depends on evaluation order:
 // its Eval reads or writes state owned by other components (a traffic
 // endpoint draining an NI queue, a fault injector overriding pending
-// wire values via Peek/Set). Ordered components run in registration
-// order after all Add'ed components have finished each phase.
+// wire values via Peek/Set). Ordered components never sleep: every cycle
+// they run in registration order after the Add'ed set, in both phases.
 func (s *Simulator) AddOrdered(c Component) {
 	s.ordered = append(s.ordered, c)
 	if _, ok := c.(Quiescer); !ok {
 		s.nonQuiescers++
 	}
-	if f, ok := c.(FastForwarder); ok {
-		s.forwarders = append(s.forwarders, f)
-	}
 	s.ffQuiet = false
 }
 
-func (s *Simulator) addReg(r committer) {
-	s.regs = append(s.regs, r)
+// phase runs Eval (or Commit) of every awake Add'ed component in order
+// and counts them. It rereads the set, so a component woken in the phase
+// at a later index runs too; only a visited component clears a full word.
+func (s *Simulator) phase(eval bool, cycle uint64) (n uint64) {
+	for w := range s.awake {
+		if s.awake[w] == ^uint64(0) {
+			for _, c := range s.components[w<<6 : w<<6+64] {
+				if eval {
+					c.Eval(cycle)
+				} else {
+					c.Commit()
+				}
+			}
+			n += 64
+			continue
+		}
+		for b := s.awake[w]; b != 0; n++ {
+			k := bits.TrailingZeros64(b)
+			if c := s.components[w<<6|k]; eval {
+				c.Eval(cycle)
+			} else {
+				c.Commit()
+			}
+			b = s.awake[w] >> k >> 1 << k << 1
+		}
+	}
+	return n
 }
 
 // AddProbe registers a probe run after each cycle's commit phase.
@@ -164,6 +250,20 @@ func (s *Simulator) AddProbe(p Probe) {
 
 // Cycle returns the number of fully completed cycles.
 func (s *Simulator) Cycle() uint64 { return s.cycle }
+
+// EvalCycle returns the cycle of the most recent Eval phase — Cycle()
+// mid-step, Cycle()-1 between steps, 0 before the first — so a sleeping
+// component needs no copy of the clock to stamp host submissions.
+func (s *Simulator) EvalCycle() uint64 {
+	if s.stepping || s.cycle == 0 {
+		return s.cycle
+	}
+	return s.cycle - 1
+}
+
+// Evaluations returns the Add'ed-component evaluations made so far and
+// those offered (components × stepped cycles); both are deterministic.
+func (s *Simulator) Evaluations() (evaluated, offered uint64) { return s.evals, s.offered }
 
 // Stop requests that the simulation halt after the current cycle completes.
 // It is safe to call from another goroutine (a signal handler) while Run
@@ -190,27 +290,27 @@ func (s *Simulator) halted() bool {
 	return s.stopped
 }
 
-// Step advances the simulation by exactly one clock cycle: Eval of every
-// component (Add'ed set, then ordered tail), Commit likewise, then the
-// register commit, then the probes.
+// Step advances the simulation by exactly one clock cycle: Eval of the
+// awake Add'ed components, then of the ordered tail, Commit likewise, the
+// latch of every written register (waking readers of changed ones), probes.
 func (s *Simulator) Step() {
 	cycle := s.cycle
-	for _, c := range s.components {
-		c.Eval(cycle)
-	}
+	s.stepping = true
+	s.evals += s.phase(true, cycle)
 	for _, c := range s.ordered {
 		c.Eval(cycle)
 	}
-	for _, c := range s.components {
-		c.Commit()
-	}
+	s.phase(false, cycle)
 	for _, c := range s.ordered {
 		c.Commit()
 	}
-	for _, r := range s.regs {
-		r.commit()
+	for _, r := range s.written {
+		r.latch()
 	}
+	s.written = s.written[:0]
+	s.stepping = false
 	s.cycle++
+	s.offered += uint64(len(s.components))
 	for _, p := range s.probes {
 		p(s.cycle)
 	}
@@ -293,8 +393,12 @@ func (f *Func) Commit() {
 	}
 }
 
-// String renders a short simulator status line.
+// String renders a short status line (awake: Add'ed components due next).
 func (s *Simulator) String() string {
-	return fmt.Sprintf("sim{cycle=%d components=%d+%d regs=%d}",
-		s.cycle, len(s.components), len(s.ordered), len(s.regs))
+	awake := 0
+	for _, w := range s.awake {
+		awake += bits.OnesCount64(w)
+	}
+	return fmt.Sprintf("sim{cycle=%d components=%d+%d awake=%d regs=%d}",
+		s.cycle, len(s.components), len(s.ordered), awake, len(s.readers))
 }

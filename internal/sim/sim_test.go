@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -392,5 +394,217 @@ func TestOrderedTailSemantics(t *testing.T) {
 		if len(commits) != 3 || commits[2] != "override" {
 			t.Fatalf("orderedFirst=%v: commit order %v, want the ordered component last", orderedFirst, commits)
 		}
+	}
+}
+
+// sleeper reads one register and goes to sleep while it holds zero — the
+// smallest component that opts into the activity protocol.
+type sleeper struct {
+	in             *Reg[int]
+	act            Activity
+	evals, commits int
+}
+
+func (c *sleeper) Name() string { return "sleeper" }
+func (c *sleeper) Eval(uint64) {
+	c.evals++
+	if c.in.Get() == 0 {
+		c.act.Sleep()
+	}
+}
+func (c *sleeper) Commit() { c.commits++ }
+
+func newSleeper(s *Simulator, in *Reg[int]) *sleeper {
+	c := &sleeper{in: in}
+	c.act = s.Add(c)
+	in.Wakes(c.act, 0)
+	return c
+}
+
+// TestSleeperWakesOnChangeOnly: a sleeper runs once, sleeps, and wakes
+// for exactly one more evaluation per latched change of the register it
+// reads — not for a Set of the value the register already holds, and not
+// for a value that is overwritten back before the edge.
+func TestSleeperWakesOnChangeOnly(t *testing.T) {
+	s := New()
+	in := NewReg(s, 0)
+	c := newSleeper(s, in)
+	s.Run(10)
+	if c.evals != 1 || c.commits != 0 {
+		t.Fatalf("idle sleeper: %d evals, %d commits, want 1, 0", c.evals, c.commits)
+	}
+	in.Set(0) // same value on a clean register: a no-op
+	s.Run(10)
+	if c.evals != 1 || len(s.written) != 0 {
+		t.Fatalf("Set of the held value woke the reader (%d evals, %d written)", c.evals, len(s.written))
+	}
+	in.Set(3)
+	in.Set(0) // written back before the edge: latched, but no change
+	s.Run(10)
+	if c.evals != 1 {
+		t.Fatalf("an unchanged latch woke the reader (%d evals)", c.evals)
+	}
+	in.Set(7)
+	s.Step()  // the host Set lands at this latch and wakes the reader
+	s.Run(10) // which evaluates once per cycle while the value is non-zero
+	if c.evals != 1+10 {
+		t.Fatalf("woken sleeper evaluated %d times, want 11", c.evals)
+	}
+	in.Set(0)
+	s.Run(10) // the change back to zero wakes it once more, then it sleeps
+	if c.evals != 1+10+2 {
+		t.Fatalf("sleeper evaluated %d times after the register cleared, want 13", c.evals)
+	}
+	if evaluated, offered := s.Evaluations(); evaluated != 13 || offered != 51 {
+		t.Fatalf("Evaluations() = %d of %d, want 13 of 51", evaluated, offered)
+	}
+}
+
+// TestHostSetBetweenStepsLandsAtNextLatch: a register written by the host
+// between steps keeps its value through the next Eval phase (two-phase
+// semantics), is latched at that step's edge, and the sleeping reader
+// runs the step after.
+func TestHostSetBetweenStepsLandsAtNextLatch(t *testing.T) {
+	s := New()
+	in := NewReg(s, 0)
+	c := newSleeper(s, in)
+	var seen []int
+	s.AddOrdered(&Func{Label: "watch", OnEval: func(uint64) { seen = append(seen, in.Get()) }})
+	s.Run(3)
+	in.Set(5)
+	if in.Get() != 0 || in.Peek() != 5 {
+		t.Fatalf("before the edge: Get %d Peek %d, want 0 and 5", in.Get(), in.Peek())
+	}
+	s.Step()
+	if in.Get() != 5 || c.evals != 1 {
+		t.Fatalf("after the edge: Get %d, %d evals, want 5 and 1", in.Get(), c.evals)
+	}
+	s.Step()
+	if c.evals != 2 {
+		t.Fatalf("reader not woken by the latched host Set (%d evals)", c.evals)
+	}
+	if want := []int{0, 0, 0, 0, 5}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("ordered tail saw %v, want %v", seen, want)
+	}
+}
+
+// TestOrderedOverrideWithSleepers pins the Peek/Set override contract of
+// the ordered tail on the write list: an override of a value an Add'ed
+// component just drove wins, an override back to the held value cancels
+// the change (and wakes nobody), and an override of an unwritten
+// register lands like any Set.
+func TestOrderedOverrideWithSleepers(t *testing.T) {
+	s := New()
+	drv, quiet, spare := NewReg(s, 0), NewReg(s, 0), NewReg(s, 0)
+	c := newSleeper(s, quiet)
+	s.Add(&Func{Label: "drv", OnEval: func(cy uint64) {
+		drv.Set(int(cy) + 100)
+		quiet.Set(int(cy) + 100)
+	}})
+	var peeked []int
+	s.AddOrdered(&Func{Label: "override", OnEval: func(cy uint64) {
+		peeked = append(peeked, drv.Peek(), quiet.Peek(), spare.Peek())
+		drv.Set(-1)
+		quiet.Set(0)
+		spare.Set(int(cy))
+	}})
+	s.Step()
+	s.Step()
+	if drv.Get() != -1 || quiet.Get() != 0 || spare.Get() != 1 {
+		t.Fatalf("after overrides: drv %d quiet %d spare %d, want -1 0 1", drv.Get(), quiet.Get(), spare.Get())
+	}
+	if want := []int{100, 100, 0, 101, 101, 0}; fmt.Sprint(peeked) != fmt.Sprint(want) {
+		t.Fatalf("ordered tail peeked %v, want %v", peeked, want)
+	}
+	if c.evals != 1 {
+		t.Fatalf("a cancelled change woke the reader (%d evals)", c.evals)
+	}
+}
+
+// TestAwakeOrderAndMidStepWake: awake components run in registration
+// order whatever sleeps in between, and a component woken by the ordered
+// tail mid-step commits in that same cycle, then evaluates the next.
+func TestAwakeOrderAndMidStepWake(t *testing.T) {
+	s := New()
+	var log []string
+	mk := func(name string, sleepy bool) Activity {
+		var a Activity
+		a = s.Add(&Func{Label: name,
+			OnEval: func(uint64) {
+				log = append(log, "E"+name)
+				if sleepy {
+					a.Sleep()
+				}
+			},
+			OnCommit: func() { log = append(log, "C"+name) },
+		})
+		return a
+	}
+	mk("a", false)
+	b := mk("b", true)
+	mk("c", false)
+	s.AddOrdered(&Func{Label: "host", OnEval: func(cy uint64) {
+		if cy == 2 {
+			b.Wake()
+		}
+	}})
+	for i := 0; i < 4; i++ {
+		s.Step()
+		log = append(log, "|")
+	}
+	want := "Ea Eb Ec Ca Cc | Ea Ec Ca Cc | Ea Ec Ca Cb Cc | Ea Eb Ec Ca Cc |"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("phase log\n got %s\nwant %s", got, want)
+	}
+	if got := s.String(); got != "sim{cycle=4 components=3+1 awake=2 regs=0}" {
+		t.Fatalf("String() = %s", got)
+	}
+}
+
+// TestEvalCycle pins the host-side clock components stamp submissions
+// with: 0 before the first step, Cycle() during a step, Cycle()-1
+// between steps and after a fast-forward skip.
+func TestEvalCycle(t *testing.T) {
+	s := New()
+	var mid []uint64
+	s.AddOrdered(&Func{Label: "stamp", OnEval: func(uint64) { mid = append(mid, s.EvalCycle()) }})
+	if s.EvalCycle() != 0 {
+		t.Fatalf("before the first step: %d", s.EvalCycle())
+	}
+	s.Step()
+	s.Step()
+	if s.EvalCycle() != 1 || fmt.Sprint(mid) != "[0 1]" {
+		t.Fatalf("EvalCycle %d between steps after 2 cycles (want 1), mid-step stamps %v (want [0 1])", s.EvalCycle(), mid)
+	}
+
+	ff := New()
+	ff.Add(&quietComp{})
+	ff.EnableFastForward(8, 16)
+	ff.Run(96) // 16 settle cycles stepped, then one 80-cycle skip ends the run
+	if ff.SkippedCycles() != 80 || ff.EvalCycle() != 95 {
+		t.Fatalf("after %d skipped cycles: EvalCycle %d, Cycle %d", ff.SkippedCycles(), ff.EvalCycle(), ff.Cycle())
+	}
+}
+
+// TestChangedInputs: a reader registered through Reg.Wakes learns
+// which inputs latched a new value since its last look. Wiring counts as
+// a change, a Set of the held value does not, and reading clears.
+func TestChangedInputs(t *testing.T) {
+	s := New()
+	a, b := NewReg(s, 0), NewReg(s, 0)
+	var got []uint32
+	var act Activity
+	act = s.Add(&Func{Label: "reader", OnEval: func(uint64) {
+		got = append(got, act.Changed())
+		act.Sleep()
+	}})
+	a.Wakes(act, 0)
+	b.Wakes(act, 3)
+	s.Step()
+	b.Set(0)
+	a.Set(5)
+	s.Run(3)
+	if fmt.Sprint(got) != "[9 1]" {
+		t.Fatalf("Changed() per evaluation = %v, want [9 1]", got)
 	}
 }
