@@ -273,6 +273,8 @@ func main() {
 	}
 	if skipped := p.Sim.SkippedCycles(); skipped > 0 {
 		fmt.Printf("fast-forwarded %d of %d cycles\n", skipped, p.Cycle())
+	} else if blocker := p.Sim.SkipBlocker(); blocker != "" {
+		fmt.Printf("fast-forwarded 0 cycles (last blocked by %s)\n", blocker)
 	}
 	evaluated, offered := p.Sim.Evaluations()
 	fmt.Printf("evaluated %d of %d component-cycles\n", evaluated, offered)

@@ -33,8 +33,8 @@ type PlatformFlags struct {
 	Mesh string
 	// Wheel is the TDM slot-table size.
 	Wheel int
-	// FastForward arms model-guided fast-forwarding: the kernel skips
-	// whole hyper-periods while the platform is provably quiescent.
+	// FastForward arms fast-forwarding: the kernel skips cycles while
+	// every component sleeps and the host and traffic are quiet.
 	// Results are bit-identical to a cycle-accurate run.
 	FastForward bool
 
@@ -69,7 +69,7 @@ func RegisterPlatformFlags(fs *flag.FlagSet) *PlatformFlags {
 	f := &PlatformFlags{}
 	fs.StringVar(&f.Mesh, "mesh", "4x4", "mesh dimensions WxH")
 	fs.IntVar(&f.Wheel, "wheel", 16, "TDM slot-table size")
-	fs.BoolVar(&f.FastForward, "fastforward", false, "skip whole hyper-periods while the platform is quiescent (bit-identical results)")
+	fs.BoolVar(&f.FastForward, "fastforward", false, "skip cycles while the platform is quiescent (bit-identical results)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve Prometheus metrics on this address (host:port) during the run")
 	fs.StringVar(&f.TelemetryOut, "telemetry-out", "", "write an NDJSON telemetry snapshot to this file at the end of the run")
 	fs.IntVar(&f.TelemetrySample, "telemetry-sample", core.DefaultTelemetrySample, "telemetry harvest interval in cycles")

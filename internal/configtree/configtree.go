@@ -304,17 +304,6 @@ func (m *Module) send(cycle uint64) {
 	}
 }
 
-// Quiescence implements sim.Quiescer: quiet when nothing is staged or
-// in cool-down, no read transaction is outstanding (the watchdog may
-// retransmit at its deadline, so an armed read pins cycle-accurate
-// execution), and the root forward wire is empty.
-func (m *Module) Quiescence(now uint64) sim.Quiescence {
-	if m.Busy() || m.readPending || m.fwd.Get() != (phit.ConfigWord{}) {
-		return sim.Quiescence{}
-	}
-	return sim.Quiescence{Quiet: true}
-}
-
 // Commit implements sim.Component: fold in packets submitted during Eval.
 func (m *Module) Commit() {
 	for _, p := range m.pending {

@@ -366,7 +366,9 @@ func TestZeroCooldownDrivesEachWordOnce(t *testing.T) {
 	if w := m.ForwardWire().Get(); w != (phit.ConfigWord{}) {
 		t.Fatalf("forward wire holds %v after the packet, want idle", w)
 	}
-	if !m.Quiescence(s.Cycle()).Quiet {
-		t.Fatal("drained module not quiet")
+	before, _ := s.Evaluations()
+	s.Run(20)
+	if after, _ := s.Evaluations(); after != before {
+		t.Fatalf("drained module evaluated %d more times, want asleep", after-before)
 	}
 }

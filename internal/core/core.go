@@ -68,12 +68,11 @@ type Params struct {
 	// and the E20 experiment to compare single-tree against regioned
 	// set-up at equal size.
 	MaxRegionElements int
-	// FastForward arms the kernel's quiescence-driven fast-forward
-	// (sim.EnableFastForward): once every component proves itself
-	// settled on its hyper-period-periodic orbit, Platform.Run skips
-	// whole hyper-periods analytically instead of evaluating them.
-	// Observable behaviour — wire fingerprints, telemetry, traces — is
-	// bit-identical to cycle-accurate execution.
+	// FastForward arms the kernel's fast-forward
+	// (sim.EnableFastForward): while every component sleeps and the
+	// host and traffic are quiet, Platform.Run skips cycles instead of
+	// evaluating them. Observable behaviour — wire fingerprints,
+	// telemetry, traces — is bit-identical to cycle-accurate execution.
 	FastForward bool
 }
 
@@ -275,21 +274,12 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 	return p, nil
 }
 
-// EnableFastForward arms quiescence-driven fast-forward on the
-// platform's kernel. The skip quantum is the TDM hyper-period (wheel
-// size × slot words — the period of the settled platform's entire
-// observable state). The settle window does not need to cover transient
-// drain: the per-component quiescence predicates verify the complete
-// hardware state (empty queues, inert wires, idle decoders), so a
-// transient still in flight simply keeps the platform non-quiescent.
-// Four periods suffice — the stats monitor's fast-forward hook replays
-// the credit-carrier count measured over the last complete hyper-period,
-// which the window guarantees was observed entirely on the settled
-// orbit, with one period of margin on either side.
+// EnableFastForward arms fast-forward on the platform's kernel: while
+// every router, NI, link pipeline and configuration module sleeps, and
+// the host has no transaction in flight, Run skips cycles.
 func (p *Platform) EnableFastForward() {
-	period := uint64(p.Params.Wheel * p.Params.SlotWords)
-	p.Sim.EnableFastForward(period, 4*period)
-	p.Sim.AddQuiescer(p.hostQuiescence)
+	p.Sim.EnableFastForward()
+	p.Sim.AddQuiescer("host", p.hostQuiescence)
 }
 
 // hostQuiescence is the platform-level quiescence gate: configuration
@@ -399,22 +389,6 @@ func (lp *linkPipeline) Eval(uint64) {
 
 // Commit implements sim.Component.
 func (lp *linkPipeline) Commit() {}
-
-// Quiescence implements sim.Quiescer: quiet while the feeding wire and
-// every stage carry only inert flits, which admits the zero-credit
-// carriers of settled open connections — they shift through the
-// pipeline hyper-period-periodically.
-func (lp *linkPipeline) Quiescence(now uint64) sim.Quiescence {
-	if !lp.in.Get().Inert() {
-		return sim.Quiescence{}
-	}
-	for _, r := range lp.regs {
-		if !r.Get().Inert() {
-			return sim.Quiescence{}
-		}
-	}
-	return sim.Quiescence{Quiet: true}
-}
 
 // NI returns the NI model at a node.
 func (p *Platform) NI(id topology.NodeID) *ni.NI { return p.NIs[id] }

@@ -65,7 +65,7 @@ func NewHealthMonitor(p *Platform, stallTimeout uint64) *HealthMonitor {
 	}
 	h := &HealthMonitor{p: p, timeout: stallTimeout, state: make(map[int]*connHealth)}
 	p.Sim.AddProbe(h.poll)
-	p.Sim.AddQuiescer(h.Quiescence)
+	p.Sim.AddQuiescer("health-monitor", h.Quiescence)
 	return h
 }
 

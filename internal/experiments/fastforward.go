@@ -17,7 +17,7 @@ import (
 // then a long quiescent tail), churn (connections torn down mid-run)
 // and chaos (a link failure, stall detection and online repair). Every
 // run ends in a settled stretch; the headline cycles/sec is measured
-// over that window, where fast-forward skips whole hyper-periods and
+// over that window, where fast-forward skips every cycle and
 // the cycle-accurate run still evaluates every component. Both modes
 // must produce bit-identical delivery fingerprints — the paper's
 // determinism contract extended to the fast-forward path.

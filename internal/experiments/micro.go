@@ -147,18 +147,18 @@ func platformCycle(withTelemetry, withTracing bool) (func(), error) {
 
 // platformCycleFastForward measures the fast-forward machinery's floor: the
 // loaded platform, drained and settled with fast-forwarding armed. One
-// op runs a whole hyper-period, which the kernel skips in closed form —
-// the cost is the quiescence re-scan plus the skip arithmetic and
-// catch-up hooks, not per-component evaluation. The gap to PlatformCycle
-// (times the hyper-period length) is the cycles/sec win on settled
-// platforms.
+// op runs a hyper-period's worth of cycles, which the kernel skips
+// whole — the cost is the awake-set and gate scan plus the skip
+// arithmetic and catch-up hooks, not per-component evaluation. The gap
+// to PlatformCycle (times the op length) is the cycles/sec win on
+// settled platforms.
 func platformCycleFastForward() (func(), float64, func(), error) {
 	p, _, err := loadedPlatform(true, false, false)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	period := uint64(p.Params.Wheel * p.Params.SlotWords)
-	p.Run(20 * period) // through the settle window; skipping engages
+	p.Run(20 * period) // every element goes to sleep; skipping engages
 	if p.Sim.SkippedCycles() == 0 {
 		return nil, 0, nil, errors.New("experiments: fast-forward never engaged on the drained platform")
 	}

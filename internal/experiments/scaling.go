@@ -56,7 +56,7 @@ func BuildBigMesh(width, height, wheel int) (*BigMesh, error) {
 // BuildBigMeshFF is BuildBigMesh with bounded sources (limit words per
 // row, 0 = unlimited) and optional fast-forwarding — the E22 harness.
 // Bounded sources drain, so the platform eventually settles and a
-// fast-forwarding kernel can start skipping hyper-periods.
+// fast-forwarding kernel can start skipping cycles.
 func BuildBigMeshFF(width, height, wheel int, limit uint64, ff bool) (*BigMesh, error) {
 	params := core.DefaultParams()
 	params.Wheel = wheel

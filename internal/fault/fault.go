@@ -109,8 +109,10 @@ func (f Fault) String() string {
 
 // Counters accumulates observed fault activations.
 type Counters struct {
-	// FlitsKilled counts valid flits (payload or credit) destroyed by
-	// LinkDown faults.
+	// FlitsKilled counts flits destroyed by LinkDown faults: those
+	// carrying payload or a slot's non-zero credit return (an idle
+	// credit return drives no credit wires, so there is nothing to
+	// kill).
 	FlitsKilled uint64
 	// PayloadFlips counts payload bits flipped.
 	PayloadFlips uint64
@@ -148,10 +150,6 @@ type Injector struct {
 	fired  []bool // one-shot bookkeeping per fault
 	c      Counters
 	links  map[topology.LinkID]*LinkErrors
-	// feeds holds, per LinkDown fault, a predicate reporting that the
-	// element feeding the faulted link has no slot reserved on it — the
-	// condition under which the kill counter is provably frozen.
-	feeds []func() bool
 
 	// Telemetry (optional): each fault emits one event when it first
 	// becomes active, and the activation counters are mirrored into the
@@ -177,7 +175,6 @@ func Attach(p *core.Platform, seed uint64, faults ...Fault) (*Injector, error) {
 		wires:  make(map[topology.LinkID]*sim.Reg[phit.Flit]),
 		fired:  make([]bool, len(faults)),
 		links:  make(map[topology.LinkID]*LinkErrors),
-		feeds:  make([]func() bool, len(faults)),
 	}
 	for i := range inj.faults {
 		f := &inj.faults[i]
@@ -188,9 +185,6 @@ func Attach(p *core.Platform, seed uint64, faults ...Fault) (*Injector, error) {
 				return nil, fmt.Errorf("fault %d (%s): %w", i, f, err)
 			}
 			inj.wires[f.Link] = w
-			if f.Kind == LinkDown {
-				inj.feeds[i] = feedIdle(p, f.Link)
-			}
 		case ConfigDrop, ConfigFlip:
 			// Target is the tree root wire; nothing to resolve.
 		case SlotTableFlip:
@@ -224,23 +218,6 @@ func linkWire(p *core.Platform, id topology.LinkID) (*sim.Reg[phit.Flit], error)
 		return n.OutputWire(), nil
 	}
 	return nil, fmt.Errorf("fault: link %d has no modelled source", id)
-}
-
-// feedIdle returns a predicate reporting whether the element feeding a
-// link currently has no slot reserved toward it (so nothing will ever
-// be driven on the wire until reconfiguration).
-func feedIdle(p *core.Platform, id topology.LinkID) func() bool {
-	l := p.Mesh.Link(id)
-	if r, ok := p.Routers[l.From]; ok {
-		t := r.Table()
-		port := l.FromPort
-		return func() bool { return t.OccupiedMask(port).Empty() }
-	}
-	if n, ok := p.NIs[l.From]; ok {
-		t := n.Table()
-		return func() bool { return t.SendMask().Empty() }
-	}
-	return nil
 }
 
 // Name implements sim.Component.
@@ -409,11 +386,10 @@ func (inj *Injector) Commit() {}
 // horizon so the step in which it arms — Eval(From-1), whose pending
 // wire values belong to cycle From — always executes for real (that is
 // also where the one-time activation announcement fires). Active faults
-// are quiet only when provably counter- and RNG-frozen: an active
-// LinkDown needs its wire drained and the feeding slot reservations
-// gone (otherwise every carrier it kills advances FlitsKilled), while
-// the probabilistic kinds consume randomness only on valid words, which
-// a quiescent platform does not carry.
+// are quiet: the kernel asks only while every element sleeps, so every
+// wire is idle and stays idle — a LinkDown kills nothing and the
+// probabilistic kinds, which fire on valid words or symbols only, draw
+// no randomness.
 func (inj *Injector) Quiescence(now uint64) sim.Quiescence {
 	q := sim.Quiescence{Quiet: true}
 	bound := func(until uint64) {
@@ -423,30 +399,11 @@ func (inj *Injector) Quiescence(now uint64) sim.Quiescence {
 	}
 	for i := range inj.faults {
 		f := &inj.faults[i]
-		if f.Kind == SlotTableFlip {
-			if inj.fired[i] {
-				continue
-			}
-			if f.From <= now+1 {
-				return sim.Quiescence{}
-			}
-			bound(f.From - 1)
-			continue
-		}
-		if f.To != 0 && now+1 >= f.To {
-			continue // window closed, nothing left to do
+		if f.Kind == SlotTableFlip && !inj.fired[i] && f.From <= now+1 {
+			return sim.Quiescence{}
 		}
 		if now+1 < f.From {
 			bound(f.From - 1)
-			continue
-		}
-		if f.Kind == LinkDown {
-			if feed := inj.feeds[i]; feed == nil || !feed() {
-				return sim.Quiescence{}
-			}
-			if inj.wires[f.Link].Get() != (phit.Flit{}) {
-				return sim.Quiescence{}
-			}
 		}
 	}
 	return q

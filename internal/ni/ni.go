@@ -94,6 +94,11 @@ type channel struct {
 	txCreditLatch uint8 // value being transmitted this slot
 	rxCreditAccum uint8 // bits collected so far this slot
 
+	// busy records that the channel's next TX slot would act: it is
+	// open and has a queued word, an unreturned delivery or a credit
+	// value mid-slot. The NI counts busy channels in NI.work.
+	busy bool
+
 	seq uint64 // next sequence number for injected words
 
 	// rxWords counts every word that entered the receive queue over the
@@ -163,15 +168,15 @@ type NI struct {
 	rejected  uint64
 
 	// sim stamps IP-side submissions (EvalCycle); act is the kernel
-	// handle the NI sleeps and wakes through. open counts channels with
-	// FlagOpen set, and host records that an IP-side call left queue
-	// mutations for Commit. outIdle records that outWire holds the idle
-	// flit (external writers only ever overwrite a driven wire with
-	// idle), and cfgIdle that the last Eval found the configuration node
-	// idle and left its registers idle.
+	// handle the NI sleeps and wakes through. work counts busy channels,
+	// and host records that an IP-side call left queue mutations for
+	// Commit. outIdle records that outWire holds the idle flit (external
+	// writers only ever overwrite a driven wire with idle), and cfgIdle
+	// that the last Eval found the configuration node idle and left its
+	// registers idle.
 	sim     *sim.Simulator
 	act     sim.Activity
-	open    int
+	work    int
 	host    bool
 	outIdle bool
 	cfgIdle bool
@@ -363,11 +368,12 @@ func (n *NI) Stats() (injected, delivered uint64) { return n.injected, n.deliver
 func (n *NI) Dropped() uint64 { return n.dropped }
 
 // Eval implements sim.Component. The NI goes to sleep when no channel
-// is open (so no TX slot emits credit carriers), no IP-side call is
-// pending, its decoder is between packets and every register it read
-// this cycle was idle: its next Eval+Commit would change nothing. A
-// change on its input, configuration or response wires, or an IP-side
-// Send or Recv, wakes it.
+// is busy, no IP-side call is pending, it drove the idle flit, its
+// decoder is between packets and every register it read this cycle was
+// idle: its next Eval+Commit would change nothing, even with channels
+// open, because an open channel with no word and no credit to return
+// drives nothing. A change on its input, configuration or response
+// wires, or an IP-side Send or Recv, wakes it.
 func (n *NI) Eval(cycle uint64) {
 	changed := n.act.Changed()
 	// Stage 1: latch the input wire if it changed (unchanged, it still
@@ -393,10 +399,14 @@ func (n *NI) Eval(cycle uint64) {
 		ch := n.channels[entry.TX]
 		if ch.flags&cfgproto.FlagOpen != 0 {
 			// Credits for the opposite direction of this
-			// connection ride in every slot of the channel,
-			// 3 bits per word, high bits first: a slot of S
-			// words transfers 3*S credit bits (6 with daelite's
-			// 2-word slots, matching the paper's 6-bit counter).
+			// connection ride in the slots of the channel, 3 bits
+			// per word, high bits first: a slot of S words
+			// transfers 3*S credit bits (6 with daelite's 2-word
+			// slots, matching the paper's 6-bit counter). The value
+			// is latched at word 0 and a slot carrying zero drives
+			// no credit at all; a non-zero value drives every word
+			// of the slot, zero chunks included, because the
+			// receiver shifts in one chunk per valid word.
 			if wordIdx == 0 {
 				max := 1<<(phit.CreditWires*n.params.SlotWords) - 1
 				if max > phit.MaxCreditValue {
@@ -409,9 +419,14 @@ func (n *NI) Eval(cycle uint64) {
 				ch.txCreditLatch = uint8(v)
 				ch.delivered -= v
 			}
-			shift := uint(phit.CreditWires * (n.params.SlotWords - 1 - wordIdx))
-			out.Credit = (ch.txCreditLatch >> shift) & (1<<phit.CreditWires - 1)
-			out.CreditValid = true
+			if ch.txCreditLatch != 0 {
+				shift := uint(phit.CreditWires * (n.params.SlotWords - 1 - wordIdx))
+				out.Credit = (ch.txCreditLatch >> shift) & (1<<phit.CreditWires - 1)
+				out.CreditValid = true
+				if wordIdx == n.params.SlotWords-1 {
+					ch.txCreditLatch = 0
+				}
+			}
 
 			// Payload: send if a word is queued and, unless
 			// multicast, a credit is available.
@@ -430,6 +445,7 @@ func (n *NI) Eval(cycle uint64) {
 			} else if len(ch.sendQ) > 0 {
 				ch.creditStall++
 			}
+			n.track(ch)
 		}
 	}
 	if !out.IsIdle() || !n.outIdle {
@@ -488,8 +504,23 @@ func (n *NI) Eval(cycle uint64) {
 			merged == (phit.Response{}) && resp == (phit.Response{}) && !n.dec.Busy()
 	}
 
-	if n.open == 0 && !n.host && inFlit.IsIdle() && in.IsIdle() && n.cfgIdle {
+	if n.work == 0 && !n.host && n.outIdle && inFlit.IsIdle() && in.IsIdle() && n.cfgIdle {
 		n.act.Sleep()
+	}
+}
+
+// track re-derives c.busy after a change to c. A partial rxCreditAccum
+// does not count: it moves only when a credit word arrives, which wakes
+// the NI.
+func (n *NI) track(c *channel) {
+	busy := c.flags&cfgproto.FlagOpen != 0 && (len(c.sendQ) > 0 || c.delivered != 0 || c.txCreditLatch != 0)
+	if busy != c.busy {
+		c.busy = busy
+		if busy {
+			n.work++
+		} else {
+			n.work--
+		}
 	}
 }
 
@@ -512,6 +543,7 @@ func (n *NI) Commit() {
 		if len(c.sendQ) > 0 {
 			c.sendQ = c.sendQ[1:]
 		}
+		n.track(c)
 	}
 	n.pendingPop = n.pendingPop[:0]
 	for _, p := range n.pendingPush {
@@ -536,47 +568,8 @@ func (n *NI) Commit() {
 			c.delivered += c.pendDelivered
 			c.pendDelivered = 0
 		}
+		n.track(c)
 	}
-}
-
-// Quiescence implements sim.Quiescer. The NI is quiet when every
-// channel's queues and credit-return machinery are drained — no queued
-// or pending words, no deliveries awaiting credit return, no credit
-// value mid-flight on the sideband — and its wires carry only inert
-// flits, its configuration-tree stages are empty, and its decoder is
-// between transactions. In that state the NI's only output is the
-// hyper-period-periodic zero-credit carrier on its open TX slots, so
-// every counter (injected, delivered, txWords, rxWords, creditStall)
-// is frozen.
-func (n *NI) Quiescence(now uint64) sim.Quiescence {
-	for _, c := range n.channels {
-		if len(c.sendQ) > 0 || len(c.pendSend) > 0 || len(c.recvQ) > 0 ||
-			c.recvCursor != 0 || c.delivered != 0 || c.pendDelivered != 0 ||
-			c.txCreditLatch != 0 || c.rxCreditAccum != 0 {
-			return sim.Quiescence{}
-		}
-	}
-	if len(n.pendingPush) > 0 || len(n.pendingPop) > 0 {
-		return sim.Quiescence{}
-	}
-	if !n.inReg.Get().Inert() || !n.outWire.Get().Inert() {
-		return sim.Quiescence{}
-	}
-	if n.cfgInReg.Get() != (phit.ConfigWord{}) {
-		return sim.Quiescence{}
-	}
-	for _, out := range n.cfgOuts {
-		if out.Get() != (phit.ConfigWord{}) {
-			return sim.Quiescence{}
-		}
-	}
-	if n.respMerge.Get() != (phit.Response{}) || n.respOut.Get() != (phit.Response{}) {
-		return sim.Quiescence{}
-	}
-	if n.dec.Busy() {
-		return sim.Quiescence{}
-	}
-	return sim.Quiescence{Quiet: true}
 }
 
 // niSink adapts the NI to cfgproto.Sink.
@@ -604,15 +597,8 @@ func (ns *niSink) WriteReg(reg, value uint8) {
 	switch cfgproto.RegClass(reg) {
 	case cfgproto.RegFlags:
 		if ch < len(n.channels) {
-			c := n.channels[ch]
-			if was, is := c.flags&cfgproto.FlagOpen != 0, value&cfgproto.FlagOpen != 0; was != is {
-				if is {
-					n.open++
-				} else {
-					n.open--
-				}
-			}
-			c.flags = value
+			n.channels[ch].flags = value
+			n.track(n.channels[ch])
 		}
 	case cfgproto.RegCredit:
 		if ch < len(n.channels) {
@@ -621,6 +607,7 @@ func (ns *niSink) WriteReg(reg, value uint8) {
 	case cfgproto.RegDelivered:
 		if ch < len(n.channels) {
 			n.channels[ch].delivered = int(value)
+			n.track(n.channels[ch])
 		}
 	case cfgproto.RegBus:
 		if n.busShell != nil {

@@ -486,3 +486,53 @@ func TestSendStampsEvalCycle(t *testing.T) {
 		t.Fatalf("SubmitCycle stamps %v, want [%d %d]", got, between, midAt)
 	}
 }
+
+// TestSilentOpenChannelSleeps: an open channel with nothing to send and
+// no credit to return drives nothing, so both NIs sleep. Send wakes the
+// source, the arriving word wakes the destination, Recv wakes it again
+// to return the credit, and that credit wakes the source.
+func TestSilentOpenChannelSleeps(t *testing.T) {
+	s, a, b := pair(t, params())
+	arm(t, a, b, slots.MaskOf(8, 1), slots.MaskOf(8, 4), 8, false)
+	var driven []phit.Flit // what B drives toward A
+	s.AddProbe(func(uint64) {
+		if f := b.OutputWire().Get(); !f.IsIdle() {
+			driven = append(driven, f)
+		}
+	})
+	asleep := func() bool {
+		before, _ := s.Evaluations()
+		s.Run(64)
+		after, _ := s.Evaluations()
+		return after == before
+	}
+	s.Run(1) // both NIs are added awake and evaluate once
+	if !asleep() {
+		t.Fatal("NIs with an open, silent channel did not sleep")
+	}
+	if !a.Send(0, 0x5a) {
+		t.Fatal("send refused")
+	}
+	if asleep() || b.RecvLen(0) != 1 || a.Credit(0) != 7 {
+		t.Fatalf("after Send: delivered %d, source credit %d; want 1, 7", b.RecvLen(0), a.Credit(0))
+	}
+	if !asleep() {
+		t.Fatal("NIs did not sleep once the word was delivered")
+	}
+	if d, ok := b.Recv(0); !ok || d.Word != 0x5a {
+		t.Fatalf("Recv = %v, %v", d, ok)
+	}
+	// A credit of 1 drives word 0's chunk as zero and word 1's as one;
+	// both words must cross for the source to get its credit back. No
+	// other slot of B's drives anything.
+	if asleep() || a.Credit(0) != 8 || b.DeliveredCredits(0) != 0 {
+		t.Fatalf("after Recv: source credit %d, unreturned %d; want 8, 0", a.Credit(0), b.DeliveredCredits(0))
+	}
+	want := []phit.Flit{{Credit: 0, CreditValid: true}, {Credit: 1, CreditValid: true}}
+	if len(driven) != 2 || driven[0] != want[0] || driven[1] != want[1] {
+		t.Fatalf("B drove %v, want %v", driven, want)
+	}
+	if !asleep() {
+		t.Fatal("NIs did not sleep once the credit was returned")
+	}
+}

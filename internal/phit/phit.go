@@ -39,8 +39,11 @@ type Flit struct {
 	// Credit carries CreditWires bits of piggybacked credit information
 	// for the opposite-direction channel of the connection.
 	Credit uint8
-	// CreditValid marks the credit bits as meaningful. Credits may flow
-	// during slots whose payload is idle (the wires exist regardless).
+	// CreditValid marks the credit bits as meaningful. An NI drives
+	// them for every word of a slot whose credit value is non-zero,
+	// whether or not the slot carries payload, and not at all in a slot
+	// returning zero credits: an idle credit return is zeros on the
+	// wires, as in the hardware.
 	CreditValid bool
 
 	// Tag carries simulation-only provenance (never inspected by any
@@ -70,17 +73,6 @@ func Idle() Flit { return Flit{} }
 // so the test inlines on the activity-driven kernel's hot paths.
 func (f Flit) IsIdle() bool {
 	return !f.Valid && !f.CreditValid && f.Data == 0 && f.Credit == 0 && f.Tag == (Tag{})
-}
-
-// Inert reports whether the flit changes no architectural state when it
-// arrives at an NI: no payload word, and no credit value (a CreditValid
-// flit carrying zero credits is the steady-state emission of an open but
-// silent connection — receiving it adds nothing to any credit counter).
-// Fast-forward quiescence predicates accept inert flits on wires and in
-// pipeline stages because they are part of the hyper-period-periodic
-// orbit of a settled platform.
-func (f Flit) Inert() bool {
-	return !f.Valid && (!f.CreditValid || f.Credit == 0)
 }
 
 // String renders a flit compactly for traces.

@@ -278,41 +278,6 @@ func (r *Router) Eval(cycle uint64) {
 // Commit implements sim.Component; all state lives in sim.Reg.
 func (r *Router) Commit() {}
 
-// Quiescence implements sim.Quiescer. The router is quiet when its data
-// path carries only inert flits (idle, or the zero-credit carriers of
-// settled open connections — those repeat every hyper-period and touch
-// no counter: forwarded/outBusy move on Valid words only), its
-// configuration-tree stage registers are empty, and its decoder is
-// between transactions. Input wires are owned and accounted for
-// upstream.
-func (r *Router) Quiescence(now uint64) sim.Quiescence {
-	for _, w := range r.outWires {
-		if !w.Get().Inert() {
-			return sim.Quiescence{}
-		}
-	}
-	for _, reg := range r.inRegs {
-		if !reg.Get().Inert() {
-			return sim.Quiescence{}
-		}
-	}
-	if r.cfgInReg.Get() != (phit.ConfigWord{}) {
-		return sim.Quiescence{}
-	}
-	for _, out := range r.cfgOuts {
-		if out.Get() != (phit.ConfigWord{}) {
-			return sim.Quiescence{}
-		}
-	}
-	if r.respMerge.Get() != (phit.Response{}) || r.respOut.Get() != (phit.Response{}) {
-		return sim.Quiescence{}
-	}
-	if r.dec.Busy() {
-		return sim.Quiescence{}
-	}
-	return sim.Quiescence{Quiet: true}
-}
-
 // routerSink adapts the router to cfgproto.Sink.
 type routerSink Router
 

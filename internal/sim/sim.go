@@ -16,7 +16,9 @@
 // traffic endpoints that drain NI queues, fault injectors that override
 // pending wire values — register through AddOrdered instead of Add and
 // run, in registration order, after the Add'ed set in both phases; they
-// never sleep. The kernel is single-threaded: every phase and every probe
+// never sleep. Sleeping is the kernel's only activity protocol: with
+// fast-forward armed, Run skips cycles while no Add'ed component is awake
+// (see fastforward.go). The kernel is single-threaded: every phase and every probe
 // runs on the stepping goroutine.
 package sim
 
@@ -150,26 +152,14 @@ type Simulator struct {
 	cycle      uint64
 	stepping   bool // between the first Eval and the clock edge of Step
 
-	// quiescers is index-aligned with components: quiescers[i] is
-	// non-nil iff components[i] implements Quiescer.
-	quiescers []Quiescer
-
 	evals, offered uint64 // see Evaluations
 
-	// Fast-forward state (see fastforward.go). nonQuiescers counts
-	// registered components — Add'ed and ordered — that do not
-	// implement Quiescer; any such component pins the simulator to
-	// cycle-accurate execution (default-deny).
-	nonQuiescers int
-	gates        []QuiescenceFunc
-	ffHooks      []FastForwardHook
-	ffPeriod     uint64
-	ffSettle     uint64
-	ffLastBusy   uint64
-	ffSkipped    uint64
-	ffQuiet      bool
-	ffHorizon    uint64
-	ffBusy       func(uint64) Quiescence
+	// Fast-forward state (see fastforward.go).
+	ffOn      bool
+	gates     []gate
+	ffHooks   []func(from, to uint64)
+	ffSkipped uint64
+	blocker   string
 
 	stopMu     sync.Mutex
 	stopped    bool
@@ -191,12 +181,6 @@ func (s *Simulator) Add(c Component) Activity {
 	if i&63 == 0 {
 		s.awake = append(s.awake, 0)
 	}
-	q, _ := c.(Quiescer)
-	s.quiescers = append(s.quiescers, q)
-	if q == nil {
-		s.nonQuiescers++
-	}
-	s.ffQuiet = false
 	s.awake[i>>6] |= 1 << (i & 63)
 	return Activity{s: s, idx: i}
 }
@@ -208,10 +192,6 @@ func (s *Simulator) Add(c Component) Activity {
 // they run in registration order after the Add'ed set, in both phases.
 func (s *Simulator) AddOrdered(c Component) {
 	s.ordered = append(s.ordered, c)
-	if _, ok := c.(Quiescer); !ok {
-		s.nonQuiescers++
-	}
-	s.ffQuiet = false
 }
 
 // phase runs Eval (or Commit) of every awake Add'ed component in order
@@ -321,12 +301,9 @@ func (s *Simulator) Step() {
 // Cycles skipped by fast-forward (see EnableFastForward) count as
 // executed. Step and RunUntil never fast-forward; only Run does.
 func (s *Simulator) Run(n uint64) uint64 {
-	// Host-side state may have changed since the last Run (submissions,
-	// set-up requests), so any cached quiescence verdict is stale.
-	s.ffQuiet = false
 	var done uint64
 	for done < n && !s.halted() {
-		if s.ffPeriod > 0 {
+		if s.ffOn {
 			if skip := s.tryFastForward(n - done); skip > 0 {
 				done += skip
 				continue

@@ -578,10 +578,10 @@ func TestEvalCycle(t *testing.T) {
 	}
 
 	ff := New()
-	ff.Add(&quietComp{})
-	ff.EnableFastForward(8, 16)
-	ff.Run(96) // 16 settle cycles stepped, then one 80-cycle skip ends the run
-	if ff.SkippedCycles() != 80 || ff.EvalCycle() != 95 {
+	addSleeper(ff)
+	ff.EnableFastForward()
+	ff.Run(96) // cycle 0 stepped, then one 95-cycle skip ends the run
+	if ff.SkippedCycles() != 95 || ff.EvalCycle() != 95 {
 		t.Fatalf("after %d skipped cycles: EvalCycle %d, Cycle %d", ff.SkippedCycles(), ff.EvalCycle(), ff.Cycle())
 	}
 }

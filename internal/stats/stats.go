@@ -55,7 +55,9 @@ func (l *LinkSample) Cycles() uint64 { return *l.cycles }
 // Valid returns the cycles the link carried payload.
 func (l *LinkSample) Valid() uint64 { return l.valid.Value() }
 
-// CreditOnly returns the cycles the link carried only credit information.
+// CreditOnly returns the cycles the link carried credit bits but no
+// payload: the words of slots returning a non-zero credit value (an NI
+// drives no credit bits in a slot returning zero).
 func (l *LinkSample) CreditOnly() uint64 { return l.creditOnly.Value() }
 
 // Utilization returns the payload duty cycle.
@@ -129,25 +131,8 @@ func NewMonitor(p *core.Platform) *Monitor {
 		m.wires = append(m.wires, monWire{s: s, wire: w})
 	}
 	slotWords, wheel := p.Params.SlotWords, p.Params.Wheel
-	// Per-wire credit-carrier counts of the current and previous
-	// hyper-period. A settled platform emits its credit carriers
-	// hyper-period-periodically, so the count over any window of one
-	// hyper-period is phase-invariant; the fast-forward hook uses the
-	// last complete period's measured count to advance the credit
-	// counters in closed form across skipped cycles. The measurement
-	// needs no model of the slot tables, so it stays exact even after
-	// slot-table upsets.
-	period := uint64(slotWords * wheel)
-	credCur := make([]uint64, len(m.wires))
-	credPrev := make([]uint64, len(m.wires))
 	p.Sim.AddProbe(func(cycle uint64) {
 		m.cycles++
-		if cycle%period == 0 {
-			copy(credPrev, credCur)
-			for i := range credCur {
-				credCur[i] = 0
-			}
-		}
 		slot := slots.SlotOfCycle(cycle, slotWords, wheel)
 		for i := range m.wires {
 			mw := &m.wires[i]
@@ -158,7 +143,6 @@ func NewMonitor(p *core.Platform) *Monitor {
 				mw.s.slotValid[slot]++
 			case f.CreditValid:
 				mw.s.creditOnly.Inc()
-				credCur[i]++
 			}
 		}
 		if shared && cycle%seriesEvery == 0 {
@@ -171,18 +155,10 @@ func NewMonitor(p *core.Platform) *Monitor {
 		}
 	})
 	p.Sim.AddFastForwardHook(func(from, to uint64) {
-		// The probes for cycles from+1..to never ran. The kernel only
-		// skips whole multiples of the hyper-period from a settled
-		// state (settle >= 2 periods, so credPrev was measured entirely
-		// within the quiet stretch), and no payload flits exist while
-		// quiescent, so only cycle and credit counts advance.
+		// The probes for cycles from+1..to never ran. The kernel skips
+		// only while every element sleeps, with every wire idle, so
+		// only the cycle count and the series advance.
 		m.cycles += to - from
-		k := (to - from) / period
-		for i := range m.wires {
-			if credPrev[i] != 0 {
-				m.wires[i].s.creditOnly.Add(k * credPrev[i])
-			}
-		}
 		if shared {
 			for c := (from/seriesEvery + 1) * seriesEvery; c <= to; c += seriesEvery {
 				for i := range m.wires {

@@ -367,7 +367,7 @@ func Run(c *Compiled, opt RunOptions) (*Result, error) {
 		}
 
 		// Settled tail: fixed, and long enough for fast-forward to skip
-		// whole hyper-periods once the bounded sources are done.
+		// once the bounded sources are done.
 		p.Run(2048)
 		ck.CheckNow()
 
