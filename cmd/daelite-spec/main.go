@@ -66,10 +66,9 @@ func main() {
 			}
 			paths = append(paths, strings.Join(names, "-"))
 		}
-		pa := c.Fwd.Paths[0]
-		t.AddRow(name, pa.InjectSlots.Slots(),
-			fmt.Sprintf("%.4f", analysis.GuaranteedBandwidth(pa.InjectSlots)),
-			analysis.WorstCaseLatency(pa.InjectSlots, p.Params.SlotWords, len(pa.Path)),
+		gu := analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, p.Params.SlotWords)
+		t.AddRow(name, c.Fwd.Paths[0].InjectSlots.Slots(),
+			fmt.Sprintf("%.4f", gu.Bandwidth), gu.WorstCaseLatency,
 			strings.Join(paths, " | "))
 	}
 	fmt.Println(t.Render())

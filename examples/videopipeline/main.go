@@ -49,9 +49,8 @@ func main() {
 	var streams []stream
 	for i, cs := range s.Connections {
 		c := inst.Connections[i]
-		pa := c.Fwd.Paths[0]
-		bound := analysis.WorstCaseLatency(pa.InjectSlots, 2, len(pa.Path))
-		bw := analysis.GuaranteedBandwidth(pa.InjectSlots)
+		g := analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, p.Params.SlotWords)
+		bound, bw := g.WorstCaseLatency, g.Bandwidth
 		fmt.Printf("%-15s %d slots -> guaranteed %.3f words/cycle, worst-case latency %d cycles\n",
 			cs.Name, cs.SlotsFwd, bw, bound)
 		traffic.NewSource(p.Sim, cs.Name+"-src", p.NI(c.Spec.Src), c.SrcChannel,
@@ -68,7 +67,7 @@ func main() {
 		tot := st.sink.TotalStats()
 		fmt.Printf("%-15s delivered %6d words, end-to-end latency mean %.1f / worst %d (bound %d)\n",
 			st.name, st.sink.Received(), tot.Mean(), tot.MaxLat, st.bound)
-		if tot.MaxLat > uint64(st.bound)+2 {
+		if tot.MaxLat > uint64(st.bound+analysis.CommitSlack) {
 			ok = false
 		}
 	}

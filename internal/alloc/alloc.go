@@ -503,31 +503,10 @@ func PickSpread(cand slots.Mask, n int) slots.Mask {
 	}
 	// The heuristic can lose to first-fit on adversarial candidate
 	// sets; never return a worse pick.
-	if ff := firstN(cand, n); worstGapSlots(ff) < worstGapSlots(out) {
+	if ff := firstN(cand, n); ff.MaxGap() < out.MaxGap() {
 		return ff
 	}
 	return out
-}
-
-// worstGapSlots is the cyclic worst-case gap between consecutive owned
-// slots, in slot positions.
-func worstGapSlots(m slots.Mask) int {
-	ss := m.Slots()
-	if len(ss) == 0 {
-		return 1 << 30
-	}
-	max := 0
-	for i, s := range ss {
-		next := ss[(i+1)%len(ss)]
-		gap := next - s
-		if gap <= 0 {
-			gap += m.Size
-		}
-		if gap > max {
-			max = gap
-		}
-	}
-	return max
 }
 
 // commitUnicast marks the allocation's slots as used.

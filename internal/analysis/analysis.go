@@ -1,39 +1,51 @@
-// Package analysis computes the analytical service guarantees that make a
-// TDM NoC usable for real-time systems: guaranteed bandwidth per
-// connection, worst-case scheduling latency (the wait for the next owned
-// slot), worst-case end-to-end latency, and the bandwidth overheads the
-// paper quantifies for aelite (packet headers, reserved configuration
-// slots). Simulation results are checked against these bounds in tests —
-// the measured value may never exceed the guarantee.
+// Package analysis is the analytical model of the TDM NoC: the closed
+// forms behind the paper's QoS claim, each written here once as a pure
+// function. The toolkit facade, the dimensioner, the conformance model,
+// the experiments and the CLIs call these functions instead of restating
+// a law; simulation results are checked against them in tests — the
+// measured value may never exceed the guarantee.
+//
+// The laws and their one home:
+//
+//   - Bandwidth: GuaranteedBandwidth, the reserved share of the wheel.
+//   - Scheduling wait: MaxSlotGapCycles, the largest circular gap of the
+//     slot mask (slots.Mask.MaxGap, which lives in slots so the allocator
+//     can use it) times the slot size.
+//   - Traversal: TraversalCycles, SlotWords cycles per slot of advance
+//     (one per hop plus one per pipeline stage).
+//   - End-to-end: WorstCaseLatency composes wait, serialization and
+//     traversal for one path; UnicastGuarantees folds it over the paths
+//     of a connection, with its LRServer and summed bandwidth.
+//   - Measurement slack: CommitSlack, the NI register edges a measured
+//     latency includes on top of the slot model.
+//   - Set-up words: PathSetupCost and UnicastSetupCost, the mirror of the
+//     configuration packet builder; SetupCyclesDaeliteIdeal turns words
+//     into the paper's "ideal" set-up time.
+//   - aelite comparison: HeaderOverheadAelite, ConfigSlotLoss,
+//     PathLatencyCyclesAelite and SetupCyclesAeliteIdeal.
 package analysis
 
 import (
 	"math"
 
+	"daelite/internal/alloc"
 	"daelite/internal/slots"
+	"daelite/internal/topology"
 )
+
+// CommitSlack is the number of cycles a measured word latency includes
+// beyond the slot model: a word handed to Send becomes eligible for
+// injection one cycle later (two-phase safety), and the destination NI
+// stamps its delivery at the commit edge of the receiving cycle.
+// Comparisons of a measured latency against a slot-model bound allow
+// this many cycles.
+const CommitSlack = 2
 
 // GuaranteedBandwidth returns the guaranteed throughput of a reservation
 // in words per cycle: count slots of a wheel-slot wheel, each slot
 // carrying its full payload (daelite has no header overhead).
 func GuaranteedBandwidth(mask slots.Mask) float64 {
 	return float64(mask.Count()) / float64(mask.Size)
-}
-
-// EffectiveBandwidthAelite returns the payload throughput of an aelite
-// reservation in words per cycle: each packet of up to span consecutive
-// slots spends one word on the header. span is the typical consecutive-
-// slot run (1..3).
-func EffectiveBandwidthAelite(mask slots.Mask, slotWords, span int) float64 {
-	if span < 1 {
-		span = 1
-	}
-	if span > 3 {
-		span = 3
-	}
-	raw := float64(mask.Count()) / float64(mask.Size)
-	payloadPerPacket := float64(span*slotWords - 1)
-	return raw * payloadPerPacket / float64(span*slotWords)
 }
 
 // HeaderOverheadAelite returns the fraction of reserved bandwidth lost to
@@ -61,36 +73,15 @@ func ConfigSlotLoss(reserved, wheel int) float64 {
 // reservation in cycles: the longest wait from a word becoming ready at
 // the NI until the start of the next owned slot.
 func MaxSlotGapCycles(mask slots.Mask, slotWords int) int {
-	ss := mask.Slots()
-	if len(ss) == 0 {
-		return math.MaxInt32
-	}
-	if len(ss) == mask.Size {
-		return slotWords // every slot owned: at most one slot of wait
-	}
-	maxGap := 0
-	for i, s := range ss {
-		next := ss[(i+1)%len(ss)]
-		gap := next - s
-		if gap <= 0 {
-			gap += mask.Size
-		}
-		if gap > maxGap {
-			maxGap = gap
-		}
-	}
-	return maxGap * slotWords
+	return mask.MaxGap() * slotWords
 }
 
-// PathLatencyCycles returns the network traversal latency of a daelite
-// path of links hops: two cycles per hop (link + crossbar registers).
-func PathLatencyCycles(links int) int { return 2 * links }
-
-// PathLatencyCyclesPipelined returns the traversal latency of a path
-// whose total slot advance (standard hops plus pipeline stages of long or
-// mesochronous links) is advance slots of slotWords words each: every
-// slot of advance costs slotWords cycles.
-func PathLatencyCyclesPipelined(advance, slotWords int) int {
+// TraversalCycles returns the network traversal latency of a daelite path
+// (or multicast tree branch) whose total slot advance is advance: every
+// slot of advance costs slotWords cycles. An unpipelined path of L links
+// advances L slots; each pipeline stage of a long or mesochronous link
+// adds one.
+func TraversalCycles(advance, slotWords int) int {
 	return advance * slotWords
 }
 
@@ -105,45 +96,59 @@ func PathLatencyCyclesAelite(links int) int {
 	return 3*routers + 2
 }
 
-// WorstCaseLatency bounds the end-to-end latency of a word on a daelite
-// connection: worst scheduling wait plus slot serialization plus path
-// traversal.
-func WorstCaseLatency(mask slots.Mask, slotWords, pathLinks int) int {
-	return MaxSlotGapCycles(mask, slotWords) + slotWords + PathLatencyCycles(pathLinks)
+// WorstCaseLatency bounds the end-to-end latency of a word on one daelite
+// path with slot advance advance: worst scheduling wait plus slot
+// serialization plus path traversal.
+func WorstCaseLatency(mask slots.Mask, slotWords, advance int) int {
+	return MaxSlotGapCycles(mask, slotWords) + slotWords + TraversalCycles(advance, slotWords)
 }
 
-// SetupWordsDaelite returns the number of 7-bit configuration words needed
-// to set up one daelite path of pathLinks links (elements = links + 1
-// pairs), as in the paper's "ideal" Table III rows: header, mask words,
-// and two words per element.
-func SetupWordsDaelite(pathLinks, wheel int) int {
-	elements := pathLinks + 1
-	return 1 + (wheel+6)/7 + 2*elements
+// Guarantees summarizes the hard service guarantees of a unicast channel.
+type Guarantees struct {
+	// Bandwidth is the guaranteed throughput in words per cycle.
+	Bandwidth float64
+	// WorstCaseLatency bounds the end-to-end latency of any word in
+	// cycles (scheduling wait + serialization + traversal).
+	WorstCaseLatency int
+	// Server is the latency-rate form of the same guarantee.
+	Server LRServer
+}
+
+// UnicastGuarantees returns the guarantees of an allocated unicast
+// channel on graph g: the worst path latency, each path counting only its
+// own slots, and the reserved share of the wheel summed over all paths.
+// The latency-rate server is the same pair: after the worst path latency
+// the channel serves at its full rate.
+func UnicastGuarantees(g *topology.Graph, u *alloc.Unicast, slotWords int) Guarantees {
+	var gu Guarantees
+	inject := slots.NewMask(u.Paths[0].InjectSlots.Size)
+	for _, pa := range u.Paths {
+		wc := WorstCaseLatency(pa.InjectSlots, slotWords, g.PathSlotAdvance(pa.Path))
+		gu.WorstCaseLatency = max(gu.WorstCaseLatency, wc)
+		inject = inject.Union(pa.InjectSlots)
+	}
+	gu.Bandwidth = GuaranteedBandwidth(inject)
+	gu.Server = LRServer{Theta: float64(gu.WorstCaseLatency), Rho: gu.Bandwidth}
+	return gu
 }
 
 // SetupCyclesDaeliteIdeal returns the analytic set-up time of a daelite
-// connection: forward and reverse path words serialized one per cycle,
-// plus tree propagation to the farthest affected element and the
-// cool-down after each packet.
-func SetupCyclesDaeliteIdeal(pathLinks, wheel, treeDepth, cooldown int) int {
-	words := SetupWordsDaelite(pathLinks, wheel) + SetupWordsDaelite(pathLinks, wheel)
+// connection whose forward and reverse paths take words configuration
+// words (PathSetupCost): the words serialized one per cycle, plus tree
+// propagation to the farthest affected element and the cool-down after
+// each of the two packets.
+func SetupCyclesDaeliteIdeal(words, treeDepth, cooldown int) int {
 	propagation := 2 * (treeDepth + 1)
 	return words + propagation + 2*cooldown
 }
 
-// SetupOpsAelite returns the number of register-write round trips needed
-// to set up one aelite connection: route, remote queue, credit and flag
-// registers plus one write per reserved slot, at each endpoint.
-func SetupOpsAelite(slotsFwd, slotsRev int) int {
-	return (4 + slotsFwd) + (4 + slotsRev)
-}
-
-// SetupCyclesAeliteIdeal estimates aelite set-up time: each operation is a
-// request and acknowledgement over the network (3 cycles per router hop
-// each way) plus an average half-wheel wait for the configuration slot on
-// both paths.
+// SetupCyclesAeliteIdeal estimates aelite set-up time: each register-write
+// operation (route, remote queue, credit and flag registers plus one write
+// per reserved slot, at each endpoint) is a request and acknowledgement
+// over the network (3 cycles per router hop each way) plus an average
+// half-wheel wait for the configuration slot on both paths.
 func SetupCyclesAeliteIdeal(slotsFwd, slotsRev, hops, wheel, slotWords int) int {
-	ops := SetupOpsAelite(slotsFwd, slotsRev)
+	ops := (4 + slotsFwd) + (4 + slotsRev)
 	slotWait := wheel * slotWords / 2
 	roundTrip := 2*(3*hops+2) + 2*slotWait
 	return ops * roundTrip
@@ -160,16 +165,6 @@ type LRServer struct {
 	Rho float64
 }
 
-// LRServerFor derives the latency-rate parameters of a daelite
-// reservation: the worst-case scheduling wait plus traversal is the
-// latency; the slot share is the rate.
-func LRServerFor(mask slots.Mask, slotWords, pathLinks int) LRServer {
-	return LRServer{
-		Theta: float64(WorstCaseLatency(mask, slotWords, pathLinks)),
-		Rho:   GuaranteedBandwidth(mask),
-	}
-}
-
 // MaxDelay bounds the delay of any word of a (sigma, rho)-constrained
 // arrival stream (burst size sigma words, long-term rate rho <= Rho)
 // through the server: Theta + sigma/Rho.
@@ -178,10 +173,4 @@ func (s LRServer) MaxDelay(sigma float64) float64 {
 		return math.Inf(1)
 	}
 	return s.Theta + sigma/s.Rho
-}
-
-// MaxBacklog bounds the words queued at the source: sigma plus what
-// arrives during the service latency.
-func (s LRServer) MaxBacklog(sigma, rho float64) float64 {
-	return sigma + rho*s.Theta
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"daelite/internal/alloc"
 	"daelite/internal/slots"
+	"daelite/internal/topology"
 )
 
 func TestGuaranteedBandwidth(t *testing.T) {
@@ -33,18 +35,6 @@ func TestHeaderOverheadBrackets(t *testing.T) {
 	}
 	if HeaderOverheadAelite(3, 9) != HeaderOverheadAelite(3, 3) {
 		t.Fatal("span clamp high broken")
-	}
-}
-
-func TestEffectiveBandwidthConsistent(t *testing.T) {
-	mask := slots.MaskOf(16, 0, 4, 8, 12)
-	raw := GuaranteedBandwidth(mask)
-	for span := 1; span <= 3; span++ {
-		eff := EffectiveBandwidthAelite(mask, 3, span)
-		want := raw * (1 - HeaderOverheadAelite(3, span))
-		if diff := eff - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("span %d: eff %v != raw*(1-ovh) %v", span, eff, want)
-		}
 	}
 }
 
@@ -110,9 +100,10 @@ func TestSmallSlotsImproveSchedulingLatency(t *testing.T) {
 }
 
 func TestPathLatency(t *testing.T) {
-	// 5-link daelite path: 10 cycles. Matches the measured value in
-	// core's TestTraversalLatencyTwoCyclesPerHop.
-	if got := PathLatencyCycles(5); got != 10 {
+	// 5-link unpipelined daelite path with 2-word slots: 10 cycles.
+	// Matches the measured value in core's
+	// TestTraversalLatencyTwoCyclesPerHop.
+	if got := TraversalCycles(5, 2); got != 10 {
 		t.Fatalf("daelite latency = %d", got)
 	}
 	// Same path in aelite: 4 routers x 3 + 2 = 14, as measured in the
@@ -124,7 +115,7 @@ func TestPathLatency(t *testing.T) {
 		t.Fatal("degenerate path latency wrong")
 	}
 	// The reduction for long paths approaches the paper's 33%.
-	d := float64(PathLatencyCycles(10))
+	d := float64(TraversalCycles(10, 2))
 	a := float64(PathLatencyCyclesAelite(10) - 2) // router portion
 	if red := 1 - (d-2)/a; red < 0.30 || red > 0.36 {
 		t.Fatalf("per-hop latency reduction = %.2f, want ~0.33", red)
@@ -144,13 +135,21 @@ func TestWorstCaseLatencyComposition(t *testing.T) {
 // wheel and a 3-link path need 1 header + 2 mask words + 4 pairs x 2 = 11
 // words — the three 32-bit host words of the example.
 func TestSetupWordsMatchesFig6(t *testing.T) {
-	if got := SetupWordsDaelite(3, 8); got != 11 {
-		t.Fatalf("setup words = %d, want 11", got)
+	m, err := topology.NewMesh(topology.MeshSpec{Width: 2, Height: 1, NIsPerRouter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := m.ShortestPath(m.NI(0, 0, 0), m.NI(1, 0, 0))
+	if len(path) != 3 {
+		t.Fatalf("path has %d links, want 3", len(path))
+	}
+	if got := PathSetupCost(m.Graph, path, 8, nil, 0); got.Packets != 1 || got.Words != 11 {
+		t.Fatalf("setup cost = %+v, want 1 packet of 11 words", got)
 	}
 }
 
 func TestSetupTimeModels(t *testing.T) {
-	d := SetupCyclesDaeliteIdeal(4, 8, 4, 4)
+	d := SetupCyclesDaeliteIdeal(26, 4, 4) // two 4-link paths, 13 words each
 	a := SetupCyclesAeliteIdeal(2, 1, 4, 16, 3)
 	if d <= 0 || a <= 0 {
 		t.Fatal("non-positive setup estimates")
@@ -166,23 +165,42 @@ func TestSetupTimeModels(t *testing.T) {
 }
 
 func TestLRServer(t *testing.T) {
-	mask := slots.MaskOf(8, 0, 4)
-	s := LRServerFor(mask, 2, 4)
-	if s.Rho != 0.25 {
-		t.Fatalf("rho = %v", s.Rho)
-	}
-	if s.Theta != float64(WorstCaseLatency(mask, 2, 4)) {
-		t.Fatalf("theta = %v", s.Theta)
-	}
+	s := LRServer{Theta: 26, Rho: 0.25}
 	// A burst of 8 words adds 8/0.25 = 32 cycles to the bound.
 	if got := s.MaxDelay(8); got != s.Theta+32 {
 		t.Fatalf("MaxDelay = %v", got)
 	}
-	if got := s.MaxBacklog(8, 0.1); got != 8+0.1*s.Theta {
-		t.Fatalf("MaxBacklog = %v", got)
-	}
 	zero := LRServer{}
 	if !math.IsInf(zero.MaxDelay(1), 1) {
 		t.Fatal("zero-rate server must have infinite delay bound")
+	}
+}
+
+// TestUnicastGuaranteesPipelined pins the per-connection bound on a path
+// with pipelined links: traversal counts slot advance, not links, and
+// the bandwidth is the wheel share summed over every path.
+func TestUnicastGuaranteesPipelined(t *testing.T) {
+	m, err := topology.NewMesh(topology.MeshSpec{Width: 3, Height: 1, NIsPerRouter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range m.Links() {
+		if m.Node(l.From).Kind == topology.Router && m.Node(l.To).Kind == topology.Router {
+			m.Graph.SetPipeline(l.ID, 2)
+		}
+	}
+	path := m.ShortestPath(m.NI(0, 0, 0), m.NI(2, 0, 0))
+	u := &alloc.Unicast{Paths: []alloc.PathAlloc{
+		{Path: path, InjectSlots: slots.MaskOf(16, 0)},
+		{Path: path, InjectSlots: slots.MaskOf(16, 8)},
+	}}
+	g := UnicastGuarantees(m.Graph, u, 2)
+	// Each path: a 16-slot wait, one slot of serialization, and 4 links
+	// plus 2x2 pipeline stages of advance: 32 + 2 + 16.
+	if g.WorstCaseLatency != 50 {
+		t.Fatalf("worst-case latency = %d, want 50", g.WorstCaseLatency)
+	}
+	if g.Bandwidth != 2.0/16 || g.Server.Rho != g.Bandwidth || g.Server.Theta != 50 {
+		t.Fatalf("guarantees = %+v", g)
 	}
 }

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math"
 	"testing"
 
 	"daelite/internal/core"
@@ -139,23 +140,24 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaxGapSlots pins the scheduling-bound helper.
+// TestMaxGapSlots pins the scheduling gap the model's SchedMax is built
+// from: slots.Mask.MaxGap, the worst circular wait to the next send slot.
 func TestMaxGapSlots(t *testing.T) {
 	cases := []struct {
 		bits uint64
 		size int
 		want int
 	}{
-		{0b00000001, 8, 8}, // single slot: whole wheel
-		{0b00010001, 8, 4}, // evenly spread
-		{0b00000011, 8, 7}, // adjacent pair: long wrap gap
-		{0b11111111, 8, 1}, // every slot
-		{0, 8, 8},          // empty mask: worst case
+		{0b00000001, 8, 8},    // single slot: whole wheel
+		{0b00010001, 8, 4},    // evenly spread
+		{0b00000011, 8, 7},    // adjacent pair: long wrap gap
+		{0b11111111, 8, 1},    // every slot
+		{0, 8, math.MaxInt32}, // empty mask: never served
 	}
 	for _, c := range cases {
 		m := slots.Mask{Bits: c.bits, Size: c.size}
-		if got := MaxGapSlots(m); got != c.want {
-			t.Errorf("MaxGapSlots(%08b/%d) = %d, want %d", c.bits, c.size, got, c.want)
+		if got := m.MaxGap(); got != c.want {
+			t.Errorf("MaxGap(%08b/%d) = %d, want %d", c.bits, c.size, got, c.want)
 		}
 	}
 }

@@ -8,8 +8,10 @@
 // differential checks plus a mutation smoke mode proving the checkers
 // actually fire on corrupted state.
 //
-// The model never looks at simulation state. Everything it predicts
-// follows from the slot-alignment law of the paper: a channel injected
+// The model never looks at simulation state. Its latency and bandwidth
+// predictions are compositions of the closed forms in package analysis;
+// its own folds — slot occupancy, NI tables and router entries — follow
+// from the slot-alignment law of the paper: a channel injected
 // in slot s occupies slot (s + a_k) mod N on the k-th link of its path,
 // where a_k is the cumulative slot advance of the preceding links (one
 // per plain link, more for pipelined links). The checkers then compare
@@ -21,6 +23,7 @@ package conformance
 
 import (
 	"daelite/internal/alloc"
+	"daelite/internal/analysis"
 	"daelite/internal/core"
 	"daelite/internal/slots"
 	"daelite/internal/topology"
@@ -230,13 +233,14 @@ func (m *Model) RouterEntries(conns []*core.Connection) []RouterEntry {
 // its next injection slot.
 type Latency struct {
 	// NetMin and NetMax bound the injection-to-delivery traversal:
-	// SlotWords×A over the shortest and longest allocated path. For a
-	// single-path connection NetMin == NetMax — the traversal is a
-	// constant, which the differential runner asserts exactly.
+	// analysis.TraversalCycles over the shortest and longest allocated
+	// path. For a single-path connection NetMin == NetMax — the
+	// traversal is a constant, which the differential runner asserts
+	// exactly.
 	NetMin, NetMax uint64
 	// SchedMax bounds submit-to-injection wait for a queue-empty
-	// source: the worst circular gap of the send mask plus the slot in
-	// progress and the NI's commit edge.
+	// source: MaxGap+2 slots of the send mask, in cycles, plus
+	// analysis.CommitSlack.
 	SchedMax uint64
 }
 
@@ -247,38 +251,14 @@ func (l Latency) E2EMax(queueAllowance uint64) uint64 {
 	return l.SchedMax + l.NetMax + queueAllowance
 }
 
-// MaxGapSlots returns the worst circular wait, in slots, from an
-// arbitrary point of the wheel to the next slot of the mask. For a
-// single reserved slot that is the whole wheel.
-func MaxGapSlots(mask slots.Mask) int {
-	ss := mask.Slots()
-	if len(ss) == 0 {
-		return mask.Size
-	}
-	max := 0
-	for i := range ss {
-		next := ss[(i+1)%len(ss)]
-		gap := next - ss[i]
-		if gap <= 0 {
-			gap += mask.Size
-		}
-		if gap > max {
-			max = gap
-		}
-	}
-	return max
-}
-
 // UnicastLatency predicts the forward-direction latency of a unicast
 // connection.
 func (m *Model) UnicastLatency(c *core.Connection) Latency {
-	w := uint64(m.slotWords)
 	var lat Latency
 	txMask := slots.NewMask(m.wheel)
 	first := true
 	for _, pa := range c.Fwd.Paths {
-		a := uint64(m.g.PathSlotAdvance(pa.Path))
-		net := w * a
+		net := uint64(analysis.TraversalCycles(m.g.PathSlotAdvance(pa.Path), m.slotWords))
 		if first || net < lat.NetMin {
 			lat.NetMin = net
 		}
@@ -288,7 +268,7 @@ func (m *Model) UnicastLatency(c *core.Connection) Latency {
 		first = false
 		txMask = txMask.Union(pa.InjectSlots)
 	}
-	lat.SchedMax = w*uint64(MaxGapSlots(txMask)+2) + 2
+	lat.SchedMax = uint64(analysis.MaxSlotGapCycles(txMask, m.slotWords) + 2*m.slotWords + analysis.CommitSlack)
 	return lat
 }
 
@@ -296,7 +276,7 @@ func (m *Model) UnicastLatency(c *core.Connection) Latency {
 // the multicast source to destination d: SlotWords times d's tree
 // depth in slot advances.
 func (m *Model) MulticastNet(c *core.Connection, d topology.NodeID) uint64 {
-	return uint64(m.slotWords) * uint64(c.Tree.DestDepth[d])
+	return uint64(analysis.TraversalCycles(c.Tree.DestDepth[d], m.slotWords))
 }
 
 // Bandwidth predicts the guaranteed forward throughput of a connection
@@ -304,14 +284,13 @@ func (m *Model) MulticastNet(c *core.Connection, d topology.NodeID) uint64 {
 // carries SlotWords words every Wheel×SlotWords cycles, so k reserved
 // slots sustain k/Wheel words per cycle.
 func (m *Model) Bandwidth(c *core.Connection) float64 {
-	n := 0
 	switch {
 	case c.Tree != nil:
-		n = c.Tree.InjectSlots.Count()
+		return analysis.GuaranteedBandwidth(c.Tree.InjectSlots)
 	case c.Fwd != nil:
-		n = c.Fwd.SlotCount()
+		return analysis.UnicastGuarantees(m.g, c.Fwd, m.slotWords).Bandwidth
 	}
-	return float64(n) / float64(m.wheel)
+	return 0
 }
 
 // DeliverySlack is the tolerance, in words, of the attained-bandwidth

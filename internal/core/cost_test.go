@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"daelite/internal/alloc"
+	"daelite/internal/analysis"
 	"daelite/internal/cfgproto"
 	"daelite/internal/topology"
 )
@@ -28,8 +29,8 @@ func TestPathSetupCostMatchesBuilder(t *testing.T) {
 			t.Fatalf("cap %d produced %d region(s), want >= 2", cap, num)
 		}
 
-		pred := alloc.UnicastSetupCost(g, c.Fwd, p.Params.Wheel, regionOf, num).
-			Add(alloc.UnicastSetupCost(g, c.Rev, p.Params.Wheel, regionOf, num))
+		pred := analysis.UnicastSetupCost(g, c.Fwd, p.Params.Wheel, regionOf, num).
+			Add(analysis.UnicastSetupCost(g, c.Rev, p.Params.Wheel, regionOf, num))
 
 		measure := func(u *alloc.Unicast, srcCh, dstCh int) (packets, words int) {
 			pkts, err := p.unicastPackets(u, srcCh, dstCh, true)

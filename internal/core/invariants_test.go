@@ -148,8 +148,7 @@ func TestLatencyRateBoundHoldsForBursts(t *testing.T) {
 	if err := p.AwaitOpen(c, 100000); err != nil {
 		t.Fatal(err)
 	}
-	pa := c.Fwd.Paths[0]
-	server := analysis.LRServerFor(pa.InjectSlots, params.SlotWords, len(pa.Path))
+	server := analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, params.SlotWords).Server
 
 	// Bursts of sigma words, long gaps: rate well under Rho.
 	const sigma = 8

@@ -14,7 +14,6 @@ import (
 
 	"daelite/internal/alloc"
 	"daelite/internal/analysis"
-	"daelite/internal/slots"
 	"daelite/internal/topology"
 )
 
@@ -125,8 +124,8 @@ func place(g *topology.Graph, a *alloc.Allocator, req Requirement, wheel, slotWo
 			lastErr = err
 			break // more slots cannot help a capacity failure
 		}
-		wc := worstCase(u, slotWords)
-		if req.MaxLatency > 0 && wc > req.MaxLatency {
+		gu := analysis.UnicastGuarantees(g, u, slotWords)
+		if wc := gu.WorstCaseLatency; req.MaxLatency > 0 && wc > req.MaxLatency {
 			// Not enough slot density for the latency bound: release
 			// and retry with one more slot.
 			a.ReleaseUnicast(u)
@@ -137,31 +136,12 @@ func place(g *topology.Graph, a *alloc.Allocator, req Requirement, wheel, slotWo
 			Requirement:         req,
 			Slots:               nslots,
 			Alloc:               u,
-			GuaranteedBandwidth: float64(u.SlotCount()) / float64(wheel),
-			WorstCaseLatency:    wc,
+			GuaranteedBandwidth: gu.Bandwidth,
+			WorstCaseLatency:    gu.WorstCaseLatency,
 		}, nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("dimension: wheel exhausted")
 	}
 	return nil, lastErr
-}
-
-// worstCase computes the end-to-end worst-case latency of an allocation:
-// for multipath, the slowest path with only its own slots counted.
-func worstCase(u *alloc.Unicast, slotWords int) int {
-	worst := 0
-	for _, pa := range u.Paths {
-		wc := analysis.WorstCaseLatency(pa.InjectSlots, slotWords, len(pa.Path))
-		if wc > worst {
-			worst = wc
-		}
-	}
-	return worst
-}
-
-// MaxGap returns the worst-case slot gap of a mask in cycles — exposed so
-// reports can show how spread selection improved the schedule.
-func MaxGap(m slots.Mask, slotWords int) int {
-	return analysis.MaxSlotGapCycles(m, slotWords)
 }

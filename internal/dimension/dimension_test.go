@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"daelite/internal/alloc"
-	"daelite/internal/analysis"
 	"daelite/internal/slots"
 	"daelite/internal/topology"
 )
@@ -144,14 +143,14 @@ func TestPickSpreadReducesGap(t *testing.T) {
 	if spread.Count() != 4 {
 		t.Fatalf("picked %d slots", spread.Count())
 	}
-	gapSpread := analysis.MaxSlotGapCycles(spread, 2)
+	gapSpread := spread.MaxGap()
 	clustered := slots.MaskOf(16, 0, 1, 2, 3)
-	gapClustered := analysis.MaxSlotGapCycles(clustered, 2)
+	gapClustered := clustered.MaxGap()
 	if gapSpread >= gapClustered {
 		t.Fatalf("spread gap %d not below clustered gap %d", gapSpread, gapClustered)
 	}
-	// Ideal spacing on an empty wheel: 16/4 = 4 slots = 8 cycles.
-	if gapSpread != 8 {
+	// Ideal spacing on an empty wheel: 16/4 = 4 slots.
+	if gapSpread != 4 {
 		t.Fatalf("spread gap = %d, want 8", gapSpread)
 	}
 }

@@ -121,7 +121,7 @@ func AblationLongLinks() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := analysis.PathLatencyCyclesPipelined(advance, params.SlotWords)
+		model := analysis.TraversalCycles(advance, params.SlotWords)
 		if int(lat) != model {
 			return nil, fmt.Errorf("long-link latency %v != model %d", lat, model)
 		}

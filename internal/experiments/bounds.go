@@ -39,16 +39,15 @@ func latencyBoundOnce(seed uint64) error {
 		if err := p.AwaitOpen(c, 200000); err != nil {
 			return err
 		}
-		pa := c.Fwd.Paths[0]
-		bound := analysis.WorstCaseLatency(pa.InjectSlots, p.Params.SlotWords, len(pa.Path))
+		gu := analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, p.Params.SlotWords)
 		// Keep the offered rate below the reservation so that queueing
 		// beyond one word cannot occur (the bound covers scheduling,
 		// not open-ended queueing).
-		rate := 0.5 * float64(pa.InjectSlots.Count()) / float64(p.Params.Wheel)
+		rate := 0.5 * gu.Bandwidth
 		traffic.NewSource(p.Sim, fmt.Sprintf("bsrc%d", c.ID), p.NI(src), c.SrcChannel,
 			traffic.SourceConfig{Pattern: traffic.CBR, Rate: rate, Limit: 150, Seed: rng.Uint64()})
 		sink := traffic.NewSink(p.Sim, fmt.Sprintf("bsink%d", c.ID), p.NI(dst), c.DstChannel)
-		streams = append(streams, stream{conn: c, sink: sink, bound: bound})
+		streams = append(streams, stream{conn: c, sink: sink, bound: gu.WorstCaseLatency})
 	}
 	p.Sim.RunUntil(func() bool {
 		for _, st := range streams {
@@ -63,7 +62,7 @@ func latencyBoundOnce(seed uint64) error {
 			return fmt.Errorf("stream on connection %d starved (%d received)", st.conn.ID, st.sink.Received())
 		}
 		worst := st.sink.TotalStats().MaxLat
-		if worst > uint64(st.bound)+2 {
+		if worst > uint64(st.bound+analysis.CommitSlack) {
 			return fmt.Errorf("connection %d: measured worst %d > bound %d",
 				st.conn.ID, worst, st.bound)
 		}

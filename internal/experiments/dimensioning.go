@@ -37,7 +37,7 @@ func SlotPlacement() (*Result, error) {
 			return 0, 0, 0, nil, err
 		}
 		pa := c.Fwd.Paths[0]
-		wc = analysis.WorstCaseLatency(pa.InjectSlots, p.Params.SlotWords, len(pa.Path))
+		wc = analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, p.Params.SlotWords).WorstCaseLatency
 		traffic.NewSource(p.Sim, "src", p.NI(c.Spec.Src), c.SrcChannel,
 			traffic.SourceConfig{Pattern: traffic.CBR, Rate: 0.03, Limit: 300, Seed: 3})
 		sink := traffic.NewSink(p.Sim, "sink", p.NI(c.Spec.Dst), c.DstChannel)

@@ -51,9 +51,9 @@ func TraversalLatency() (*Result, error) {
 			return nil, err
 		}
 
-		links := hops + 2
-		dModel := analysis.PathLatencyCycles(links)
-		aModel := analysis.PathLatencyCyclesAelite(links)
+		path := dc.Fwd.Paths[0].Path
+		dModel := analysis.TraversalCycles(dp.Mesh.Graph.PathSlotAdvance(path), dp.Params.SlotWords)
+		aModel := analysis.PathLatencyCyclesAelite(len(path))
 		red := 1 - dLat/aLat
 		sumRed += red
 		rows++
@@ -155,8 +155,7 @@ func SchedulingLatency() (*Result, error) {
 	sink := traffic.NewSink(p.Sim, "sched-sink", p.NI(c.Spec.Dst), c.DstChannel)
 	p.Sim.RunUntil(func() bool { return sink.Received() >= 200 }, 1_000_000)
 	_ = src
-	links := len(c.Fwd.Paths[0].Path)
-	bound := analysis.WorstCaseLatency(c.Fwd.Paths[0].InjectSlots, 2, links)
+	bound := analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, p.Params.SlotWords).WorstCaseLatency
 	measured := sink.TotalStats().MaxLat
 	t2 := report.NewTable("Measured vs guaranteed end-to-end latency (2-word slots)",
 		"Quantity", "Cycles")
@@ -164,7 +163,7 @@ func SchedulingLatency() (*Result, error) {
 	t2.AddRow("analytical bound", bound)
 	r.Metrics["measured_worst"] = float64(measured)
 	r.Metrics["bound"] = float64(bound)
-	if measured > uint64(bound)+2 {
+	if measured > uint64(bound+analysis.CommitSlack) {
 		return nil, fmt.Errorf("scheduling: measured worst %d exceeds bound %d", measured, bound)
 	}
 	r.Text = t.Render() + "\n" + t2.Render()

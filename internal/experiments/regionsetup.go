@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"daelite/internal/alloc"
+	"daelite/internal/analysis"
 	"daelite/internal/core"
 	"daelite/internal/report"
 	"daelite/internal/topology"
@@ -18,7 +18,7 @@ import (
 // hierarchical config regions: region-select envelope words on every
 // packet, packets split where a path crosses a region boundary, and
 // settle time governed by the deepest region tree instead of one global
-// tree. The analytic cost model (alloc.PathSetupCost) predicts the wire
+// tree. The analytic cost model (analysis.PathSetupCost) predicts the wire
 // words of both variants; the table cross-checks it against the measured
 // set-up spans.
 func RegionSetup() (*Result, error) {
@@ -51,8 +51,8 @@ func RegionSetup() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pred := alloc.UnicastSetupCost(p.Mesh.Graph, c.Fwd, wheel, regionOf, p.Regions.Num()).
-				Add(alloc.UnicastSetupCost(p.Mesh.Graph, c.Rev, wheel, regionOf, p.Regions.Num()))
+			pred := analysis.UnicastSetupCost(p.Mesh.Graph, c.Fwd, wheel, regionOf, p.Regions.Num()).
+				Add(analysis.UnicastSetupCost(p.Mesh.Graph, c.Rev, wheel, regionOf, p.Regions.Num()))
 			totalCycles += c.SetupCycles()
 			totalWords += uint64(c.Setup.Words)
 			totalPred += uint64(pred.Words)

@@ -43,7 +43,6 @@ func TableIIISetup() (*Result, error) {
 	var sumRatio float64
 	for i, pr := range pairs {
 		hops := i + 1
-		links := hops + 2
 
 		src, dst := dp.Mesh.NI(pr.sx, pr.sy, 0), dp.Mesh.NI(pr.dx, pr.dy, 0)
 		dc, err := openDaelite(dp, src, dst, 2)
@@ -51,7 +50,9 @@ func TableIIISetup() (*Result, error) {
 			return nil, err
 		}
 		dMeasured := float64(dc.SetupCycles())
-		dIdeal := float64(analysis.SetupCyclesDaeliteIdeal(links, wheel, dp.Tree.MaxDepth(), dp.Params.Cooldown))
+		words := analysis.UnicastSetupCost(dp.Mesh.Graph, dc.Fwd, wheel, nil, 0).
+			Add(analysis.UnicastSetupCost(dp.Mesh.Graph, dc.Rev, wheel, nil, 0)).Words
+		dIdeal := float64(analysis.SetupCyclesDaeliteIdeal(words, dp.Tree.MaxDepth(), dp.Params.Cooldown))
 
 		asrc, adst := an.Mesh.NI(pr.sx, pr.sy, 0), an.Mesh.NI(pr.dx, pr.dy, 0)
 		ac, err := openAelite(an, asrc, adst, 2)

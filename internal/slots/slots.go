@@ -8,6 +8,7 @@ package slots
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -84,6 +85,26 @@ func (m Mask) Slots() []int {
 
 // Empty reports whether no slot is set.
 func (m Mask) Empty() bool { return m.Bits == 0 }
+
+// MaxGap returns the worst circular wait, in slots, from any point of the
+// wheel to the start of the next slot of the mask: the largest distance
+// between cyclically consecutive slots. A single slot waits the whole
+// wheel (Size) and a full mask one slot. An empty mask never serves; it
+// reports math.MaxInt32, which compares worse than every reservation and
+// still multiplies by a slot size without overflow.
+func (m Mask) MaxGap() int {
+	ss := m.Slots()
+	if len(ss) == 0 {
+		return math.MaxInt32
+	}
+	max := ss[0] + m.Size - ss[len(ss)-1]
+	for i := 1; i < len(ss); i++ {
+		if gap := ss[i] - ss[i-1]; gap > max {
+			max = gap
+		}
+	}
+	return max
+}
 
 // Union returns the union of two masks over the same wheel.
 func (m Mask) Union(o Mask) Mask {

@@ -1,6 +1,7 @@
 package slots
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,28 @@ func TestMaskBasics(t *testing.T) {
 	}
 	if !NewMask(8).Empty() {
 		t.Fatal("new mask not empty")
+	}
+}
+
+// TestMaskMaxGap pins the gap law every scheduling bound is built on:
+// the worst circular wait, in slots, to the next reserved slot.
+func TestMaskMaxGap(t *testing.T) {
+	cases := []struct {
+		name string
+		mask Mask
+		want int
+	}{
+		{"empty", NewMask(8), math.MaxInt32},
+		{"single slot", MaskOf(8, 3), 8},
+		{"full", Mask{Bits: 0xFF, Size: 8}, 1},
+		{"adjacent", MaskOf(8, 0, 1), 7},
+		{"wrap-around", MaskOf(8, 2, 5), 5},
+		{"E8 mask", MaskOf(8, 0, 4), 4},
+	}
+	for _, c := range cases {
+		if got := c.mask.MaxGap(); got != c.want {
+			t.Errorf("%s: MaxGap(%s) = %d, want %d", c.name, c.mask, got, c.want)
+		}
 	}
 }
 

@@ -64,32 +64,13 @@ type Delivery = ni.Delivery
 type LRServer = analysis.LRServer
 
 // Guarantees summarizes a unicast connection's hard service guarantees.
-type Guarantees struct {
-	// Bandwidth is the guaranteed throughput in words per cycle.
-	Bandwidth float64
-	// WorstCaseLatency bounds the end-to-end latency of any word in
-	// cycles (scheduling wait + serialization + traversal).
-	WorstCaseLatency int
-	// Server is the latency-rate form of the same guarantee.
-	Server LRServer
-}
+type Guarantees = analysis.Guarantees
 
 // GuaranteesOf returns the analytical guarantees of an open unicast
-// connection from its slot reservation (worst path for multipath).
+// connection from its slot reservation and the slot advance of its paths
+// (worst path for multipath).
 func GuaranteesOf(p *Platform, c *Connection) Guarantees {
-	worst := 0
-	var bw float64
-	var server LRServer
-	for _, pa := range c.Fwd.Paths {
-		wc := analysis.WorstCaseLatency(pa.InjectSlots, p.Params.SlotWords, len(pa.Path))
-		if wc > worst {
-			worst = wc
-			server = analysis.LRServerFor(pa.InjectSlots, p.Params.SlotWords, len(pa.Path))
-		}
-		bw += analysis.GuaranteedBandwidth(pa.InjectSlots)
-	}
-	server.Rho = bw
-	return Guarantees{Bandwidth: bw, WorstCaseLatency: worst, Server: server}
+	return analysis.UnicastGuarantees(p.Mesh.Graph, c.Fwd, p.Params.SlotWords)
 }
 
 // --- Dimensioning (requirements -> schedule) ---

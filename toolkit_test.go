@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"daelite"
+	"daelite/internal/core"
+	"daelite/internal/topology"
 )
 
 // TestToolkitFacade exercises the full public surface end to end: build,
@@ -78,5 +80,48 @@ func TestToolkitFacade(t *testing.T) {
 	}
 	if len(inst.Connections) != 1 {
 		t.Fatal("spec facade broken")
+	}
+}
+
+// TestGuaranteesBoundPipelinedLinks runs a low-rate CBR stream across
+// A6's 3x1 mesh with every router-to-router link pipelined, and checks
+// that no word is slower than GuaranteesOf promises. Each pipeline stage
+// costs one slot of traversal, so a bound that counts links instead of
+// slot advance is broken here.
+func TestGuaranteesBoundPipelinedLinks(t *testing.T) {
+	for _, stages := range []int{2, 4} {
+		m, err := topology.NewMesh(topology.MeshSpec{Width: 3, Height: 1, NIsPerRouter: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range m.Links() {
+			if m.Node(l.From).Kind == topology.Router && m.Node(l.To).Kind == topology.Router {
+				m.Graph.SetPipeline(l.ID, stages)
+			}
+		}
+		params := daelite.DefaultParams()
+		params.Wheel = 16
+		p, err := core.NewPlatform(m, params, m.NI(0, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.Open(daelite.ConnectionSpec{Src: m.NI(0, 0, 0), Dst: m.NI(2, 0, 0), SlotsFwd: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AwaitOpen(c, 100_000); err != nil {
+			t.Fatal(err)
+		}
+		g := daelite.GuaranteesOf(p, c)
+		daelite.NewSource(p, "src", c.Spec.Src, c.SrcChannel,
+			daelite.SourceConfig{Pattern: daelite.CBR, Rate: 0.02, Limit: 100, Seed: 1})
+		sink := daelite.NewSink(p, "sink", c.Spec.Dst, c.DstChannel)
+		p.Sim.RunUntil(func() bool { return sink.Received() >= 100 }, 1_000_000)
+		if sink.Received() != 100 {
+			t.Fatalf("%d stages: received %d of 100", stages, sink.Received())
+		}
+		if worst := sink.TotalStats().MaxLat; worst > uint64(g.WorstCaseLatency) {
+			t.Errorf("%d stages: measured worst %d > guaranteed %d", stages, worst, g.WorstCaseLatency)
+		}
 	}
 }
