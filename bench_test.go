@@ -10,10 +10,13 @@ package daelite
 
 import (
 	"testing"
+	"time"
 
 	"daelite/internal/core"
 	"daelite/internal/experiments"
+	"daelite/internal/telemetry"
 	"daelite/internal/topology"
+	"daelite/internal/traffic"
 )
 
 // BenchmarkExperiments regenerates each experiment and reports its
@@ -97,5 +100,54 @@ func BenchmarkConnectionOpenClose(b *testing.B) {
 		if _, err := p.CompleteConfig(100000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTelemetryOverheadBounded checks the cost contract coarsely: a run
+// with the registry attached may not be drastically slower than the same
+// run without it. It catches only order-of-magnitude regressions (an
+// accidental per-cycle allocation, say), so the threshold is deliberately
+// generous; the measured number is the `telemetry.attach_overhead_ratio`
+// that benchmark/ reports.
+func TestTelemetryOverheadBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overhead measurement in -short mode")
+	}
+	const cycles = 20000
+	run := func(attach bool) float64 {
+		p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1}, core.DefaultParams(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attach {
+			p.AttachTelemetry(telemetry.NewRegistry(), 0)
+		}
+		c, err := p.Open(core.ConnectionSpec{Src: p.Mesh.NI(0, 0, 0), Dst: p.Mesh.NI(3, 3, 0), SlotsFwd: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AwaitOpen(c, 100000); err != nil {
+			t.Fatal(err)
+		}
+		traffic.NewSource(p.Sim, "src", p.NI(c.Spec.Src), c.SrcChannel,
+			traffic.SourceConfig{Pattern: traffic.CBR, Rate: 1.0, Seed: 1})
+		traffic.NewSink(p.Sim, "sink", p.NI(c.Spec.Dst), c.DstChannel)
+		p.Run(500) // warm-up
+		best := 1e18
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			p.Run(cycles)
+			if s := time.Since(start).Seconds(); s < best {
+				best = s
+			}
+		}
+		return best
+	}
+	off := run(false)
+	on := run(true)
+	ratio := on / off
+	t.Logf("4x4 mesh, %d cycles: telemetry off %.4fs, on %.4fs (%.2fx)", cycles, off, on, ratio)
+	if ratio > 2.0 {
+		t.Errorf("telemetry overhead %.2fx > 2x — cost contract broken", ratio)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -532,6 +534,109 @@ func TestJournalTornTailIgnored(t *testing.T) {
 	if len(recs) != 1 || recs[0].Seq != 1 {
 		t.Fatalf("torn tail: %+v", recs)
 	}
+
+	// The same fragment followed by a well-formed line is not a torn
+	// tail but mid-file corruption: refused, naming the line.
+	more, _ := json.Marshal(journalRecord{Seq: 3, Tick: 3})
+	if err := os.WriteFile(path, append(append(append(data, '\n'), `{"seq":2,"tick":2,"op`+"\n"...), more...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := readJournal(path, 0); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("mid-file garbage: got %+v, %v; want an error naming line 2", recs, err)
+	}
+}
+
+// TestTornTailSurvivesSecondRestart: after a restart over a torn tail the
+// next record must start on a line of its own. Glued onto the fragment,
+// it and every later record would be dropped, without an error, by the
+// second restart.
+func TestTornTailSurvivesSecondRestart(t *testing.T) {
+	cfg := Config{Tenants: defaultTenants(), JournalPath: filepath.Join(t.TempDir(), "journal.ndjson")}
+	// restart brings a service up over the journal, replays it, opens
+	// connections between the given NI pairs and stops; it returns the
+	// connection count and the allocator fingerprint.
+	restart := func(opens ...[2]int) (int, uint64) {
+		s, err := NewService(testPlatform(t, 4, 4), nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		srv := httptest.NewServer(s.Handler())
+		for _, o := range opens {
+			if status, body := post(t, srv.URL, "/v1/connections", openReq("alpha", o[0], o[1], 1)); status != http.StatusOK {
+				t.Fatalf("open %v: status %d body %v", o, status, body)
+			}
+		}
+		srv.Close()
+		if err := s.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		fp, _, _ := s.Fingerprint()
+		return len(s.Conns()), fp
+	}
+	restart([2]int{0, 5})
+	f, err := os.OpenFile(cfg.JournalPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"seq":99,"tick":99,"op`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n, fp := restart([2]int{1, 6}, [2]int{2, 7})
+	if n != 3 {
+		t.Fatalf("after the torn-tail restart: %d connections, want 3", n)
+	}
+	if n2, fp2 := restart(); n2 != n || fp2 != fp {
+		t.Fatalf("second restart rebuilt %d connections (fingerprint %016x), want %d (%016x)", n2, fp2, n, fp)
+	}
+}
+
+// FuzzReadJournal: whatever the bytes, readJournal does not panic; a nil
+// error returns exactly the records of the lines that parse; and an
+// unparsable line followed by a well-formed one is always an error.
+func FuzzReadJournal(f *testing.F) {
+	good, _ := json.Marshal(journalRecord{Seq: 1, Tick: 1, Opens: []journalOpen{{Handle: 1, Tenant: "alpha", Outcome: outcomeOK}}})
+	next, _ := json.Marshal(journalRecord{Seq: 2, Tick: 2, Closes: []uint64{1}})
+	f.Add(string(good) + "\n" + string(next) + "\n")
+	f.Add(string(good) + "\n" + `{"seq":2,"tick":2,"op`)
+	f.Add(string(good) + "\n" + `{"seq":2,"tick":2,"op` + "\n" + string(next) + "\n")
+	f.Add(`{"seq":99,"tick":99,"op` + string(good) + "\n" + string(next) + "\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		path := filepath.Join(t.TempDir(), "journal.ndjson")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := readJournal(path, 0)
+		var parsed []journalRecord
+		bad, corrupt := false, false
+		for _, line := range strings.Split(data, "\n") {
+			line = strings.TrimSuffix(line, "\r")
+			if line == "" {
+				continue
+			}
+			var rec journalRecord
+			if json.Unmarshal([]byte(line), &rec) != nil {
+				bad = true
+				continue
+			}
+			corrupt = corrupt || bad
+			if rec.Seq > 0 {
+				parsed = append(parsed, rec)
+			}
+		}
+		if corrupt && err == nil {
+			t.Fatalf("garbage before a well-formed line read without error: %+v", recs)
+		}
+		if err == nil && (len(recs) != len(parsed) || len(recs) > 0 && !reflect.DeepEqual(recs, parsed)) {
+			t.Fatalf("read %+v, want the parsed lines %+v", recs, parsed)
+		}
+	})
 }
 
 // TestExpensiveOpenEventuallyDrafted guards against head-of-line wedge:

@@ -2,8 +2,10 @@ package admission
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -48,13 +50,47 @@ type journalWriter struct {
 	enc *json.Encoder
 }
 
+// openJournal opens path for appending. A torn tail (an unterminated
+// last line left by a killed write) is cut first, so the next record
+// starts on a line of its own instead of being glued onto the fragment.
+// The cut record was never acknowledged: replies go out after Append.
 func openJournal(path string) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("admission: open journal: %w", err)
+	}
+	if err := cutTornTail(f); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("admission: open journal: %w", err)
 	}
 	buf := bufio.NewWriter(f)
 	return &journalWriter{f: f, buf: buf, enc: json.NewEncoder(buf)}, nil
+}
+
+// cutTornTail truncates f just after its last newline.
+func cutTornTail(f *os.File) error {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 4096)
+	for off := end; off > 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			if keep := off + int64(i) + 1; keep < end {
+				return f.Truncate(keep)
+			}
+			return nil
+		}
+	}
+	if end > 0 {
+		return f.Truncate(0)
+	}
+	return nil
 }
 
 func (w *journalWriter) Append(rec journalRecord) error {
@@ -73,7 +109,9 @@ func (w *journalWriter) Close() error {
 }
 
 // readJournal loads every well-formed record with Seq > afterSeq, in file
-// order. A trailing partial line (torn write from a kill) is ignored.
+// order. An unparsable last line is a torn write from a kill and is
+// ignored; an unparsable line with anything after it is corruption, and
+// the error names its line.
 func readJournal(path string, afterSeq uint64) ([]journalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,15 +124,19 @@ func readJournal(path string, afterSeq uint64) ([]journalRecord, error) {
 	var out []journalRecord
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
+	var torn error // an unparsable line: a torn tail unless another line follows
+	for n := 1; sc.Scan(); n++ {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
+		if torn != nil {
+			return nil, torn
+		}
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail write; everything before it is intact.
-			break
+			torn = fmt.Errorf("admission: journal line %d is corrupt and not the last: %w", n, err)
+			continue
 		}
 		if rec.Seq > afterSeq {
 			out = append(out, rec)

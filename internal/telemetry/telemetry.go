@@ -10,7 +10,8 @@
 // runs after each cycle's commit) or in an ordered-tail component's Eval
 // (which runs in registration order). A registry exported after a seeded
 // run is therefore byte-identical from run to run; the root-level
-// TestTelemetryExportsDeterministic asserts exactly that.
+// TestPins pins the hashes of both exports (rows soak/42 and soak/43,
+// and every row that attaches telemetry) to recorded constants.
 //
 // Concurrency contract. Writers are confined to the stepping goroutine as
 // above, but exporters may read concurrently (the -metrics-addr HTTP
