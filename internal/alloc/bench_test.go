@@ -106,38 +106,3 @@ func BenchmarkCandidateSlots(b *testing.B) {
 		_ = a.CandidateSlots(path)
 	}
 }
-
-// churnTorus builds the 16x16 torus of the admission-engine benchmarks
-// (the Alloc* entries of experiments.Micro run on the same size): no
-// 7-bit config-ID concern applies because the allocator works on the
-// bare graph.
-func churnTorus(b *testing.B) *topology.Mesh {
-	b.Helper()
-	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-func benchUsable(b *testing.B, exclude bool) {
-	m := churnTorus(b)
-	a := New(m.Graph, 32)
-	if exclude {
-		// One excluded link far from the measured path keeps the check on
-		// the slow branch without changing the path's usability.
-		a.ExcludeLink(m.Graph.ShortestPath(m.NI(15, 15, 0), m.NI(12, 12, 0))[0])
-	}
-	path := m.Graph.ShortestPath(m.NI(0, 0, 0), m.NI(3, 3, 0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !a.usable(path) {
-			b.Fatal("path unexpectedly unusable")
-		}
-	}
-}
-
-// BenchmarkUsable covers both branches of the exclusion check: the empty
-// exclusion-set early-out and the per-link scan.
-func BenchmarkUsableNoExclusions(b *testing.B)   { benchUsable(b, false) }
-func BenchmarkUsableWithExclusions(b *testing.B) { benchUsable(b, true) }

@@ -479,7 +479,7 @@ var pins = []pin{
 		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5651, evaluated: 56303, offered: 221199, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "regions6x6", run: soak{side: 6, region: 24, seed: 42, conns: 5, cycles: 12_000, teardown: true, observe: obsTracer}.run, must: []string{
 		`"setup #`, `"inject r0"`, `"inject r1"`, `"settle"`, `"teardown #`, `"repair #`, `"stall"`, `"fault"`, `"record":"trace_event"`},
-		want: pinResult{delivered: 2729, conns: 0xcdacc4f801c59393, payload: 0xabb0c03c56045c0d, credits: 0x5606e316d123c7af, carriers: 4996, skipped: 0, evaluated: 159611, offered: 928950, alloc: 0x0c8758a104214a55, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, chrome: 0x70e3f267b966b606, traceND: 0xe511b728ca6a35d2}},
+		want: pinResult{delivered: 3274, conns: 0x8f4b748c049a289a, payload: 0x3bb4b7ce2547fc08, credits: 0xfa917c8bdd7a52aa, carriers: 6054, skipped: 0, evaluated: 205005, offered: 928950, alloc: 0x665b4359366512f2, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, repairs: 1, chrome: 0x80a9ff07aafe1aff, traceND: 0x6a8f2e9578e42e86}},
 	{name: "dnn", run: pack(workload.ExampleDNN), must: packMust,
 		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 56625, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "dnn+ff", run: pack(workload.ExampleDNN), ff: true,
