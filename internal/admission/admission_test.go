@@ -677,6 +677,22 @@ func TestExpensiveOpenEventuallyDrafted(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: an open or what-if body over the 1 MiB limit
+// is refused with 413 before it is decoded in full.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, srv := testService(t, 4, 4, Config{})
+	big := openReq("alpha", 0, 5, 1)
+	big["pad"] = strings.Repeat("x", maxBodyBytes)
+	for _, path := range []string{"/v1/connections", "/v1/whatif"} {
+		if status, body := post(t, srv.URL, path, big); status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d body %v, want 413", path, status, body)
+		}
+	}
+	if status, body := post(t, srv.URL, "/v1/connections", openReq("alpha", 0, 5, 1)); status != http.StatusOK {
+		t.Fatalf("open after the oversized bodies: status %d body %v", status, body)
+	}
+}
+
 // TestOverWheelOpenRejected: an open demanding more slots than the TDM
 // wheel can never fit and must be refused at the wire (bounding queued
 // costs), while the same demand as a what-if stays a read-only probe.

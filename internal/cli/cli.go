@@ -182,7 +182,7 @@ func (f *PlatformFlags) StartExporters(p *core.Platform) (*Exporters, error) {
 		}
 		e.ln = ln
 		e.addr = ln.Addr().String()
-		e.srv = &http.Server{Handler: mux}
+		e.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 		go func() { _ = e.srv.Serve(ln) }()
 	}
 	return e, nil

@@ -78,7 +78,7 @@ func ControlPlaneSoak() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	go func() { _ = srv.Serve(ln) }()
 
 	start := time.Now()
