@@ -25,27 +25,27 @@ race:
 # the same sequence as the CI bench job.
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
-	$(GO) run ./cmd/daelite-bench -json -o BENCH_new.json
+	$(GO) run ./cmd/daelite bench -json -o BENCH_new.json
 
 benchdiff: bench
-	$(GO) run ./cmd/daelite-benchdiff BENCH_baseline.json BENCH_new.json
+	$(GO) run ./cmd/daelite benchdiff BENCH_baseline.json BENCH_new.json
 
 # Re-measure and commit a new perf baseline (do this when a deliberate
 # perf change moves the gated benchmarks).
 bench-baseline:
-	$(GO) run ./cmd/daelite-bench -json -o BENCH_baseline.json
+	$(GO) run ./cmd/daelite bench -json -o BENCH_baseline.json
 
 # Regenerate every table/figure of the paper's evaluation.
 experiments:
-	$(GO) run ./cmd/daelite-bench
+	$(GO) run ./cmd/daelite bench
 
 # Check the regenerated tables against the committed golden output,
 # then one selected experiment against its section of it — the same two
 # diffs as the CI golden job.
 golden:
-	$(GO) run ./cmd/daelite-bench > /tmp/daelite_experiments.txt
+	$(GO) run ./cmd/daelite bench > /tmp/daelite_experiments.txt
 	diff -u experiments_output.txt /tmp/daelite_experiments.txt
-	$(GO) run ./cmd/daelite-bench -experiment E3 > /tmp/daelite_e3.txt
+	$(GO) run ./cmd/daelite bench -experiment E3 > /tmp/daelite_e3.txt
 	awk '/^==== /{p = /^==== E3 /} p' experiments_output.txt | diff -u - /tmp/daelite_e3.txt
 
 examples:
@@ -71,16 +71,16 @@ cover-gate:
 
 # The CI conformance gate: differential sweep + mutation smoke.
 conform:
-	$(GO) run ./cmd/daelite-conform -scenarios 25 -seed 1
+	$(GO) run ./cmd/daelite conform -scenarios 25 -seed 1
 
 # The CI workloads gate: both example application packs with
 # fast-forward checked against the cycle-accurate reference, each pack's
 # mutation smoke, and the DNN pack soaked under per-phase fault injection
 # and repair.
 workloads:
-	$(GO) run ./cmd/daelite-conform -workload examples/workloads/dnn.json -fastforward
-	$(GO) run ./cmd/daelite-conform -workload examples/workloads/tinytera.json -fastforward
-	$(GO) run ./cmd/daelite-chaos -workload examples/workloads/dnn.json -chaos-every 2
+	$(GO) run ./cmd/daelite conform -workload examples/workloads/dnn.json -fastforward
+	$(GO) run ./cmd/daelite conform -workload examples/workloads/tinytera.json -fastforward
+	$(GO) run ./cmd/daelite chaos -workload examples/workloads/dnn.json -chaos-every 2
 
 # Short seeded fuzz run of the allocation verifier — the same budget as
 # the CI fuzz step.
@@ -91,7 +91,7 @@ fuzz:
 # durable state in ./admd.journal / ./admd.snapshot — restarting picks
 # the state back up and reprints the same allocator fingerprint.
 admd:
-	$(GO) run ./cmd/daelite-admd -journal admd.journal -snapshot admd.snapshot
+	$(GO) run ./cmd/daelite admd -journal admd.journal -snapshot admd.snapshot
 
 # The control-plane soak: the in-process race-mode soak (seeded load
 # driver + concurrent /metrics scrapes + online conformance checkers +
@@ -100,14 +100,14 @@ admd:
 # pair the CI control-plane job runs.
 soak:
 	$(GO) test -race -run 'TestSoakWithConcurrentScrape' -v ./internal/admission
-	$(GO) run ./cmd/daelite-bench -experiment E19
+	$(GO) run ./cmd/daelite bench -experiment E19
 
 # Produce a Perfetto-loadable causal trace of a regioned 6x6 run with
 # the flight recorder armed, and verify it is byte-identical across two
 # runs — the determinism contract the CI jobs gate.
 trace:
-	$(GO) run ./cmd/daelite-sim -mesh 6x6 -cycles 2000 -trace-out trace_run1.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
-	$(GO) run ./cmd/daelite-sim -mesh 6x6 -cycles 2000 -trace-out trace.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
+	$(GO) run ./cmd/daelite sim -mesh 6x6 -cycles 2000 -trace-out trace_run1.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
+	$(GO) run ./cmd/daelite sim -mesh 6x6 -cycles 2000 -trace-out trace.json -flight-dump flight 0,0-5,5:2 1,0-1,5:1
 	cmp trace_run1.json trace.json
 	@rm -f trace_run1.json
 	@echo "wrote trace.json — load it at https://ui.perfetto.dev"
@@ -115,7 +115,7 @@ trace:
 # Profile the admission engine end to end (E17) and drop cpu.pprof /
 # mem.pprof for `go tool pprof`.
 profile:
-	$(GO) run ./cmd/daelite-bench -experiment E17 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/daelite bench -experiment E17 -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof — inspect with: go tool pprof cpu.pprof"
 
 clean:

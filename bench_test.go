@@ -3,7 +3,7 @@ package daelite
 // The benchmark harness is two loops over the tables in
 // internal/experiments: every golden experiment of the Registry (see
 // DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-// outputs) and every gated micro-benchmark of Micro. `cmd/daelite-bench`
+// outputs) and every gated micro-benchmark of Micro. `daelite bench`
 // prints the full tables and times the same bodies for the perf gate.
 //
 // Run with: go test -bench=. -benchmem
@@ -22,7 +22,7 @@ import (
 // BenchmarkExperiments regenerates each experiment and reports its
 // headline metrics, each under its metric key as the unit. The
 // wall-clock experiments are themselves timings of other code, so they
-// are left to `daelite-bench -experiment` and `-json`.
+// are left to `daelite bench -experiment` and `-json`.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Select("") {
 		b.Run(e.ID, func(b *testing.B) {

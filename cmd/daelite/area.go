@@ -1,22 +1,25 @@
-// Command daelite-area prints the analytical area model: Table II of the
-// paper, per-component breakdowns of a daelite router and NI, and the
-// critical-path frequency estimates.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 
 	"daelite/internal/area"
 	"daelite/internal/report"
 )
 
-func main() {
+// runArea prints the analytical area model: Table II of the paper,
+// per-component breakdowns of a daelite router and NI, and the
+// critical-path frequency estimates.
+func runArea(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error {
 	var ports, slots, width int
-	flag.IntVar(&ports, "ports", 5, "router port count for the breakdown")
-	flag.IntVar(&slots, "slots", 16, "TDM slot-table size")
-	flag.IntVar(&width, "width", area.LinkWidth, "link width in bits")
-	flag.Parse()
+	fs.IntVar(&ports, "ports", 5, "router port count for the breakdown")
+	fs.IntVar(&slots, "slots", 16, "TDM slot-table size")
+	fs.IntVar(&width, "width", area.LinkWidth, "link width in bits")
+	if err := parse(fs, argv); err != nil {
+		return err
+	}
 
 	m := area.DefaultGateModel()
 
@@ -32,7 +35,7 @@ func main() {
 			fmt.Sprintf("%.4f %s", row.PublishedMm2, unit),
 			report.Percent(row.Reduction), report.Percent(row.PaperReduction))
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(stdout, t.Render())
 
 	b := report.NewTable(fmt.Sprintf("daelite router breakdown (%d ports, %d-bit links, %d slots) in gate equivalents",
 		ports, width, slots),
@@ -43,7 +46,7 @@ func main() {
 	b.AddRow("  in 65nm", area.FormatMm2(area.Mm2(routerGE, area.Tech65)))
 	niGE := m.DaeliteNIGE(8, 16, 32, slots)
 	b.AddRow("NI total (8 ch, 16/32 queues)", fmt.Sprintf("%.0f", niGE))
-	fmt.Println(b.Render())
+	fmt.Fprintln(stdout, b.Render())
 
 	f := report.NewTable("Frequency estimates (critical-path model)",
 		"Network", "fmax @65nm", "fmax @130nm")
@@ -53,5 +56,6 @@ func main() {
 	f.AddRow("aelite",
 		fmt.Sprintf("%.0f MHz", area.FMaxMHz(false, slots, ports, area.Tech65)),
 		fmt.Sprintf("%.0f MHz", area.FMaxMHz(false, slots, ports, area.Tech130)))
-	fmt.Println(f.Render())
+	fmt.Fprintln(stdout, f.Render())
+	return nil
 }

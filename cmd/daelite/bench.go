@@ -1,13 +1,3 @@
-// Command daelite-bench regenerates every table, figure and quantified
-// claim of the paper's evaluation section and prints them in the paper's
-// row/series format. Every mode is a loop over experiments.Registry;
-// -experiment runs what experiments.Select picks: an ID (E3) or an
-// artifact substring ("Table III"), ignoring case.
-//
-// With -json the tool instead emits a machine-readable BENCH_<rev>.json
-// snapshot (see internal/benchfmt): ns/op and metrics for every Registry
-// entry, ns/op for every experiments.Micro entry, and a calibration
-// number so cmd/daelite-benchdiff can compare snapshots across machines.
 package main
 
 import (
@@ -26,12 +16,18 @@ import (
 	"daelite/internal/experiments"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(argv []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("daelite-bench", flag.ContinueOnError)
+// runBench regenerates every table, figure and quantified claim of the
+// paper's evaluation section and prints them in the paper's row/series
+// format. Every mode is a loop over experiments.Registry; -experiment
+// runs what experiments.Select picks: an ID (E3) or an artifact
+// substring ("Table III"), ignoring case.
+//
+// With -json it instead emits a machine-readable BENCH_<rev>.json
+// snapshot (see internal/benchfmt): ns/op and metrics for every Registry
+// entry, ns/op for every experiments.Micro entry, and a calibration
+// number so benchdiff can compare snapshots across machines.
+func runBench(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("daelite bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	which := fs.String("experiment", "", "run only the experiments with this ID (E1..E24, A1..A9) or artifact substring, ignoring case")
 	listOnly := fs.Bool("list", false, "list experiments without running them")
@@ -41,11 +37,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	if err := fs.Parse(argv); err != nil {
-		return 2
+		return exitParse(err)
 	}
 	experiments.SetFastForward(*fastforward)
 	fail := func(err error) int {
-		fmt.Fprintln(stderr, "error:", err)
+		fmt.Fprintln(stderr, "daelite bench:", err)
 		return 1
 	}
 
@@ -76,14 +72,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := writeFile(*memProfile, pprof.WriteHeapProfile); err != nil {
 				fail(err)
 			}
 		}()
@@ -213,7 +203,7 @@ func writeJSON(stdout io.Writer, outPath string) error {
 }
 
 // snapshotKey is the name a Micro entry has in the snapshot: the one
-// BENCH_baseline.json records and daelite-benchdiff's gate matches.
+// BENCH_baseline.json records and benchdiff's gate matches.
 func snapshotKey(m experiments.MicroBench) string { return "Benchmark" + m.Name }
 
 // gitRev returns the short hash of HEAD, or "dev" outside a git checkout.

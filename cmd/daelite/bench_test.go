@@ -13,7 +13,7 @@ import (
 // error naming the argument, not an empty success.
 func TestUnknownExperimentFails(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-experiment", "nonesuch"}, &out, &errOut); code != 1 {
+	if code := run([]string{"bench", "-experiment", "nonesuch"}, &out, &errOut); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	if out.Len() != 0 || !strings.Contains(errOut.String(), `"nonesuch"`) {
@@ -24,7 +24,7 @@ func TestUnknownExperimentFails(t *testing.T) {
 // TestSnapshotCoversBaseline builds the key set a -json snapshot carries
 // (one per Registry entry, one per Micro entry) without running anything
 // and checks that every benchmark BENCH_baseline.json names is in it.
-// daelite-benchdiff fails on a gated name missing from the new run; this
+// benchdiff fails on a gated name missing from the new run; this
 // puts that failure in `go test ./...` instead of the CI bench job only.
 func TestSnapshotCoversBaseline(t *testing.T) {
 	keys := map[string]bool{}

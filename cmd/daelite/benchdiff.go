@@ -1,23 +1,9 @@
-// Command daelite-benchdiff compares two BENCH_<rev>.json snapshots
-// written by `daelite-bench -json` and exits non-zero when a gated
-// benchmark regressed beyond the threshold. ns/op values are normalized
-// by each file's embedded calibration number, so a baseline committed
-// from one machine can gate measurements taken on another.
-//
-// Usage:
-//
-//	daelite-benchdiff [-threshold 0.20] [-bench regex] old.json new.json
-//
-// Benchmarks matching -bench are held to the threshold; everything else
-// is reported for context but never fails the run. A gated benchmark
-// present in old.json but missing from new.json is a failure too.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"regexp"
 
 	"daelite/internal/benchfmt"
@@ -31,20 +17,27 @@ import (
 // control-plane round trip through the admission service).
 const defaultGate = `^Benchmark(PlatformCycle|KernelStep|BigMesh|Alloc|Admission)`
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(argv []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("daelite-benchdiff", flag.ContinueOnError)
+// runBenchdiff compares two BENCH_<rev>.json snapshots written by
+// `daelite bench -json` and exits non-zero when a gated benchmark
+// regressed beyond the threshold. ns/op values are normalized by each
+// file's embedded calibration number, so a baseline committed from one
+// machine can gate measurements taken on another.
+//
+//	daelite benchdiff [-threshold 0.20] [-bench regex] old.json new.json
+//
+// Benchmarks matching -bench are held to the threshold; everything else
+// is reported for context but never fails the run. A gated benchmark
+// present in old.json but missing from new.json is a failure too.
+func runBenchdiff(argv []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("daelite benchdiff", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	threshold := fs.Float64("threshold", 0.20, "fail when a gated benchmark's normalized ns/op grows by more than this fraction")
 	gatePat := fs.String("bench", defaultGate, "regexp selecting the benchmarks held to the threshold")
 	if err := fs.Parse(argv); err != nil {
-		return 2
+		return exitParse(err)
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(errOut, "usage: daelite-benchdiff [-threshold 0.20] [-bench regex] old.json new.json")
+		fmt.Fprintln(errOut, "usage: daelite benchdiff [-threshold 0.20] [-bench regex] old.json new.json")
 		return 2
 	}
 	gate, err := regexp.Compile(*gatePat)

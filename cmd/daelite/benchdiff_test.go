@@ -29,7 +29,7 @@ func writeSnapshot(t *testing.T, dir, name string, cal float64, benches map[stri
 }
 
 // TestInjectedRegressionFailsRun is the acceptance check: feeding
-// daelite-benchdiff a synthetic >20% regression in a gated benchmark must
+// benchdiff a synthetic >20% regression in a gated benchmark must
 // exit non-zero.
 func TestInjectedRegressionFailsRun(t *testing.T) {
 	dir := t.TempDir()
@@ -44,7 +44,7 @@ func TestInjectedRegressionFailsRun(t *testing.T) {
 		"E3":                     9e6,
 	})
 	var out, errOut bytes.Buffer
-	if code := run([]string{old, new}, &out, &errOut); code != 1 {
+	if code := run([]string{"benchdiff", old, new}, &out, &errOut); code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(errOut.String(), "FAIL") {
@@ -64,7 +64,7 @@ func TestCleanComparisonPasses(t *testing.T) {
 		"BenchmarkKernelStep256": 1250,
 	})
 	var out, errOut bytes.Buffer
-	if code := run([]string{old, new}, &out, &errOut); code != 0 {
+	if code := run([]string{"benchdiff", old, new}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	if !strings.Contains(out.String(), "OK") {
@@ -77,7 +77,7 @@ func TestMissingGatedBenchmarkFailsRun(t *testing.T) {
 	old := writeSnapshot(t, dir, "old", 100, map[string]float64{"BenchmarkKernelStep4096": 700})
 	new := writeSnapshot(t, dir, "new", 100, map[string]float64{})
 	var out, errOut bytes.Buffer
-	if code := run([]string{old, new}, &out, &errOut); code != 1 {
+	if code := run([]string{"benchdiff", old, new}, &out, &errOut); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	if !strings.Contains(out.String(), "MISSING") {
@@ -91,17 +91,17 @@ func TestUngatedSlowdownDoesNotFail(t *testing.T) {
 	old := writeSnapshot(t, dir, "old", 100, map[string]float64{"E3": 1e6, "BenchmarkPlatformCycle": 1000})
 	new := writeSnapshot(t, dir, "new", 100, map[string]float64{"E3": 5e6, "BenchmarkPlatformCycle": 1001})
 	var out, errOut bytes.Buffer
-	if code := run([]string{old, new}, &out, &errOut); code != 0 {
+	if code := run([]string{"benchdiff", old, new}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errOut.String())
 	}
 }
 
 func TestBadUsageExitsTwo(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"only-one.json"}, &out, &errOut); code != 2 {
+	if code := run([]string{"benchdiff", "only-one.json"}, &out, &errOut); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
-	if code := run([]string{"-bench", "([", "a.json", "b.json"}, &out, &errOut); code != 2 {
+	if code := run([]string{"benchdiff", "-bench", "([", "a.json", "b.json"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad regex exit code = %d, want 2", code)
 	}
 }

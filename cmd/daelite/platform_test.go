@@ -1,4 +1,4 @@
-package cli
+package main
 
 import (
 	"bufio"
@@ -14,10 +14,10 @@ import (
 	"daelite/internal/traffic"
 )
 
-func newFlags(t *testing.T, args ...string) *PlatformFlags {
+func newFlags(t *testing.T, args ...string) *platformFlags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterPlatformFlags(fs)
+	f := registerPlatformFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func newFlags(t *testing.T, args ...string) *PlatformFlags {
 func TestWorkersFlagRejected(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	RegisterPlatformFlags(fs)
+	registerPlatformFlags(fs)
 	err := fs.Parse([]string{"-mesh", "3x2", "-workers", "1"})
 	if err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Fatalf("Parse(-workers 1) = %v, want an error naming the flag", err)
@@ -38,7 +38,7 @@ func TestWorkersFlagRejected(t *testing.T) {
 
 func TestBuildMesh(t *testing.T) {
 	f := newFlags(t, "-mesh", "3x2", "-wheel", "8")
-	p, err := f.BuildMesh()
+	p, err := f.buildMesh()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,28 +48,28 @@ func TestBuildMesh(t *testing.T) {
 	if p.Params.Wheel != 8 {
 		t.Fatalf("wheel = %d", p.Params.Wheel)
 	}
-	if _, err := newFlags(t, "-mesh", "nope").BuildMesh(); err == nil {
+	if _, err := newFlags(t, "-mesh", "nope").buildMesh(); err == nil {
 		t.Fatal("bad mesh accepted")
 	}
 }
 
 func TestExportersDisabled(t *testing.T) {
 	f := newFlags(t)
-	p, err := f.BuildMesh()
+	p, err := f.buildMesh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := f.StartExporters(p)
+	e, err := f.startExporters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e != nil {
 		t.Fatal("exporters started without telemetry flags")
 	}
-	if e.MetricsURL() != "" {
+	if e.metricsURL() != "" {
 		t.Fatal("nil exporters produced a URL")
 	}
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 	if p.Telemetry() != nil {
@@ -82,11 +82,11 @@ func TestExportersDisabled(t *testing.T) {
 func TestExportersLive(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "telemetry.ndjson")
 	f := newFlags(t, "-mesh", "2x2", "-metrics-addr", "127.0.0.1:0", "-telemetry-out", out)
-	p, err := f.BuildMesh()
+	p, err := f.buildMesh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := f.StartExporters(p)
+	e, err := f.startExporters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestExportersLive(t *testing.T) {
 	traffic.NewSink(p.Sim, "sink", p.NI(c.Spec.Dst), c.DstChannel)
 	p.Run(2000)
 
-	resp, err := http.Get(e.MetricsURL())
+	resp, err := http.Get(e.metricsURL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestExportersLive(t *testing.T) {
 		}
 	}
 
-	if err := e.Close(); err != nil {
+	if err := e.close(); err != nil {
 		t.Fatal(err)
 	}
 	// The server must be down after Close.
-	if _, err := http.Get(e.MetricsURL()); err == nil {
+	if _, err := http.Get(e.metricsURL()); err == nil {
 		t.Fatal("metrics endpoint still up after Close")
 	}
 	// NDJSON snapshot: a meta line followed by one JSON object per line.

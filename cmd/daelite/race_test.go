@@ -1,4 +1,4 @@
-package cli
+package main
 
 import (
 	"io"
@@ -21,15 +21,15 @@ import (
 // leave dashboards polling while repairs are in flight.
 func TestScrapeDuringRepair(t *testing.T) {
 	f := newFlags(t, "-mesh", "3x3", "-metrics-addr", "127.0.0.1:0", "-telemetry-sample", "64")
-	p, err := f.BuildMesh()
+	p, err := f.buildMesh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := f.StartExporters(p)
+	e, err := f.startExporters(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	defer e.close()
 
 	c, err := p.Open(core.ConnectionSpec{Src: p.Mesh.NI(0, 0, 0), Dst: p.Mesh.NI(2, 0, 0), SlotsFwd: 2})
 	if err != nil {
@@ -57,7 +57,7 @@ func TestScrapeDuringRepair(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				resp, err := http.Get(e.MetricsURL())
+				resp, err := http.Get(e.metricsURL())
 				if err != nil {
 					continue // server teardown race at the very end
 				}

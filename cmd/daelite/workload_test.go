@@ -1,7 +1,8 @@
-package cli
+package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,14 +26,14 @@ func writePack(t *testing.T, s *workload.Spec) string {
 }
 
 func TestLoadWorkloadErrors(t *testing.T) {
-	if _, err := LoadWorkload(filepath.Join(t.TempDir(), "nosuch.json")); err == nil {
+	if _, err := loadWorkload(filepath.Join(t.TempDir(), "nosuch.json")); err == nil {
 		t.Fatal("missing file loaded")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadWorkload(bad); err == nil {
+	if _, err := loadWorkload(bad); err == nil {
 		t.Fatal("malformed pack loaded")
 	}
 }
@@ -44,12 +45,12 @@ func TestLoadWorkloadErrors(t *testing.T) {
 func TestRunWorkloadPack(t *testing.T) {
 	path := writePack(t, workload.ExampleDNN())
 	dir := t.TempDir()
-	pf := &PlatformFlags{
+	pf := &platformFlags{
 		TelemetryOut: filepath.Join(dir, "telemetry.ndjson"),
 		TraceOut:     filepath.Join(dir, "trace.json"),
 	}
 	var out strings.Builder
-	if err := RunWorkload(&out, pf, WorkloadRun{Path: path}); err != nil {
+	if err := runWorkload(&out, io.Discard, pf, path, "", 0); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"conv1.weights", "fc.weights", "PASS", "fingerprint:"} {
@@ -67,8 +68,7 @@ func TestRunWorkloadPack(t *testing.T) {
 		}
 	}
 
-	if err := RunWorkload(&out, &PlatformFlags{},
-		WorkloadRun{Path: path, ExpectFingerprint: "deadbeef"}); err == nil {
+	if err := runWorkload(&out, io.Discard, &platformFlags{}, path, "deadbeef", 0); err == nil {
 		t.Fatal("wrong -expect-fingerprint accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestRunWorkloadPack(t *testing.T) {
 func TestRunWorkloadPackChaos(t *testing.T) {
 	path := writePack(t, workload.ExampleDNN())
 	var out strings.Builder
-	if err := RunWorkload(&out, &PlatformFlags{}, WorkloadRun{Path: path, ChaosEvery: 2}); err != nil {
+	if err := runWorkload(&out, io.Discard, &platformFlags{}, path, "", 2); err != nil {
 		t.Fatalf("chaos run: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "repaired") {
@@ -92,7 +92,7 @@ func TestRunWorkloadPackChaos(t *testing.T) {
 func TestSweepWorkloadPack(t *testing.T) {
 	path := writePack(t, workload.ExampleTinyTera("hotspot"))
 	var out strings.Builder
-	if err := SweepWorkload(&out, path, true, true); err != nil {
+	if err := sweepWorkload(&out, path, true, true); err != nil {
 		t.Fatalf("sweep: %v\n%s", err, out.String())
 	}
 	for _, want := range []string{"bit-exact across two runs", "fast-forward:", "mutation smoke:"} {

@@ -80,7 +80,7 @@ func main() {
 		first = first[:i+1]
 	}
 	fmt.Printf("\nChrome trace export: %d bytes, first line %q...\n", buf.Len(), first)
-	fmt.Println("(write it to a file with daelite-sim -trace-out and load it in Perfetto)")
+	fmt.Println("(write it to a file with daelite sim -trace-out and load it in Perfetto)")
 }
 
 // roots returns the parentless spans in start order.

@@ -15,7 +15,7 @@ import (
 	"daelite/internal/sim"
 )
 
-// This file is the seeded load driver behind cmd/daelite-load and
+// This file is the seeded load driver behind daelite load and
 // experiment E19: a deterministic mixed open/teardown/what-if workload
 // against a running control plane, reporting acceptance, latency
 // percentiles and cross-tenant fairness. It talks plain HTTP so the

@@ -14,7 +14,7 @@ import (
 // instead of a random request mix, RunPlan replays an application's
 // connection plan — the phases of a compiled workload pack — against a
 // running control plane, opening each phase as a burst, tearing it down,
-// and reporting per-phase admission outcomes. cmd/daelite-load's
+// and reporting per-phase admission outcomes. daelite load's
 // -workload mode is the caller.
 
 // CoordRef builds a coordinate-addressed NodeRef ("x,y" on the wire) —

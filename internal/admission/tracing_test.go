@@ -18,7 +18,7 @@ import (
 )
 
 // tracedService is testService with a tracer attached to the platform
-// before the service starts, as cmd/daelite-admd does.
+// before the service starts, as daelite admd does.
 func tracedService(t *testing.T, cfg Config) (*Service, *httptest.Server, *tracing.Tracer) {
 	t.Helper()
 	if cfg.Tenants == nil {

@@ -1,7 +1,7 @@
 // Package benchfmt defines the machine-readable benchmark file the perf
-// gate runs on: cmd/daelite-bench -json writes a BENCH_<rev>.json with
+// gate runs on: daelite bench -json writes a BENCH_<rev>.json with
 // one entry per benchmark (wall-clock ns/op plus the experiment headline
-// metrics), and cmd/daelite-benchdiff compares two such files and fails
+// metrics), and daelite benchdiff compares two such files and fails
 // on throughput regressions beyond a threshold.
 //
 // Raw ns/op is meaningless across machines, so every file also records a

@@ -102,7 +102,7 @@ func TestMutationSmoke(t *testing.T) {
 // requires bit-exact agreement plus a clean differential verdict (the
 // name predates the removal of the kernel worker pool; it is kept so the
 // suite's test IDs stay stable). The full 25-scenario sweep is the CI
-// conformance job (cmd/daelite-conform); the in-tree test keeps a
+// conformance job (daelite conform); the in-tree test keeps a
 // smaller always-on slice.
 func TestDifferentialSweepWorkers(t *testing.T) {
 	n := 4

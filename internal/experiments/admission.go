@@ -25,7 +25,7 @@ import (
 //
 // Set-ups/sec numbers are wall-clock and machine-dependent, so E17 is
 // excluded from the golden experiment output and surfaces through
-// daelite-bench -json (and -experiment E17) instead.
+// daelite bench -json (and -experiment E17) instead.
 
 // nearPair draws a source NI and a destination at most four hops away
 // in each dimension: the NoC locality both churn workloads share.

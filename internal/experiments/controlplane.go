@@ -19,7 +19,7 @@ import (
 // E19 — control-plane service soak: admission under multi-tenant load.
 //
 // E17 measures the raw batch admission engine; E19 measures the served
-// system built on top of it: the daelite-admd control plane taking
+// system built on top of it: the daelite admd control plane taking
 // set-up/teardown/what-if requests over HTTP from concurrent tenants of
 // different QoS classes, with quotas, DRR fairness, journal and
 // snapshot. The experiment starts the service in-process on a loopback
@@ -32,7 +32,7 @@ import (
 //
 // Requests/sec and latency numbers are wall-clock and machine-dependent,
 // so E19 is excluded from the golden experiment output and surfaces
-// through daelite-bench -json (and -experiment E19) instead.
+// through daelite bench -json (and -experiment E19) instead.
 func ControlPlaneSoak() (*Result, error) {
 	const (
 		meshW, meshH = 4, 4

@@ -3,7 +3,7 @@
 // DESIGN.md §4, listed once in Registry). Each experiment returns a
 // Result holding the rendered table(s) plus the headline metrics, so the
 // same code backs both the root benchmark harness (bench_test.go) and the
-// cmd/daelite-bench binary, and tests can assert the paper's shape — who
+// `daelite bench` subcommand, and tests can assert the paper's shape — who
 // wins and by roughly what factor.
 package experiments
 

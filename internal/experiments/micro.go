@@ -17,7 +17,7 @@ import (
 type MicroBench struct {
 	// Name is the benchmark's name under `go test -bench Micro/`; the
 	// -json snapshot and BENCH_baseline.json carry it as Benchmark<Name>,
-	// which is what daelite-benchdiff's gate regexp matches.
+	// which is what daelite benchdiff's gate regexp matches.
 	Name string
 	// Build sets the workload up and returns the op to time.
 	// cyclesPerOp is the number of simulated cycles one op advances, or 0
@@ -27,7 +27,7 @@ type MicroBench struct {
 }
 
 // Micro is the one list of gated micro-benchmarks. The root
-// BenchmarkMicro and `daelite-bench -json` both time Micro[i].Build's
+// BenchmarkMicro and `daelite bench -json` both time Micro[i].Build's
 // op, so the benchdiff gate measures the body developers run.
 var Micro = []MicroBench{
 	// The raw kernel: relay chains, the workload shape of a platform.

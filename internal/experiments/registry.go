@@ -22,7 +22,7 @@ type Experiment struct {
 }
 
 // Registry is the one list of experiments, in the order of the golden
-// file. cmd/daelite-bench (-list, -experiment, -json), the root
+// file. daelite bench (-list, -experiment, -json), the root
 // BenchmarkExperiments and the tests all loop over it; none has a list
 // of its own.
 var Registry = []Experiment{

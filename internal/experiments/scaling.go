@@ -143,7 +143,7 @@ func (bm *BigMesh) Connections() []*core.Connection { return bm.conns }
 // 16x16, which only exists thanks to hierarchical config regions. The
 // cycles/sec numbers are wall-clock measurements and machine-dependent,
 // so E16 is excluded from the golden experiment output (All) and
-// surfaces through daelite-bench -json instead.
+// surfaces through daelite bench -json instead.
 func ScalingThroughput() (*Result, error) {
 	res := newResult("E16", "kernel scaling")
 	type size struct{ w, h int }

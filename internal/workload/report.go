@@ -8,8 +8,8 @@ import (
 
 // Report renders the per-phase outcome of a pack run as a terminal
 // table, one row per phase plus the run's summary line — the shared
-// output format of the -workload modes of daelite-sim, daelite-chaos
-// and daelite-conform.
+// output format of the -workload modes of daelite sim, daelite chaos
+// and daelite conform.
 func (r *Result) Report() string {
 	t := report.NewTable(fmt.Sprintf("workload %s — %d phases", r.Pack, len(r.Phases)),
 		"Phase", "Kind", "Conns", "Words", "Delivered", "Setup", "Transfer", "Cycles", "Forwarded", "Faults")
