@@ -85,8 +85,11 @@ func runConform(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error
 		if err != nil {
 			return fmt.Errorf("mutation smoke: %w", err)
 		}
-		fmt.Fprintf(stdout, "mutation smoke: slot-table violations=%d credit violations=%d events=%d\n",
-			res.SlotTableViolations, res.CreditViolations, res.Events)
+		fmt.Fprintf(stdout, "mutation smoke: slot-table violations=%d credit violations=%d events=%d misroute violations=%d\n",
+			res.SlotTableViolations, res.CreditViolations, res.Events, res.StrayViolations)
+		if res.StrayDetail != "" {
+			fmt.Fprintf(stdout, "mutation smoke: first misrouted word: %s\n", res.StrayDetail)
+		}
 		if missed = !res.Detected(); missed {
 			fmt.Fprintln(stdout, "FAIL mutation smoke: a planted corruption went undetected")
 		}

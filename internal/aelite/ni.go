@@ -122,6 +122,11 @@ type NI struct {
 	injected     uint64
 	deliveredCnt uint64
 	dropped      uint64
+
+	// sim holds the provenance of injected payload words, stamped
+	// under act.
+	sim *sim.Simulator
+	act sim.Activity
 }
 
 // NewNI creates an aelite NI.
@@ -147,7 +152,7 @@ func NewNI(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 	for i := range n.channels {
 		n.channels[i] = &channel{remoteQueue: -1}
 	}
-	s.Add(n)
+	n.sim, n.act = s, s.Add(n)
 	return n, nil
 }
 
@@ -306,7 +311,7 @@ func (n *NI) Eval(cycle uint64) {
 			out.Valid = true
 			out.Data = c.sendQ[0]
 			c.sendQ = c.sendQ[1:]
-			out.Tag = phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, InjectCycle: c1}
+			out.Ref = n.sim.Stamp(n.act, phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq})
 			c.seq++
 			n.txPayloadLeft--
 			n.payloadWords++
@@ -339,7 +344,6 @@ func (n *NI) Eval(cycle uint64) {
 				if err == nil {
 					out.Valid = true
 					out.Data = phit.Word(enc)
-					out.Tag = phit.Tag{Channel: n.id<<8 | ch, InjectCycle: c1}
 					n.headerWords++
 					c.delivered -= cr
 					c.credit -= length
@@ -372,7 +376,7 @@ func (n *NI) Eval(cycle uint64) {
 				if len(c.recvQ)+n.pendingFor(q) < n.params.RecvQueueDepth {
 					n.pendRecv = append(n.pendRecv, pendingDelivery{
 						ch: q,
-						d:  Delivery{Word: in.Data, Tag: in.Tag, Cycle: c1},
+						d:  Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1},
 					})
 					n.deliveredCnt++
 				} else {

@@ -306,9 +306,9 @@ func (ck *Checker) perCycle(cycle uint64) {
 			w := &ck.wires[i]
 			if f := w.wire.Get(); f.Valid && !w.occ.Has(slot) {
 				ck.violate(cycle, CheckContention,
-					"payload on %s->%s in unreserved slot %d (ch=%d)",
+					"payload on %s->%s in unreserved slot %d (%s)",
 					ck.p.Mesh.Node(w.link.From).Name, ck.p.Mesh.Node(w.link.To).Name,
-					slot, f.Tag.Channel)
+					slot, ck.origin(f))
 			}
 		}
 	}
@@ -321,6 +321,16 @@ func (ck *Checker) perCycle(cycle uint64) {
 		}
 		w.prevOutstanding = out
 	}
+}
+
+// origin names a stray word's source NI, its channel there and its
+// sequence number, from the word's provenance.
+func (ck *Checker) origin(f phit.Flit) string {
+	src, t, ok := ck.p.Sim.Origin(f.Ref)
+	if !ok {
+		return fmt.Sprintf("provenance handle %d unknown", f.Ref)
+	}
+	return fmt.Sprintf("from %s ch %d seq %d", src, t.Channel&0xFF, t.Seq)
 }
 
 // structural runs the sampled model-vs-allocator-vs-hardware checks.

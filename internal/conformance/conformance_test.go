@@ -80,8 +80,9 @@ func TestCheckerQuietOnHealthyPlatform(t *testing.T) {
 }
 
 // TestMutationSmoke is the harness's own fire drill: a seeded
-// slot-table upset and a seeded credit corruption must both be caught
-// and reported through the telemetry registry.
+// slot-table upset, a seeded credit corruption and a misrouted table
+// entry must all be caught and reported through the telemetry registry,
+// the misrouted words by their source NI (MutationSmoke checks that).
 func TestMutationSmoke(t *testing.T) {
 	res, err := MutationSmoke(3)
 	if err != nil {
@@ -96,6 +97,10 @@ func TestMutationSmoke(t *testing.T) {
 	if res.Events == 0 {
 		t.Error("no violation events reached the telemetry registry")
 	}
+	if res.StrayViolations == 0 {
+		t.Error("misrouted words not detected")
+	}
+	t.Logf("stray word: %s", res.StrayDetail)
 }
 
 // TestDifferentialSweepWorkers runs each seeded scenario twice and

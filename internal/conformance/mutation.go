@@ -1,21 +1,26 @@
 package conformance
 
 // Mutation smoke mode: deliberately corrupt a healthy platform and
-// assert the checkers notice. Two seeded corruptions are planted — a
-// slot-table upset (via the fault injector's single-event-upset model)
-// and a credit-accounting corruption (a rogue register write over the
-// real configuration tree) — and each must surface as checker
-// violations reported through the telemetry registry. A harness that
-// cannot see planted faults proves nothing about real ones.
+// assert the checkers notice. Three corruptions are planted — a seeded
+// slot-table upset (via the fault injector's single-event-upset model),
+// a credit-accounting corruption (a rogue register write over the real
+// configuration tree) and a misrouted table entry that copies the
+// connection's words onto a spare output — and each must surface as
+// checker violations reported through the telemetry registry; the
+// misrouted words' contention events must name their source NI. A
+// harness that cannot see planted faults proves nothing about real ones.
 
 import (
 	"fmt"
+	"strings"
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/core"
 	"daelite/internal/fault"
+	"daelite/internal/slots"
 	"daelite/internal/telemetry"
 	"daelite/internal/topology"
+	"daelite/internal/traffic"
 )
 
 // MutationResult reports what the checkers caught.
@@ -26,13 +31,18 @@ type MutationResult struct {
 	// CreditViolations counts credit-conservation violations observed
 	// after the seeded credit corruption.
 	CreditViolations uint64
-	// Events counts conformance violation events in the registry.
+	// Events counts conformance violation events in the registry after
+	// the slot-table upset and the credit corruption.
 	Events int
+	// StrayViolations counts contention violations observed after the
+	// misrouted entry; StrayDetail is the first one's text.
+	StrayViolations uint64
+	StrayDetail     string
 }
 
-// Detected reports whether both corruptions were caught.
+// Detected reports whether all three corruptions were caught.
 func (m MutationResult) Detected() bool {
-	return m.SlotTableViolations > 0 && m.CreditViolations > 0
+	return m.SlotTableViolations > 0 && m.CreditViolations > 0 && m.StrayViolations > 0
 }
 
 // mutationPlatform builds a small healthy platform with one open
@@ -111,5 +121,43 @@ func MutationSmoke(seed uint64) (MutationResult, error) {
 	p.Run(256)
 	res.CreditViolations = ck.ViolationCount(CheckCredit)
 	res.Events += len(reg.Events())
+
+	// 3. Misrouted entry: the first router-owned hop also switches the
+	// connection's words onto a spare output in an unreserved slot,
+	// while a source streams words on the connection.
+	p, _, ck, c, err = mutationPlatform()
+	if err != nil {
+		return res, err
+	}
+	traffic.NewSource(p.Sim, "mutation-src", p.NI(c.Spec.Src), c.SrcChannel,
+		traffic.SourceConfig{Pattern: traffic.CBR, Rate: 0.25, Seed: seed})
+	traffic.NewSink(p.Sim, "mutation-sink", p.NI(c.Spec.Dst), c.DstChannel)
+	link = p.Mesh.Graph.Link(c.Fwd.Paths[0].Path[1])
+	slot = p.Alloc.LinkOccupancy(link.ID).Slots()[0]
+	table := p.Routers[link.From].Table()
+	spare := -1
+	for _, l := range p.Mesh.Graph.Out(link.From) {
+		if l != link.ID && !p.Alloc.LinkOccupancy(l).Has(slot) {
+			spare = p.Mesh.Graph.Link(l).FromPort
+			break
+		}
+	}
+	if spare < 0 {
+		return res, fmt.Errorf("conformance: router %s has no output free in slot %d", p.Mesh.Node(link.From).Name, slot)
+	}
+	if err := table.Set(spare, slots.NewMask(table.Size()).With(slot), table.Input(link.FromPort, slot)); err != nil {
+		return res, err
+	}
+	p.Run(256)
+	res.StrayViolations = ck.ViolationCount(CheckContention)
+	for _, v := range ck.Recorded() {
+		if v.Check == CheckContention {
+			res.StrayDetail = v.Detail
+			break
+		}
+	}
+	if src := p.Mesh.Node(c.Spec.Src).Name; res.StrayViolations > 0 && !strings.Contains(res.StrayDetail, "from "+src+" ") {
+		return res, fmt.Errorf("conformance: stray word reported as %q, not as a word from %s", res.StrayDetail, src)
+	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"daelite/internal/alloc"
+	"daelite/internal/analysis"
 	"daelite/internal/cfgproto"
 	"daelite/internal/phit"
 	"daelite/internal/slots"
@@ -88,10 +89,16 @@ func (p *Platform) splitRegionRuns(seg []pairAt) []regionRun {
 // segmentsToPackets chunks depth-contiguous pair runs into configuration
 // packets, obeying the MaxPairs-per-packet limit and splitting each
 // segment across the regions its path crosses. Each packet's transmitted
-// mask is the injection mask rotated up to its first pair's depth.
+// mask is the injection mask rotated up to its first pair's depth. A
+// segment's head is its destination NI: twice the traversal at its
+// depth bounds a word's flight, which the simulator's provenance arena
+// must hold the word's Tag for.
 func (p *Platform) segmentsToPackets(inject slots.Mask, segments [][]pairAt) ([]cfgPacket, error) {
 	var packets []cfgPacket
 	for _, seg := range segments {
+		if len(seg) > 0 {
+			p.Sim.HoldProvenance(2 * uint64(analysis.TraversalCycles(seg[0].depth, p.Params.SlotWords)))
+		}
 		for i := 1; i < len(seg); i++ {
 			if seg[i].depth != seg[i-1].depth-1 {
 				return nil, fmt.Errorf("core: segment depths not contiguous: %d after %d", seg[i].depth, seg[i-1].depth)

@@ -61,7 +61,8 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Delivery is one word handed to the IP side, with simulation provenance.
+// Delivery is one word handed to the IP side, with its simulation
+// provenance resolved from the flit's handle when the word arrived.
 type Delivery struct {
 	Word  phit.Word
 	Tag   phit.Tag
@@ -167,10 +168,11 @@ type NI struct {
 	dropped   uint64
 	rejected  uint64
 
-	// sim stamps IP-side submissions (EvalCycle); act is the kernel
-	// handle the NI sleeps and wakes through. work counts busy channels,
-	// and host records that an IP-side call left queue mutations for
-	// Commit. outIdle records that outWire holds the idle flit (external
+	// sim stamps IP-side submissions (EvalCycle) and holds the
+	// provenance of injected words; act is the kernel handle the NI
+	// sleeps and wakes through. work counts busy channels, and host
+	// records that an IP-side call left queue mutations for Commit.
+	// outIdle records that outWire holds the idle flit (external
 	// writers only ever overwrite a driven wire with idle), and cfgIdle
 	// that the last Eval found the configuration node idle and left its
 	// registers idle.
@@ -438,8 +440,7 @@ func (n *NI) Eval(cycle uint64) {
 				}
 				out.Valid = true
 				out.Data = qw.word
-				out.Tag = qw.tag
-				out.Tag.InjectCycle = c1
+				out.Ref = n.sim.Stamp(n.act, qw.tag)
 				n.injected++
 				ch.txWords++
 			} else if len(ch.sendQ) > 0 {
@@ -468,7 +469,7 @@ func (n *NI) Eval(cycle uint64) {
 			if len(ch.recvQ)+n.pendingFor(entry.RX) < n.params.RecvQueueDepth {
 				n.pendingPush = append(n.pendingPush, pendingDelivery{
 					ch: entry.RX,
-					d:  Delivery{Word: in.Data, Tag: in.Tag, Cycle: c1},
+					d:  Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1},
 				})
 				n.delivered++
 				ch.rxWords++

@@ -6,6 +6,13 @@
 // sideband bits that carry end-to-end credits for the channel flowing in the
 // opposite direction, plus a valid bit. Routers treat payload and credit
 // bits identically: both are blindly switched by the slot table.
+//
+// A Flit is those hardware bits plus one 32-bit simulation-only handle,
+// Ref. The provenance of a word (its Tag: channel, sequence number,
+// submission and injection cycles) does not travel on the wire: the
+// injecting NI records it in the simulator's provenance arena
+// (sim.Simulator.Stamp) and the receiving NI resolves the handle once,
+// into the delivery it hands its IP.
 package phit
 
 import "fmt"
@@ -29,13 +36,14 @@ const (
 type Word uint32
 
 // Flit is the value present on a data link during one cycle: one payload
-// word plus the sideband credit bits, with a validity flag. The zero Flit
-// is an idle link.
+// word plus the sideband credit bits, with a validity flag, and the
+// simulation-only handle of the word's provenance. The zero Flit is an
+// idle link.
 type Flit struct {
-	// Valid is true when the link carries data this cycle.
-	Valid bool
 	// Data is the payload word.
 	Data Word
+	// Valid is true when the link carries data this cycle.
+	Valid bool
 	// Credit carries CreditWires bits of piggybacked credit information
 	// for the opposite-direction channel of the connection.
 	Credit uint8
@@ -46,14 +54,15 @@ type Flit struct {
 	// wires, as in the hardware.
 	CreditValid bool
 
-	// Tag carries simulation-only provenance (never inspected by any
-	// hardware model): the injecting NI stamps the channel ID and
-	// injection cycle so that probes can measure latency and verify
-	// contention-freedom without altering hardware behaviour.
-	Tag Tag
+	// Ref is the handle of the word's Tag in the simulator's provenance
+	// arena, stamped by the injecting NI; 0 means no provenance. It is
+	// simulation-only: no hardware model inspects it, and routers copy
+	// it along with the bits they switch.
+	Ref uint32
 }
 
-// Tag is simulation-side metadata riding along with a flit.
+// Tag is the simulation-side provenance of a payload word, kept in the
+// simulator's provenance arena and handed to the IP with the delivery.
 type Tag struct {
 	// Channel is the global channel ID the flit belongs to.
 	Channel int
@@ -69,11 +78,8 @@ type Tag struct {
 // Idle returns the value of an idle link.
 func Idle() Flit { return Flit{} }
 
-// IsIdle reports whether f is the idle flit, f == Idle(), field by field
-// so the test inlines on the activity-driven kernel's hot paths.
-func (f Flit) IsIdle() bool {
-	return !f.Valid && !f.CreditValid && f.Data == 0 && f.Credit == 0 && f.Tag == (Tag{})
-}
+// IsIdle reports whether f is the idle flit.
+func (f Flit) IsIdle() bool { return f == Flit{} }
 
 // String renders a flit compactly for traces.
 func (f Flit) String() string {
@@ -82,7 +88,7 @@ func (f Flit) String() string {
 	}
 	s := ""
 	if f.Valid {
-		s = fmt.Sprintf("d=%08x ch=%d seq=%d", uint32(f.Data), f.Tag.Channel, f.Tag.Seq)
+		s = fmt.Sprintf("d=%08x ref=%d", uint32(f.Data), f.Ref)
 	}
 	if f.CreditValid {
 		if s != "" {

@@ -3,6 +3,7 @@ package phit
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestIdle(t *testing.T) {
@@ -15,14 +16,31 @@ func TestIdle(t *testing.T) {
 	}
 }
 
+// TestFlitIsTheWire pins the flit to the link's hardware bits plus the
+// 32-bit provenance handle, so the provenance itself cannot creep back
+// onto the wire and into every register copy.
+func TestFlitIsTheWire(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 12 {
+		t.Fatalf("Sizeof(Flit{}) = %d bytes, want 12", got)
+	}
+	if !(Flit{}).IsIdle() {
+		t.Fatal("the zero flit is not idle")
+	}
+	for _, f := range []Flit{{Valid: true}, {Data: 1}, {Credit: 1}, {CreditValid: true}, {Ref: 1}} {
+		if f.IsIdle() {
+			t.Fatalf("%+v reads as idle", f)
+		}
+	}
+}
+
 func TestFlitString(t *testing.T) {
-	f := Flit{Valid: true, Data: 0xDEADBEEF, Tag: Tag{Channel: 3, Seq: 7}}
-	if got := f.String(); got != "d=deadbeef ch=3 seq=7" {
+	f := Flit{Valid: true, Data: 0xDEADBEEF, Ref: 7}
+	if got := f.String(); got != "d=deadbeef ref=7" {
 		t.Fatalf("String() = %q", got)
 	}
 	f.CreditValid = true
 	f.Credit = 5
-	if got := f.String(); got != "d=deadbeef ch=3 seq=7 cr=5" {
+	if got := f.String(); got != "d=deadbeef ref=7 cr=5" {
 		t.Fatalf("String() = %q", got)
 	}
 	g := Flit{CreditValid: true, Credit: 2}

@@ -19,7 +19,9 @@
 // never sleep. Sleeping is the kernel's only activity protocol: with
 // fast-forward armed, Run skips cycles while no Add'ed component is awake
 // (see fastforward.go). The kernel is single-threaded: every phase and every probe
-// runs on the stepping goroutine.
+// runs on the stepping goroutine. The simulator also keeps the provenance
+// of the payload words in flight, which the wire carries only as a handle
+// (see provenance.go).
 package sim
 
 import (
@@ -47,15 +49,22 @@ type Component interface {
 // to appear after the next clock edge.
 type Reg[T comparable] struct {
 	cur, next T
-	dirty     bool  // on the simulator's write list this cycle
-	id        int32 // r's entry in s.readers
+	dirty     bool // on the simulator's write list this cycle
 	s         *Simulator
+	readers   []reader // woken by a latched change, see Wakes
+}
+
+// reader is one entry of a register's reader list: the component a
+// latched change wakes and the bit it marks in the component's Changed.
+type reader struct {
+	idx int32
+	bit uint32
 }
 
 // NewReg returns a register of s initialized to v.
 func NewReg[T comparable](s *Simulator, v T) *Reg[T] {
-	s.readers = append(s.readers, nil)
-	return &Reg[T]{cur: v, next: v, s: s, id: int32(len(s.readers) - 1)}
+	s.regs++
+	return &Reg[T]{cur: v, next: v, s: s}
 }
 
 // Get returns the currently latched value.
@@ -88,10 +97,9 @@ func (r *Reg[T]) Peek() T {
 // component and sets bit input of its Changed. It does so now too, so a
 // reader wired up mid-run sees what r holds.
 func (r *Reg[T]) Wakes(a Activity, input int) {
-	a.bit = 1 << input
-	r.s.readers[r.id] = append(r.s.readers[r.id], a)
-	a.Wake()
-	a.s.changed[a.idx] |= a.bit
+	rd := reader{idx: a.idx, bit: 1 << input}
+	r.readers = append(r.readers, rd)
+	r.s.wake(rd)
 }
 
 // latch commits a written register. A later Set this cycle may have
@@ -103,9 +111,8 @@ func (r *Reg[T]) latch() {
 		return
 	}
 	r.cur = r.next
-	for _, a := range r.s.readers[r.id] {
-		a.Wake()
-		a.s.changed[a.idx] |= a.bit
+	for _, rd := range r.readers {
+		r.s.wake(rd)
 	}
 }
 
@@ -116,7 +123,6 @@ type latcher interface{ latch() }
 type Activity struct {
 	s   *Simulator
 	idx int32
-	bit uint32 // in a reader list: the bit Reg.Wakes marks in Changed
 }
 
 // Changed returns, and clears, the inputs whose registers latched a new
@@ -136,6 +142,12 @@ func (a Activity) Sleep() { a.s.awake[a.idx>>6] &^= 1 << (a.idx & 63) }
 // exported methods that mutate a component outside its Eval call it.
 func (a Activity) Wake() { a.s.awake[a.idx>>6] |= 1 << (a.idx & 63) }
 
+// wake wakes rd's component and marks rd's input changed.
+func (s *Simulator) wake(rd reader) {
+	s.awake[rd.idx>>6] |= 1 << (rd.idx & 63)
+	s.changed[rd.idx] |= rd.bit
+}
+
 // Probe is called after every Commit with the cycle number that just
 // completed. Probes observe fully settled state.
 type Probe func(cycle uint64)
@@ -144,11 +156,12 @@ type Probe func(cycle uint64)
 type Simulator struct {
 	components []Component
 	ordered    []Component
-	awake      []uint64     // bit i: components[i] runs
-	changed    []uint32     // by component, see Activity.Changed
-	written    []latcher    // registers Set to a new value this cycle
-	readers    [][]Activity // by Reg.id
+	awake      []uint64  // bit i: components[i] runs
+	changed    []uint32  // by component, see Activity.Changed
+	written    []latcher // registers Set to a new value this cycle
+	regs       int       // registers made by NewReg
 	probes     []Probe
+	prov       provenance // see provenance.go
 	cycle      uint64
 	stepping   bool // between the first Eval and the clock edge of Step
 
@@ -167,7 +180,7 @@ type Simulator struct {
 }
 
 // New returns an empty simulator at cycle 0.
-func New() *Simulator { return &Simulator{} }
+func New() *Simulator { return &Simulator{prov: provenance{hold: minProvenanceHold}} }
 
 // Add registers a component with the simulator, awake, and returns its
 // Activity handle; components that never sleep ignore it. Components
@@ -377,5 +390,5 @@ func (s *Simulator) String() string {
 		awake += bits.OnesCount64(w)
 	}
 	return fmt.Sprintf("sim{cycle=%d components=%d+%d awake=%d regs=%d}",
-		s.cycle, len(s.components), len(s.ordered), awake, len(s.readers))
+		s.cycle, len(s.components), len(s.ordered), awake, s.regs)
 }

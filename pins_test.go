@@ -127,8 +127,9 @@ func record(p *core.Platform, observe observers) *recorder {
 		for i, w := range wires {
 			f := w.Get()
 			if f.Valid {
+				tag := p.Sim.Provenance(f.Ref)
 				r.payload = r.payload.Mix(uint64(i)).Mix(cycle).Mix(uint64(f.Data)).
-					Mix(uint64(f.Tag.Channel)).Mix(f.Tag.Seq).Mix(f.Tag.SubmitCycle).Mix(f.Tag.InjectCycle)
+					Mix(uint64(tag.Channel)).Mix(tag.Seq).Mix(tag.SubmitCycle).Mix(tag.InjectCycle)
 			}
 			if f.Credit != 0 {
 				r.credits = r.credits.Mix(uint64(i)).Mix(cycle).Mix(uint64(f.Credit))
