@@ -93,7 +93,7 @@ type NI struct {
 	params Params
 
 	inWire  *sim.Reg[phit.Flit]
-	inReg   *sim.Reg[phit.Flit]
+	inReg   phit.Flit // link register, read only here
 	outWire *sim.Reg[phit.Flit]
 
 	table    []int // slot -> channel, -1 idle
@@ -138,7 +138,6 @@ func NewNI(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 		name:          name,
 		id:            id,
 		params:        params,
-		inReg:         sim.NewReg(s, phit.Idle()),
 		outWire:       sim.NewReg(s, phit.Idle()),
 		table:         make([]int, params.Wheel),
 		channels:      make([]*channel, params.NumChannels),
@@ -290,11 +289,14 @@ func (n *NI) spanSlots(s, ch int) int {
 
 // Eval implements sim.Component.
 func (n *NI) Eval(cycle uint64) {
+	// in is the value the link register latched last cycle, which the
+	// receive path consumes.
+	in := n.inReg
 	var inFlit phit.Flit
 	if n.inWire != nil {
 		inFlit = n.inWire.Get()
 	}
-	n.inReg.Set(inFlit)
+	n.inReg = inFlit
 
 	c1 := cycle + 1
 	slot := slots.SlotOfCycle(c1, SlotWords, n.params.Wheel)
@@ -359,7 +361,6 @@ func (n *NI) Eval(cycle uint64) {
 	n.outWire.Set(out)
 
 	// ---- Receive path ----
-	in := n.inReg.Get()
 	if in.Valid {
 		if n.rxPayloadLeft == 0 {
 			h := DecodeHeader(uint32(in.Data))

@@ -14,9 +14,13 @@ import (
 type Router struct {
 	name string
 
+	// inRegs and parseReg are the first two pipeline stages. Only this
+	// router reads them, so they are plain fields: Eval runs the stages
+	// back to front and each reads its registers before the stage in
+	// front of it overwrites them.
 	inWires  []*sim.Reg[phit.Flit]
-	inRegs   []*sim.Reg[phit.Flit] // stage 1: link register
-	parseReg []*sim.Reg[parsed]    // stage 2: header inspection
+	inRegs   []phit.Flit // stage 1: link register
+	parseReg []parsed    // stage 2: header inspection
 	outWires []*sim.Reg[phit.Flit]
 
 	// Per-input packet walking state, advanced in stage 2.
@@ -43,15 +47,14 @@ func NewRouter(s *sim.Simulator, name string, numIn, numOut int) *Router {
 	r := &Router{
 		name:        name,
 		inWires:     make([]*sim.Reg[phit.Flit], numIn),
-		inRegs:      make([]*sim.Reg[phit.Flit], numIn),
-		parseReg:    make([]*sim.Reg[parsed], numIn),
+		inRegs:      make([]phit.Flit, numIn),
+		parseReg:    make([]parsed, numIn),
 		outWires:    make([]*sim.Reg[phit.Flit], numOut),
 		payloadLeft: make([]int, numIn),
 		curOut:      make([]int, numIn),
 	}
 	for i := 0; i < numIn; i++ {
-		r.inRegs[i] = sim.NewReg(s, phit.Idle())
-		r.parseReg[i] = sim.NewReg(s, parsed{out: -1})
+		r.parseReg[i] = parsed{out: -1}
 		r.curOut[i] = -1
 	}
 	for o := 0; o < numOut; o++ {
@@ -79,23 +82,34 @@ func (r *Router) Forwarded() uint64 { return r.forwarded }
 
 // Eval implements sim.Component.
 func (r *Router) Eval(cycle uint64) {
-	// Stage 1: latch links.
-	for i, w := range r.inWires {
-		if w != nil {
-			r.inRegs[i].Set(w.Get())
-		} else {
-			r.inRegs[i].Set(phit.Idle())
+	// Stage 3: crossbar. With a valid contention-free schedule at most
+	// one input targets each output per cycle.
+	var claimed uint64
+	for o := range r.outWires {
+		r.outWires[o].Set(phit.Idle())
+	}
+	for _, p := range r.parseReg {
+		if p.out < 0 || p.out >= len(r.outWires) {
+			continue
 		}
+		if claimed&(1<<p.out) != 0 {
+			r.conflicts++
+			continue
+		}
+		claimed |= 1 << p.out
+		if p.flit.Valid {
+			r.forwarded++
+		}
+		r.outWires[p.out].Set(p.flit)
 	}
 
 	// Stage 2: header inspection. A valid word when no payload is
 	// outstanding is a header: decode it, pick the output, and forward
 	// the header with this hop consumed so the next router sees its own
 	// hop in the low bits.
-	for i := range r.inRegs {
-		f := r.inRegs[i].Get()
+	for i, f := range r.inRegs {
 		if !f.Valid {
-			r.parseReg[i].Set(parsed{out: -1})
+			r.parseReg[i] = parsed{out: -1}
 			continue
 		}
 		if r.payloadLeft[i] == 0 {
@@ -104,39 +118,26 @@ func (r *Router) Eval(cycle uint64) {
 			enc, err := rest.Encode()
 			if err != nil {
 				// Unreachable: shifting cannot overflow fields.
-				r.parseReg[i].Set(parsed{out: -1})
+				r.parseReg[i] = parsed{out: -1}
 				continue
 			}
 			r.curOut[i] = port
 			r.payloadLeft[i] = h.Length
 			f.Data = phit.Word(enc)
-			r.parseReg[i].Set(parsed{flit: f, out: port})
+			r.parseReg[i] = parsed{flit: f, out: port}
 			continue
 		}
 		r.payloadLeft[i]--
-		r.parseReg[i].Set(parsed{flit: f, out: r.curOut[i]})
+		r.parseReg[i] = parsed{flit: f, out: r.curOut[i]}
 	}
 
-	// Stage 3: crossbar. With a valid contention-free schedule at most
-	// one input targets each output per cycle.
-	claimed := make(map[int]bool, len(r.outWires))
-	for o := range r.outWires {
-		r.outWires[o].Set(phit.Idle())
-	}
-	for i := range r.parseReg {
-		p := r.parseReg[i].Get()
-		if p.out < 0 || p.out >= len(r.outWires) {
-			continue
+	// Stage 1: latch links.
+	for i, w := range r.inWires {
+		if w != nil {
+			r.inRegs[i] = w.Get()
+		} else {
+			r.inRegs[i] = phit.Idle()
 		}
-		if claimed[p.out] {
-			r.conflicts++
-			continue
-		}
-		claimed[p.out] = true
-		if p.flit.Valid {
-			r.forwarded++
-		}
-		r.outWires[p.out].Set(p.flit)
 	}
 }
 

@@ -350,22 +350,26 @@ func (p *Platform) addResponseChild(n topology.NodeID, w *respWire) {
 }
 
 // linkPipeline is a chain of extra register stages modelling a pipelined
-// (long or mesochronous) link.
+// (long or mesochronous) link. Only the last stage is a wire another
+// component reads; the ones before it are plain fields.
 type linkPipeline struct {
-	name string
-	in   *flitWire
-	regs []*flitWire
-	act  sim.Activity
+	name   string
+	in     *flitWire
+	stages []phit.Flit // the depth-1 stages before out, input side first
+	out    *flitWire
+	act    sim.Activity
 }
 
 func newLinkPipeline(s *sim.Simulator, name string, in *flitWire, depth int) *flitWire {
-	lp := &linkPipeline{name: name, in: in}
-	for i := 0; i < depth; i++ {
-		lp.regs = append(lp.regs, sim.NewReg(s, phit.Idle()))
+	lp := &linkPipeline{
+		name:   name,
+		in:     in,
+		stages: make([]phit.Flit, depth-1),
+		out:    sim.NewReg(s, phit.Idle()),
 	}
 	lp.act = s.Add(lp)
 	in.Wakes(lp.act, 0)
-	return lp.regs[len(lp.regs)-1]
+	return lp.out
 }
 
 // Name implements sim.Component.
@@ -374,14 +378,13 @@ func (lp *linkPipeline) Name() string { return lp.name }
 // Eval implements sim.Component: a plain shift register, asleep once
 // the feeding wire and every stage it shifts from are idle.
 func (lp *linkPipeline) Eval(uint64) {
-	in := lp.in.Get()
-	busy := !in.IsIdle()
-	for i := len(lp.regs) - 1; i > 0; i-- {
-		f := lp.regs[i-1].Get()
+	f := lp.in.Get()
+	busy := !f.IsIdle()
+	for i := range lp.stages {
+		f, lp.stages[i] = lp.stages[i], f
 		busy = busy || !f.IsIdle()
-		lp.regs[i].Set(f)
 	}
-	lp.regs[0].Set(in)
+	lp.out.Set(f)
 	if !busy {
 		lp.act.Sleep()
 	}

@@ -136,7 +136,7 @@ type NI struct {
 	params Params
 
 	inWire  *sim.Reg[phit.Flit] // from router (owned by router)
-	inReg   *sim.Reg[phit.Flit] // first buffering stage
+	inReg   phit.Flit           // first buffering stage, read only here
 	outWire *sim.Reg[phit.Flit] // to router (owned by NI)
 
 	table    *slots.NITable
@@ -149,12 +149,13 @@ type NI struct {
 	pendingPop  []int // channels whose send queue head was consumed
 
 	// Configuration tree node state (NIs are leaves of the tree but the
-	// plumbing is generic).
+	// plumbing is generic). Like inReg, the stages cfgInReg and
+	// respMerge are plain fields: Eval reads each before overwriting it.
 	cfgIn     *sim.Reg[phit.ConfigWord]
-	cfgInReg  *sim.Reg[phit.ConfigWord]
+	cfgInReg  phit.ConfigWord
 	cfgOuts   []*sim.Reg[phit.ConfigWord]
 	respIns   []*sim.Reg[phit.Response]
-	respMerge *sim.Reg[phit.Response]
+	respMerge phit.Response
 	respOut   *sim.Reg[phit.Response]
 
 	// busShell accumulates RegBus writes for the adjacent bus's
@@ -202,16 +203,13 @@ func New(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 		return nil, err
 	}
 	n := &NI{
-		name:      name,
-		id:        id,
-		params:    params,
-		inReg:     sim.NewReg(s, phit.Idle()),
-		outWire:   sim.NewReg(s, phit.Idle()),
-		table:     slots.NewNITable(params.Wheel),
-		cfgInReg:  sim.NewReg(s, phit.ConfigWord{}),
-		respMerge: sim.NewReg(s, phit.Response{}),
-		respOut:   sim.NewReg(s, phit.Response{}),
-		sim:       s,
+		name:    name,
+		id:      id,
+		params:  params,
+		outWire: sim.NewReg(s, phit.Idle()),
+		table:   slots.NewNITable(params.Wheel),
+		respOut: sim.NewReg(s, phit.Response{}),
+		sim:     s,
 	}
 	n.channels = make([]*channel, params.NumChannels)
 	for i := range n.channels {
@@ -381,11 +379,11 @@ func (n *NI) Eval(cycle uint64) {
 	// Stage 1: latch the input wire if it changed (unchanged, it still
 	// holds what the register holds); in is the value latched last
 	// cycle, which the receive path consumes.
-	in := n.inReg.Get()
+	in := n.inReg
 	inFlit := in
 	if changed&(1<<linkInput) != 0 {
 		inFlit = n.inWire.Get()
-		n.inReg.Set(inFlit)
+		n.inReg = inFlit
 	}
 
 	// The slot/word position of the value our registers present next
@@ -489,8 +487,8 @@ func (n *NI) Eval(cycle uint64) {
 		if n.cfgIn != nil {
 			cfgWord = n.cfgIn.Get()
 		}
-		n.cfgInReg.Set(cfgWord)
-		stage := n.cfgInReg.Get()
+		stage := n.cfgInReg
+		n.cfgInReg = cfgWord
 		for _, outw := range n.cfgOuts {
 			outw.Set(stage)
 		}
@@ -498,8 +496,8 @@ func (n *NI) Eval(cycle uint64) {
 		for _, inw := range n.respIns {
 			merged = phit.Merge(merged, inw.Get())
 		}
-		n.respMerge.Set(merged)
-		resp := n.respMerge.Get()
+		resp := n.respMerge
+		n.respMerge = merged
 		n.respOut.Set(resp)
 		n.cfgIdle = cfgWord == (phit.ConfigWord{}) && stage == (phit.ConfigWord{}) &&
 			merged == (phit.Response{}) && resp == (phit.Response{}) && !n.dec.Busy()

@@ -1,6 +1,7 @@
 package ni
 
 import (
+	"strings"
 	"testing"
 
 	"daelite/internal/cfgproto"
@@ -534,5 +535,18 @@ func TestSilentOpenChannelSleeps(t *testing.T) {
 	}
 	if !asleep() {
 		t.Fatal("NIs did not sleep once the credit was returned")
+	}
+}
+
+// TestNewMakesOnlyWireRegisters pins that an NI puts only its wires in
+// the kernel: the link toward its router and the response wire toward its
+// tree parent. Its buffering stages are plain fields.
+func TestNewMakesOnlyWireRegisters(t *testing.T) {
+	s := sim.New()
+	if _, err := New(s, "A", 1, params()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.String(), "regs=2}"; !strings.HasSuffix(got, want) {
+		t.Fatalf("after New: %s, want %s", got, want)
 	}
 }

@@ -59,28 +59,31 @@ type Router struct {
 
 	// Data path. inWires[i] is the wire feeding input port i; outWires[o]
 	// is the wire driven by output port o. The router owns the output
-	// wires; upstream elements own the input wires.
+	// wires; upstream elements own the input wires. inRegs is the first
+	// buffering stage, read only here and so a plain field: Eval reads
+	// it before overwriting it.
 	inWires  []*sim.Reg[phit.Flit]
-	inRegs   []*sim.Reg[phit.Flit] // first buffering stage
+	inRegs   []phit.Flit
 	outWires []*sim.Reg[phit.Flit]
-	// outIdle[o] records that output o already holds the zero flit, so
-	// unreserved slots need no re-drive. Invariant: outIdle[o] implies
-	// outWires[o] carries phit.Idle() — external writers (the fault
-	// injector) only ever overwrite driven (non-idle) wires with idle,
-	// never the reverse.
-	outIdle []bool
+	// driving has bit o set while output o may hold a non-idle flit, so
+	// only those outputs and the ones the current slot drives need a
+	// look. Invariant: a clear bit implies outWires[o] carries
+	// phit.Idle() — external writers (the fault injector) only ever
+	// overwrite driven (non-idle) wires with idle, never the reverse.
+	driving uint8
 
 	table *slots.RouterTable
 	dec   *cfgproto.Decoder
 
 	// Configuration tree node. cfgIn is owned by the parent; cfgInReg is
-	// the first buffering stage; cfgOuts are owned by this router and
-	// feed the children. The reverse path mirrors this.
+	// the first buffering stage (a plain field, like inRegs); cfgOuts are
+	// owned by this router and feed the children. The reverse path
+	// mirrors this.
 	cfgIn     *sim.Reg[phit.ConfigWord]
-	cfgInReg  *sim.Reg[phit.ConfigWord]
+	cfgInReg  phit.ConfigWord
 	cfgOuts   []*sim.Reg[phit.ConfigWord]
 	respIns   []*sim.Reg[phit.Response]
-	respMerge *sim.Reg[phit.Response]
+	respMerge phit.Response
 	respOut   *sim.Reg[phit.Response]
 
 	// forwarded counts valid words driven on any output (activity for
@@ -112,25 +115,18 @@ func New(s *sim.Simulator, name string, id int, numIn, numOut int, params Params
 			name, numIn, numOut, cfgproto.MaxRouterPort+1)
 	}
 	r := &Router{
-		name:      name,
-		id:        id,
-		params:    params,
-		inWires:   make([]*sim.Reg[phit.Flit], numIn),
-		inRegs:    make([]*sim.Reg[phit.Flit], numIn),
-		outWires:  make([]*sim.Reg[phit.Flit], numOut),
-		outIdle:   make([]bool, numOut),
-		outBusy:   make([]uint64, numOut),
-		table:     slots.NewRouterTable(numOut, params.Wheel),
-		cfgInReg:  sim.NewReg(s, phit.ConfigWord{}),
-		respMerge: sim.NewReg(s, phit.Response{}),
-		respOut:   sim.NewReg(s, phit.Response{}),
-	}
-	for i := range r.inRegs {
-		r.inRegs[i] = sim.NewReg(s, phit.Idle())
+		name:     name,
+		id:       id,
+		params:   params,
+		inWires:  make([]*sim.Reg[phit.Flit], numIn),
+		inRegs:   make([]phit.Flit, numIn),
+		outWires: make([]*sim.Reg[phit.Flit], numOut),
+		outBusy:  make([]uint64, numOut),
+		table:    slots.NewRouterTable(numOut, params.Wheel),
+		respOut:  sim.NewReg(s, phit.Response{}),
 	}
 	for o := range r.outWires {
 		r.outWires[o] = sim.NewReg(s, phit.Idle())
-		r.outIdle[o] = true
 	}
 	r.dec = cfgproto.NewDecoder(id, params.Wheel, (*routerSink)(r))
 	r.act = s.Add(r)
@@ -200,49 +196,54 @@ func (r *Router) NumOutputs() int { return len(r.outWires) }
 // wire wakes it, and only what changed is read again.
 func (r *Router) Eval(cycle uint64) {
 	changed := r.act.Changed()
-
-	// Stage 1: latch the input wires that changed into the input
-	// registers; an unchanged wire still holds what its register holds.
 	held := r.held
-	for ch := changed & (1<<len(r.inWires) - 1); ch != 0; ch &= ch - 1 {
-		i := bits.TrailingZeros32(ch)
-		f := r.inWires[i].Get()
-		r.inRegs[i].Set(f)
-		if f.IsIdle() {
-			r.held &^= 1 << i
-		} else {
-			r.held |= 1 << i
-		}
-	}
 
+	// The stages run back to front, so each reads its own registers
+	// before the stage in front of it overwrites them.
+	//
 	// Stage 2: crossbar. The output registers present their values
 	// during cycle+1, so the slot table is indexed by the slot of
-	// cycle+1 (the output slot).
+	// cycle+1 (the output slot). Only the outputs that slot drives and
+	// those still holding a flit can change: an idle selected input
+	// drives idle, and an already-idle wire needs no re-drive at all.
 	outSlot := slots.SlotOfCycle(cycle+1, r.params.SlotWords, r.params.Wheel)
-	for o := range r.outWires {
-		// Early-outs: with every input register idle no output can
-		// carry anything, one occupancy-word test replaces the packed
-		// selector decode for the (common) unreserved slots, an idle
-		// selected input drives idle, and an already-idle wire needs no
-		// re-drive at all.
+	drives := r.table.Drives(outSlot)
+	if held == 0 {
+		drives = 0 // with every input register idle no output carries anything
+	}
+	for w := drives | r.driving; w != 0; w &= w - 1 {
+		o := bits.TrailingZeros8(w)
 		in := slots.NoInput
-		if held != 0 && r.table.Occupied(o, outSlot) {
+		if drives&(1<<o) != 0 {
 			in = r.table.Input(o, outSlot)
 		}
 		if in < 0 || in >= len(r.inRegs) || held&(1<<in) == 0 {
-			if !r.outIdle[o] {
+			if r.driving&(1<<o) != 0 {
 				r.outWires[o].Set(phit.Idle())
-				r.outIdle[o] = true
+				r.driving &^= 1 << o
 			}
 			continue
 		}
-		r.outIdle[o] = false
-		f := r.inRegs[in].Get()
+		r.driving |= 1 << o
+		f := r.inRegs[in]
 		if f.Valid {
 			r.forwarded++
 			r.outBusy[o]++
 		}
 		r.outWires[o].Set(f)
+	}
+
+	// Stage 1: latch the input wires that changed into the input
+	// registers; an unchanged wire still holds what its register holds.
+	for ch := changed & (1<<len(r.inWires) - 1); ch != 0; ch &= ch - 1 {
+		i := bits.TrailingZeros32(ch)
+		f := r.inWires[i].Get()
+		r.inRegs[i] = f
+		if f.IsIdle() {
+			r.held &^= 1 << i
+		} else {
+			r.held |= 1 << i
+		}
 	}
 
 	// Configuration tree node: buffer twice per hop, feed the decoder
@@ -254,8 +255,8 @@ func (r *Router) Eval(cycle uint64) {
 		if r.cfgIn != nil {
 			inWord = r.cfgIn.Get()
 		}
-		r.cfgInReg.Set(inWord)
-		stage := r.cfgInReg.Get()
+		stage := r.cfgInReg
+		r.cfgInReg = inWord
 		for _, out := range r.cfgOuts {
 			out.Set(stage)
 		}
@@ -263,8 +264,8 @@ func (r *Router) Eval(cycle uint64) {
 		for _, in := range r.respIns {
 			merged = phit.Merge(merged, in.Get())
 		}
-		r.respMerge.Set(merged)
-		resp := r.respMerge.Get()
+		resp := r.respMerge
+		r.respMerge = merged
 		r.respOut.Set(resp)
 		r.cfgIdle = inWord == (phit.ConfigWord{}) && stage == (phit.ConfigWord{}) &&
 			merged == (phit.Response{}) && resp == (phit.Response{}) && !r.dec.Busy()
@@ -275,7 +276,9 @@ func (r *Router) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements sim.Component; all state lives in sim.Reg.
+// Commit implements sim.Component. It has nothing to do: the wires latch
+// in the kernel, and Eval updates the owner-only stage fields in place
+// after reading them.
 func (r *Router) Commit() {}
 
 // routerSink adapts the router to cfgproto.Sink.

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -322,66 +324,148 @@ func TestRouterAccessors(t *testing.T) {
 // streams, the router's outputs must equal the reference's prediction
 // (table lookup on the output slot, input delayed by two cycles) on every
 // cycle. This is the classic golden-model check an RTL implementation
-// would face.
+// would face. Between cycles random entries are rewritten without waking
+// the router, as a slot-table upset (fault.SlotTableFlip) does, so the
+// model indexes the table as it stood at the router's Eval. The multicast
+// row also has outputs 0 and 2 select one input in one slot, which no
+// rewrite touches, and requires that both outputs carried its words.
 func TestGoldenModelEquivalence(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		s := sim.New()
-		const numIn, numOut = 3, 3
-		r, err := New(s, "R", 1, numIn, numOut, params())
-		if err != nil {
-			return false
+	for _, multicast := range []bool{false, true} {
+		name := "unicast"
+		if multicast {
+			name = "multicast"
 		}
-		// Random table.
-		for o := 0; o < numOut; o++ {
-			for sl := 0; sl < 8; sl++ {
-				in := rng.Intn(numIn + 1)
-				if in < numIn {
-					_ = r.Table().Set(o, slots.MaskOf(8, sl), in)
-				}
+		t.Run(name, func(t *testing.T) {
+			f := func(seed uint64) bool { return goldenModelRun(t, seed, multicast) }
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// goldenModelRun runs one seeded router against the reference model.
+func goldenModelRun(t *testing.T, seed uint64, multicast bool) bool {
+	rng := sim.NewRNG(seed)
+	s := sim.New()
+	const numIn, numOut, wheel = 3, 3, 8
+	r, err := New(s, "R", 1, numIn, numOut, params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(o, sl, in int) {
+		if err := r.Table().Set(o, slots.MaskOf(wheel, sl), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Random table.
+	for o := 0; o < numOut; o++ {
+		for sl := 0; sl < wheel; sl++ {
+			if in := rng.Intn(numIn + 1); in < numIn {
+				set(o, sl, in)
 			}
 		}
-		// Random input streams, recorded per cycle.
-		wires := make([]*sim.Reg[phit.Flit], numIn)
-		history := make([][]phit.Flit, numIn) // history[i][c] = wire value during cycle c
+	}
+	mcSlot := -1
+	if multicast {
+		mcSlot = rng.Intn(wheel)
+		in := rng.Intn(numIn)
+		set(0, mcSlot, in)
+		set(2, mcSlot, in)
+	}
+	// tables[c] is the table the router's Eval of cycle c indexes.
+	tables := []*slots.RouterTable{r.Table().Clone()}
+	// Random input streams, recorded per cycle.
+	wires := make([]*sim.Reg[phit.Flit], numIn)
+	history := make([][]phit.Flit, numIn) // history[i][c] = wire value during cycle c
+	for i := range wires {
+		wires[i] = sim.NewReg(s, phit.Idle())
+		r.ConnectInput(i, wires[i])
+		history[i] = []phit.Flit{{}} // cycle 0: initial idle
+	}
+	s.Add(&sim.Func{Label: "stim", OnEval: func(c uint64) {
 		for i := range wires {
-			wires[i] = sim.NewReg(s, phit.Idle())
-			r.ConnectInput(i, wires[i])
-			history[i] = []phit.Flit{{}} // cycle 0: initial idle
+			var fl phit.Flit
+			if rng.Intn(2) == 0 {
+				fl = phit.Flit{Valid: true, Data: phit.Word(rng.Uint64())}
+			}
+			wires[i].Set(fl)
+			history[i] = append(history[i], fl)
 		}
-		s.Add(&sim.Func{Label: "stim", OnEval: func(c uint64) {
-			for i := range wires {
-				var fl phit.Flit
-				if rng.Intn(2) == 0 {
-					fl = phit.Flit{Valid: true, Data: phit.Word(rng.Uint64())}
-				}
-				wires[i].Set(fl)
-				history[i] = append(history[i], fl)
-			}
-		}})
-		ok := true
-		s.AddProbe(func(c uint64) {
-			// Output during cycle c reflects input during cycle c-2
-			// under the table entry of slot(c).
-			if c < 2 {
-				return
-			}
-			slot := slots.SlotOfCycle(c, 2, 8)
+	}})
+	ok := true
+	fanOut := 0
+	s.AddProbe(func(c uint64) {
+		// Output during cycle c reflects input during cycle c-2 under
+		// the entry of slot(c) of the table Eval c-1 read.
+		if c >= 2 {
+			slot := slots.SlotOfCycle(c, 2, wheel)
 			for o := 0; o < numOut; o++ {
 				want := phit.Idle()
-				if in := r.Table().Input(o, slot); in != slots.NoInput {
+				if in := tables[c-1].Input(o, slot); in != slots.NoInput {
 					want = history[in][c-2]
 				}
 				if got := r.OutputWire(o).Get(); got != want {
 					ok = false
 				}
 			}
-		})
-		s.Run(64)
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			if f := r.OutputWire(0).Get(); slot == mcSlot && f.Valid && r.OutputWire(2).Get() == f {
+				fanOut++
+			}
+		}
+		// Rewrite a random entry behind the router's back.
+		if o, sl, in := rng.Intn(numOut), rng.Intn(wheel), rng.Intn(numIn+1)-1; sl != mcSlot {
+			set(o, sl, in)
+		}
+		tables = append(tables, r.Table().Clone())
+	})
+	s.Run(64)
+	return ok && (!multicast || fanOut > 0)
+}
+
+// TestOutputGoesIdleAtSlotBoundary: an output driven in slot s and
+// unprogrammed in s+1 carries its input's word for exactly the two cycles
+// of s and is idle from the first cycle of s+1, when the output that slot
+// drives takes over — also with the input word held constant, so no wire
+// change marks the boundary.
+func TestOutputGoesIdleAtSlotBoundary(t *testing.T) {
+	s := sim.New()
+	r := newRouter(t, s, 2, 2)
+	r.ConnectInput(0, sim.NewReg(s, phit.Flit{Valid: true, Data: 0x5A}))
+	if err := r.Table().Set(1, slots.MaskOf(8, 3), 0); err != nil {
 		t.Fatal(err)
+	}
+	if err := r.Table().Set(0, slots.MaskOf(8, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	s.AddProbe(func(c uint64) {
+		if c < 2 {
+			return
+		}
+		slot := slots.SlotOfCycle(c, 2, 8)
+		if got, want := r.OutputWire(1).Get().Valid, slot == 3; got != want {
+			t.Errorf("cycle %d (slot %d): output 1 valid = %v, want %v", c, slot, got, want)
+		}
+		if got, want := r.OutputWire(0).Get().Valid, slot == 4; got != want {
+			t.Errorf("cycle %d (slot %d): output 0 valid = %v, want %v", c, slot, got, want)
+		}
+	})
+	s.Run(32)
+	if got := r.OutputBusy(1); got != 4 {
+		t.Fatalf("output 1 carried %d words over two wheel turns, want 4", got)
+	}
+}
+
+// TestNewMakesOnlyWireRegisters pins that a router puts only its wires in
+// the kernel: one register per output plus the response wire toward its
+// tree parent. Its buffering stages are read by nobody else, so they are
+// plain fields and cost the kernel no write-list entry or latch.
+func TestNewMakesOnlyWireRegisters(t *testing.T) {
+	s := sim.New()
+	const numIn, numOut = 3, 4
+	newRouter(t, s, numIn, numOut)
+	if got, want := s.String(), fmt.Sprintf("regs=%d}", numOut+1); !strings.HasSuffix(got, want) {
+		t.Fatalf("after New: %s, want %s", got, want)
 	}
 }
 

@@ -211,6 +211,9 @@ func applyPackedOps(t *testing.T, sizeSel uint8, ops []byte) {
 			if got, want := rt.Occupied(o, s), nrt.entries[o][s] != slots.NoInput; got != want {
 				t.Fatalf("Occupied(%d,%d) = %v, naive %v", o, s, got, want)
 			}
+			if got, want := rt.Drives(s)&(1<<o) != 0, nrt.entries[o][s] != slots.NoInput; got != want {
+				t.Fatalf("Drives(%d) bit %d = %v, naive %v", s, o, got, want)
+			}
 		}
 		// The rotation law must commute with packing: rotating the O(1)
 		// occupancy answer equals rotating the naive scan's answer.
@@ -228,6 +231,9 @@ func applyPackedOps(t *testing.T, sizeSel uint8, ops []byte) {
 		t.Fatalf("NI OccupiedMask %s, naive %s", got, want)
 	}
 	for s := 0; s < size; s++ {
+		if extra := rt.Drives(s) >> numOutputs; extra != 0 {
+			t.Fatalf("Drives(%d) = %08b names outputs past %d", s, rt.Drives(s), numOutputs)
+		}
 		e := nt.Entry(s)
 		if e.TX != nnt.tx[s] || e.RX != nnt.rx[s] {
 			t.Fatalf("Entry(%d) = %+v, naive TX=%d RX=%d", s, e, nnt.tx[s], nnt.rx[s])
@@ -242,6 +248,11 @@ func applyPackedOps(t *testing.T, sizeSel uint8, ops []byte) {
 
 	// Clones answer identically and do not alias the original.
 	rc, nc := rt.Clone(), nt.Clone()
+	for s := 0; s < size; s++ {
+		if rc.Drives(s) != rt.Drives(s) {
+			t.Fatalf("clone Drives(%d) = %08b, original %08b", s, rc.Drives(s), rt.Drives(s))
+		}
+	}
 	full := slots.Mask{Bits: wheelBits(size), Size: size}
 	if err := rc.Set(0, full, 3); err != nil {
 		t.Fatalf("clone Set: %v", err)
@@ -257,6 +268,14 @@ func applyPackedOps(t *testing.T, sizeSel uint8, ops []byte) {
 	}
 	if rc.OccupiedMask(0).Bits != full.Bits || nc.SendMask().Bits != full.Bits {
 		t.Fatalf("clone writes lost: %s / %s", rc.OccupiedMask(0), nc.SendMask())
+	}
+	for s := 0; s < size; s++ {
+		if got, want := rt.Drives(s)&1 != 0, nrt.entries[0][s] != slots.NoInput; got != want {
+			t.Fatalf("clone write aliased Drives(%d) of the original: bit 0 = %v, naive %v", s, got, want)
+		}
+		if got, want := rc.Drives(s), rt.Drives(s)|1; got != want {
+			t.Fatalf("clone Drives(%d) = %08b after its write, want %08b", s, got, want)
+		}
 	}
 }
 
@@ -288,5 +307,7 @@ func FuzzPackedTables(f *testing.F) {
 	f.Add(uint8(63), []byte{2, 2, 2, 255, 1, 1, 0, 0, 0, 3, 3, 3})
 	f.Add(uint8(15), []byte{})
 	f.Add(uint8(0), []byte{1, 0, 0, 0})
+	// Program output 1, then tear the same slots down.
+	f.Add(uint8(7), []byte{0, 1, 5, 3, 0, 1, 0, 3})
 	f.Fuzz(applyPackedOps)
 }

@@ -1,14 +1,15 @@
 // Package slots implements TDM slot arithmetic and the slot tables at the
 // heart of contention-free routing: the affected-slot masks carried by
 // configuration packets (with the per-pair rotation that compensates the
-// one-slot-per-hop pipeline advance), the per-output router tables that
-// select an input for each slot, and the NI tables that govern packet
-// departures and arrivals.
+// one-slot-per-hop pipeline advance), the slot-major router tables that
+// name, for each slot, the input every output forwards, and the NI tables
+// that govern packet departures and arrivals.
 package slots
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -182,62 +183,56 @@ func (m Mask) String() string {
 // idle during that slot.
 const NoInput = -1
 
-// Slot tables are bitset-packed: selectors (input ports, NI channels)
-// live in 8-bit lanes of uint64 words holding value+1 (0 = none), and
-// each output/duty additionally keeps a one-bit-per-slot occupancy word.
-// Lookups on the cycle-accurate hot path are a shift and a mask, and the
-// occupancy questions the fast-forward machinery and the router's
-// early-out ask every cycle — "is any slot of this output driven?",
-// "is slot s driven?" — are single word operations instead of wheel
-// scans.
+// Slot tables are slot-major and bitset-packed, the way the hardware reads
+// them: the router and NI bodies index one row by the current slot and
+// find everything that slot drives in it. Selectors (input ports, NI
+// channels) are held as value+1 (0 = none) in 8-bit lanes, and every
+// output/duty additionally keeps a one-bit-per-slot occupancy word, so the
+// questions the fast-forward machinery and the allocator ask — "is any
+// slot of this output driven?", "is slot s driven?" — are single word
+// operations instead of wheel scans. Every write goes through Set,
+// SetSend or SetReceive, which keep rows and occupancy words in step.
 const (
-	selBits    = 8
-	selPerWord = 64 / selBits
-	selMask    = 1<<selBits - 1
+	selBits = 8
+	selMask = 1<<selBits - 1
 	// MaxSelector is the largest selector value a packed table lane can
 	// hold (value+1 must fit in 8 bits). Both cfgproto limits
 	// (MaxRouterPort, MaxNIChannel) are far below it.
 	MaxSelector = selMask - 1
+	// MaxOutputs is the largest output count a RouterTable holds: one
+	// 8-bit lane per output in a slot's 64-bit row.
+	MaxOutputs = 64 / selBits
 )
 
-// selWords returns the number of packed words one wheel row needs.
-func selWords(size int) int { return (size + selPerWord - 1) / selPerWord }
-
-// selGet decodes the selector of slot s from a packed row.
-func selGet(row []uint64, s int) int {
-	return int(row[s/selPerWord]>>(uint(s%selPerWord)*selBits)&selMask) - 1
-}
-
-// selSet encodes selector v (NoInput/NoChannel..MaxSelector) into slot s.
-func selSet(row []uint64, s, v int) {
-	shift := uint(s%selPerWord) * selBits
-	w := &row[s/selPerWord]
-	*w = *w&^(uint64(selMask)<<shift) | uint64(v+1)<<shift
-}
-
-// RouterTable is a daelite router's TDM schedule: for each output port and
-// each slot, the input port the output forwards, or NoInput. Multicast is
+// RouterTable is a daelite router's TDM schedule: for each slot and each
+// output port, the input port the output forwards, or NoInput. Multicast is
 // the natural consequence of two outputs naming the same input in the same
 // slot.
 type RouterTable struct {
 	numOutputs int
 	size       int
-	wpr        int      // packed words per output row
-	sel        []uint64 // [output*wpr+slot/8] 8-bit lanes holding input+1
-	occ        []uint64 // [output] bit s set iff slot s is driven
+	rows       []routerRow // [slot]
+	occ        []uint64    // [output] bit s set iff slot s is driven
+}
+
+// routerRow is one slot of a RouterTable: lane o of sel holds output o's
+// input+1 (0 = idle), and drives has bit o set iff lane o is not idle.
+type routerRow struct {
+	sel    uint64
+	drives uint8
 }
 
 // NewRouterTable returns an all-idle table for a router with the given
-// output port count over a wheel of size slots.
+// output port count (at most MaxOutputs) over a wheel of size slots.
 func NewRouterTable(numOutputs, size int) *RouterTable {
-	if size <= 0 || size > MaxTableSize {
-		panic(fmt.Sprintf("slots: table size %d out of range", size))
+	if size <= 0 || size > MaxTableSize || numOutputs < 0 || numOutputs > MaxOutputs {
+		panic(fmt.Sprintf("slots: router table of %d outputs x %d slots out of range (%d x %d)",
+			numOutputs, size, MaxOutputs, MaxTableSize))
 	}
 	return &RouterTable{
 		numOutputs: numOutputs,
 		size:       size,
-		wpr:        selWords(size),
-		sel:        make([]uint64, numOutputs*selWords(size)),
+		rows:       make([]routerRow, size),
 		occ:        make([]uint64, numOutputs),
 	}
 }
@@ -260,22 +255,33 @@ func (t *RouterTable) Set(out int, mask Mask, in int) error {
 	if in < NoInput || in > MaxSelector {
 		return fmt.Errorf("slots: input %d out of packed range (%d..%d)", in, NoInput, MaxSelector)
 	}
-	row := t.sel[out*t.wpr : (out+1)*t.wpr]
-	for _, s := range mask.Slots() {
-		selSet(row, s, in)
+	m := mask.Bits & wheelMask(t.size)
+	lane := uint(out) * selBits
+	for b := m; b != 0; b &= b - 1 {
+		row := &t.rows[bits.TrailingZeros64(b)]
+		row.sel = row.sel&^(selMask<<lane) | uint64(in+1)<<lane
 		if in == NoInput {
-			t.occ[out] &^= 1 << uint(s)
+			row.drives &^= 1 << uint(out)
 		} else {
-			t.occ[out] |= 1 << uint(s)
+			row.drives |= 1 << uint(out)
 		}
+	}
+	if in == NoInput {
+		t.occ[out] &^= m
+	} else {
+		t.occ[out] |= m
 	}
 	return nil
 }
 
 // Input returns the input feeding output out during slot s, or NoInput.
 func (t *RouterTable) Input(out, slot int) int {
-	return selGet(t.sel[out*t.wpr:(out+1)*t.wpr], slot)
+	return int(t.rows[slot].sel>>(uint(out)*selBits)&selMask) - 1
 }
+
+// Drives returns the outputs driven during slot s: bit o is set iff
+// Input(o, s) != NoInput.
+func (t *RouterTable) Drives(slot int) uint8 { return t.rows[slot].drives }
 
 // Occupied reports whether output out is driven during slot s — one bit
 // test against the packed occupancy word.
@@ -294,7 +300,7 @@ func (t *RouterTable) OccupiedMask(out int) Mask {
 // what-if evaluation).
 func (t *RouterTable) Clone() *RouterTable {
 	c := NewRouterTable(t.numOutputs, t.size)
-	copy(c.sel, t.sel)
+	copy(c.rows, t.rows)
 	copy(c.occ, t.occ)
 	return c
 }
@@ -316,11 +322,10 @@ type NISlot struct {
 }
 
 // NITable is an NI's TDM schedule governing both packet departures and
-// arrivals. Like RouterTable it is bitset-packed: one packed selector
-// plane and one occupancy word per duty.
+// arrivals: one NISlot per slot, plus an occupancy word per duty.
 type NITable struct {
 	size         int
-	tx, rx       []uint64 // 8-bit lanes holding channel+1 per slot
+	slots        []NISlot // [slot]
 	txOcc, rxOcc uint64   // bit s set iff slot s has the duty
 }
 
@@ -329,30 +334,41 @@ func NewNITable(size int) *NITable {
 	if size <= 0 || size > MaxTableSize {
 		panic(fmt.Sprintf("slots: table size %d out of range", size))
 	}
-	return &NITable{
-		size: size,
-		tx:   make([]uint64, selWords(size)),
-		rx:   make([]uint64, selWords(size)),
+	t := &NITable{size: size, slots: make([]NISlot, size)}
+	for s := range t.slots {
+		t.slots[s] = NISlot{TX: NoChannel, RX: NoChannel}
 	}
+	return t
 }
 
 // Size returns the wheel size.
 func (t *NITable) Size() int { return t.size }
 
-func (t *NITable) setDuty(row []uint64, occ *uint64, mask Mask, channel int) error {
+// setDuty assigns the receive (rx) or transmit duty of every slot in mask.
+func (t *NITable) setDuty(mask Mask, channel int, rx bool) error {
 	if mask.Size != t.size {
 		return fmt.Errorf("slots: mask wheel %d != table wheel %d", mask.Size, t.size)
 	}
 	if channel < NoChannel || channel > MaxSelector {
 		return fmt.Errorf("slots: channel %d out of packed range (%d..%d)", channel, NoChannel, MaxSelector)
 	}
-	for _, s := range mask.Slots() {
-		selSet(row, s, channel)
-		if channel == NoChannel {
-			*occ &^= 1 << uint(s)
+	m := mask.Bits & wheelMask(t.size)
+	occ := &t.txOcc
+	if rx {
+		occ = &t.rxOcc
+	}
+	for b := m; b != 0; b &= b - 1 {
+		e := &t.slots[bits.TrailingZeros64(b)]
+		if rx {
+			e.RX = channel
 		} else {
-			*occ |= 1 << uint(s)
+			e.TX = channel
 		}
+	}
+	if channel == NoChannel {
+		*occ &^= m
+	} else {
+		*occ |= m
 	}
 	return nil
 }
@@ -360,29 +376,27 @@ func (t *NITable) setDuty(row []uint64, occ *uint64, mask Mask, channel int) err
 // SetSend assigns the transmit duty of every slot in mask (NoChannel
 // clears).
 func (t *NITable) SetSend(mask Mask, channel int) error {
-	return t.setDuty(t.tx, &t.txOcc, mask, channel)
+	return t.setDuty(mask, channel, false)
 }
 
 // SetReceive assigns the receive duty of every slot in mask (NoChannel
 // clears).
 func (t *NITable) SetReceive(mask Mask, channel int) error {
-	return t.setDuty(t.rx, &t.rxOcc, mask, channel)
+	return t.setDuty(mask, channel, true)
 }
 
 // Entry returns the duties of slot s.
-func (t *NITable) Entry(s int) NISlot {
-	return NISlot{TX: selGet(t.tx, s), RX: selGet(t.rx, s)}
-}
+func (t *NITable) Entry(s int) NISlot { return t.slots[s] }
 
 // Send returns the channel injected in slot s, if any.
 func (t *NITable) Send(s int) (int, bool) {
-	ch := selGet(t.tx, s)
+	ch := t.slots[s].TX
 	return ch, ch != NoChannel
 }
 
 // Receive returns the channel receiving in slot s, if any.
 func (t *NITable) Receive(s int) (int, bool) {
-	ch := selGet(t.rx, s)
+	ch := t.slots[s].RX
 	return ch, ch != NoChannel
 }
 
@@ -406,8 +420,7 @@ func (t *NITable) OccupiedMask() Mask {
 // Clone returns a deep copy.
 func (t *NITable) Clone() *NITable {
 	c := NewNITable(t.size)
-	copy(c.tx, t.tx)
-	copy(c.rx, t.rx)
+	copy(c.slots, t.slots)
 	c.txOcc, c.rxOcc = t.txOcc, t.rxOcc
 	return c
 }
