@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race bench benchdiff bench-baseline experiments golden examples cover cover-gate conform workloads fuzz profile admd soak trace clean
+.PHONY: all build test vet fmt race bench experiments golden examples cover cover-gate conform workloads fuzz profile admd soak trace clean
 
 all: build vet test
 
@@ -20,20 +20,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run every Go benchmark once (liveness), then write a machine-readable
-# BENCH_new.json snapshot and gate it against the committed baseline —
-# the same sequence as the CI bench job.
+# Run every Go benchmark once (liveness), then the benchmark of record
+# in smoke mode, which exits 1 if any workload is incorrect — the same
+# sequence as the CI bench job.
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
-	$(GO) run ./cmd/daelite bench -json -o BENCH_new.json
-
-benchdiff: bench
-	$(GO) run ./cmd/daelite benchdiff BENCH_baseline.json BENCH_new.json
-
-# Re-measure and commit a new perf baseline (do this when a deliberate
-# perf change moves the gated benchmarks).
-bench-baseline:
-	$(GO) run ./cmd/daelite bench -json -o BENCH_baseline.json
+	bash benchmark/run.sh -smoke
 
 # Regenerate every table/figure of the paper's evaluation.
 experiments:

@@ -3,8 +3,8 @@ package daelite
 // The benchmark harness is two loops over the tables in
 // internal/experiments: every golden experiment of the Registry (see
 // DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-// outputs) and every gated micro-benchmark of Micro. `daelite bench`
-// prints the full tables and times the same bodies for the perf gate.
+// outputs) and every micro-benchmark of Micro. `daelite bench` prints
+// the full tables; host-time performance is measured by benchmark/.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -22,7 +22,7 @@ import (
 // BenchmarkExperiments regenerates each experiment and reports its
 // headline metrics, each under its metric key as the unit. The
 // wall-clock experiments are themselves timings of other code, so they
-// are left to `daelite bench -experiment` and `-json`.
+// are left to `daelite bench -experiment`.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Select("") {
 		b.Run(e.ID, func(b *testing.B) {
@@ -41,7 +41,7 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro times the gated micro-benchmarks of the core machinery;
+// BenchmarkMicro times the micro-benchmarks of the core machinery;
 // ops that advance simulated cycles also report cycles/sec.
 func BenchmarkMicro(b *testing.B) {
 	for _, m := range experiments.Micro {

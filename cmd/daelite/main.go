@@ -38,8 +38,7 @@ var commands = []command{
 	{"dimension", "smallest TDM wheel meeting bandwidth/latency requirements", exits("dimension", runDimension)},
 	{"spec", "validate and build a JSON platform spec, print its schedule", exits("spec", runSpec)},
 	{"area", "the analytical area model (Table II) and frequency estimates", exits("area", runArea)},
-	{"bench", "regenerate the paper's evaluation tables, or a -json snapshot", runBench},
-	{"benchdiff", "compare two -json snapshots, fail on a gated regression", runBenchdiff},
+	{"bench", "regenerate the paper's evaluation tables", exits("bench", runBench)},
 }
 
 // run dispatches argv[0] to its subcommand. With no subcommand or an
@@ -93,15 +92,6 @@ func parse(fs *flag.FlagSet, argv []string) error {
 		return usageError{err}
 	}
 	return err
-}
-
-// exitParse is the status for a command line fs.Parse rejected: 0 for
-// -h, 2 otherwise (the flag set has already printed why).
-func exitParse(err error) int {
-	if errors.Is(err, flag.ErrHelp) {
-		return 0
-	}
-	return 2
 }
 
 // onSignal returns a context cancelled by the first SIGINT or SIGTERM; a

@@ -14,8 +14,7 @@ import (
 
 // RequestBenchOp builds a running admission service on a 4x4 platform
 // and returns a step op, the body of the AdmissionRequest entry of
-// experiments.Micro (BenchmarkMicro/AdmissionRequest, and the gated
-// BenchmarkAdmissionRequest key of the daelite bench -json snapshot):
+// experiments.Micro (BenchmarkMicro/AdmissionRequest):
 // each op is one complete admission round trip — an HTTP open decoded,
 // queued, drafted under DRR and quota, committed through the platform's
 // batch engine with its configuration settled and journal sequence

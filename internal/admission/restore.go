@@ -3,9 +3,11 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"daelite/internal/core"
+	"daelite/internal/topology"
 )
 
 // RestoreReport summarizes a successful Restore.
@@ -86,11 +88,21 @@ func (s *Service) adoptSnapshot(snap *snapshotFile) error {
 			s.p.Mesh.Spec.Width, s.p.Mesh.Spec.Height, s.p.Params.Wheel, s.p.Params.NumChannels)
 	}
 	wheel := s.p.Params.Wheel
+	seen := make(map[uint64]bool, len(snap.Conns))
 	for _, sc := range snap.Conns {
-		t, ok := s.tenants[sc.Tenant]
-		if !ok {
+		if _, ok := s.tenants[sc.Tenant]; !ok {
 			return fmt.Errorf("admission: snapshot connection %d names unknown tenant %q", sc.Handle, sc.Tenant)
 		}
+		if seen[sc.Handle] {
+			return fmt.Errorf("admission: snapshot connection %d appears twice", sc.Handle)
+		}
+		seen[sc.Handle] = true
+		if err := checkSnapshotConn(s.p.Mesh.Graph, wheel, sc); err != nil {
+			return fmt.Errorf("admission: snapshot connection %d: %w", sc.Handle, err)
+		}
+	}
+	for _, sc := range snap.Conns {
+		t := s.tenants[sc.Tenant]
 		spec := sc.Spec.spec()
 		var conn *core.Connection
 		if sc.Tree != nil {
@@ -153,6 +165,88 @@ func (s *Service) adoptSnapshot(snap *snapshotFile) error {
 	}
 	if got := s.p.Alloc.Fingerprint(); got != want {
 		return fmt.Errorf("admission: snapshot fingerprint mismatch: adopted occupancy %016x, snapshot recorded %016x", got, want)
+	}
+	return nil
+}
+
+// checkSnapshotConn refuses a recorded reservation that Adopt* or the
+// configuration builder would index out of range with, or that does not
+// join the endpoints its spec names. Whether its slots are free is left
+// to Adopt*, and whether the whole occupancy is the recorded one to the
+// fingerprint check.
+func checkSnapshotConn(g *topology.Graph, wheel int, sc snapshotConn) error {
+	notNI := func(n topology.NodeID) bool {
+		return n < 0 || int(n) >= g.NumNodes() || g.Node(n).Kind != topology.NI
+	}
+	outside := func(bits uint64) error {
+		if wheel < 64 && bits>>uint(wheel) != 0 {
+			return fmt.Errorf("slot mask %#x has bits outside the %d-slot wheel", bits, wheel)
+		}
+		return nil
+	}
+	spec := sc.Spec
+	if m := sc.Tree; m != nil {
+		// No depth exceeds a walk over every link once.
+		maxDepth := 0
+		for l := range g.NumLinks() {
+			maxDepth += g.SlotAdvance(topology.LinkID(l))
+		}
+		if notNI(m.Src) || slices.ContainsFunc(m.Dsts, notNI) || len(m.Dsts) == 0 ||
+			len(m.Dests) != len(m.Dsts) || m.Src != spec.Src || !slices.Equal(m.Dsts, spec.Dsts) {
+			return fmt.Errorf("tree %d>%v does not match spec %s", m.Src, m.Dsts, spec)
+		}
+		if err := outside(m.Bits); err != nil {
+			return err
+		}
+		for _, d := range m.Dests {
+			if !slices.Contains(m.Dsts, d.Node) || d.Depth < 0 || d.Depth > maxDepth {
+				return fmt.Errorf("tree destination %d at depth %d is out of range", d.Node, d.Depth)
+			}
+		}
+		for _, e := range m.Edges {
+			if e.Link < 0 || int(e.Link) >= g.NumLinks() || e.Depth < 0 || e.Depth > maxDepth {
+				return fmt.Errorf("tree edge on link %d at depth %d is out of range", e.Link, e.Depth)
+			}
+		}
+		return nil
+	}
+	if len(spec.Dsts) > 0 || sc.Fwd == nil || sc.Rev == nil {
+		return fmt.Errorf("unicast lacks its fwd or rev reservation")
+	}
+	if notNI(spec.Src) || notNI(spec.Dst) || sc.Fwd.Src != spec.Src || sc.Fwd.Dst != spec.Dst ||
+		sc.Rev.Src != spec.Dst || sc.Rev.Dst != spec.Src {
+		return fmt.Errorf("fwd %d>%d and rev %d>%d do not match spec %s", sc.Fwd.Src, sc.Fwd.Dst, sc.Rev.Src, sc.Rev.Dst, spec)
+	}
+	for _, u := range []*WireUnicast{sc.Fwd, sc.Rev} {
+		for _, pa := range u.Paths {
+			if err := outside(pa.Bits); err != nil {
+				return err
+			}
+			if err := checkPath(g, pa.Links, u.Src, u.Dst); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkPath reports whether links run contiguously from src to dst
+// through routers only, range-checking every link ID before it indexes
+// the graph with it.
+func checkPath(g *topology.Graph, links []topology.LinkID, src, dst topology.NodeID) error {
+	bad := fmt.Errorf("path %v does not run from %d through routers to %d", links, src, dst)
+	at := src
+	for i, l := range links {
+		if l < 0 || int(l) >= g.NumLinks() {
+			return fmt.Errorf("link %d out of range (%d links)", l, g.NumLinks())
+		}
+		if g.Link(l).From != at || i > 0 && g.Node(at).Kind != topology.Router {
+			return bad
+		}
+		at = g.Link(l).To
+	}
+	if len(links) == 0 || at != dst {
+		return bad
 	}
 	return nil
 }

@@ -7,7 +7,8 @@ package conformance
 // configuration tree) and a misrouted table entry that copies the
 // connection's words onto a spare output — and each must surface as
 // checker violations reported through the telemetry registry; the
-// misrouted words' contention events must name their source NI. A
+// misrouted words' contention events must name their source NI and the
+// spare output, and stop once the entry is removed. A
 // harness that cannot see planted faults proves nothing about real ones.
 
 import (
@@ -135,29 +136,44 @@ func MutationSmoke(seed uint64) (MutationResult, error) {
 	link = p.Mesh.Graph.Link(c.Fwd.Paths[0].Path[1])
 	slot = p.Alloc.LinkOccupancy(link.ID).Slots()[0]
 	table := p.Routers[link.From].Table()
-	spare := -1
+	spare := topology.LinkID(-1)
 	for _, l := range p.Mesh.Graph.Out(link.From) {
 		if l != link.ID && !p.Alloc.LinkOccupancy(l).Has(slot) {
-			spare = p.Mesh.Graph.Link(l).FromPort
+			spare = l
 			break
 		}
 	}
 	if spare < 0 {
 		return res, fmt.Errorf("conformance: router %s has no output free in slot %d", p.Mesh.Node(link.From).Name, slot)
 	}
-	if err := table.Set(spare, slots.NewMask(table.Size()).With(slot), table.Input(link.FromPort, slot)); err != nil {
+	sl := p.Mesh.Graph.Link(spare)
+	misroute := slots.NewMask(table.Size()).With(slot)
+	if err := table.Set(sl.FromPort, misroute, table.Input(link.FromPort, slot)); err != nil {
 		return res, err
 	}
 	p.Run(256)
 	res.StrayViolations = ck.ViolationCount(CheckContention)
+	src := p.Mesh.Node(c.Spec.Src).Name
+	onSpare := fmt.Sprintf("payload on %s->%s ", p.Mesh.Node(sl.From).Name, p.Mesh.Node(sl.To).Name)
 	for _, v := range ck.Recorded() {
-		if v.Check == CheckContention {
+		if v.Check != CheckContention {
+			continue
+		}
+		if !strings.Contains(v.Detail, onSpare) || !strings.Contains(v.Detail, "from "+src+" ") {
+			return res, fmt.Errorf("conformance: stray word reported as %q, not as a word from %s on the spare output", v.Detail, src)
+		}
+		if res.StrayDetail == "" {
 			res.StrayDetail = v.Detail
-			break
 		}
 	}
-	if src := p.Mesh.Node(c.Spec.Src).Name; res.StrayViolations > 0 && !strings.Contains(res.StrayDetail, "from "+src+" ") {
-		return res, fmt.Errorf("conformance: stray word reported as %q, not as a word from %s", res.StrayDetail, src)
+	// The check compares each cycle against the current reservations,
+	// so removing the entry silences it, with nothing to re-arm.
+	if err := table.Set(sl.FromPort, misroute, slots.NoInput); err != nil {
+		return res, err
+	}
+	p.Run(256)
+	if n := ck.ViolationCount(CheckContention) - res.StrayViolations; n != 0 {
+		return res, fmt.Errorf("conformance: %d contention violations after the misrouted entry was removed", n)
 	}
 	return res, nil
 }

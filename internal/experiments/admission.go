@@ -24,8 +24,8 @@ import (
 // counts: every sweep entry must reproduce the sequential fingerprint.
 //
 // Set-ups/sec numbers are wall-clock and machine-dependent, so E17 is
-// excluded from the golden experiment output and surfaces through
-// daelite bench -json (and -experiment E17) instead.
+// excluded from the golden experiment output and runs only when selected
+// (daelite bench -experiment E17).
 
 // nearPair draws a source NI and a destination at most four hops away
 // in each dimension: the NoC locality both churn workloads share.

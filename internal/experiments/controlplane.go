@@ -31,8 +31,8 @@ import (
 // claim behind fast reconfiguration between use-cases).
 //
 // Requests/sec and latency numbers are wall-clock and machine-dependent,
-// so E19 is excluded from the golden experiment output and surfaces
-// through daelite bench -json (and -experiment E19) instead.
+// so E19 is excluded from the golden experiment output and runs only
+// when selected (daelite bench -experiment E19).
 func ControlPlaneSoak() (*Result, error) {
 	const (
 		meshW, meshH = 4, 4

@@ -24,7 +24,7 @@ import (
 //
 // The cycles/sec numbers are wall-clock measurements and
 // machine-dependent, so E22 is excluded from the golden experiment
-// output (All) and surfaces through daelite bench -json instead.
+// output (All) and runs only when selected by name.
 func FastForwardThroughput() (*Result, error) {
 	res := newResult("E22", "fast-forward throughput")
 	const width, height, wheel = 16, 16, 8

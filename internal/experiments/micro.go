@@ -13,11 +13,9 @@ import (
 	"daelite/internal/topology"
 )
 
-// MicroBench is one gated micro-benchmark of the core machinery.
+// MicroBench is one micro-benchmark of the core machinery.
 type MicroBench struct {
-	// Name is the benchmark's name under `go test -bench Micro/`; the
-	// -json snapshot and BENCH_baseline.json carry it as Benchmark<Name>,
-	// which is what daelite benchdiff's gate regexp matches.
+	// Name is the benchmark's name under `go test -bench Micro/`.
 	Name string
 	// Build sets the workload up and returns the op to time.
 	// cyclesPerOp is the number of simulated cycles one op advances, or 0
@@ -26,9 +24,9 @@ type MicroBench struct {
 	Build func() (op func(), cyclesPerOp float64, cleanup func(), err error)
 }
 
-// Micro is the one list of gated micro-benchmarks. The root
-// BenchmarkMicro and `daelite bench -json` both time Micro[i].Build's
-// op, so the benchdiff gate measures the body developers run.
+// Micro is the one list of micro-benchmarks. The root BenchmarkMicro
+// times Micro[i].Build's op, and TestMicroOpsRun runs it once, so a
+// broken body fails `go test ./...`.
 var Micro = []MicroBench{
 	// The raw kernel: relay chains, the workload shape of a platform.
 	{"KernelStep256", simple(1, func() (func(), error) { return kernelStep(256), nil })},
@@ -37,8 +35,8 @@ var Micro = []MicroBench{
 	// the cost every run pays; Telemetry attaches a registry harvesting
 	// at the default interval; Tracing attaches the causal tracer, which
 	// creates spans only around configuration transactions and never on
-	// the per-cycle datapath. The gap of either to the bare figure must
-	// stay within the <= 5% cost contract.
+	// the per-cycle datapath. benchmark/ holds the <= 5% cost contract
+	// as telemetry.attach_overhead_ratio and tracing.attach_overhead_ratio.
 	{"PlatformCycle", simple(1, func() (func(), error) { return platformCycle(false, false) })},
 	{"PlatformCycleTelemetry", simple(1, func() (func(), error) { return platformCycle(true, false) })},
 	{"PlatformCycleTracing", simple(1, func() (func(), error) { return platformCycle(false, true) })},

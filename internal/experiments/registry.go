@@ -14,7 +14,7 @@ type Experiment struct {
 	// WallClock marks experiments whose numbers are host-time
 	// measurements and so differ from machine to machine. The golden
 	// file (experiments_output.txt) and `go test -bench` leave them out;
-	// they run when selected by name and in the -json snapshot.
+	// they run when selected by name.
 	WallClock bool
 	// Headline names the metrics `go test -bench Experiments` reports,
 	// each under its own key as the unit.

@@ -142,8 +142,8 @@ func (bm *BigMesh) Connections() []*core.Connection { return bm.conns }
 // platforms set up through the real configuration path — including
 // 16x16, which only exists thanks to hierarchical config regions. The
 // cycles/sec numbers are wall-clock measurements and machine-dependent,
-// so E16 is excluded from the golden experiment output (All) and
-// surfaces through daelite bench -json instead.
+// so E16 is excluded from the golden experiment output (All) and runs
+// only when selected by name.
 func ScalingThroughput() (*Result, error) {
 	res := newResult("E16", "kernel scaling")
 	type size struct{ w, h int }

@@ -20,7 +20,7 @@ func benchKernel(b *testing.B, n int) {
 	}
 }
 
-// The gated 256- and 4096-relay sizes are the KernelStep* entries of
+// The 256- and 4096-relay sizes are the KernelStep* entries of
 // experiments.Micro.
 func BenchmarkKernelStep16(b *testing.B) { benchKernel(b, 16) }
 

@@ -7,11 +7,8 @@
 // and credit counters live in registry metrics (the platform's attached
 // registry when there is one, so exporters see them; a private one
 // otherwise), and the human-readable report renders from the same store.
-// On top of the per-link totals the monitor keeps per-slot-index payload
-// counts, which SlotDrift cross-checks against the allocator's slot
-// tables — the tripwire for silent schedule drift (a mis-programmed or
-// upset table entry forwarding words in slots the allocator never
-// reserved).
+// Payload in a slot the allocator never reserved is the conformance
+// contention checker's to catch (internal/conformance).
 package stats
 
 import (
@@ -22,7 +19,6 @@ import (
 	"daelite/internal/phit"
 	"daelite/internal/report"
 	"daelite/internal/sim"
-	"daelite/internal/slots"
 	"daelite/internal/telemetry"
 	"daelite/internal/topology"
 )
@@ -41,7 +37,6 @@ type LinkSample struct {
 	cycles     *uint64
 	valid      *telemetry.Counter
 	creditOnly *telemetry.Counter
-	slotValid  []uint64
 
 	// Windowed utilization series (only with an attached platform
 	// registry).
@@ -68,17 +63,8 @@ func (l *LinkSample) Utilization() float64 {
 	return float64(l.valid.Value()) / float64(*l.cycles)
 }
 
-// SlotValid returns the per-slot-index payload counts (a copy): element s
-// counts payload words observed on the link during TDM slot s.
-func (l *LinkSample) SlotValid() []uint64 {
-	out := make([]uint64, len(l.slotValid))
-	copy(out, l.slotValid)
-	return out
-}
-
 // Monitor samples every data link of a platform each cycle.
 type Monitor struct {
-	p      *core.Platform
 	reg    *telemetry.Registry
 	shared bool // reg is the platform's registry (exporters see it)
 
@@ -106,7 +92,7 @@ func NewMonitor(p *core.Platform) *Monitor {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	m := &Monitor{p: p, reg: reg, shared: shared, samples: make(map[topology.LinkID]*LinkSample)}
+	m := &Monitor{reg: reg, shared: shared, samples: make(map[topology.LinkID]*LinkSample)}
 	for _, l := range p.Mesh.Links() {
 		var w *sim.Reg[phit.Flit]
 		if r, ok := p.Routers[l.From]; ok {
@@ -122,7 +108,6 @@ func NewMonitor(p *core.Platform) *Monitor {
 			cycles:     &m.cycles,
 			valid:      reg.Counter("link_payload_cycles_total", lbl),
 			creditOnly: reg.Counter("link_credit_cycles_total", lbl),
-			slotValid:  make([]uint64, p.Params.Wheel),
 		}
 		if shared {
 			s.util = reg.Series("link_utilization", 0, lbl)
@@ -130,17 +115,14 @@ func NewMonitor(p *core.Platform) *Monitor {
 		m.samples[l.ID] = s
 		m.wires = append(m.wires, monWire{s: s, wire: w})
 	}
-	slotWords, wheel := p.Params.SlotWords, p.Params.Wheel
 	p.Sim.AddProbe(func(cycle uint64) {
 		m.cycles++
-		slot := slots.SlotOfCycle(cycle, slotWords, wheel)
 		for i := range m.wires {
 			mw := &m.wires[i]
 			f := mw.wire.Get()
 			switch {
 			case f.Valid:
 				mw.s.valid.Inc()
-				mw.s.slotValid[slot]++
 			case f.CreditValid:
 				mw.s.creditOnly.Inc()
 			}
@@ -205,53 +187,6 @@ func (m *Monitor) TotalPayloadCycles() uint64 {
 		total += s.valid.Value()
 	}
 	return total
-}
-
-// DriftEntry is one schedule-drift observation: payload seen on a link in
-// a TDM slot the allocator has not reserved there.
-type DriftEntry struct {
-	Link  topology.LinkID
-	Name  string
-	Slot  int
-	Count uint64
-}
-
-// SlotDrift cross-checks the observed per-slot payload against the
-// allocator's current slot tables and returns every (link, slot) where
-// payload appeared outside the reservation — evidence of a mis-programmed
-// or upset table entry. The check compares the full observation history
-// against the current reservations, so call ResetSlotCounts after
-// intentional reconfiguration (tear-down, repair) to re-arm it; payload
-// legitimately carried under a since-released reservation would otherwise
-// be reported. An empty result proves the network forwarded words only
-// where the allocator said it would.
-func (m *Monitor) SlotDrift() []DriftEntry {
-	var out []DriftEntry
-	ids := make([]topology.LinkID, 0, len(m.samples))
-	for id := range m.samples {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		s := m.samples[id]
-		occ := m.p.Alloc.LinkOccupancy(id)
-		for slot, cnt := range s.slotValid {
-			if cnt > 0 && !occ.Has(slot) {
-				out = append(out, DriftEntry{Link: id, Name: s.Name, Slot: slot, Count: cnt})
-			}
-		}
-	}
-	return out
-}
-
-// ResetSlotCounts clears the per-slot payload history of every link,
-// re-arming SlotDrift after an intentional reconfiguration.
-func (m *Monitor) ResetSlotCounts() {
-	for _, s := range m.samples {
-		for i := range s.slotValid {
-			s.slotValid[i] = 0
-		}
-	}
 }
 
 // Report renders the non-idle links as a table. With a fault source

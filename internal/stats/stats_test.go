@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"daelite/internal/core"
-	"daelite/internal/slots"
 	"daelite/internal/telemetry"
 	"daelite/internal/topology"
 	"daelite/internal/traffic"
@@ -84,103 +83,6 @@ func TestMonitorIdlePlatform(t *testing.T) {
 		if s.Cycles() != 200 {
 			t.Fatalf("sample cycles = %d", s.Cycles())
 		}
-	}
-}
-
-// TestMonitorSlotDrift proves the schedule-drift tripwire: a clean run
-// shows no drift, a spurious router slot-table entry that mirrors a
-// connection's traffic onto an unreserved output does, and
-// ResetSlotCounts re-arms the check after the entry is removed.
-func TestMonitorSlotDrift(t *testing.T) {
-	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 2, Height: 2, NIsPerRouter: 1}, core.DefaultParams(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := p.Open(core.ConnectionSpec{Src: p.Mesh.NI(0, 0, 0), Dst: p.Mesh.NI(1, 0, 0), SlotsFwd: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AwaitOpen(c, 10000); err != nil {
-		t.Fatal(err)
-	}
-	m := NewMonitor(p)
-	traffic.NewSource(p.Sim, "src", p.NI(c.Spec.Src), c.SrcChannel,
-		traffic.SourceConfig{Pattern: traffic.CBR, Rate: 1.0, Seed: 7})
-	traffic.NewSink(p.Sim, "sink", p.NI(c.Spec.Dst), c.DstChannel)
-	p.Run(2000)
-	if drift := m.SlotDrift(); len(drift) != 0 {
-		t.Fatalf("clean run reported drift: %+v", drift)
-	}
-
-	// Tamper: at the first router on the path, copy the legitimate
-	// (in, slots) programming onto an output the allocator never
-	// reserved. The duplicated payload lands on that link in slots with
-	// zero reservation.
-	path := c.Fwd.Paths[0].Path
-	if len(path) < 2 {
-		t.Fatalf("path too short: %v", path)
-	}
-	niLink := p.Mesh.Link(path[0])
-	fwdLink := p.Mesh.Link(path[1])
-	r := p.Router(niLink.To)
-	inPort := niLink.ToPort
-	spur := -1
-	var spurLink topology.LinkID
-	for _, lid := range p.Mesh.Out(niLink.To) {
-		l := p.Mesh.Link(lid)
-		if l.FromPort == fwdLink.FromPort {
-			continue // the legitimate output
-		}
-		if _, isRouter := p.Routers[l.To]; !isRouter {
-			continue // keep NI links out of it
-		}
-		if p.Alloc.LinkOccupancy(lid).Count() == 0 {
-			spur = l.FromPort
-			spurLink = lid
-			break
-		}
-	}
-	if spur < 0 {
-		t.Fatal("no unreserved router output found")
-	}
-	tampered := 0
-	for s := 0; s < r.Table().Size(); s++ {
-		if r.Table().Input(fwdLink.FromPort, s) == inPort {
-			if err := r.Table().Set(spur, slots.NewMask(r.Table().Size()).With(s), inPort); err != nil {
-				t.Fatal(err)
-			}
-			tampered++
-		}
-	}
-	if tampered == 0 {
-		t.Fatal("no programmed slots found to duplicate")
-	}
-	p.Run(2000)
-	drift := m.SlotDrift()
-	if len(drift) == 0 {
-		t.Fatal("spurious table entry produced no drift report")
-	}
-	for _, d := range drift {
-		if d.Link != spurLink {
-			t.Fatalf("drift on unexpected link %s: %+v", d.Name, d)
-		}
-		if d.Count == 0 {
-			t.Fatalf("drift entry with zero count: %+v", d)
-		}
-	}
-
-	// Undo the tampering, re-arm, and verify the check goes quiet.
-	for s := 0; s < r.Table().Size(); s++ {
-		if r.Table().Input(spur, s) == inPort {
-			if err := r.Table().Set(spur, slots.NewMask(r.Table().Size()).With(s), slots.NoInput); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	m.ResetSlotCounts()
-	p.Run(2000)
-	if drift := m.SlotDrift(); len(drift) != 0 {
-		t.Fatalf("drift persisted after repair + reset: %+v", drift)
 	}
 }
 
