@@ -21,23 +21,71 @@ type Sink interface {
 	ReadReg(reg uint8) (value uint8, ok bool)
 }
 
-// Decoder is the per-element configuration state machine. Feed it exactly
-// the word stream appearing on the element's forward configuration input,
-// one call per valid cycle.
+// EffectKind says what a decoded Effect does to its element.
+type EffectKind uint8
+
+const (
+	// NoEffect: the word completed nothing addressed to a member.
+	NoEffect EffectKind = iota
+	// SlotsEffect: a path set-up pair (Mask, Spec).
+	SlotsEffect
+	// WriteEffect: a register write (Reg, Value).
+	WriteEffect
+	// ReadEffect: a register read (Reg) answered on the reverse path.
+	ReadEffect
+)
+
+// Effect is what one configuration word completes on one member element:
+// a slot-table update, a register write or a register read.
+type Effect struct {
+	Kind   EffectKind
+	Member int        // index Decoder.Add returned for the element
+	Mask   slots.Mask // SlotsEffect: rotated by the pair's index
+	Spec   PortSpec   // SlotsEffect: in the member's (router or NI) layout
+	Reg    uint8      // WriteEffect, ReadEffect
+	Value  uint8      // WriteEffect
+}
+
+// Apply performs e on the element's sink and returns the reverse-path
+// response a read produces (invalid for anything else, and for a read of
+// a reserved select).
+func (e Effect) Apply(s Sink) phit.Response {
+	switch e.Kind {
+	case SlotsEffect:
+		s.ApplySlots(e.Mask, e.Spec)
+	case WriteEffect:
+		s.WriteReg(e.Reg, e.Value)
+	case ReadEffect:
+		if v, ok := s.ReadReg(e.Reg); ok {
+			return phit.Response{Valid: true, Bits: v & 0x7F}
+		}
+	}
+	return phit.Response{}
+}
+
+// Decoder is a configuration region's state machine. The forward tree
+// broadcasts every word to every element of the region, and each
+// element's decoder parses the whole stream, rotates the mask once per
+// pair and acts only on the pairs that carry its own ID — so all of them
+// walk through the same states, shifted by their tree depth. A Decoder
+// parses the stream once for all its members and dispatches each
+// completed pair, triple or read by element ID. With one member it is the
+// hardware's per-element decoder.
 type Decoder struct {
-	id    int
 	wheel int
-	sink  Sink
-	forNI bool
+	// member maps an element ID to its member index + 1 (0: no member);
+	// forNI says, by member, to read port specs in the NI layout, since
+	// routers and NIs have distinct configuration submodules.
+	member [MaxElements]int32
+	forNI  []bool
 
 	state     decodeState
-	op        Op
 	remaining int // pairs/triples left in the packet
 	maskBuf   []phit.ConfigWord
-	mask      slots.Mask
-	curElem   int
+	mask      slots.Mask // the packet's mask as transmitted
+	pair      int        // pairs completed in the packet: the mask's rotation
+	cur       int32      // member + 1 the current pair/triple/read addresses
 	curReg    uint8
-	matched   bool
 }
 
 type decodeState int
@@ -55,28 +103,37 @@ const (
 	stSkip
 )
 
-// NewDecoder returns a decoder for the element with the given ID on a wheel
-// of the given size.
-func NewDecoder(id, wheel int, sink Sink) *Decoder {
+// NewDecoder returns a decoder with no members for a wheel of the given
+// size.
+func NewDecoder(wheel int) *Decoder { return &Decoder{wheel: wheel} }
+
+// Add makes the element with the given ID a member and returns its
+// member index; forNI selects the NI port-spec layout. IDs are unique
+// within a region.
+func (d *Decoder) Add(id int, forNI bool) int {
 	if id < 0 || id >= MaxElements {
 		panic(fmt.Sprintf("cfgproto: element ID %d out of range", id))
 	}
-	return &Decoder{id: id, wheel: wheel, sink: sink}
+	if d.member[id] != 0 {
+		panic(fmt.Sprintf("cfgproto: element ID %d added twice", id))
+	}
+	d.forNI = append(d.forNI, forNI)
+	d.member[id] = int32(len(d.forNI))
+	return len(d.forNI) - 1
 }
 
 // Busy reports whether the decoder is mid-packet.
 func (d *Decoder) Busy() bool { return d.state != stIdle }
 
-// Feed consumes one configuration word and returns a reverse-path response
-// when the word completes a read addressed to this element.
-func (d *Decoder) Feed(w phit.ConfigWord) phit.Response {
+// Feed consumes one configuration word and returns the effect it
+// completes on a member, if any (Kind NoEffect otherwise).
+func (d *Decoder) Feed(w phit.ConfigWord) Effect {
 	if !w.Valid {
-		return phit.Response{}
+		return Effect{}
 	}
 	switch d.state {
 	case stIdle:
 		op, count := ParseHeader(w)
-		d.op = op
 		d.remaining = count
 		switch op {
 		case OpPathSetup:
@@ -109,7 +166,7 @@ func (d *Decoder) Feed(w phit.ConfigWord) phit.Response {
 				// still honoured via remaining pairs.
 				m = slots.NewMask(d.wheel)
 			}
-			d.mask = m
+			d.mask, d.pair = m, 0
 			if d.remaining > 0 {
 				d.state = stPairID
 			} else {
@@ -117,49 +174,51 @@ func (d *Decoder) Feed(w phit.ConfigWord) phit.Response {
 			}
 		}
 	case stPairID:
-		d.curElem = int(w.Bits)
-		d.matched = d.curElem == d.id
+		d.cur = d.member[w.Bits&0x7F]
 		d.state = stPairSpec
 	case stPairSpec:
-		if d.matched {
-			d.sink.ApplySlots(d.mask, d.decodeSpec(w))
+		var e Effect
+		if d.cur != 0 {
+			// Every element rotates after every pair, matched or not,
+			// so an element's mask is rotated by the pair's index.
+			m := int(d.cur - 1)
+			spec := DecodeRouterSpec(w)
+			if d.forNI[m] {
+				spec = DecodeNISpec(w)
+			}
+			e = Effect{Kind: SlotsEffect, Member: m, Mask: d.mask.RotateDown(d.pair), Spec: spec}
 		}
-		// Every element rotates after every pair, matched or not, so
-		// the rotation count always equals the pair index.
-		d.mask = d.mask.RotateDown(1)
+		d.pair++
 		d.remaining--
 		if d.remaining > 0 {
 			d.state = stPairID
 		} else {
 			d.state = stIdle
 		}
+		return e
 	case stTripleID:
-		d.curElem = int(w.Bits)
-		d.matched = d.curElem == d.id
+		d.cur = d.member[w.Bits&0x7F]
 		d.state = stTripleReg
 	case stTripleReg:
 		d.curReg = w.Bits
 		d.state = stTripleVal
 	case stTripleVal:
-		if d.matched {
-			d.sink.WriteReg(d.curReg, w.Bits)
-		}
 		d.remaining--
 		if d.remaining > 0 {
 			d.state = stTripleID
 		} else {
 			d.state = stIdle
 		}
+		if d.cur != 0 {
+			return Effect{Kind: WriteEffect, Member: int(d.cur - 1), Reg: d.curReg, Value: w.Bits}
+		}
 	case stReadID:
-		d.curElem = int(w.Bits)
-		d.matched = d.curElem == d.id
+		d.cur = d.member[w.Bits&0x7F]
 		d.state = stReadReg
 	case stReadReg:
 		d.state = stIdle
-		if d.matched {
-			if v, ok := d.sink.ReadReg(w.Bits); ok {
-				return phit.Response{Valid: true, Bits: v & 0x7F}
-			}
+		if d.cur != 0 {
+			return Effect{Kind: ReadEffect, Member: int(d.cur - 1), Reg: w.Bits}
 		}
 	case stSkip:
 		d.remaining--
@@ -167,24 +226,5 @@ func (d *Decoder) Feed(w phit.ConfigWord) phit.Response {
 			d.state = stIdle
 		}
 	}
-	return phit.Response{}
-}
-
-// decodeSpec picks the router or NI layout based on the element kind the
-// decoder serves. The same wire bits are interpreted differently, exactly
-// as in the hardware where routers and NIs have distinct configuration
-// submodules.
-func (d *Decoder) decodeSpec(w phit.ConfigWord) PortSpec {
-	if d.forNI {
-		return DecodeNISpec(w)
-	}
-	return DecodeRouterSpec(w)
-}
-
-// NewNIDecoder returns a decoder interpreting port specs with the NI
-// layout.
-func NewNIDecoder(id, wheel int, sink Sink) *Decoder {
-	d := NewDecoder(id, wheel, sink)
-	d.forNI = true
-	return d
+	return Effect{}
 }

@@ -37,7 +37,24 @@ func (r *recordSink) ReadReg(reg uint8) (uint8, bool) {
 	return v, ok
 }
 
-func feedAll(d *Decoder, words []phit.ConfigWord) []phit.Response {
+// elemDec is a single-member decoder feeding its element's sink: the
+// hardware's per-element decoder.
+type elemDec struct {
+	*Decoder
+	sink Sink
+}
+
+func newElemDec(id, wheel int, forNI bool, sink Sink) *elemDec {
+	d := NewDecoder(wheel)
+	d.Add(id, forNI)
+	return &elemDec{d, sink}
+}
+
+// Feed feeds one word and applies its effect, returning a read's
+// response.
+func (e *elemDec) Feed(w phit.ConfigWord) phit.Response { return e.Decoder.Feed(w).Apply(e.sink) }
+
+func feedAll(d *elemDec, words []phit.ConfigWord) []phit.Response {
 	var resps []phit.Response
 	for _, w := range words {
 		if r := d.Feed(w); r.Valid {
@@ -66,11 +83,11 @@ func TestFig6PathSetupExample(t *testing.T) {
 	}
 
 	sinks := map[int]*recordSink{2: {}, 3: {}, 10: {}, 11: {}}
-	decs := map[int]*Decoder{
-		2:  NewDecoder(2, 8, sinks[2]),
-		3:  NewDecoder(3, 8, sinks[3]),
-		10: NewNIDecoder(10, 8, sinks[10]),
-		11: NewNIDecoder(11, 8, sinks[11]),
+	decs := map[int]*elemDec{
+		2:  newElemDec(2, 8, false, sinks[2]),
+		3:  newElemDec(3, 8, false, sinks[3]),
+		10: newElemDec(10, 8, true, sinks[10]),
+		11: newElemDec(11, 8, true, sinks[11]),
 	}
 	for _, d := range decs {
 		if resps := feedAll(d, words); len(resps) != 0 {
@@ -116,7 +133,7 @@ func TestDecoderIgnoresOtherElements(t *testing.T) {
 	}
 	words, _ := pkt.Words()
 	s := &recordSink{}
-	d := NewDecoder(6, 8, s)
+	d := newElemDec(6, 8, false, s)
 	feedAll(d, words)
 	if len(s.applies) != 0 {
 		t.Fatal("decoder applied a pair addressed elsewhere")
@@ -135,7 +152,7 @@ func TestDecoderMultiplePairsSameElement(t *testing.T) {
 	}
 	words, _ := pkt.Words()
 	s := &recordSink{}
-	feedAll(NewDecoder(9, 8, s), words)
+	feedAll(newElemDec(9, 8, false, s), words)
 	if len(s.applies) != 2 {
 		t.Fatalf("applies = %d, want 2", len(s.applies))
 	}
@@ -157,7 +174,7 @@ func TestDecoderWriteRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	s4, s5 := &recordSink{}, &recordSink{}
-	d4, d5 := NewNIDecoder(4, 8, s4), NewNIDecoder(5, 8, s5)
+	d4, d5 := newElemDec(4, 8, true, s4), newElemDec(5, 8, true, s5)
 	feedAll(d4, words)
 	feedAll(d5, words)
 	if len(s4.writes) != 1 || s4.writes[0].Val != 63 {
@@ -185,7 +202,7 @@ func TestDecoderWriteRead(t *testing.T) {
 func TestDecoderReadUnknownRegSilent(t *testing.T) {
 	rd, _ := ReadRegPacket(4, RegSelect(RegDelivered, 9))
 	s := &recordSink{} // empty regs map -> ok=false
-	if resps := feedAll(NewNIDecoder(4, 8, s), rd); len(resps) != 0 {
+	if resps := feedAll(newElemDec(4, 8, true, s), rd); len(resps) != 0 {
 		t.Fatalf("unknown register produced response: %v", resps)
 	}
 }
@@ -197,7 +214,7 @@ func TestDecoderIdleCyclesStall(t *testing.T) {
 	}
 	words, _ := pkt.Words()
 	s := &recordSink{}
-	d := NewDecoder(7, 8, s)
+	d := newElemDec(7, 8, false, s)
 	for _, w := range words {
 		d.Feed(phit.ConfigWord{}) // interleave idle cycles
 		d.Feed(w)
@@ -209,7 +226,7 @@ func TestDecoderIdleCyclesStall(t *testing.T) {
 
 func TestDecoderNopAndBackToBackPackets(t *testing.T) {
 	s := &recordSink{}
-	d := NewDecoder(1, 8, s)
+	d := newElemDec(1, 8, false, s)
 	var stream []phit.ConfigWord
 	stream = append(stream, Header(OpNop, 0))
 	p1, _ := (PathSetup{Mask: slots.MaskOf(8, 2), Pairs: []Pair{{Element: 1, Spec: RouterSpec(0, 1)}}}).Words()
@@ -231,7 +248,7 @@ func TestDecoderBadIDPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDecoder(MaxElements, 8, &recordSink{})
+	newElemDec(MaxElements, 8, false, &recordSink{})
 }
 
 func TestDecoderTeardownSpec(t *testing.T) {
@@ -241,7 +258,7 @@ func TestDecoderTeardownSpec(t *testing.T) {
 	}
 	words, _ := pkt.Words()
 	s := &recordSink{}
-	feedAll(NewDecoder(2, 8, s), words)
+	feedAll(newElemDec(2, 8, false, s), words)
 	if len(s.applies) != 1 || s.applies[0].Spec.In != slots.NoInput || s.applies[0].Spec.Out != 4 {
 		t.Fatalf("teardown spec = %+v", s.applies)
 	}

@@ -19,13 +19,13 @@ func TestDecoderStreamFuzz(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		sinks := make([]*recordSink, numElems)
-		decs := make([]*Decoder, numElems)
+		decs := make([]*elemDec, numElems)
 		for i := range decs {
 			sinks[i] = &recordSink{}
 			if rng.Intn(2) == 0 {
-				decs[i] = NewDecoder(i, wheel, sinks[i])
+				decs[i] = newElemDec(i, wheel, false, sinks[i])
 			} else {
-				decs[i] = NewNIDecoder(i, wheel, sinks[i])
+				decs[i] = newElemDec(i, wheel, true, sinks[i])
 			}
 		}
 		type expect struct {
@@ -117,7 +117,7 @@ func TestDecoderStreamFuzz(t *testing.T) {
 func TestDecoderGarbageResilience(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		d := NewDecoder(3, 16, &recordSink{})
+		d := newElemDec(3, 16, false, &recordSink{})
 		for i := 0; i < 200; i++ {
 			d.Feed(phit.NewConfigWord(uint8(rng.Uint64())))
 		}

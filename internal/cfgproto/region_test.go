@@ -1,9 +1,11 @@
 package cfgproto
 
 import (
+	"reflect"
 	"testing"
 
 	"daelite/internal/phit"
+	"daelite/internal/sim"
 	"daelite/internal/slots"
 )
 
@@ -137,7 +139,7 @@ func TestEnvelopeErrors(t *testing.T) {
 func TestDecoderSkipsRegionSelect(t *testing.T) {
 	const wheel = 8
 	sink := &recordSink{}
-	dec := NewDecoder(5, wheel, sink)
+	dec := newElemDec(5, wheel, false, sink)
 
 	mask := slots.Mask{Bits: 0x0F, Size: wheel}
 	mk := func(region, elem int) []phit.ConfigWord {
@@ -213,12 +215,129 @@ func FuzzRegionEnvelope(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(elem%127, 8, &recordSink{})
+		dec := newElemDec(elem%127, 8, false, &recordSink{})
 		for _, w := range append(append([]phit.ConfigWord{}, env...), env2...) {
 			dec.Feed(w)
 		}
 		if dec.Busy() {
 			t.Fatal("decoder left mid-packet after a region switch")
+		}
+	})
+}
+
+// streamBytes renders words as fuzz input: one byte per word, the high
+// bit set for an idle (invalid) word.
+func streamBytes(words []phit.ConfigWord) []byte {
+	b := make([]byte, len(words))
+	for i, w := range words {
+		b[i] = w.Bits & 0x7F
+		if !w.Valid {
+			b[i] |= 0x80
+		}
+	}
+	return b
+}
+
+// FuzzRegionDecoder checks the region decoder against the per-element
+// decoders it replaces: on any word stream, one decoder with N members
+// must complete the same effect (member, mask, spec, register write,
+// read) at the same word index as N single-member decoders fed the same
+// stream, the read responses the members' sinks give must agree, and
+// every decoder must be mid-packet exactly when the region decoder is.
+// The corpus is FuzzRegionEnvelope's, as enveloped streams with a write
+// and a read behind them, plus copies with a word dropped or a bit
+// flipped — what ConfigDrop and ConfigFlip do at the root.
+func FuzzRegionDecoder(f *testing.F) {
+	for _, c := range []struct {
+		region uint16
+		elem   uint8
+	}{{0, 0}, {0, 126}, {0, PadElement}, {127, 126}, {128, 1}, {MaxRegions - 1, 126}} {
+		elem := int(c.elem) % MaxElements
+		pkt := PathSetup{
+			Mask:  slots.Mask{Bits: uint64(c.region) & 0xFF, Size: 8},
+			Pairs: []Pair{{Element: elem, Spec: RouterSpec(int(c.elem)%7, int(c.region)%7)}, {Element: 1, Spec: NISpec(true, true, 3)}},
+		}
+		words, err := pkt.Words()
+		if err != nil {
+			f.Fatal(err)
+		}
+		env, err := Envelope(int(c.region)%MaxRegions, words)
+		if err != nil {
+			f.Fatal(err)
+		}
+		wr, err := WriteRegPacket([]RegWrite{{Element: elem, Reg: 0x21, Value: 0x5A}, {Element: 1, Reg: 0x03, Value: 0x7F}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		rd, err := ReadRegPacket(elem, 0x21)
+		if err != nil {
+			f.Fatal(err)
+		}
+		stream := append(append(append(env, phit.ConfigWord{}), wr...), rd...)
+		seed := uint64(c.region)<<8 | uint64(c.elem)
+		f.Add(streamBytes(stream), seed)
+		for _, at := range []int{1, len(env) / 2, len(env) + 2} {
+			dropped := append(append([]phit.ConfigWord{}, stream[:at]...), stream[at+1:]...)
+			f.Add(streamBytes(dropped), seed)
+			flipped := append([]phit.ConfigWord{}, stream...)
+			flipped[at].Bits ^= 1 << (at % phit.ConfigWordBits)
+			f.Add(streamBytes(flipped), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, seed uint64) {
+		rng := sim.NewRNG(seed)
+		wheel := []int{8, 16, 32, 64}[rng.Intn(4)]
+		// N distinct members; the element the corpus addresses (seed's
+		// low byte) is one of them.
+		ids := map[int]bool{int(seed&0xFF) % MaxElements: true}
+		for n := 1 + rng.Intn(12); len(ids) < n; {
+			ids[rng.Intn(MaxElements)] = true
+		}
+		region := NewDecoder(wheel)
+		var singles []*elemDec
+		var regionSinks []*recordSink
+		for id := 0; id < MaxElements; id++ {
+			if !ids[id] {
+				continue
+			}
+			forNI := rng.Intn(2) == 0
+			if m := region.Add(id, forNI); m != len(singles) {
+				t.Fatalf("member index %d, want %d", m, len(singles))
+			}
+			regionSinks = append(regionSinks, &recordSink{})
+			singles = append(singles, newElemDec(id, wheel, forNI, &recordSink{}))
+		}
+		for i, b := range stream {
+			w := phit.NewConfigWord(b & 0x7F)
+			w.Valid = b&0x80 == 0
+			e := region.Feed(w)
+			var rresp phit.Response
+			if e.Kind != NoEffect {
+				rresp = e.Apply(regionSinks[e.Member])
+			}
+			for m, d := range singles {
+				se := d.Decoder.Feed(w)
+				if (se.Kind != NoEffect) != (e.Kind != NoEffect && e.Member == m) {
+					t.Fatalf("word %d: member %d's own decoder completed %+v, the region decoder %+v", i, m, se, e)
+				}
+				if se.Kind != NoEffect {
+					se.Member = m
+					if se != e {
+						t.Fatalf("word %d: member %d's own decoder completed %+v, the region decoder %+v", i, m, se, e)
+					}
+					if sresp := se.Apply(d.sink); sresp != rresp {
+						t.Fatalf("word %d: member %d answered %+v alone, %+v in the region", i, m, sresp, rresp)
+					}
+				}
+				if d.Busy() != region.Busy() {
+					t.Fatalf("word %d: member %d busy %v, region decoder busy %v", i, m, d.Busy(), region.Busy())
+				}
+			}
+		}
+		for m, d := range singles {
+			if got, want := d.sink.(*recordSink), regionSinks[m]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("member %d: alone %+v, in the region %+v", m, got, want)
+			}
 		}
 	})
 }

@@ -9,10 +9,15 @@
 // and NIs time to internally update their slot tables), and collects
 // responses converging on the reverse path. Only one read request may be
 // outstanding at a time — the reverse path has no arbitration.
+//
+// Since every element's decoder walks the same states, shifted by its
+// depth, the module decodes its tree's stream once and applies each
+// effect to the addressed element (a Node) at that element's cycle.
 package configtree
 
 import (
 	"fmt"
+	"slices"
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/phit"
@@ -55,8 +60,22 @@ type Module struct {
 	name   string
 	params Params
 
-	fwd  *sim.Reg[phit.ConfigWord] // root forward wire (owned)
-	resp *sim.Reg[phit.Response]   // root reverse wire (owned by root element)
+	// fwd is the root forward wire. The module reads it back after the
+	// latch, so what a fault injector left on it is what the tree
+	// broadcasts; dec decodes it for every element on the tree (nil
+	// until one attaches). nodes are the elements, by decoder member
+	// index, below root; tail is how many cycles a word on the root wire
+	// keeps the tree busy and drain the cycle the last one read leaves
+	// it. effects and resps are in flight down and up, in due order.
+	fwd     *sim.Reg[phit.ConfigWord]
+	dec     *cfgproto.Decoder
+	root    Node
+	nodes   []*Node
+	tail    int
+	drain   uint64
+	effects []inflight
+	resps   []inflight
+	s       *sim.Simulator
 
 	// queue holds words awaiting transmission; bounds holds cumulative
 	// word counts (since the last rebase) at which packets end, so the
@@ -110,7 +129,9 @@ func New(s *sim.Simulator, name string, params Params) *Module {
 		name:   name,
 		params: params,
 		fwd:    sim.NewReg(s, phit.ConfigWord{}),
+		s:      s,
 	}
+	m.root = Node{mod: m, fwd: 1 - hopStages} // the root element decodes a cycle after the root wire
 	m.act = s.Add(m)
 	return m
 }
@@ -118,14 +139,29 @@ func New(s *sim.Simulator, name string, params Params) *Module {
 // Name implements sim.Component.
 func (m *Module) Name() string { return m.name }
 
-// ForwardWire returns the root forward wire; connect it to the root
+// ForwardWire returns the root of the tree; connect it to the root
 // element's configuration input.
-func (m *Module) ForwardWire() *sim.Reg[phit.ConfigWord] { return m.fwd }
+func (m *Module) ForwardWire() *Node { return &m.root }
 
-// ConnectResponse attaches the root element's reverse wire.
-func (m *Module) ConnectResponse(w *sim.Reg[phit.Response]) {
-	m.resp = w
-	w.Wakes(m.act, 0)
+// RootWire returns the root forward wire itself, for tracing and for the
+// fault injector that corrupts words before the broadcast.
+func (m *Module) RootWire() *sim.Reg[phit.ConfigWord] { return m.fwd }
+
+// ConnectResponse connects a root element's reverse path to the module;
+// the responses of the elements below it converge on the same path.
+func (m *Module) ConnectResponse(root *Node) { root.toModule = true }
+
+// RootResponse returns the word on the root reverse wire this cycle: the
+// response the module collects at its next Eval.
+func (m *Module) RootResponse() phit.Response {
+	var r phit.Response
+	now := m.s.Cycle()
+	for _, t := range m.resps {
+		if t.due == now {
+			r = phit.Merge(r, t.resp)
+		}
+	}
+	return r
 }
 
 // QueueLen reports the words currently staged in the module — committed
@@ -227,17 +263,21 @@ func (m *Module) LastPacketCycle() uint64 { return m.lastPktCycle }
 
 // Eval implements sim.Component. The module goes to sleep when this
 // Eval drove the idle word, nothing is staged or pending, the cool-down
-// is over and no read is outstanding: its next Eval would only drive the
-// idle word again. SubmitPacket and a change on the response wire wake it.
+// is over, no read is outstanding, and the tree is quiet: no effect or
+// response in flight, the decoder between packets and every word already
+// across the deepest element. Its next Eval would only drive the idle
+// word again. SubmitPacket wakes it.
 func (m *Module) Eval(cycle uint64) {
 	// Collect a response if one arrives.
-	if m.resp != nil {
-		if r := m.resp.Get(); r.Valid && m.readPending {
-			m.readPending = false
-			m.readDeadline = 0
-			m.readValue = r.Bits
-			m.readValid = true
-		}
+	r := m.RootResponse()
+	for len(m.resps) > 0 && m.resps[0].due <= cycle {
+		m.resps = m.resps[1:]
+	}
+	if r.Valid && m.readPending {
+		m.readPending = false
+		m.readDeadline = 0
+		m.readValue = r.Bits
+		m.readValid = true
 	}
 
 	// Read watchdog: the armed deadline passes with no response, so the
@@ -262,6 +302,8 @@ func (m *Module) Eval(cycle uint64) {
 		}
 	}
 
+	m.broadcast(cycle)
+
 	switch {
 	case m.cooldown > 0:
 		m.cooldown--
@@ -274,7 +316,8 @@ func (m *Module) Eval(cycle uint64) {
 		m.send(cycle)
 		return
 	}
-	if !m.Busy() && !m.readPending {
+	if !m.Busy() && !m.readPending && len(m.effects) == 0 && len(m.resps) == 0 &&
+		(m.dec == nil || !m.dec.Busy()) && cycle >= m.drain {
 		m.act.Sleep()
 	}
 }
@@ -315,4 +358,85 @@ func (m *Module) Commit() {
 		}
 	}
 	m.pending = m.pending[:0]
+}
+
+// hopStages is the number of register stages a tree hop adds in each
+// direction: the parent's output wire and the child's input stage going
+// down, the child's merge stage and its reverse wire going up.
+const hopStages = 2
+
+// Node is a point of a region's tree: the module's root output
+// (Module.ForwardWire) or an attached element, whose children attach
+// below it. Its delays are those of the wiring that reaches it: a word on
+// the root wire takes fwd cycles to act here, a response made here rev
+// cycles to reach the module.
+type Node struct {
+	mod      *Module
+	top      *Node // the root element above (or at) this one
+	sink     cfgproto.Sink
+	fwd, rev int
+	toModule bool // a root element whose reverse path the module collects
+}
+
+// Attach puts the element with configuration ID id, whose slot tables
+// have the given wheel, on the tree below nd. sink receives the effects
+// of the words addressed to it, after the element's datapath stage of
+// the cycle in which its own decoder would have applied them; forNI
+// selects the NI port-spec layout. The elements of a tree share one
+// wheel and have distinct IDs.
+func (nd *Node) Attach(id, wheel int, forNI bool, sink cfgproto.Sink) *Node {
+	m := nd.mod
+	if m.dec == nil {
+		m.dec = cfgproto.NewDecoder(wheel)
+	}
+	m.dec.Add(id, forNI)
+	c := &Node{mod: m, top: nd.top, sink: sink, fwd: nd.fwd + hopStages, rev: nd.rev + hopStages}
+	if nd == &m.root {
+		c.top = c
+	}
+	m.nodes = append(m.nodes, c)
+	m.tail = max(m.tail, c.fwd+1)
+	return c
+}
+
+// inflight is a decoded effect on its way to node's element or, with
+// node nil, a read response on its way back to the module.
+type inflight struct {
+	due  uint64
+	node *Node
+	eff  cfgproto.Effect
+	resp phit.Response
+}
+
+// schedule inserts t into q, kept in due order (equal dues in insertion
+// order).
+func schedule(q []inflight, t inflight) []inflight {
+	i := len(q)
+	for i > 0 && q[i-1].due > t.due {
+		i--
+	}
+	return slices.Insert(q, i, t)
+}
+
+// broadcast applies the effects due this cycle, after every element's
+// datapath stage (the module runs after the elements), and decodes the
+// word on the root wire into effects due at their elements.
+func (m *Module) broadcast(cycle uint64) {
+	k := 0
+	for ; k < len(m.effects) && m.effects[k].due <= cycle; k++ {
+		t := m.effects[k]
+		if r := t.eff.Apply(t.node.sink); r.Valid && t.node.top.toModule {
+			m.resps = schedule(m.resps, inflight{due: cycle + uint64(t.node.rev), resp: r})
+		}
+	}
+	if k > 0 {
+		m.effects = append(m.effects[:0], m.effects[k:]...)
+	}
+	if w := m.fwd.Get(); w.Valid && m.dec != nil {
+		m.drain = cycle + uint64(m.tail)
+		if e := m.dec.Feed(w); e.Kind != cfgproto.NoEffect {
+			nd := m.nodes[e.Member]
+			m.effects = schedule(m.effects, inflight{due: cycle + uint64(nd.fwd), node: nd, eff: e})
+		}
+	}
 }

@@ -6,7 +6,45 @@ import (
 	"daelite/internal/cfgproto"
 	"daelite/internal/phit"
 	"daelite/internal/sim"
+	"daelite/internal/slots"
 )
+
+// elem is a test element on the tree: it records the effects it receives
+// with their cycle, and answers reads from regs while answer is set.
+type elem struct {
+	s       *sim.Simulator
+	regs    map[uint8]uint8
+	answer  bool
+	applied []applied
+}
+
+type applied struct {
+	cycle uint64
+	mask  slots.Mask
+	spec  cfgproto.PortSpec
+	reg   uint8
+	value uint8
+}
+
+func (e *elem) cycle() uint64 {
+	if e.s == nil {
+		return 0
+	}
+	return e.s.EvalCycle()
+}
+
+func (e *elem) ApplySlots(mask slots.Mask, spec cfgproto.PortSpec) {
+	e.applied = append(e.applied, applied{cycle: e.cycle(), mask: mask, spec: spec})
+}
+
+func (e *elem) WriteReg(reg, value uint8) {
+	e.applied = append(e.applied, applied{cycle: e.cycle(), reg: reg, value: value})
+}
+
+func (e *elem) ReadReg(reg uint8) (uint8, bool) {
+	v, ok := e.regs[reg]
+	return v, ok && e.answer
+}
 
 func TestDefaultParams(t *testing.T) {
 	p := DefaultParams()
@@ -28,7 +66,7 @@ func collectWire(s *sim.Simulator, w *sim.Reg[phit.ConfigWord]) *[]phit.ConfigWo
 func TestSerializesOneWordPerCycle(t *testing.T) {
 	s := sim.New()
 	m := New(s, "cfg", Params{Cooldown: 3, QueueDepth: 64})
-	got := collectWire(s, m.ForwardWire())
+	got := collectWire(s, m.RootWire())
 	words := []phit.ConfigWord{
 		cfgproto.Header(cfgproto.OpNop, 0),
 		phit.NewConfigWord(0x11),
@@ -64,7 +102,7 @@ func TestCooldownSeparatesPackets(t *testing.T) {
 	m := New(s, "cfg", Params{Cooldown: cooldown, QueueDepth: 64})
 	var activity []bool // per cycle: wire valid?
 	s.AddProbe(func(uint64) {
-		activity = append(activity, m.ForwardWire().Get().Valid)
+		activity = append(activity, m.RootWire().Get().Valid)
 	})
 	p1 := []phit.ConfigWord{cfgproto.Header(cfgproto.OpNop, 0), phit.NewConfigWord(1)}
 	p2 := []phit.ConfigWord{cfgproto.Header(cfgproto.OpNop, 0), phit.NewConfigWord(2)}
@@ -123,8 +161,8 @@ func TestSubmitValidation(t *testing.T) {
 func TestReadRoundTrip(t *testing.T) {
 	s := sim.New()
 	m := New(s, "cfg", Params{Cooldown: 2, QueueDepth: 64})
-	resp := sim.NewReg(s, phit.Response{})
-	m.ConnectResponse(resp)
+	e := &elem{regs: map[uint8]uint8{7: 0x2A}, answer: true}
+	m.ConnectResponse(m.ForwardWire().Attach(3, 8, true, e))
 	rd, _ := cfgproto.ReadRegPacket(3, 7)
 	if err := m.SubmitPacket(rd); err != nil {
 		t.Fatal(err)
@@ -132,13 +170,11 @@ func TestReadRoundTrip(t *testing.T) {
 	if _, valid := m.ReadValue(); valid {
 		t.Fatal("read value valid before response")
 	}
-	s.Run(10)
+	s.Run(4)
 	if !m.ReadOutstanding() {
 		t.Fatal("read not outstanding")
 	}
-	// Element answers.
-	resp.Set(phit.Response{Valid: true, Bits: 0x2A})
-	s.Run(3)
+	s.Run(6)
 	if m.ReadOutstanding() {
 		t.Fatal("read still outstanding after response")
 	}
@@ -163,7 +199,7 @@ func TestSubmitHostWords(t *testing.T) {
 	if err := m.SubmitHostWords(packed, len(words)); err != nil {
 		t.Fatal(err)
 	}
-	got := collectWire(s, m.ForwardWire())
+	got := collectWire(s, m.RootWire())
 	s.Run(10)
 	if len(*got) != 2 || (*got)[1].Bits != 0x55 {
 		t.Fatalf("host-word submission transmitted %v", *got)
@@ -206,8 +242,6 @@ func TestLastPacketCycle(t *testing.T) {
 func TestReadTimeoutAbortsAfterRetries(t *testing.T) {
 	s := sim.New()
 	m := New(s, "cfg", Params{Cooldown: 2, QueueDepth: 64, ReadTimeout: 8, ReadRetries: 2, ReadBackoff: 2})
-	resp := sim.NewReg(s, phit.Response{})
-	m.ConnectResponse(resp)
 	rd, _ := cfgproto.ReadRegPacket(3, 0)
 	if err := m.SubmitPacket(rd); err != nil {
 		t.Fatal(err)
@@ -243,11 +277,9 @@ func TestCooldownEnforcedAcrossRetransmission(t *testing.T) {
 	// the retransmission must nevertheless wait the cool-down out.
 	const cooldown = 10
 	m := New(s, "cfg", Params{Cooldown: cooldown, QueueDepth: 64, ReadTimeout: 2, ReadRetries: 1, ReadBackoff: 2})
-	resp := sim.NewReg(s, phit.Response{})
-	m.ConnectResponse(resp)
 	var activity []bool
 	s.AddProbe(func(uint64) {
-		activity = append(activity, m.ForwardWire().Get().Valid)
+		activity = append(activity, m.RootWire().Get().Valid)
 	})
 	rd, _ := cfgproto.ReadRegPacket(3, 0)
 	if err := m.SubmitPacket(rd); err != nil {
@@ -277,12 +309,11 @@ func TestCooldownEnforcedAcrossRetransmission(t *testing.T) {
 func TestOneOutstandingUnderSymbolLoss(t *testing.T) {
 	s := sim.New()
 	m := New(s, "cfg", Params{Cooldown: 2, QueueDepth: 64, ReadTimeout: 6, ReadRetries: 3, ReadBackoff: 2})
-	resp := sim.NewReg(s, phit.Response{})
-	m.ConnectResponse(resp)
-	// Model total config-symbol loss downstream: the forward wire's words
-	// never reach any element, so no response comes back while the
-	// watchdog retries. Throughout the whole episode a second read must
-	// be refused.
+	// Model total config-symbol loss downstream: the element never
+	// answers, so no response comes back while the watchdog retries.
+	// Throughout the whole episode a second read must be refused.
+	e := &elem{regs: map[uint8]uint8{1: 0x19}}
+	m.ConnectResponse(m.ForwardWire().Attach(5, 8, true, e))
 	rd, _ := cfgproto.ReadRegPacket(5, 1)
 	if err := m.SubmitPacket(rd); err != nil {
 		t.Fatal(err)
@@ -295,15 +326,17 @@ func TestOneOutstandingUnderSymbolLoss(t *testing.T) {
 			}
 		}
 	}
-	// Let an element finally answer the latest retransmission.
-	s.RunUntil(func() bool { return m.ReadOutstanding() && !m.Busy() }, 100)
-	resp.Set(phit.Response{Valid: true, Bits: 0x19})
-	s.Run(3)
+	// Let the element finally answer a later retransmission.
+	e.answer = true
+	s.RunUntil(func() bool { return !m.ReadOutstanding() }, 200)
 	if m.ReadOutstanding() || m.ReadAborted() {
 		t.Fatalf("outstanding=%v aborted=%v after late answer", m.ReadOutstanding(), m.ReadAborted())
 	}
 	if v, valid := m.ReadValue(); !valid || v != 0x19 {
 		t.Fatalf("read value = %#x %v", v, valid)
+	}
+	if _, retries := m.ReadFaultStats(); retries == 0 {
+		t.Fatal("answered without a retransmission")
 	}
 	// And a new read is accepted again.
 	if err := m.SubmitPacket(rd); err != nil {
@@ -319,7 +352,7 @@ func TestSubmitWakesSleepingModule(t *testing.T) {
 	s := sim.New()
 	const cooldown = 4
 	m := New(s, "cfg", Params{Cooldown: cooldown, QueueDepth: 64})
-	got := collectWire(s, m.ForwardWire())
+	got := collectWire(s, m.RootWire())
 	s.Run(50)
 	if evaluated, _ := s.Evaluations(); evaluated != 1 {
 		t.Fatalf("idle module evaluated %d times in 50 cycles, want 1", evaluated)
@@ -349,7 +382,7 @@ func TestSubmitWakesSleepingModule(t *testing.T) {
 func TestZeroCooldownDrivesEachWordOnce(t *testing.T) {
 	s := sim.New()
 	m := New(s, "cfg", Params{Cooldown: 0, QueueDepth: 64})
-	got := collectWire(s, m.ForwardWire())
+	got := collectWire(s, m.RootWire())
 	words := []phit.ConfigWord{cfgproto.Header(cfgproto.OpNop, 0), phit.NewConfigWord(0x11), phit.NewConfigWord(0x22)}
 	if err := m.SubmitPacket(words); err != nil {
 		t.Fatal(err)
@@ -363,7 +396,7 @@ func TestZeroCooldownDrivesEachWordOnce(t *testing.T) {
 			t.Fatalf("word %d = %v, want %v", i, (*got)[i], words[i])
 		}
 	}
-	if w := m.ForwardWire().Get(); w != (phit.ConfigWord{}) {
+	if w := m.RootWire().Get(); w != (phit.ConfigWord{}) {
 		t.Fatalf("forward wire holds %v after the packet, want idle", w)
 	}
 	before, _ := s.Evaluations()

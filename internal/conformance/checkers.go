@@ -111,11 +111,10 @@ type Checker struct {
 	total      uint64
 }
 
-// respWatch pairs one region's configuration module with its root
-// response wire for the per-cycle config-tree check.
+// respWatch follows one region's configuration module and its root
+// reverse wire for the per-cycle config-tree check.
 type respWatch struct {
 	mod             *configtree.Module
-	resp            *sim.Reg[phit.Response]
 	prevOutstanding bool
 }
 
@@ -164,16 +163,8 @@ func Attach(p *core.Platform, reg *telemetry.Registry, opt Options) *Checker {
 		}
 		ck.wires = append(ck.wires, checkWire{link: l, wire: w})
 	}
-	for reg, tree := range p.Trees {
-		var resp *sim.Reg[phit.Response]
-		if n, ok := p.NIs[tree.Root]; ok {
-			resp = n.ResponseWire()
-		} else if r, ok := p.Routers[tree.Root]; ok {
-			resp = r.ResponseWire()
-		}
-		if resp != nil {
-			ck.resps = append(ck.resps, respWatch{mod: p.Config.Region(reg), resp: resp})
-		}
+	for reg := range p.Trees {
+		ck.resps = append(ck.resps, respWatch{mod: p.Config.Region(reg)})
 	}
 	ck.Resync()
 	every := uint64(opt.SampleEvery)
@@ -315,7 +306,7 @@ func (ck *Checker) perCycle(cycle uint64) {
 	for i := range ck.resps {
 		w := &ck.resps[i]
 		out := w.mod.ReadOutstanding()
-		if r := w.resp.Get(); r.Valid && !out && !w.prevOutstanding {
+		if r := w.mod.RootResponse(); r.Valid && !out && !w.prevOutstanding {
 			ck.violate(cycle, CheckConfigTree,
 				"region %d: response word %#02x with no read outstanding", i, r.Bits)
 		}

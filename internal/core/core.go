@@ -26,13 +26,8 @@ import (
 	"daelite/internal/topology"
 )
 
-// Wire type shorthands for the three signal kinds crossing element
-// boundaries.
-type (
-	flitWire = sim.Reg[phit.Flit]
-	cfgWire  = sim.Reg[phit.ConfigWord]
-	respWire = sim.Reg[phit.Response]
-)
+// flitWire is the wire type of a data link.
+type flitWire = sim.Reg[phit.Flit]
 
 // Params are the platform-wide hardware parameters.
 type Params struct {
@@ -257,12 +252,9 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 			name = fmt.Sprintf("cfg-module-r%d", reg)
 		}
 		mod := configtree.New(s, name, cfgParams)
-		rootRouter := p.Routers[root]
-		rootRouter.ConnectConfigIn(mod.ForwardWire())
-		mod.ConnectResponse(rootRouter.ResponseWire())
+		mod.ConnectResponse(p.wireTree(tree, root, mod.ForwardWire()))
 		p.Trees[reg] = tree
 		mods[reg] = mod
-		p.wireTree(tree, root)
 	}
 	p.Config = configtree.NewForest(mods...)
 	p.Host = mods[0]
@@ -308,45 +300,20 @@ func (p *Platform) connectInput(l topology.Link, w *flitWire) {
 	p.NIs[l.To].ConnectInput(w)
 }
 
-// wireTree attaches forward/reverse configuration wires along the spanning
-// tree below node n.
-func (p *Platform) wireTree(tree *topology.SpanningTree, n topology.NodeID) {
+// wireTree attaches node n's element to the configuration tree below at,
+// and the subtree below n under it (each tree edge is one hop, both
+// ways), and returns n's place on the tree.
+func (p *Platform) wireTree(tree *topology.SpanningTree, n topology.NodeID, at *configtree.Node) *configtree.Node {
+	var nd *configtree.Node
+	if r, ok := p.Routers[n]; ok {
+		nd = r.ConnectConfigIn(at)
+	} else {
+		nd = p.NIs[n].ConnectConfigIn(at)
+	}
 	for _, child := range tree.Children[n] {
-		fwd := p.addConfigChild(n)
-		p.connectConfigIn(child, fwd)
-		p.addResponseChild(n, p.responseWire(child))
-		p.wireTree(tree, child)
+		p.wireTree(tree, child, nd)
 	}
-}
-
-func (p *Platform) addConfigChild(n topology.NodeID) *cfgWire {
-	if r, ok := p.Routers[n]; ok {
-		return r.AddConfigChild(p.Sim)
-	}
-	return p.NIs[n].AddConfigChild(p.Sim)
-}
-
-func (p *Platform) connectConfigIn(n topology.NodeID, w *cfgWire) {
-	if r, ok := p.Routers[n]; ok {
-		r.ConnectConfigIn(w)
-		return
-	}
-	p.NIs[n].ConnectConfigIn(w)
-}
-
-func (p *Platform) responseWire(n topology.NodeID) *respWire {
-	if r, ok := p.Routers[n]; ok {
-		return r.ResponseWire()
-	}
-	return p.NIs[n].ResponseWire()
-}
-
-func (p *Platform) addResponseChild(n topology.NodeID, w *respWire) {
-	if r, ok := p.Routers[n]; ok {
-		r.AddResponseChild(w)
-		return
-	}
-	p.NIs[n].AddResponseChild(w)
+	return nd
 }
 
 // linkPipeline is a chain of extra register stages modelling a pipelined

@@ -317,13 +317,13 @@ func (inj *Injector) Eval(cycle uint64) {
 			inj.c.PayloadFlips++
 			inj.linkErrors(f.Link).Flipped++
 		case ConfigDrop:
-			w := inj.p.Host.ForwardWire()
+			w := inj.p.Host.RootWire()
 			if v := w.Peek(); v.Valid && inj.fires(f) {
 				w.Set(phit.ConfigWord{})
 				inj.c.ConfigDrops++
 			}
 		case ConfigFlip:
-			w := inj.p.Host.ForwardWire()
+			w := inj.p.Host.RootWire()
 			if v := w.Peek(); v.Valid && inj.fires(f) {
 				v.Bits ^= 1 << uint(inj.rng.Intn(phit.ConfigWordBits))
 				w.Set(v)

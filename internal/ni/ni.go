@@ -5,7 +5,8 @@
 // flow control carried on dedicated sideband wires alongside the data of
 // the opposite-direction channel, connection state flags, and a
 // configuration submodule that updates all of this through the broadcast
-// configuration tree.
+// configuration tree (decoded once per region by configtree, which
+// applies the NI's effects through its cfgproto.Sink).
 //
 // A channel is the local endpoint of one direction of a connection: at the
 // same local index an NI keeps the send queue and credit counter for its
@@ -21,6 +22,7 @@ import (
 	"fmt"
 
 	"daelite/internal/cfgproto"
+	"daelite/internal/configtree"
 	"daelite/internal/phit"
 	"daelite/internal/sim"
 	"daelite/internal/slots"
@@ -122,13 +124,6 @@ type queuedWord struct {
 	tag  phit.Tag
 }
 
-// The inputs the NI's wires mark in sim.Activity.Changed.
-const (
-	linkInput = iota
-	cfgInput
-	respInput
-)
-
 // NI is one daelite network interface instance.
 type NI struct {
 	name   string
@@ -141,22 +136,14 @@ type NI struct {
 
 	table    *slots.NITable
 	channels []*channel
-	dec      *cfgproto.Decoder
 
 	// Pending queue mutations applied at Commit so that IP-side reads
 	// within the same cycle observe pre-edge state.
 	pendingPush []pendingDelivery
 	pendingPop  []int // channels whose send queue head was consumed
 
-	// Configuration tree node state (NIs are leaves of the tree but the
-	// plumbing is generic). Like inReg, the stages cfgInReg and
-	// respMerge are plain fields: Eval reads each before overwriting it.
-	cfgIn     *sim.Reg[phit.ConfigWord]
-	cfgInReg  phit.ConfigWord
-	cfgOuts   []*sim.Reg[phit.ConfigWord]
-	respIns   []*sim.Reg[phit.Response]
-	respMerge phit.Response
-	respOut   *sim.Reg[phit.Response]
+	// cfg is the NI's place on its region's configuration tree.
+	cfg *configtree.Node
 
 	// busShell accumulates RegBus writes for the adjacent bus's
 	// configuration port (deserialized into wide words by the shell).
@@ -174,15 +161,12 @@ type NI struct {
 	// sleeps and wakes through. work counts busy channels, and host
 	// records that an IP-side call left queue mutations for Commit.
 	// outIdle records that outWire holds the idle flit (external
-	// writers only ever overwrite a driven wire with idle), and cfgIdle
-	// that the last Eval found the configuration node idle and left its
-	// registers idle.
+	// writers only ever overwrite a driven wire with idle).
 	sim     *sim.Simulator
 	act     sim.Activity
 	work    int
 	host    bool
 	outIdle bool
-	cfgIdle bool
 }
 
 // pendingDelivery queues a word for a receive queue until Commit.
@@ -208,14 +192,12 @@ func New(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 		params:  params,
 		outWire: sim.NewReg(s, phit.Idle()),
 		table:   slots.NewNITable(params.Wheel),
-		respOut: sim.NewReg(s, phit.Response{}),
 		sim:     s,
 	}
 	n.channels = make([]*channel, params.NumChannels)
 	for i := range n.channels {
 		n.channels[i] = &channel{}
 	}
-	n.dec = cfgproto.NewNIDecoder(id, params.Wheel, (*niSink)(n))
 	n.act = s.Add(n)
 	return n, nil
 }
@@ -229,34 +211,24 @@ func (n *NI) ID() int { return n.id }
 // ConnectInput attaches the wire arriving from the router.
 func (n *NI) ConnectInput(wire *sim.Reg[phit.Flit]) {
 	n.inWire = wire
-	wire.Wakes(n.act, linkInput)
+	wire.Wakes(n.act, 0) // the NI's only input in sim.Activity.Changed
 }
 
 // OutputWire returns the wire this NI drives toward its router.
 func (n *NI) OutputWire() *sim.Reg[phit.Flit] { return n.outWire }
 
-// ConnectConfigIn attaches the forward configuration wire from the tree
-// parent.
-func (n *NI) ConnectConfigIn(wire *sim.Reg[phit.ConfigWord]) {
-	n.cfgIn = wire
-	wire.Wakes(n.act, cfgInput)
+// ConnectConfigIn attaches the NI's configuration submodule to the tree
+// below at — the module's root (Module.ForwardWire) or the NI's tree
+// parent — and returns its place there, where its tree children attach
+// in turn.
+func (n *NI) ConnectConfigIn(at *configtree.Node) *configtree.Node {
+	n.cfg = at.Attach(n.id, n.params.Wheel, true, (*niSink)(n))
+	return n.cfg
 }
 
-// AddConfigChild allocates a forward wire toward a tree child.
-func (n *NI) AddConfigChild(s *sim.Simulator) *sim.Reg[phit.ConfigWord] {
-	w := sim.NewReg(s, phit.ConfigWord{})
-	n.cfgOuts = append(n.cfgOuts, w)
-	return w
-}
-
-// AddResponseChild attaches a child's reverse wire.
-func (n *NI) AddResponseChild(wire *sim.Reg[phit.Response]) {
-	n.respIns = append(n.respIns, wire)
-	wire.Wakes(n.act, respInput)
-}
-
-// ResponseWire returns the reverse wire toward the tree parent.
-func (n *NI) ResponseWire() *sim.Reg[phit.Response] { return n.respOut }
+// ResponseWire returns the NI's place on the tree, whose reverse path a
+// module connects with ConnectResponse when the NI is the root.
+func (n *NI) ResponseWire() *configtree.Node { return n.cfg }
 
 // SetBusConfigPort attaches the adjacent bus's configuration port.
 func (n *NI) SetBusConfigPort(p BusConfigPort) { n.busShell = p }
@@ -368,20 +340,19 @@ func (n *NI) Stats() (injected, delivered uint64) { return n.injected, n.deliver
 func (n *NI) Dropped() uint64 { return n.dropped }
 
 // Eval implements sim.Component. The NI goes to sleep when no channel
-// is busy, no IP-side call is pending, it drove the idle flit, its
-// decoder is between packets and every register it read this cycle was
-// idle: its next Eval+Commit would change nothing, even with channels
-// open, because an open channel with no word and no credit to return
-// drives nothing. A change on its input, configuration or response
-// wires, or an IP-side Send or Recv, wakes it.
+// is busy, no IP-side call is pending, it drove the idle flit and every
+// register it read this cycle was idle: its next Eval+Commit would
+// change nothing, even with channels open, because an open channel with
+// no word and no credit to return drives nothing. A change on its input
+// wire, an IP-side Send or Recv, or a configuration write that makes a
+// channel busy wakes it.
 func (n *NI) Eval(cycle uint64) {
-	changed := n.act.Changed()
 	// Stage 1: latch the input wire if it changed (unchanged, it still
 	// holds what the register holds); in is the value latched last
 	// cycle, which the receive path consumes.
 	in := n.inReg
 	inFlit := in
-	if changed&(1<<linkInput) != 0 {
+	if n.act.Changed() != 0 {
 		inFlit = n.inWire.Get()
 		n.inReg = inFlit
 	}
@@ -480,30 +451,7 @@ func (n *NI) Eval(cycle uint64) {
 		}
 	}
 
-	// Configuration tree node. An idle node whose inputs did not change
-	// would only rewrite idle values.
-	if !n.cfgIdle || changed&(1<<cfgInput|1<<respInput) != 0 {
-		var cfgWord phit.ConfigWord
-		if n.cfgIn != nil {
-			cfgWord = n.cfgIn.Get()
-		}
-		stage := n.cfgInReg
-		n.cfgInReg = cfgWord
-		for _, outw := range n.cfgOuts {
-			outw.Set(stage)
-		}
-		merged := n.dec.Feed(stage)
-		for _, inw := range n.respIns {
-			merged = phit.Merge(merged, inw.Get())
-		}
-		resp := n.respMerge
-		n.respMerge = merged
-		n.respOut.Set(resp)
-		n.cfgIdle = cfgWord == (phit.ConfigWord{}) && stage == (phit.ConfigWord{}) &&
-			merged == (phit.Response{}) && resp == (phit.Response{}) && !n.dec.Busy()
-	}
-
-	if n.work == 0 && !n.host && n.outIdle && inFlit.IsIdle() && in.IsIdle() && n.cfgIdle {
+	if n.work == 0 && !n.host && n.outIdle && inFlit.IsIdle() && in.IsIdle() {
 		n.act.Sleep()
 	}
 }
@@ -520,6 +468,15 @@ func (n *NI) track(c *channel) {
 		} else {
 			n.work--
 		}
+	}
+}
+
+// configured re-derives c.busy after a configuration write and wakes
+// the NI when the channel has work (credit matters only to a busy one).
+func (n *NI) configured(c *channel) {
+	n.track(c)
+	if c.busy {
+		n.act.Wake()
 	}
 }
 
@@ -590,6 +547,7 @@ func (ns *niSink) ApplySlots(mask slots.Mask, spec cfgproto.PortSpec) {
 	}
 }
 
+// WriteReg lands after the NI's datapath stage, maybe after it slept.
 func (ns *niSink) WriteReg(reg, value uint8) {
 	n := (*NI)(ns)
 	ch := cfgproto.RegChannel(reg)
@@ -597,7 +555,7 @@ func (ns *niSink) WriteReg(reg, value uint8) {
 	case cfgproto.RegFlags:
 		if ch < len(n.channels) {
 			n.channels[ch].flags = value
-			n.track(n.channels[ch])
+			n.configured(n.channels[ch])
 		}
 	case cfgproto.RegCredit:
 		if ch < len(n.channels) {
@@ -606,7 +564,7 @@ func (ns *niSink) WriteReg(reg, value uint8) {
 	case cfgproto.RegDelivered:
 		if ch < len(n.channels) {
 			n.channels[ch].delivered = int(value)
-			n.track(n.channels[ch])
+			n.configured(n.channels[ch])
 		}
 	case cfgproto.RegBus:
 		if n.busShell != nil {

@@ -538,15 +538,60 @@ func TestSilentOpenChannelSleeps(t *testing.T) {
 	}
 }
 
-// TestNewMakesOnlyWireRegisters pins that an NI puts only its wires in
-// the kernel: the link toward its router and the response wire toward its
-// tree parent. Its buffering stages are plain fields.
+// TestNewMakesOnlyWireRegisters pins that an NI puts only its wire in
+// the kernel: the link toward its router. Its buffering stages are plain
+// fields, and its configuration reaches it through the region's module,
+// not through per-hop registers.
 func TestNewMakesOnlyWireRegisters(t *testing.T) {
 	s := sim.New()
 	if _, err := New(s, "A", 1, params()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.String(), "regs=2}"; !strings.HasSuffix(got, want) {
+	if got, want := s.String(), "regs=1}"; !strings.HasSuffix(got, want) {
 		t.Fatalf("after New: %s, want %s", got, want)
+	}
+}
+
+// TestReopenWakesNI: a configuration write that gives a sleeping NI work
+// wakes it. A's channel is opened without credit, stalls on a queued
+// word, is closed (the NI goes to sleep with the word still queued), and
+// is reopened with credit through the tree: the write lands after A's
+// Eval, so only its wake gets the word out. The run is under the
+// kernel's sleep-proof audit, which fails if A, left asleep, would have
+// driven its link.
+func TestReopenWakesNI(t *testing.T) {
+	s, a, b, mod := ladderPair(t)
+	s.Audit(func(msg string) { t.Fatal(msg) })
+	write := func(ws ...cfgproto.RegWrite) {
+		t.Helper()
+		words, err := cfgproto.WriteRegPacket(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mod.SubmitPacket(words); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(40)
+	}
+	flags := func(id int, v uint8) cfgproto.RegWrite {
+		return cfgproto.RegWrite{Element: id, Reg: cfgproto.RegSelect(cfgproto.RegFlags, 0), Value: v}
+	}
+	write(flags(1, cfgproto.FlagOpen), flags(2, cfgproto.FlagOpen))
+	if !a.Send(0, 0x77) {
+		t.Fatal("send on the open channel refused")
+	}
+	s.Run(40)
+	if a.CreditStallCycles(0) == 0 || a.SendQueueLen(0) != 1 {
+		t.Fatalf("no credit: %d stalls, %d queued, want some and 1", a.CreditStallCycles(0), a.SendQueueLen(0))
+	}
+	write(flags(1, 0))
+	before, _ := s.Evaluations()
+	s.Run(40)
+	if after, _ := s.Evaluations(); after != before {
+		t.Fatalf("closed pair evaluated %d times in 40 cycles, want asleep", after-before)
+	}
+	write(cfgproto.RegWrite{Element: 1, Reg: cfgproto.RegSelect(cfgproto.RegCredit, 0), Value: 4}, flags(1, cfgproto.FlagOpen))
+	if d, ok := b.Recv(0); !ok || d.Word != 0x77 {
+		t.Fatalf("reopened channel delivered %v %v, want the queued word", d, ok)
 	}
 }

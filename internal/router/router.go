@@ -2,8 +2,10 @@
 // paper): a blindly-switching TDM crossbar with a slot table per output
 // port, a fixed two-cycle hop latency (one cycle of link traversal, one of
 // crossbar traversal — data is buffered twice), a configuration submodule
-// fed by the broadcast configuration tree, and multicast by construction
-// (several outputs may select the same input in the same slot).
+// on the broadcast configuration tree (its decoding is done once per
+// region by configtree, which applies the router's effects through its
+// cfgproto.Sink), and multicast by construction (several outputs may
+// select the same input in the same slot).
 //
 // Timing convention (shared by the whole repository): a component's Eval
 // at cycle c computes the values its output registers present during cycle
@@ -19,6 +21,7 @@ import (
 	"math/bits"
 
 	"daelite/internal/cfgproto"
+	"daelite/internal/configtree"
 	"daelite/internal/phit"
 	"daelite/internal/sim"
 	"daelite/internal/slots"
@@ -43,14 +46,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// The inputs the router's wires mark in sim.Activity.Changed: data input
-// i is input i (at most cfgproto.MaxRouterPort+1 ports), then the
-// configuration input and, shared, the children's response wires.
-const (
-	cfgInput = cfgproto.MaxRouterPort + 1 + iota
-	respInput
-)
-
 // Router is one daelite router instance.
 type Router struct {
 	name   string
@@ -73,18 +68,6 @@ type Router struct {
 	driving uint8
 
 	table *slots.RouterTable
-	dec   *cfgproto.Decoder
-
-	// Configuration tree node. cfgIn is owned by the parent; cfgInReg is
-	// the first buffering stage (a plain field, like inRegs); cfgOuts are
-	// owned by this router and feed the children. The reverse path
-	// mirrors this.
-	cfgIn     *sim.Reg[phit.ConfigWord]
-	cfgInReg  phit.ConfigWord
-	cfgOuts   []*sim.Reg[phit.ConfigWord]
-	respIns   []*sim.Reg[phit.Response]
-	respMerge phit.Response
-	respOut   *sim.Reg[phit.Response]
 
 	// forwarded counts valid words driven on any output (activity for
 	// the energy model); outBusy attributes the same count to each
@@ -95,12 +78,10 @@ type Router struct {
 
 	// held has bit i set while input register i holds a non-idle flit
 	// (the values the last Eval latched; ports <= cfgproto.MaxRouterPort
-	// fit the byte); cfgIdle records that the last Eval found the
-	// configuration node idle and left its registers idle; act is the
-	// kernel handle the router sleeps and wakes through.
-	held    uint8
-	cfgIdle bool
-	act     sim.Activity
+	// fit the byte); act is the kernel handle the router sleeps and wakes
+	// through.
+	held uint8
+	act  sim.Activity
 }
 
 // New creates a router with the given port counts, registers its state
@@ -123,12 +104,10 @@ func New(s *sim.Simulator, name string, id int, numIn, numOut int, params Params
 		outWires: make([]*sim.Reg[phit.Flit], numOut),
 		outBusy:  make([]uint64, numOut),
 		table:    slots.NewRouterTable(numOut, params.Wheel),
-		respOut:  sim.NewReg(s, phit.Response{}),
 	}
 	for o := range r.outWires {
 		r.outWires[o] = sim.NewReg(s, phit.Idle())
 	}
-	r.dec = cfgproto.NewDecoder(id, params.Wheel, (*routerSink)(r))
 	r.act = s.Add(r)
 	return r, nil
 }
@@ -149,30 +128,13 @@ func (r *Router) ConnectInput(i int, wire *sim.Reg[phit.Flit]) {
 // the downstream element's input.
 func (r *Router) OutputWire(o int) *sim.Reg[phit.Flit] { return r.outWires[o] }
 
-// ConnectConfigIn attaches the forward configuration wire from the tree
-// parent.
-func (r *Router) ConnectConfigIn(wire *sim.Reg[phit.ConfigWord]) {
-	r.cfgIn = wire
-	wire.Wakes(r.act, cfgInput)
+// ConnectConfigIn attaches the router's configuration submodule to the
+// tree below at — the module's root (Module.ForwardWire) or the router's
+// tree parent — and returns its place there, where its tree children
+// attach in turn.
+func (r *Router) ConnectConfigIn(at *configtree.Node) *configtree.Node {
+	return at.Attach(r.id, r.params.Wheel, false, (*routerSink)(r))
 }
-
-// AddConfigChild allocates a forward wire toward a tree child and the
-// reverse wire back from it; the child connects to both. Returns the
-// forward wire; the caller passes respIn (the child's respOut).
-func (r *Router) AddConfigChild(s *sim.Simulator) *sim.Reg[phit.ConfigWord] {
-	w := sim.NewReg(s, phit.ConfigWord{})
-	r.cfgOuts = append(r.cfgOuts, w)
-	return w
-}
-
-// AddResponseChild attaches a child's reverse wire.
-func (r *Router) AddResponseChild(wire *sim.Reg[phit.Response]) {
-	r.respIns = append(r.respIns, wire)
-	wire.Wakes(r.act, respInput)
-}
-
-// ResponseWire returns this router's reverse wire toward its tree parent.
-func (r *Router) ResponseWire() *sim.Reg[phit.Response] { return r.respOut }
 
 // Table exposes the slot table for inspection by tests and probes.
 func (r *Router) Table() *slots.RouterTable { return r.table }
@@ -190,10 +152,10 @@ func (r *Router) OutputBusy(o int) uint64 { return r.outBusy[o] }
 func (r *Router) NumOutputs() int { return len(r.outWires) }
 
 // Eval implements sim.Component. The router goes to sleep when every
-// register it read this cycle was idle (and its decoder is between
-// packets): its next Eval would drive the same idle values again. Any
-// change on an input wire, the configuration input or a child's response
-// wire wakes it, and only what changed is read again.
+// register it read this cycle was idle: its next Eval would drive the
+// same idle values again. Any change on an input wire wakes it, and only
+// what changed is read again. A slot-table write from the configuration
+// tree needs no wake: a sleeping router holds no flit to switch.
 func (r *Router) Eval(cycle uint64) {
 	changed := r.act.Changed()
 	held := r.held
@@ -246,32 +208,7 @@ func (r *Router) Eval(cycle uint64) {
 		}
 	}
 
-	// Configuration tree node: buffer twice per hop, feed the decoder
-	// from the first stage; reverse path: merge children and local
-	// response, buffered twice. An idle node whose inputs did not change
-	// would only rewrite idle values.
-	if !r.cfgIdle || changed&(1<<cfgInput|1<<respInput) != 0 {
-		var inWord phit.ConfigWord
-		if r.cfgIn != nil {
-			inWord = r.cfgIn.Get()
-		}
-		stage := r.cfgInReg
-		r.cfgInReg = inWord
-		for _, out := range r.cfgOuts {
-			out.Set(stage)
-		}
-		merged := r.dec.Feed(stage)
-		for _, in := range r.respIns {
-			merged = phit.Merge(merged, in.Get())
-		}
-		resp := r.respMerge
-		r.respMerge = merged
-		r.respOut.Set(resp)
-		r.cfgIdle = inWord == (phit.ConfigWord{}) && stage == (phit.ConfigWord{}) &&
-			merged == (phit.Response{}) && resp == (phit.Response{}) && !r.dec.Busy()
-	}
-
-	if held == 0 && r.held == 0 && r.cfgIdle {
+	if held == 0 && r.held == 0 {
 		r.act.Sleep()
 	}
 }

@@ -49,7 +49,8 @@ type Component interface {
 // to appear after the next clock edge.
 type Reg[T comparable] struct {
 	cur, next T
-	dirty     bool // on the simulator's write list this cycle
+	dirty     bool  // on the simulator's write list this cycle
+	id        int32 // creation order, to name the register in an audit
 	s         *Simulator
 	readers   []reader // woken by a latched change, see Wakes
 }
@@ -64,7 +65,7 @@ type reader struct {
 // NewReg returns a register of s initialized to v.
 func NewReg[T comparable](s *Simulator, v T) *Reg[T] {
 	s.regs++
-	return &Reg[T]{cur: v, next: v, s: s}
+	return &Reg[T]{cur: v, next: v, id: int32(s.regs), s: s}
 }
 
 // Get returns the currently latched value.
@@ -117,7 +118,10 @@ func (r *Reg[T]) latch() {
 }
 
 // latcher is the untyped view of a written register.
-type latcher interface{ latch() }
+type latcher interface {
+	latch()
+	describe() string // for the audit, see audit.go
+}
 
 // Activity is an Add'ed component's handle on the kernel's awake set.
 type Activity struct {
@@ -166,6 +170,8 @@ type Simulator struct {
 	stepping   bool // between the first Eval and the clock edge of Step
 
 	evals, offered uint64 // see Evaluations
+
+	audit *audit // the sleep-proof audit, see Audit; nil outside it
 
 	// Fast-forward state (see fastforward.go).
 	ffOn      bool
@@ -289,11 +295,19 @@ func (s *Simulator) halted() bool {
 func (s *Simulator) Step() {
 	cycle := s.cycle
 	s.stepping = true
-	s.evals += s.phase(true, cycle)
+	if s.audit == nil {
+		s.evals += s.phase(true, cycle)
+	} else {
+		s.evals += s.auditPhase(true, cycle)
+	}
 	for _, c := range s.ordered {
 		c.Eval(cycle)
 	}
-	s.phase(false, cycle)
+	if s.audit == nil {
+		s.phase(false, cycle)
+	} else {
+		s.auditPhase(false, cycle)
+	}
 	for _, c := range s.ordered {
 		c.Commit()
 	}

@@ -107,12 +107,21 @@ type recorder struct {
 	carriers uint64
 }
 
+// mode is how a row runs: with fast-forward, and under the kernel's
+// sleep-proof audit (sim.Simulator.Audit), which must not move any
+// constant.
+type mode struct{ ff, audit bool }
+
 // record attaches the observers to p and installs the wire probe: after
 // every stepped cycle it looks at each NI's output wire and at the
 // router wire feeding each NI, and folds payload and credit bits
 // separately, so a change to the zero-credit carriers alone moves
-// carriers only.
-func record(p *core.Platform, observe observers) *recorder {
+// carriers only. Under m.audit the run fails at the first write a
+// sleeping component would have lost.
+func record(t *testing.T, p *core.Platform, observe observers, m mode) *recorder {
+	if m.audit {
+		p.Sim.Audit(func(msg string) { t.Fatal(msg) })
+	}
 	r := &recorder{p: p}
 	var wires []*sim.Reg[phit.Flit]
 	for _, id := range p.Mesh.AllNIs {
@@ -200,11 +209,11 @@ func (r *recorder) result(t *testing.T) (pinResult, string) {
 // torus runs a short version of one benchmark torus shape on a 16x16
 // torus: the benchmark's connection patterns, wheel sizes and loads,
 // with fewer cycles.
-func torus(shape string) func(*testing.T, bool) (pinResult, string) {
-	return func(t *testing.T, ff bool) (pinResult, string) {
+func torus(shape string) func(*testing.T, mode) (pinResult, string) {
+	return func(t *testing.T, m mode) (pinResult, string) {
 		const side = 16
 		params := core.DefaultParams()
-		params.FastForward = ff
+		params.FastForward = m.ff
 		var pairs [][4]int
 		slotsFwd, rate := 1, 0.05
 		switch shape {
@@ -228,7 +237,7 @@ func torus(shape string) func(*testing.T, bool) (pinResult, string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := record(p, 0)
+		r := record(t, p, 0, m)
 		var conns []*core.Connection
 		for g := 0; g < len(pairs); g += side {
 			first := len(conns)
@@ -309,14 +318,14 @@ type soak struct {
 	observe  observers
 }
 
-func (s soak) run(t *testing.T, ff bool) (pinResult, string) {
+func (s soak) run(t *testing.T, m mode) (pinResult, string) {
 	params := core.DefaultParams()
-	params.MaxRegionElements, params.FastForward = s.region, ff
+	params.MaxRegionElements, params.FastForward = s.region, m.ff
 	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: s.side, Height: s.side, NIsPerRouter: 1}, params, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := record(p, s.observe)
+	r := record(t, p, s.observe, m)
 	rng := sim.NewRNG(s.seed)
 	var conns []*core.Connection
 	for tries := 0; len(conns) < s.conns && tries < 100; tries++ {
@@ -402,17 +411,17 @@ func (s soak) run(t *testing.T, ff bool) (pinResult, string) {
 
 // pack runs an example workload pack with telemetry and the tracer
 // attached; the pack's own checkers must pass.
-func pack(mk func() *workload.Spec) func(*testing.T, bool) (pinResult, string) {
-	return func(t *testing.T, ff bool) (pinResult, string) {
+func pack(mk func() *workload.Spec) func(*testing.T, mode) (pinResult, string) {
+	return func(t *testing.T, m mode) (pinResult, string) {
 		wc, err := workload.Compile(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := wc.BuildPlatform(ff)
+		p, err := wc.BuildPlatform(m.ff)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := record(p, obsTelemetry|obsTracer)
+		r := record(t, p, obsTelemetry|obsTracer, m)
 		wr, err := workload.Run(wc, workload.RunOptions{Platform: p, Registry: r.reg})
 		if err != nil {
 			t.Fatal(err)
@@ -430,7 +439,7 @@ func pack(mk func() *workload.Spec) func(*testing.T, bool) (pinResult, string) {
 // exports must contain, and the constants it must reproduce.
 type pin struct {
 	name string
-	run  func(t *testing.T, ff bool) (pinResult, string)
+	run  func(t *testing.T, m mode) (pinResult, string)
 	ff   bool
 	must []string
 	want pinResult
@@ -462,37 +471,37 @@ var (
 // evaluated, set-up included.
 var pins = []pin{
 	{name: "sparse", run: torus("sparse"),
-		want: pinResult{delivered: 792, conns: 0x3ddee85888c4ea85, payload: 0xee7950dd6f1b2cd5, credits: 0x4c167c9bf01a265d, carriers: 988, skipped: 0, evaluated: 89498, offered: 2254336, alloc: 0x48098c761fab70e8, cycles: 4352}},
+		want: pinResult{delivered: 792, conns: 0x3ddee85888c4ea85, payload: 0xee7950dd6f1b2cd5, credits: 0x4c167c9bf01a265d, carriers: 988, skipped: 0, evaluated: 51908, offered: 2254336, alloc: 0x48098c761fab70e8, cycles: 4352}},
 	{name: "dense", run: torus("dense"),
-		want: pinResult{delivered: 7088, conns: 0xbf241624211c38c5, payload: 0xc42e2c1b1bdf0d45, credits: 0x53302c21af1cb4b5, carriers: 8672, skipped: 0, evaluated: 2849024, offered: 6957776, alloc: 0xcd1ce4dd5ec2a3f7, cycles: 13432}},
+		want: pinResult{delivered: 7088, conns: 0xbf241624211c38c5, payload: 0xc42e2c1b1bdf0d45, credits: 0x53302c21af1cb4b5, carriers: 8672, skipped: 0, evaluated: 264352, offered: 6957776, alloc: 0xcd1ce4dd5ec2a3f7, cycles: 13432}},
 	{name: "duty", run: torus("duty"), ff: true,
-		want: pinResult{delivered: 1536, conns: 0xc02572a923b6c8ea, payload: 0x5004f75999cd9a45, credits: 0x65bcae9553cde6a5, carriers: 832, skipped: 7898, evaluated: 212422, offered: 666148, alloc: 0xfb97e8cfe22ca1e8, cycles: 9184}},
+		want: pinResult{delivered: 1536, conns: 0xc02572a923b6c8ea, payload: 0x5004f75999cd9a45, credits: 0x65bcae9553cde6a5, carriers: 832, skipped: 7898, evaluated: 46597, offered: 666148, alloc: 0xfb97e8cfe22ca1e8, cycles: 9184}},
 	{name: "chaos", run: soak{side: 4, seed: 7, conns: 6, cycles: 10_000, targeted: true}.run,
-		want: pinResult{delivered: 4006, conns: 0xc94a84f481181a64, payload: 0x5508386100cdda1c, credits: 0x03941671fb348828, carriers: 6974, skipped: 0, evaluated: 137621, offered: 343992, alloc: 0x6c3fa2d2119fc4e1, cycles: 10424, faults: fault.Counters{FlitsKilled: 64, TableFlips: 2}, repairs: 3}},
+		want: pinResult{delivered: 4006, conns: 0xc94a84f481181a64, payload: 0x5508386100cdda1c, credits: 0x03941671fb348828, carriers: 6974, skipped: 0, evaluated: 122734, offered: 343992, alloc: 0x6c3fa2d2119fc4e1, cycles: 10424, faults: fault.Counters{FlitsKilled: 64, TableFlips: 2}, repairs: 3}},
 	{name: "soak/42", run: soak{side: 4, seed: 42, conns: 5, cycles: 12_000, observe: obsTelemetry | obsStats}.run, must: telemetryMust,
-		want: pinResult{delivered: 3606, conns: 0x9a68c2e11ab730a7, payload: 0x073637621ce3aacc, credits: 0x3eff56f5a2231146, carriers: 6781, skipped: 0, evaluated: 137302, offered: 407682, alloc: 0xee19baf74de52e3b, cycles: 12354, faults: fault.Counters{FlitsKilled: 29}, repairs: 1, prom: 0xb691ab1490f243d7, ndjson: 0x13ec5b8fc73c112d}},
+		want: pinResult{delivered: 3606, conns: 0x9a68c2e11ab730a7, payload: 0x073637621ce3aacc, credits: 0x3eff56f5a2231146, carriers: 6781, skipped: 0, evaluated: 129003, offered: 407682, alloc: 0xee19baf74de52e3b, cycles: 12354, faults: fault.Counters{FlitsKilled: 29}, repairs: 1, prom: 0xb691ab1490f243d7, ndjson: 0x13ec5b8fc73c112d}},
 	{name: "soak/43", run: soak{side: 4, seed: 43, conns: 5, cycles: 12_000, observe: obsTelemetry | obsStats}.run,
-		want: pinResult{delivered: 3772, conns: 0x43bf5f1268f214b7, payload: 0xa14ee8ce24d60498, credits: 0x1362b0a68329efef, carriers: 7110, skipped: 0, evaluated: 151522, offered: 408210, alloc: 0x03e6dc64e2fa61fe, cycles: 12370, faults: fault.Counters{FlitsKilled: 87}, repairs: 3, prom: 0xab2f366fec7f3adf, ndjson: 0x0b4ab0076794ff77}},
+		want: pinResult{delivered: 3772, conns: 0x43bf5f1268f214b7, payload: 0xa14ee8ce24d60498, credits: 0x1362b0a68329efef, carriers: 7110, skipped: 0, evaluated: 138005, offered: 408210, alloc: 0x03e6dc64e2fa61fe, cycles: 12370, faults: fault.Counters{FlitsKilled: 87}, repairs: 3, prom: 0xab2f366fec7f3adf, ndjson: 0x0b4ab0076794ff77}},
 	{name: "ffsoak", run: ffSoak.run, must: []string{"daelite_fault_flits_killed_total",
 		`daelite_config_spans_total{op="setup"}`, `daelite_config_spans_total{op="teardown"}`, `daelite_events_total{kind="fault"}`},
-		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 0, evaluated: 56303, offered: 407682, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
+		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 0, evaluated: 45410, offered: 407682, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "ffsoak+ff", run: ffSoak.run, ff: true,
-		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5651, evaluated: 56303, offered: 221199, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
+		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5651, evaluated: 45410, offered: 221199, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "regions6x6", run: soak{side: 6, region: 24, seed: 42, conns: 5, cycles: 12_000, teardown: true, observe: obsTracer}.run, must: []string{
 		`"setup #`, `"inject r0"`, `"inject r1"`, `"settle"`, `"teardown #`, `"repair #`, `"stall"`, `"fault"`, `"record":"trace_event"`},
-		want: pinResult{delivered: 3274, conns: 0x8f4b748c049a289a, payload: 0x3bb4b7ce2547fc08, credits: 0xfa917c8bdd7a52aa, carriers: 6054, skipped: 0, evaluated: 205005, offered: 928950, alloc: 0x665b4359366512f2, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, repairs: 1, chrome: 0x80a9ff07aafe1aff, traceND: 0x6a8f2e9578e42e86}},
+		want: pinResult{delivered: 3274, conns: 0x8f4b748c049a289a, payload: 0x3bb4b7ce2547fc08, credits: 0xfa917c8bdd7a52aa, carriers: 6054, skipped: 0, evaluated: 190626, offered: 928950, alloc: 0x665b4359366512f2, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, repairs: 1, chrome: 0x80a9ff07aafe1aff, traceND: 0x6a8f2e9578e42e86}},
 	{name: "dnn", run: pack(workload.ExampleDNN), must: packMust,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 56625, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 31117, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "dnn+ff", run: pack(workload.ExampleDNN), ff: true,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6392, evaluated: 56625, offered: 306867, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6392, evaluated: 31117, offered: 306867, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "tinytera", run: tinyTera, must: packMust,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 189029, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0x235b280b3cdbecc3, ndjson: 0x18f3352b9da2152e, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 76339, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0x235b280b3cdbecc3, ndjson: 0x18f3352b9da2152e, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 	{name: "tinytera+ff", run: tinyTera, ff: true,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6809, evaluated: 189029, offered: 239085, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0x235b280b3cdbecc3, ndjson: 0x18f3352b9da2152e, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6809, evaluated: 76339, offered: 239085, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0x235b280b3cdbecc3, ndjson: 0x18f3352b9da2152e, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 }
 
 func TestPins(t *testing.T) {
-	got := runPins(t, pins)
+	got := runPins(t, pins, false)
 	// Distinct scenarios must not collapse into one: no two rows other
 	// than fast-forward siblings share a wire fold.
 	seen := map[uint64]string{}
@@ -512,12 +521,16 @@ func TestPins(t *testing.T) {
 // their rows against the same constants: after TestPins in one process,
 // they catch state that leaks from one run into the next.
 func TestKernelPinnedToParent(t *testing.T) {
-	runPins(t, pinRows(t, "sparse", "dense", "duty", "chaos"))
+	runPins(t, pinRows(t, "sparse", "dense", "duty", "chaos"), false)
 }
-func TestParallelChaosSoakDeterministic(t *testing.T) { runPins(t, pinRows(t, "soak/42", "soak/43")) }
-func TestTelemetryExportsDeterministic(t *testing.T)  { runPins(t, pinRows(t, "ffsoak", "ffsoak+ff")) }
+func TestParallelChaosSoakDeterministic(t *testing.T) {
+	runPins(t, pinRows(t, "soak/42", "soak/43"), false)
+}
+func TestTelemetryExportsDeterministic(t *testing.T) {
+	runPins(t, pinRows(t, "ffsoak", "ffsoak+ff"), false)
+}
 func TestWorkloadExportsByteIdentical(t *testing.T) {
-	runPins(t, pinRows(t, "dnn", "dnn+ff", "tinytera", "tinytera+ff"))
+	runPins(t, pinRows(t, "dnn", "dnn+ff", "tinytera", "tinytera+ff"), false)
 }
 
 // pinRows returns the rows of pins with the given names.
@@ -534,14 +547,23 @@ func pinRows(t *testing.T, names ...string) []pin {
 	return rows
 }
 
+// TestPinsAudited runs every row, each of which opens or closes
+// connections, under the sleep-proof audit against the same constants:
+// every component is evaluated every cycle, and a component the kernel
+// would have left asleep may not write a register. It checks the sleep
+// conditions of the router, the NI, the configuration module and the
+// link pipeline on every scenario the pins cover.
+func TestPinsAudited(t *testing.T) { runPins(t, pins, true) }
+
 // runPins runs each row as a subtest, checks it against its constants,
 // its must list and, for a +ff row, its accurate sibling, and returns
-// what each row reproduced.
-func runPins(t *testing.T, rows []pin) map[string]pinResult {
+// what each row reproduced; audit runs the rows under the kernel's
+// sleep-proof audit.
+func runPins(t *testing.T, rows []pin, audit bool) map[string]pinResult {
 	got := map[string]pinResult{}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			res, text := row.run(t, row.ff)
+			res, text := row.run(t, mode{ff: row.ff, audit: audit})
 			got[row.name] = res
 			if res != row.want {
 				t.Errorf("recorded constants moved; replacement:\n\twant: %v},\nwas:\n\twant: %v},", res, row.want)
