@@ -3,6 +3,7 @@ package aelite
 import (
 	"fmt"
 
+	"daelite/internal/fifo"
 	"daelite/internal/phit"
 	"daelite/internal/sim"
 	"daelite/internal/slots"
@@ -73,10 +74,11 @@ type channel struct {
 	route       uint32
 	remoteQueue int
 
-	sendQ    []phit.Word
-	pendSend []phit.Word
-	recvQ    []Delivery
-	recvCur  int
+	// Send and the configuration sink stage past sendQ's tail, and Eval
+	// pops its head at once; the receive path stages past recvQ's tail
+	// and Recv takes its head.
+	sendQ fifo.Ring[phit.Word]
+	recvQ fifo.Ring[Delivery]
 
 	credit        int
 	delivered     int
@@ -107,7 +109,6 @@ type NI struct {
 	// RX packet state.
 	rxPayloadLeft int
 	rxQueue       int
-	pendRecv      []pendingDelivery
 
 	// configSink, when set, receives (reg, value) register writes
 	// arriving on the config channel and the NI acknowledges each
@@ -149,7 +150,11 @@ func NewNI(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 		n.table[i] = -1
 	}
 	for i := range n.channels {
-		n.channels[i] = &channel{remoteQueue: -1}
+		n.channels[i] = &channel{
+			remoteQueue: -1,
+			sendQ:       fifo.New[phit.Word](params.SendQueueDepth),
+			recvQ:       fifo.New[Delivery](params.RecvQueueDepth),
+		}
 	}
 	n.sim, n.act = s, s.Add(n)
 	return n, nil
@@ -226,35 +231,27 @@ func (n *NI) applyReg(reg, value uint32) {
 // Send enqueues a word on channel ch (IP side, two-phase safe).
 func (n *NI) Send(ch int, w phit.Word) bool {
 	c := n.channels[ch]
-	if c.flags&FlagOpen == 0 || len(c.sendQ)+len(c.pendSend) >= n.params.SendQueueDepth {
+	if c.flags&FlagOpen == 0 || c.sendQ.Full() {
 		return false
 	}
-	c.pendSend = append(c.pendSend, w)
+	c.sendQ.Stage(w)
 	return true
 }
 
 // CanSend reports send-queue space on ch.
-func (n *NI) CanSend(ch int) bool {
-	c := n.channels[ch]
-	return len(c.sendQ)+len(c.pendSend) < n.params.SendQueueDepth
-}
+func (n *NI) CanSend(ch int) bool { return !n.channels[ch].sendQ.Full() }
 
 // RecvLen returns words available on ch.
-func (n *NI) RecvLen(ch int) int {
-	c := n.channels[ch]
-	return len(c.recvQ) - c.recvCur
-}
+func (n *NI) RecvLen(ch int) int { return n.channels[ch].recvQ.Len() }
 
 // Recv pops one delivered word from ch.
 func (n *NI) Recv(ch int) (Delivery, bool) {
 	c := n.channels[ch]
-	if c.recvCur >= len(c.recvQ) {
+	if c.recvQ.Len() == 0 {
 		return Delivery{}, false
 	}
-	d := c.recvQ[c.recvCur]
-	c.recvCur++
 	c.pendDelivered++
-	return d, true
+	return c.recvQ.Take(), true
 }
 
 // Credit returns the source-side credit counter of ch.
@@ -309,10 +306,9 @@ func (n *NI) Eval(cycle uint64) {
 	case n.txSpanLeft > 0 && n.txChannel == ch && ch >= 0:
 		// Continue the open packet.
 		c := n.channels[ch]
-		if n.txPayloadLeft > 0 && len(c.sendQ) > 0 {
+		if n.txPayloadLeft > 0 && c.sendQ.Len() > 0 {
 			out.Valid = true
-			out.Data = c.sendQ[0]
-			c.sendQ = c.sendQ[1:]
+			out.Data = c.sendQ.Pop()
 			out.Ref = n.sim.Stamp(n.act, phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq})
 			c.seq++
 			n.txPayloadLeft--
@@ -329,7 +325,7 @@ func (n *NI) Eval(cycle uint64) {
 			if capacity > MaxPayload {
 				capacity = MaxPayload
 			}
-			length := len(c.sendQ)
+			length := c.sendQ.Len()
 			if length > capacity {
 				length = capacity
 			}
@@ -374,11 +370,8 @@ func (n *NI) Eval(cycle uint64) {
 			q := n.rxQueue
 			if q >= 0 && q < len(n.channels) {
 				c := n.channels[q]
-				if len(c.recvQ)+n.pendingFor(q) < n.params.RecvQueueDepth {
-					n.pendRecv = append(n.pendRecv, pendingDelivery{
-						ch: q,
-						d:  Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1},
-					})
+				if !c.recvQ.Full() {
+					c.recvQ.Stage(Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1})
 					n.deliveredCnt++
 				} else {
 					n.dropped++
@@ -399,45 +392,20 @@ func (n *NI) Eval(cycle uint64) {
 			if len(n.cfgWords) == 2 {
 				n.applyReg(n.cfgWords[0], n.cfgWords[1])
 				n.cfgWords = n.cfgWords[:0]
-				// Acknowledge with a one-word message.
-				c.pendSend = append(c.pendSend, phit.Word(0xACED))
+				// Acknowledge with a one-word message. The
+				// initiator waits for it before its next write, so
+				// the queue never holds more than this one.
+				c.sendQ.Stage(phit.Word(0xACED))
 			}
 		}
 	}
 }
 
-// pendingDelivery queues a received word until Commit.
-type pendingDelivery struct {
-	ch int
-	d  Delivery
-}
-
-func (n *NI) pendingFor(ch int) int {
-	cnt := 0
-	for _, p := range n.pendRecv {
-		if p.ch == ch {
-			cnt++
-		}
-	}
-	return cnt
-}
-
 // Commit implements sim.Component.
 func (n *NI) Commit() {
-	for _, p := range n.pendRecv {
-		c := n.channels[p.ch]
-		c.recvQ = append(c.recvQ, p.d)
-	}
-	n.pendRecv = n.pendRecv[:0]
 	for _, c := range n.channels {
-		if len(c.pendSend) > 0 {
-			c.sendQ = append(c.sendQ, c.pendSend...)
-			c.pendSend = c.pendSend[:0]
-		}
-		if c.recvCur > 0 {
-			c.recvQ = c.recvQ[c.recvCur:]
-			c.recvCur = 0
-		}
+		c.sendQ.Commit()
+		c.recvQ.Commit()
 		if c.pendDelivered > 0 {
 			c.delivered += c.pendDelivered
 			c.pendDelivered = 0

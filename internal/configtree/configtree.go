@@ -77,15 +77,20 @@ type Module struct {
 	resps   []inflight
 	s       *sim.Simulator
 
-	// queue holds words awaiting transmission; bounds holds cumulative
-	// word counts (since the last rebase) at which packets end, so the
-	// cool-down can be inserted between packets. Submissions are staged
-	// in pending and folded in at Commit for two-phase safety.
-	queue    []phit.ConfigWord
-	bounds   []packetBound
-	sent     int // words consumed since the last boundary rebase
-	cooldown int // cycles of cool-down remaining
-	pending  []pendingPacket
+	// queue holds, from head on, the words awaiting transmission: the
+	// committed ones up to ready, then the packets submitted this cycle,
+	// which pending describes and Commit folds in for two-phase safety.
+	// bounds holds, from bhead on, the cumulative word counts (since the
+	// last rebase) at which committed packets end, so the cool-down can
+	// be inserted between packets. Commit moves both to the front of
+	// their buffers, which are reused.
+	queue       []phit.ConfigWord
+	head, ready int
+	bounds      []packetBound
+	bhead       int
+	sent        int // words consumed since the last boundary rebase
+	cooldown    int // cycles of cool-down remaining
+	pending     []packetBound
 
 	// read transaction state
 	readPending  bool
@@ -111,7 +116,8 @@ type Module struct {
 	act sim.Activity
 }
 
-// packetBound marks where a packet ends in the staged word stream.
+// packetBound marks where a packet ends in the staged word stream; in
+// pending, count is the packet's length.
 type packetBound struct {
 	count  int // cumulative words (since last rebase) at packet end
 	isRead bool
@@ -167,18 +173,7 @@ func (m *Module) RootResponse() phit.Response {
 // QueueLen reports the words currently staged in the module — committed
 // queue plus pending submissions — i.e. the backlog a freshly submitted
 // packet waits behind.
-func (m *Module) QueueLen() int {
-	n := len(m.queue)
-	for _, p := range m.pending {
-		n += len(p.words)
-	}
-	return n
-}
-
-type pendingPacket struct {
-	words  []phit.ConfigWord
-	isRead bool
-}
+func (m *Module) QueueLen() int { return len(m.queue) - m.head }
 
 // SubmitPacket queues a complete configuration packet for transmission,
 // starting no earlier than the next cycle, and wakes the module. It fails
@@ -189,10 +184,9 @@ func (m *Module) SubmitPacket(words []phit.ConfigWord) error {
 	if len(words) == 0 {
 		return fmt.Errorf("configtree: empty packet")
 	}
-	staged := len(m.queue)
+	staged := m.QueueLen()
 	readStaged := m.readPending
 	for _, p := range m.pending {
-		staged += len(p.words)
 		readStaged = readStaged || p.isRead
 	}
 	if staged+len(words) > m.params.QueueDepth {
@@ -206,16 +200,14 @@ func (m *Module) SubmitPacket(words []phit.ConfigWord) error {
 	if isRead && readStaged {
 		return fmt.Errorf("configtree: a read is already outstanding")
 	}
-	cp := make([]phit.ConfigWord, len(words))
-	copy(cp, words)
 	if isRead {
 		m.readAborted = false
-		m.readWords = cp
+		m.readWords = append(m.readWords[:0], words...)
 		m.readTimeout = m.params.ReadTimeout
 		m.retriesLeft = m.params.ReadRetries
 		m.readDeadline = 0
 	}
-	m.pending = append(m.pending, pendingPacket{words: cp, isRead: isRead})
+	m.stage(words, isRead)
 	m.act.Wake()
 	return nil
 }
@@ -234,7 +226,7 @@ func (m *Module) SubmitHostWords(packed []uint32, count int) error {
 // Busy reports whether the module still has words to send (including
 // packets submitted this cycle) or is in cool-down.
 func (m *Module) Busy() bool {
-	return len(m.queue) > 0 || m.cooldown > 0 || len(m.pending) > 0
+	return m.QueueLen() > 0 || m.cooldown > 0
 }
 
 // ReadOutstanding reports whether a read response is still awaited.
@@ -270,9 +262,11 @@ func (m *Module) LastPacketCycle() uint64 { return m.lastPktCycle }
 func (m *Module) Eval(cycle uint64) {
 	// Collect a response if one arrives.
 	r := m.RootResponse()
-	for len(m.resps) > 0 && m.resps[0].due <= cycle {
-		m.resps = m.resps[1:]
+	k := 0
+	for k < len(m.resps) && m.resps[k].due <= cycle {
+		k++
 	}
+	m.resps = slices.Delete(m.resps, 0, k)
 	if r.Valid && m.readPending {
 		m.readPending = false
 		m.readDeadline = 0
@@ -294,7 +288,7 @@ func (m *Module) Eval(cycle uint64) {
 				backoff = 2
 			}
 			m.readTimeout *= backoff
-			m.pending = append(m.pending, pendingPacket{words: m.readWords, isRead: true})
+			m.stage(m.readWords, true)
 		} else {
 			m.readPending = false
 			m.readValid = false
@@ -308,7 +302,7 @@ func (m *Module) Eval(cycle uint64) {
 	case m.cooldown > 0:
 		m.cooldown--
 		m.fwd.Set(phit.ConfigWord{})
-	case len(m.queue) == 0:
+	case m.head == m.ready:
 		m.fwd.Set(phit.ConfigWord{})
 	default:
 		// The word just driven must be followed by an idle one, even
@@ -324,34 +318,51 @@ func (m *Module) Eval(cycle uint64) {
 
 // send drives the next staged word onto the tree.
 func (m *Module) send(cycle uint64) {
-	w := m.queue[0]
-	m.queue = m.queue[1:]
+	w := m.queue[m.head]
+	m.head++
 	m.sent++
 	m.wordsSent++
 	m.fwd.Set(w)
 	// Crossing a packet boundary starts the cool-down.
-	if len(m.bounds) > 0 && m.sent == m.bounds[0].count {
+	if m.bhead < len(m.bounds) && m.sent == m.bounds[m.bhead].count {
+		b := m.bounds[m.bhead]
 		m.cooldown = m.params.Cooldown
 		m.packetsSent++
 		m.lastPktCycle = cycle + 1 // the word appears on the wire at cycle+1
-		if m.bounds[0].isRead && m.params.ReadTimeout > 0 {
+		if b.isRead && m.params.ReadTimeout > 0 {
 			m.readDeadline = cycle + 1 + m.readTimeout
 		}
 		// Rebase boundary bookkeeping.
-		consumed := m.bounds[0].count
-		m.bounds = m.bounds[1:]
-		for i := range m.bounds {
-			m.bounds[i].count -= consumed
+		m.bhead++
+		for i := m.bhead; i < len(m.bounds); i++ {
+			m.bounds[i].count -= b.count
 		}
 		m.sent = 0
 	}
 }
 
+// stage appends a packet past the committed words, for Commit to fold in.
+func (m *Module) stage(words []phit.ConfigWord, isRead bool) {
+	m.queue = append(m.queue, words...)
+	m.pending = append(m.pending, packetBound{count: len(words), isRead: isRead})
+}
+
 // Commit implements sim.Component: fold in packets submitted during Eval.
+// A buffer at least half consumed has what is left moved to its front,
+// so moving costs at most one entry per entry consumed.
 func (m *Module) Commit() {
+	if m.head > 0 && 2*m.head >= len(m.queue) {
+		m.queue = m.queue[:copy(m.queue, m.queue[m.head:])]
+		m.ready -= m.head
+		m.head = 0
+	}
+	if m.bhead > 0 && 2*m.bhead >= len(m.bounds) {
+		m.bounds = m.bounds[:copy(m.bounds, m.bounds[m.bhead:])]
+		m.bhead = 0
+	}
 	for _, p := range m.pending {
-		m.queue = append(m.queue, p.words...)
-		m.bounds = append(m.bounds, packetBound{count: m.sent + len(m.queue), isRead: p.isRead})
+		m.ready += p.count
+		m.bounds = append(m.bounds, packetBound{count: m.sent + m.ready - m.head, isRead: p.isRead})
 		if p.isRead {
 			m.readPending = true
 			m.readValid = false

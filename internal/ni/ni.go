@@ -23,6 +23,7 @@ import (
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/configtree"
+	"daelite/internal/fifo"
 	"daelite/internal/phit"
 	"daelite/internal/sim"
 	"daelite/internal/slots"
@@ -72,18 +73,17 @@ type Delivery struct {
 }
 
 // channel is the per-channel state. IP-side mutations (Send, Recv) are
-// buffered in pending fields and applied at Commit, so that the NI's Eval
+// staged in the queues and applied at Commit, so that the NI's Eval
 // always observes last cycle's settled queues regardless of component
 // evaluation order.
 type channel struct {
 	flags uint8
 
-	sendQ    []queuedWord
-	pendSend []queuedWord
-	recvQ    []Delivery
-	// recvCursor counts words the IP consumed this cycle; the head of
-	// recvQ is trimmed at Commit.
-	recvCursor int
+	// The hardware FIFOs, at SendQueueDepth and RecvQueueDepth words.
+	// Send stages past sendQ's tail and Eval pops its head at Commit;
+	// the receive path stages past recvQ's tail and Recv takes its head.
+	sendQ fifo.Ring[queuedWord]
+	recvQ fifo.Ring[Delivery]
 
 	// credit is the source-side counter: free words at the remote
 	// receive queue. Initialized by configuration at set-up.
@@ -137,10 +137,10 @@ type NI struct {
 	table    *slots.NITable
 	channels []*channel
 
-	// Pending queue mutations applied at Commit so that IP-side reads
-	// within the same cycle observe pre-edge state.
-	pendingPush []pendingDelivery
-	pendingPop  []int // channels whose send queue head was consumed
+	// The channels whose send-queue head Eval consumed and whose receive
+	// queue it staged a word in (nil: none), for Commit to apply, so
+	// that IP-side reads within the same cycle observe pre-edge state.
+	popped, pushed *channel
 
 	// cfg is the NI's place on its region's configuration tree.
 	cfg *configtree.Node
@@ -169,12 +169,6 @@ type NI struct {
 	outIdle bool
 }
 
-// pendingDelivery queues a word for a receive queue until Commit.
-type pendingDelivery struct {
-	ch int
-	d  Delivery
-}
-
 // BusConfigPort receives deserialized configuration writes for the bus
 // adjacent to this NI.
 type BusConfigPort interface {
@@ -196,7 +190,10 @@ func New(s *sim.Simulator, name string, id int, params Params) (*NI, error) {
 	}
 	n.channels = make([]*channel, params.NumChannels)
 	for i := range n.channels {
-		n.channels[i] = &channel{}
+		n.channels[i] = &channel{
+			sendQ: fifo.New[queuedWord](params.SendQueueDepth),
+			recvQ: fifo.New[Delivery](params.RecvQueueDepth),
+		}
 	}
 	n.act = s.Add(n)
 	return n, nil
@@ -243,8 +240,7 @@ func (n *NI) Table() *slots.NITable { return n.table }
 
 // CanSend reports whether channel ch can accept another word from the IP.
 func (n *NI) CanSend(ch int) bool {
-	c := n.channels[ch]
-	return len(c.sendQ)+len(c.pendSend) < n.params.SendQueueDepth
+	return !n.channels[ch].sendQ.Full()
 }
 
 // Send enqueues one word for transmission on channel ch. It returns false
@@ -252,33 +248,28 @@ func (n *NI) CanSend(ch int) bool {
 // eligible for injection on the next cycle (two-phase safety).
 func (n *NI) Send(ch int, w phit.Word) bool {
 	c := n.channels[ch]
-	if c.flags&cfgproto.FlagOpen == 0 || len(c.sendQ)+len(c.pendSend) >= n.params.SendQueueDepth {
+	if c.flags&cfgproto.FlagOpen == 0 || c.sendQ.Full() {
 		n.rejected++
 		return false
 	}
-	tag := phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, SubmitCycle: n.sim.EvalCycle()}
+	c.sendQ.Stage(queuedWord{word: w, tag: phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, SubmitCycle: n.sim.EvalCycle()}})
 	c.seq++
-	c.pendSend = append(c.pendSend, queuedWord{word: w, tag: tag})
 	n.hostCall()
 	return true
 }
 
 // RecvLen returns the number of words available to the IP on channel ch.
-func (n *NI) RecvLen(ch int) int {
-	c := n.channels[ch]
-	return len(c.recvQ) - c.recvCursor
-}
+func (n *NI) RecvLen(ch int) int { return n.channels[ch].recvQ.Len() }
 
 // Recv pops one delivered word from channel ch, returning ok=false when
 // the queue is empty. Popping frees buffer space and therefore schedules a
 // credit to be returned to the remote source.
 func (n *NI) Recv(ch int) (Delivery, bool) {
 	c := n.channels[ch]
-	if c.recvCursor >= len(c.recvQ) {
+	if c.recvQ.Len() == 0 {
 		return Delivery{}, false
 	}
-	d := c.recvQ[c.recvCursor]
-	c.recvCursor++
+	d := c.recvQ.Take()
 	c.pendDelivered++
 	n.hostCall()
 	return d, true
@@ -292,10 +283,7 @@ func (n *NI) hostCall() {
 }
 
 // SendQueueLen returns the occupancy of channel ch's send queue.
-func (n *NI) SendQueueLen(ch int) int {
-	c := n.channels[ch]
-	return len(c.sendQ) + len(c.pendSend)
-}
+func (n *NI) SendQueueLen(ch int) int { return n.channels[ch].sendQ.Used() }
 
 // Credit returns the source-side credit counter of channel ch.
 func (n *NI) Credit(ch int) int { return n.channels[ch].credit }
@@ -401,9 +389,9 @@ func (n *NI) Eval(cycle uint64) {
 
 			// Payload: send if a word is queued and, unless
 			// multicast, a credit is available.
-			if len(ch.sendQ) > 0 && (ch.flags&cfgproto.FlagMulticast != 0 || ch.credit > 0) {
-				qw := ch.sendQ[0]
-				n.pendingPop = append(n.pendingPop, entry.TX)
+			if ch.sendQ.Len() > 0 && (ch.flags&cfgproto.FlagMulticast != 0 || ch.credit > 0) {
+				qw := ch.sendQ.Peek()
+				n.popped = ch
 				if ch.flags&cfgproto.FlagMulticast == 0 {
 					ch.credit--
 				}
@@ -412,7 +400,7 @@ func (n *NI) Eval(cycle uint64) {
 				out.Ref = n.sim.Stamp(n.act, qw.tag)
 				n.injected++
 				ch.txWords++
-			} else if len(ch.sendQ) > 0 {
+			} else if ch.sendQ.Len() > 0 {
 				ch.creditStall++
 			}
 			n.track(ch)
@@ -435,11 +423,9 @@ func (n *NI) Eval(cycle uint64) {
 			}
 		}
 		if in.Valid {
-			if len(ch.recvQ)+n.pendingFor(entry.RX) < n.params.RecvQueueDepth {
-				n.pendingPush = append(n.pendingPush, pendingDelivery{
-					ch: entry.RX,
-					d:  Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1},
-				})
+			if !ch.recvQ.Full() {
+				ch.recvQ.Stage(Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1})
+				n.pushed = ch
 				n.delivered++
 				ch.rxWords++
 			} else {
@@ -460,7 +446,7 @@ func (n *NI) Eval(cycle uint64) {
 // does not count: it moves only when a credit word arrives, which wakes
 // the NI.
 func (n *NI) track(c *channel) {
-	busy := c.flags&cfgproto.FlagOpen != 0 && (len(c.sendQ) > 0 || c.delivered != 0 || c.txCreditLatch != 0)
+	busy := c.flags&cfgproto.FlagOpen != 0 && (c.sendQ.Len() > 0 || c.delivered != 0 || c.txCreditLatch != 0)
 	if busy != c.busy {
 		c.busy = busy
 		if busy {
@@ -480,46 +466,26 @@ func (n *NI) configured(c *channel) {
 	}
 }
 
-func (n *NI) pendingFor(ch int) int {
-	cnt := 0
-	for _, p := range n.pendingPush {
-		if p.ch == ch {
-			cnt++
-		}
-	}
-	return cnt
-}
-
 // Commit implements sim.Component: apply queue mutations decided in Eval
 // (network-side pops and pushes) and by the IP-side API during other
 // components' Eval (pending sends, consumed deliveries).
 func (n *NI) Commit() {
-	for _, ch := range n.pendingPop {
-		c := n.channels[ch]
-		if len(c.sendQ) > 0 {
-			c.sendQ = c.sendQ[1:]
-		}
+	if c := n.popped; c != nil {
+		c.sendQ.Pop()
 		n.track(c)
+		n.popped = nil
 	}
-	n.pendingPop = n.pendingPop[:0]
-	for _, p := range n.pendingPush {
-		c := n.channels[p.ch]
-		c.recvQ = append(c.recvQ, p.d)
+	if c := n.pushed; c != nil {
+		c.recvQ.Commit()
+		n.pushed = nil
 	}
-	n.pendingPush = n.pendingPush[:0]
 	if !n.host {
 		return
 	}
 	n.host = false
 	for _, c := range n.channels {
-		if len(c.pendSend) > 0 {
-			c.sendQ = append(c.sendQ, c.pendSend...)
-			c.pendSend = c.pendSend[:0]
-		}
-		if c.recvCursor > 0 {
-			c.recvQ = c.recvQ[c.recvCursor:]
-			c.recvCursor = 0
-		}
+		c.sendQ.Commit()
+		c.recvQ.Commit()
 		if c.pendDelivered > 0 {
 			c.delivered += c.pendDelivered
 			c.pendDelivered = 0

@@ -8,7 +8,6 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"daelite/internal/ni"
 	"daelite/internal/phit"
@@ -17,12 +16,13 @@ import (
 
 // Stats aggregates per-word delivery measurements.
 type Stats struct {
-	Count     uint64
-	SumLat    float64
-	MinLat    uint64
-	MaxLat    uint64
-	latencies []uint64
-	capped    bool
+	Count  uint64
+	SumLat float64
+	MinLat uint64
+	MaxLat uint64
+	// hist counts the observations of each latency in cycles; it grows
+	// only when a new maximum arrives.
+	hist []uint64
 }
 
 // Observe records one delivery latency.
@@ -35,11 +35,10 @@ func (s *Stats) Observe(lat uint64) {
 	}
 	s.Count++
 	s.SumLat += float64(lat)
-	if len(s.latencies) < 1<<20 {
-		s.latencies = append(s.latencies, lat)
-	} else {
-		s.capped = true
+	if lat >= uint64(len(s.hist)) {
+		s.hist = append(s.hist, make([]uint64, int(lat)+1-len(s.hist))...)
 	}
+	s.hist[lat]++
 }
 
 // Mean returns the mean latency in cycles.
@@ -50,23 +49,20 @@ func (s *Stats) Mean() float64 {
 	return s.SumLat / float64(s.Count)
 }
 
-// Percentile returns the p-th percentile latency (0 < p <= 100) over the
-// recorded samples.
+// Percentile returns the p-th percentile latency (0 < p <= 100) over all
+// observations, by nearest rank.
 func (s *Stats) Percentile(p float64) uint64 {
-	if len(s.latencies) == 0 {
+	if s.Count == 0 {
 		return 0
 	}
-	sorted := make([]uint64, len(s.latencies))
-	copy(sorted, s.latencies)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+	rank := uint64(max(1, math.Ceil(p/100*float64(s.Count))))
+	var seen uint64
+	for lat, n := range s.hist {
+		if seen += n; seen >= rank {
+			return uint64(lat)
+		}
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return s.MaxLat
 }
 
 // String renders a summary line.

@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"daelite/internal/core"
@@ -178,5 +180,45 @@ func TestReplayerBackpressure(t *testing.T) {
 	}
 	if rep.Late() == 0 {
 		t.Fatal("backpressure invisible")
+	}
+}
+
+// TestStatsPercentileOverAllSamples observes more than 2^20 latencies,
+// the tail of them larger than the rest, and checks every percentile
+// against the nearest rank over all of them.
+func TestStatsPercentileOverAllSamples(t *testing.T) {
+	var s Stats
+	var all []uint64
+	x := uint64(1)
+	for i := 0; i < 1<<20+1<<18; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		lat := x >> 57 // 0..127
+		if i >= 1<<20 {
+			lat += 128
+		}
+		s.Observe(lat)
+		all = append(all, lat)
+	}
+	slices.Sort(all)
+	for _, p := range []float64{0.1, 1, 50, 80, 81, 90, 99, 99.9, 100} {
+		rank := int(math.Ceil(p / 100 * float64(len(all))))
+		if got, want := s.Percentile(p), all[rank-1]; got != want {
+			t.Errorf("p%v = %d, want %d", p, got, want)
+		}
+	}
+}
+
+// TestStatsAllocFree pins that recording and reading latencies below the
+// maximum seen allocates nothing.
+func TestStatsAllocFree(t *testing.T) {
+	var s Stats
+	s.Observe(300)
+	lat := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Observe(lat % 300)
+		lat += 7
+		_ = s.Percentile(99)
+	}); allocs != 0 {
+		t.Fatalf("Observe+Percentile allocate %v objects per call", allocs)
 	}
 }
