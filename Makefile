@@ -87,12 +87,12 @@ admd:
 
 # The control-plane soak: the in-process race-mode soak (seeded load
 # driver + concurrent /metrics scrapes + online conformance checkers +
-# restore-fingerprint check), then the full service soak experiment E19
-# (HTTP load, quotas, DRR fairness, kill/restart replay) — the same
-# pair the CI control-plane job runs.
+# restore-fingerprint check), then the benchmark's admd_mixed workload
+# at smoke size (tenants over loopback HTTP, journal, snapshot and a
+# restore that must reproduce the allocator fingerprint).
 soak:
 	$(GO) test -race -run 'TestSoakWithConcurrentScrape' -v ./internal/admission
-	$(GO) run ./cmd/daelite bench -experiment E19
+	bash benchmark/run.sh --workload admd_mixed -smoke
 
 # Produce a Perfetto-loadable causal trace of a regioned 6x6 run with
 # the flight recorder armed, and verify it is byte-identical across two
@@ -104,11 +104,12 @@ trace:
 	@rm -f trace_run1.json
 	@echo "wrote trace.json — load it at https://ui.perfetto.dev"
 
-# Profile the admission engine end to end (E17) and drop cpu.pprof /
-# mem.pprof for `go tool pprof`.
+# Profile the admission engine under steady-state churn
+# (Micro/AllocChurn) and drop cpu.pprof / mem.pprof for `go tool pprof`.
+# go test also leaves the test binary, daelite.test, beside them.
 profile:
-	$(GO) run ./cmd/daelite bench -experiment E17 -cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "wrote cpu.pprof mem.pprof — inspect with: go tool pprof cpu.pprof"
+	$(GO) test -run '^$$' -bench 'Micro/AllocChurn$$' -cpuprofile cpu.pprof -memprofile mem.pprof .
+	@echo "wrote cpu.pprof mem.pprof — inspect with: go tool pprof daelite.test cpu.pprof"
 
 clean:
 	$(GO) clean ./...

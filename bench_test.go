@@ -1,7 +1,7 @@
 package daelite
 
 // The benchmark harness is two loops over the tables in
-// internal/experiments: every golden experiment of the Registry (see
+// internal/experiments: every experiment of the Registry (see
 // DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
 // outputs) and every micro-benchmark of Micro. `daelite bench` prints
 // the full tables; host-time performance is measured by benchmark/.
@@ -20,11 +20,9 @@ import (
 )
 
 // BenchmarkExperiments regenerates each experiment and reports its
-// headline metrics, each under its metric key as the unit. The
-// wall-clock experiments are themselves timings of other code, so they
-// are left to `daelite bench -experiment`.
+// headline metrics, each under its metric key as the unit.
 func BenchmarkExperiments(b *testing.B) {
-	for _, e := range experiments.Select("") {
+	for _, e := range experiments.Registry {
 		b.Run(e.ID, func(b *testing.B) {
 			var last *experiments.Result
 			for i := 0; i < b.N; i++ {

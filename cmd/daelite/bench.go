@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 
 	"daelite/internal/experiments"
@@ -17,13 +15,11 @@ import (
 // format. Every mode is a loop over experiments.Registry; -experiment
 // runs what experiments.Select picks: an ID (E3) or an artifact
 // substring ("Table III"), ignoring case.
-func runBench(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) (err error) {
+func runBench(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error {
 	which := fs.String("experiment", "", "run only the experiments with this ID (E1..E24, A1..A9) or artifact substring, ignoring case")
 	listOnly := fs.Bool("list", false, "list experiments without running them")
 	outPath := fs.String("o", "", "also write the output to this file")
 	fastforward := fs.Bool("fastforward", false, "arm fast-forwarding on experiment platforms (tables stay bit-identical; only wall clock changes)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	if err := parse(fs, argv); err != nil {
 		return err
 	}
@@ -31,36 +27,13 @@ func runBench(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) (err er
 
 	if *listOnly {
 		for _, e := range experiments.Registry {
-			note := ""
-			if e.WallClock {
-				note = " (wall-clock; not in golden output)"
-			}
-			fmt.Fprintf(stdout, "%-4s %s%s\n", e.ID, e.Artifact, note)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Artifact)
 		}
 		return nil
 	}
 	selected := experiments.Select(*which)
 	if len(selected) == 0 {
 		return fmt.Errorf("no experiment matches -experiment %q (see -list)", *which)
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			runtime.GC()
-			if werr := writeFile(*memProfile, pprof.WriteHeapProfile); err == nil {
-				err = werr
-			}
-		}()
 	}
 	out := stdout
 	if *outPath != "" {

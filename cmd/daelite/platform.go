@@ -21,7 +21,6 @@ import (
 
 	"daelite/internal/conformance"
 	"daelite/internal/core"
-	"daelite/internal/sim"
 	"daelite/internal/telemetry"
 	"daelite/internal/telemetry/tracing"
 	"daelite/internal/topology"
@@ -283,25 +282,6 @@ func (e *exporters) dumpOnStall(h *core.HealthMonitor) {
 	if e != nil && e.Recorder != nil {
 		h.OnStall = func(*core.Connection, uint64) { _, _ = e.Recorder.Dump("stall") }
 	}
-}
-
-// attachFingerprint installs a determinism fingerprint on the platform:
-// every valid flit leaving any NI is folded (data and cycle) into an
-// order-sensitive hash, so two runs of the same seeded invocation agree
-// on the fingerprint exactly when they delivered the same words at the
-// same cycles. Attach before any traffic runs; the returned function
-// reads the fold accumulated so far.
-func attachFingerprint(p *core.Platform) func() uint64 {
-	fp := new(sim.Fingerprint)
-	for _, id := range p.Mesh.AllNIs {
-		w := p.NI(id).OutputWire()
-		p.Sim.AddProbe(func(cycle uint64) {
-			if f := w.Get(); f.Valid {
-				*fp = fp.Mix(uint64(f.Data)).Mix(cycle)
-			}
-		})
-	}
-	return func() uint64 { return fp.Sum() }
 }
 
 // checkFingerprint compares a run's fingerprint against the value

@@ -10,6 +10,7 @@ import (
 	"daelite/internal/conformance"
 	"daelite/internal/core"
 	"daelite/internal/fault"
+	"daelite/internal/sim"
 	"daelite/internal/stats"
 )
 
@@ -17,7 +18,7 @@ import (
 type soak struct {
 	p        *core.Platform
 	exp      *exporters
-	fp       func() uint64
+	fp       *sim.Fingerprint
 	ck       *conformance.Checker // nil without -conformance
 	links    *stats.Monitor
 	inj      *fault.Injector     // nil without a fault campaign
@@ -36,7 +37,7 @@ func startSoak(pf *platformFlags, p *core.Platform, stdout io.Writer) (*soak, er
 	if url := exp.metricsURL(); url != "" {
 		fmt.Fprintf(stdout, "metrics: %s\n", url)
 	}
-	return &soak{p: p, exp: exp, fp: attachFingerprint(p)}, nil
+	return &soak{p: p, exp: exp, fp: conformance.WireFingerprint(p)}, nil
 }
 
 // inject schedules faults on the platform and arms a health monitor that
@@ -128,7 +129,7 @@ func (s *soak) finish(stdout io.Writer, table, linkTitle, expectFP string) error
 			fmt.Fprintln(stdout, "conformance: no violations")
 		}
 	}
-	fp := s.fp()
+	fp := s.fp.Sum()
 	fmt.Fprintf(stdout, "fingerprint: %016x\n", fp)
 	errs = append(errs, checkFingerprint(fp, expectFP))
 	if len(s.failures) > 0 {

@@ -15,10 +15,10 @@ import (
 	"daelite/internal/sim"
 )
 
-// This file is the seeded load driver behind daelite load and
-// experiment E19: a deterministic mixed open/teardown/what-if workload
-// against a running control plane, reporting acceptance, latency
-// percentiles and cross-tenant fairness. It talks plain HTTP so the
+// This file is the seeded load driver behind daelite load and the
+// race-mode soak test: a deterministic mixed open/teardown/what-if
+// workload against a running control plane, reporting acceptance,
+// latency percentiles and cross-tenant fairness. It talks plain HTTP so the
 // same driver exercises an in-process handler (tests, benchmarks) or a
 // daemon across the network.
 

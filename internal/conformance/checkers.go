@@ -50,19 +50,20 @@ const (
 	CheckMulticast  = "multicast"
 )
 
+// maxEvents caps the violations a Checker records and emits as
+// telemetry events, so a hard failure cannot flood the registry.
+const maxEvents = 32
+
 // Options tune a Checker.
 type Options struct {
 	// SampleEvery is the cadence of the structural checks (tables,
 	// occupancy, credits, drops) in cycles; <= 0 selects 64. The
 	// per-cycle checks (wires, response path) always run every cycle.
 	SampleEvery int
-	// MaxEvents caps the telemetry events emitted for violations so a
-	// hard failure cannot flood the registry; <= 0 selects 32.
-	MaxEvents int
 	// LineRate disables the multicast zero-drop check when false.
 	LineRate bool
 	// OnViolation, when set, is called for each recorded violation
-	// (within the MaxEvents cap) from the checking probe on the
+	// (within the maxEvents cap) from the checking probe on the
 	// stepping goroutine — the flight recorder's dump trigger.
 	OnViolation func(Violation)
 }
@@ -138,9 +139,6 @@ type creditBase struct {
 func Attach(p *core.Platform, reg *telemetry.Registry, opt Options) *Checker {
 	if opt.SampleEvery <= 0 {
 		opt.SampleEvery = 64
-	}
-	if opt.MaxEvents <= 0 {
-		opt.MaxEvents = 32
 	}
 	ck := &Checker{
 		p:        p,
@@ -250,7 +248,7 @@ func (ck *Checker) ViolationCount(check string) uint64 {
 	return 0
 }
 
-// Recorded returns the recorded violations (capped at MaxEvents).
+// Recorded returns the recorded violations (capped at maxEvents).
 func (ck *Checker) Recorded() []Violation {
 	out := make([]Violation, len(ck.violations))
 	copy(out, ck.violations)
@@ -260,7 +258,7 @@ func (ck *Checker) Recorded() []Violation {
 func (ck *Checker) violate(cycle uint64, check, format string, args ...interface{}) {
 	ck.total++
 	ck.counters[check].Inc()
-	if ck.events >= ck.opt.MaxEvents {
+	if ck.events >= maxEvents {
 		return
 	}
 	ck.events++

@@ -179,17 +179,7 @@ func run(sc *Scenario, ff bool) (*Result, error) {
 		return p.Mesh.NI(i%sc.Width, (i/sc.Width)%sc.Height, 0)
 	}
 
-	var fp sim.Fingerprint
-	for _, id := range p.Mesh.AllNIs {
-		wire := p.NI(id).OutputWire()
-		w := wire
-		p.Sim.AddProbe(func(cycle uint64) {
-			if f := w.Get(); f.Valid {
-				fp = fp.Mix(uint64(f.Data))
-				fp = fp.Mix(cycle)
-			}
-		})
-	}
+	fp := WireFingerprint(p)
 
 	var runs []*runConn
 	for _, pl := range sc.Plans {
@@ -403,9 +393,7 @@ func run(sc *Scenario, ff bool) (*Result, error) {
 	}
 
 	// Fold deliveries and verdicts into the fingerprint.
-	fp = fp.Mix(res.Delivered)
-	fp = fp.Mix(res.Violations)
-	res.Fingerprint = fp.Sum()
+	res.Fingerprint = fp.Mix(res.Delivered).Mix(res.Violations).Sum()
 	res.Skipped = p.Sim.SkippedCycles()
 	return res, nil
 }

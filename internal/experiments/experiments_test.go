@@ -417,11 +417,10 @@ func TestConformanceSweep(t *testing.T) {
 	}
 }
 
-// TestAllSmoke runs every Registry entry end to end, wall-clock ones
-// included, and checks the table against what each entry returns: IDs
-// are unique, the Result carries the entry's ID and Artifact, rendered
-// text and metrics, and every Headline key names a metric the experiment
-// really produces.
+// TestAllSmoke runs every Registry entry end to end and checks the
+// table against what each entry returns: IDs are unique, the Result
+// carries the entry's ID and Artifact, rendered text and metrics, and
+// every Headline key names a metric the experiment really produces.
 func TestAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite")
@@ -451,13 +450,12 @@ func TestAllSmoke(t *testing.T) {
 }
 
 // TestSelect pins the one selection rule: ID or artifact substring, both
-// ignoring case, in Registry order; the empty string is the golden set.
+// ignoring case, in Registry order; the empty string is the golden set,
+// every entry. A retired ID selects nothing.
 func TestSelect(t *testing.T) {
 	var golden []string
 	for _, e := range Registry {
-		if !e.WallClock {
-			golden = append(golden, e.ID)
-		}
+		golden = append(golden, e.ID)
 	}
 	for _, tc := range []struct {
 		which string
@@ -466,8 +464,8 @@ func TestSelect(t *testing.T) {
 		{"E3", []string{"E3"}},
 		{"e3", []string{"E3"}},
 		{"Table I", []string{"E1", "E2", "E3"}},
-		{"E16", []string{"E16"}},
-		{"fast-forward THROUGHPUT", []string{"E22"}},
+		{"per-stage SET-UP", []string{"E21"}},
+		{"E22", nil},
 		{"", golden},
 		{"nonesuch", nil},
 	} {

@@ -11,20 +11,18 @@ type Experiment struct {
 	// ID and Artifact equal the fields of the Result that Run returns.
 	ID, Artifact string
 	Run          func() (*Result, error)
-	// WallClock marks experiments whose numbers are host-time
-	// measurements and so differ from machine to machine. The golden
-	// file (experiments_output.txt) and `go test -bench` leave them out;
-	// they run when selected by name.
-	WallClock bool
 	// Headline names the metrics `go test -bench Experiments` reports,
 	// each under its own key as the unit.
 	Headline []string
 }
 
 // Registry is the one list of experiments, in the order of the golden
-// file. daelite bench (-list, -experiment, -json), the root
+// file. daelite bench (-list, -experiment), the root
 // BenchmarkExperiments and the tests all loop over it; none has a list
-// of its own.
+// of its own. Every entry is measured in cycles, so every entry is in
+// the golden file; host time is measured by the benchmark of record
+// (benchmark/). The retired host-time experiments' IDs (E16, E17, E19,
+// E22) stay unused.
 var Registry = []Experiment{
 	{ID: "E1", Artifact: "Table I", Run: TableIFeatures, Headline: []string{"rows"}},
 	{ID: "E2", Artifact: "Table II", Run: TableIIArea, Headline: []string{"worst_deviation_points"}},
@@ -41,8 +39,6 @@ var Registry = []Experiment{
 	{ID: "E13", Artifact: "use-case switching (Section IV)", Run: UseCaseSwitch, Headline: []string{"switch_cycles"}},
 	{ID: "E14", Artifact: "attained vs reserved bandwidth (QoS claim)", Run: AttainedBandwidth, Headline: []string{"worst_fraction"}},
 	{ID: "E15", Artifact: "repair latency under a link failure (chaos)", Run: FaultRepair, Headline: []string{"repair_cycles", "aelite_resetup_cycles", "resetup_speedup"}},
-	{ID: "E16", Artifact: "kernel scaling", Run: ScalingThroughput, WallClock: true},
-	{ID: "E17", Artifact: "batch admission throughput under churn", Run: AdmissionThroughput, WallClock: true},
 	{ID: "E18", Artifact: "conformance: sim-vs-model differential + mutation smoke", Run: ConformanceSweep, Headline: []string{"passed", "run_mismatches", "mutation_detected"}},
 	{ID: "A1", Artifact: "ablation: TDM wheel size", Run: AblationWheelSize, Headline: []string{"setup_w8", "setup_w64"}},
 	{ID: "A2", Artifact: "ablation: configuration cool-down", Run: AblationCooldown, Headline: []string{"setup_cd0", "setup_cd16"}},
@@ -53,27 +49,20 @@ var Registry = []Experiment{
 	{ID: "A8", Artifact: "ablation: slot placement (dimensioning flow)", Run: SlotPlacement, Headline: []string{"clustered_worst", "spread_worst"}},
 	{ID: "A9", Artifact: "ablation: partial-path reconfiguration (Fig. 7)", Run: PartialReconfig, Headline: []string{"full_setup", "graft_2"}},
 	{ID: "A5", Artifact: "ablation: model-vs-model router area", Run: ModelVsModelArea, Headline: []string{"aelite_ratio", "vc8_ratio"}},
-	{ID: "E19", Artifact: "control-plane admission service under multi-tenant load", Run: ControlPlaneSoak, WallClock: true},
 	{ID: "E20", Artifact: "regioned vs single-tree set-up", Run: RegionSetup, Headline: []string{"setup_cycles_single-tree", "setup_cycles_regioned(24)"}},
 	{ID: "E21", Artifact: "per-stage set-up latency via causal traces", Run: TraceBreakdown, Headline: []string{"inject_cycles_regioned(24)", "settle_cycles_regioned(24)", "span_mismatches"}},
-	{ID: "E22", Artifact: "fast-forward throughput", Run: FastForwardThroughput, WallClock: true},
 	{ID: "E23", Artifact: "DNN inference pack: per-layer energy and latency", Run: DNNWorkload, Headline: []string{"comm_share", "setup_share_of_active", "total_pj"}},
 	{ID: "E24", Artifact: "switch-fabric pack: acceptance and delivery under VOQ matrices", Run: SwitchWorkload, Headline: []string{"accept_uniform", "accept_diagonal", "accept_hotspot"}},
 }
 
 // Select returns the Registry entries that which names, in Registry
 // order. The one rule: an entry matches when which equals its ID or is
-// a substring of its Artifact, both ignoring case. The empty string
-// selects the golden set, every entry that is not WallClock; a
-// wall-clock experiment runs only when named.
+// a substring of its Artifact, both ignoring case. The empty string is
+// a substring of every artifact, so it selects every entry.
 func Select(which string) []Experiment {
 	w := strings.ToLower(which)
 	var out []Experiment
 	for _, e := range Registry {
-		if which == "" && e.WallClock {
-			continue
-		}
-		// The empty string is a substring of every artifact.
 		if strings.EqualFold(e.ID, which) || strings.Contains(strings.ToLower(e.Artifact), w) {
 			out = append(out, e)
 		}
@@ -81,11 +70,10 @@ func Select(which string) []Experiment {
 	return out
 }
 
-// All runs the golden set, Select(""), and returns the results in
-// Registry order.
+// All runs every experiment and returns the results in Registry order.
 func All() ([]*Result, error) {
 	var out []*Result
-	for _, e := range Select("") {
+	for _, e := range Registry {
 		r, err := e.Run()
 		if err != nil {
 			return out, fmt.Errorf("experiments: %s: %w", e.ID, err)

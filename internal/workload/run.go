@@ -6,7 +6,6 @@ import (
 	"daelite/internal/conformance"
 	"daelite/internal/core"
 	"daelite/internal/fault"
-	"daelite/internal/sim"
 	"daelite/internal/spec"
 	"daelite/internal/telemetry"
 	"daelite/internal/topology"
@@ -153,16 +152,7 @@ func Run(c *Compiled, opt RunOptions) (*Result, error) {
 	model := conformance.NewModel(p)
 	res := &Result{Pack: c.Name(), FastForward: opt.FastForward}
 
-	var fp sim.Fingerprint
-	for _, id := range p.Mesh.AllNIs {
-		w := p.NI(id).OutputWire()
-		p.Sim.AddProbe(func(cycle uint64) {
-			if f := w.Get(); f.Valid {
-				fp = fp.Mix(uint64(f.Data))
-				fp = fp.Mix(cycle)
-			}
-		})
-	}
+	fp := conformance.WireFingerprint(p)
 
 	node := func(co spec.Coord) topology.NodeID { return p.Mesh.NI(co.X, co.Y, co.NI) }
 	totalForwarded := func() uint64 {
@@ -458,9 +448,7 @@ func Run(c *Compiled, opt RunOptions) (*Result, error) {
 	for _, v := range ck.Recorded() {
 		res.Failures = append(res.Failures, fmt.Sprintf("violation @%d %s: %s", v.Cycle, v.Check, v.Detail))
 	}
-	fp = fp.Mix(res.Delivered)
-	fp = fp.Mix(res.Violations)
-	res.Fingerprint = fp.Sum()
+	res.Fingerprint = fp.Mix(res.Delivered).Mix(res.Violations).Sum()
 	res.Skipped = p.Sim.SkippedCycles()
 	return res, nil
 }
