@@ -74,10 +74,16 @@ workloads:
 	$(GO) run ./cmd/daelite conform -workload examples/workloads/tinytera.json -fastforward
 	$(GO) run ./cmd/daelite chaos -workload examples/workloads/dnn.json -chaos-every 2
 
-# Short seeded fuzz run of the allocation verifier — the same budget as
-# the CI fuzz step.
+# Short seeded runs of every fuzzer, with the same budgets as the CI
+# fuzz steps.
 fuzz:
 	$(GO) test ./internal/alloc -run '^$$' -fuzz FuzzVerify -fuzztime 30s
+	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzSimplePaths -fuzztime 15s
+	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzPackedTables -fuzztime 15s
+	$(GO) test ./internal/cfgproto -run '^$$' -fuzz FuzzRegionDecoder -fuzztime 15s
+	$(GO) test ./internal/ni -run '^$$' -fuzz FuzzNIQueues -fuzztime 15s
+	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 15s
+	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzWhatIfBody -fuzztime 15s
 
 # Run the admission control-plane daemon on the default 4x4 mesh with
 # durable state in ./admd.journal / ./admd.snapshot — restarting picks

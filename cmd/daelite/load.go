@@ -65,14 +65,13 @@ func runLoad(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		phases := admission.PlanFromPack(wc)
 		start := time.Now()
-		r, err := admission.RunPlan(cfg, phases)
+		r, err := admission.RunPlan(cfg, wc)
 		if err != nil {
 			return err
 		}
 		elapsed := time.Since(start)
-		fmt.Fprintf(stdout, "workload %s: %d phases\n", wc.Name(), len(phases))
+		fmt.Fprintf(stdout, "workload %s: %d phases\n", wc.Name(), len(wc.Phases))
 		fmt.Fprint(stdout, r.String())
 		fmt.Fprintf(stdout, "wall time: %s\n", elapsed.Round(time.Millisecond))
 		rep, failed = r, r.Errors

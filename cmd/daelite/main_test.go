@@ -61,6 +61,10 @@ func TestRun(t *testing.T) {
 			code: 1, stderr: []string{`"0,0-5,5:0.1"`, "outside the 2x2 mesh"}, notStderr: "panic"},
 		{name: "conform sweep and smoke", args: []string{"conform", "-scenarios", "3", "-v"},
 			stdout: []string{"sweep: 3/3 scenarios passed", "mutation smoke: slot-table violations="}},
+		// A scenario never goes quiet, so a fast-forwarded sweep would
+		// skip nothing: -fastforward is for packs.
+		{name: "conform fastforward without workload", args: []string{"conform", "-scenarios", "1", "-fastforward"},
+			code: 2, stderr: []string{"-fastforward needs -workload", "never go quiet"}},
 		{name: "area", args: []string{"area"},
 			stdout: []string{"Table II", "router total", "Frequency estimates"}},
 		{name: "dimension", args: []string{"dimension", "-mesh", "3x3", "0,0-2,2:0.25@40", "1,0-1,2:0.0625"},

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"daelite/internal/conformance"
 	"daelite/internal/workload"
 )
 
@@ -90,11 +91,11 @@ func sweepWorkload(out io.Writer, path string, fastforward, mutate bool) error {
 	for _, m := range sw.Mismatches {
 		fmt.Fprintf(out, "FAIL %s: %s\n", wc.Name(), m)
 	}
-	for _, r := range []*workload.Result{sw.Reference, sw.Compared} {
+	for i, r := range []*conformance.Result{sw.Reference, sw.Compared} {
 		if r.Passed() {
 			continue
 		}
-		fmt.Fprintf(out, "FAIL %s ff=%v violations=%d\n", wc.Name(), r.FastForward, r.Violations)
+		fmt.Fprintf(out, "FAIL %s ff=%v violations=%d\n", wc.Name(), i == 1 && fastforward, r.Violations)
 		for _, msg := range r.Failures {
 			fmt.Fprintf(out, "     %s\n", msg)
 		}

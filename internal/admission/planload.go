@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"daelite/internal/spec"
 	"daelite/internal/workload"
 )
 
@@ -17,51 +18,11 @@ import (
 // and reporting per-phase admission outcomes. daelite load's
 // -workload mode is the caller.
 
-// CoordRef builds a coordinate-addressed NodeRef ("x,y" on the wire) —
-// the constructor plan-building callers use, since NodeRef's fields are
-// wire-private.
-func CoordRef(x, y int) NodeRef {
-	return NodeRef{x: x, y: y, coord: true}
-}
-
-// PlanConn is one connection request of a plan phase.
-type PlanConn struct {
-	Name  string
-	Src   NodeRef
-	Dst   *NodeRef  // unicast destination …
-	Dsts  []NodeRef // … or multicast set (exactly one of the two)
-	Slots int
-}
-
-// PlanPhase is one burst of opens, torn down before the next phase when
-// Teardown is set.
-type PlanPhase struct {
-	Name     string
-	Conns    []PlanConn
-	Teardown bool
-}
-
-// PlanFromPack lowers a compiled workload pack's phase plan onto
-// admission-plane requests. Coordinates address routers; the control
-// plane resolves them to NIs itself.
-func PlanFromPack(c *workload.Compiled) []PlanPhase {
-	var phases []PlanPhase
-	for _, ph := range c.Plan() {
-		ap := PlanPhase{Name: ph.Name, Teardown: ph.Teardown}
-		for _, cn := range ph.Opens {
-			pc := PlanConn{Name: cn.Name, Src: CoordRef(cn.Src.X, cn.Src.Y), Slots: cn.Slots}
-			if cn.Dst != nil {
-				d := CoordRef(cn.Dst.X, cn.Dst.Y)
-				pc.Dst = &d
-			}
-			for _, d := range cn.Dsts {
-				pc.Dsts = append(pc.Dsts, CoordRef(d.X, d.Y))
-			}
-			ap.Conns = append(ap.Conns, pc)
-		}
-		phases = append(phases, ap)
-	}
-	return phases
+// coordRef builds a coordinate-addressed NodeRef ("x,y" on the wire).
+// A pack's coordinates address routers; the control plane resolves them
+// to NIs itself, so only X and Y travel.
+func coordRef(c spec.Coord) NodeRef {
+	return NodeRef{x: c.X, y: c.Y, coord: true}
 }
 
 // PlanPhaseReport is the admission outcome of one phase.
@@ -103,13 +64,13 @@ func (r *PlanReport) String() string {
 	return b.String()
 }
 
-// RunPlan replays a connection plan against the service at cfg.BaseURL
-// as a single tenant (cfg.Tenants[0], or the service's first advertised
-// tenant). Phases run strictly in order — an application's broadcast
-// phase cannot overlap its activation phase — and each phase's accepted
-// connections are torn down at its end when the phase says so, exactly
-// like the pack runner does against the in-process platform.
-func RunPlan(cfg LoadConfig, phases []PlanPhase) (*PlanReport, error) {
+// RunPlan replays a compiled pack's connection plan against the service
+// at cfg.BaseURL as a single tenant (cfg.Tenants[0], or the service's
+// first advertised tenant). Phases run strictly in order — an
+// application's broadcast phase cannot overlap its activation phase —
+// and each phase's accepted connections are torn down at its end,
+// exactly like the pack runner does against the in-process platform.
+func RunPlan(cfg LoadConfig, c *workload.Compiled) (*PlanReport, error) {
 	cfg = cfg.withDefaults()
 	shape, err := discoverShape(cfg.Client, cfg.BaseURL)
 	if err != nil {
@@ -138,15 +99,17 @@ func RunPlan(cfg LoadConfig, phases []PlanPhase) (*PlanReport, error) {
 
 	rep := &PlanReport{Tenant: tenant}
 	var latencies []int64
-	for _, ph := range phases {
+	for _, ph := range c.Phases {
 		pr := PlanPhaseReport{Name: ph.Name, Conns: len(ph.Conns)}
 		var handles []uint64
 		for _, cn := range ph.Conns {
-			req := OpenRequest{Tenant: tenant, Src: cn.Src, SlotsFwd: cn.Slots}
+			req := OpenRequest{Tenant: tenant, Src: coordRef(cn.Src), SlotsFwd: cn.Slots}
 			if cn.Dst != nil {
-				req.Dst = *cn.Dst
+				req.Dst = coordRef(*cn.Dst)
 			}
-			req.Dsts = append(req.Dsts, cn.Dsts...)
+			for _, d := range cn.Dsts {
+				req.Dsts = append(req.Dsts, coordRef(d))
+			}
 			start := time.Now()
 			status, body, err := doPost(cfg, "/v1/connections", req)
 			latencies = append(latencies, time.Since(start).Microseconds())
@@ -169,18 +132,16 @@ func RunPlan(cfg LoadConfig, phases []PlanPhase) (*PlanReport, error) {
 				pr.Errors++
 			}
 		}
-		if ph.Teardown {
-			for _, h := range handles {
-				start := time.Now()
-				status, _, err := doClose(cfg, tenant, h, false)
-				latencies = append(latencies, time.Since(start).Microseconds())
-				rep.Requests++
-				if err != nil || status != http.StatusOK {
-					pr.Errors++
-					continue
-				}
-				pr.Closed++
+		for _, h := range handles {
+			start := time.Now()
+			status, _, err := doClose(cfg, tenant, h, false)
+			latencies = append(latencies, time.Since(start).Microseconds())
+			rep.Requests++
+			if err != nil || status != http.StatusOK {
+				pr.Errors++
+				continue
 			}
+			pr.Closed++
 		}
 		rep.Accepted += pr.Accepted
 		rep.NoFit += pr.NoFit

@@ -17,9 +17,9 @@ func TestRunPlanReplaysDNNPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := PlanFromPack(c)
+	phases := c.Phases
 
-	rep, err := RunPlan(LoadConfig{BaseURL: srv.URL, Tenants: []string{"alpha"}}, phases)
+	rep, err := RunPlan(LoadConfig{BaseURL: srv.URL, Tenants: []string{"alpha"}}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +61,15 @@ func TestRunPlanReplaysDNNPack(t *testing.T) {
 // with no tenant given the service's first advertised one is picked.
 func TestRunPlanTenantSelection(t *testing.T) {
 	_, srv := testService(t, 4, 4, Config{})
-	phases := []PlanPhase{{Name: "empty"}}
+	empty := &workload.Compiled{Phases: []workload.Phase{{Name: "empty"}}}
 
-	if _, err := RunPlan(LoadConfig{BaseURL: srv.URL, Tenants: []string{"alpha", "beta"}}, phases); err == nil {
+	if _, err := RunPlan(LoadConfig{BaseURL: srv.URL, Tenants: []string{"alpha", "beta"}}, empty); err == nil {
 		t.Fatal("two tenants accepted")
 	}
-	if _, err := RunPlan(LoadConfig{BaseURL: srv.URL, Tenants: []string{"nosuch"}}, phases); err == nil {
+	if _, err := RunPlan(LoadConfig{BaseURL: srv.URL, Tenants: []string{"nosuch"}}, empty); err == nil {
 		t.Fatal("unknown tenant accepted")
 	}
-	rep, err := RunPlan(LoadConfig{BaseURL: srv.URL}, phases)
+	rep, err := RunPlan(LoadConfig{BaseURL: srv.URL}, empty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,13 +153,7 @@ func Attach(p *core.Platform, reg *telemetry.Registry, opt Options) *Checker {
 		ck.counters[name] = reg.Counter("conformance_violations_total", telemetry.L("check", name))
 	}
 	for _, l := range p.Mesh.Links() {
-		var w *sim.Reg[phit.Flit]
-		if r, ok := p.Routers[l.From]; ok {
-			w = r.OutputWire(l.FromPort)
-		} else {
-			w = p.NIs[l.From].OutputWire()
-		}
-		ck.wires = append(ck.wires, checkWire{link: l, wire: w})
+		ck.wires = append(ck.wires, checkWire{link: l, wire: p.LinkWire(l)})
 	}
 	for reg := range p.Trees {
 		ck.resps = append(ck.resps, respWatch{mod: p.Config.Region(reg)})

@@ -119,11 +119,11 @@ func TestDifferentialSweepWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Mismatch {
-			t.Errorf("seed %d (%s): results diverged between two runs",
-				e.Scenario.Seed, e.Scenario)
+		if len(e.Mismatches) > 0 {
+			t.Errorf("seed %d (%s): results diverged between two runs: %v",
+				e.Scenario.Seed, e.Scenario, e.Mismatches)
 		}
-		for _, r := range e.Results {
+		for _, r := range []*Result{e.Reference, e.Compared} {
 			if !r.Passed() {
 				t.Errorf("seed %d: violations=%d failures=%v",
 					e.Scenario.Seed, r.Violations, r.Failures)

@@ -17,7 +17,6 @@ import (
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/core"
-	"daelite/internal/fault"
 	"daelite/internal/slots"
 	"daelite/internal/telemetry"
 	"daelite/internal/topology"
@@ -82,18 +81,10 @@ func MutationSmoke(seed uint64) (MutationResult, error) {
 	if ck.Violations() != 0 {
 		return res, fmt.Errorf("conformance: healthy platform reported %d violations", ck.Violations())
 	}
-	link := p.Mesh.Graph.Link(c.Fwd.Paths[0].Path[1]) // first router-owned hop
-	occ := p.Alloc.LinkOccupancy(link.ID)
-	slot := occ.Slots()[0]
-	_, err = fault.Attach(p, seed, fault.Fault{
-		Kind: fault.SlotTableFlip, Router: link.From, Out: link.FromPort,
-		Slot: slot, From: p.Cycle() + 8,
-	})
+	res.SlotTableViolations, err = FlipDrill(p, ck, seed, Victim(p, []*core.Connection{c}), 256)
 	if err != nil {
 		return res, err
 	}
-	p.Run(256)
-	res.SlotTableViolations = ck.ViolationCount(CheckTable) + ck.ViolationCount(CheckContention)
 	res.Events += len(reg.Events())
 
 	// 2. Credit-accounting corruption: a rogue write sets the source
@@ -133,8 +124,8 @@ func MutationSmoke(seed uint64) (MutationResult, error) {
 	traffic.NewSource(p.Sim, "mutation-src", p.NI(c.Spec.Src), c.SrcChannel,
 		traffic.SourceConfig{Pattern: traffic.CBR, Rate: 0.25, Seed: seed})
 	traffic.NewSink(p.Sim, "mutation-sink", p.NI(c.Spec.Dst), c.DstChannel)
-	link = p.Mesh.Graph.Link(c.Fwd.Paths[0].Path[1])
-	slot = p.Alloc.LinkOccupancy(link.ID).Slots()[0]
+	link := p.Mesh.Graph.Link(Victim(p, []*core.Connection{c}))
+	slot := p.Alloc.LinkOccupancy(link.ID).Slots()[0]
 	table := p.Routers[link.From].Table()
 	spare := topology.LinkID(-1)
 	for _, l := range p.Mesh.Graph.Out(link.From) {

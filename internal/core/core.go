@@ -221,7 +221,7 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 	// configuration packets carry padding pairs for the extra
 	// rotations).
 	for _, l := range m.Links() {
-		wire := p.outputWire(l)
+		wire := p.LinkWire(l)
 		if stages := m.Graph.Pipeline(l.ID); stages > 0 {
 			wire = newLinkPipeline(s, fmt.Sprintf("pipe-link%d", l.ID), wire, stages*params.SlotWords)
 		}
@@ -285,7 +285,10 @@ func (p *Platform) hostQuiescence(now uint64) sim.Quiescence {
 	return sim.Quiescence{Quiet: true}
 }
 
-func (p *Platform) outputWire(l topology.Link) *flitWire {
+// LinkWire is the source-end wire of data link l, the register the
+// link's source router or NI drives: every probe that watches a link
+// (checkers, monitors, fault injectors) reads or overrides this wire.
+func (p *Platform) LinkWire(l topology.Link) *flitWire {
 	if r, ok := p.Routers[l.From]; ok {
 		return r.OutputWire(l.FromPort)
 	}

@@ -25,7 +25,7 @@ func ffWorkload(t *testing.T, ff bool) (digest uint64, skipped uint64, skips [][
 	}
 	var wires []*flitWire
 	for _, l := range p.Mesh.Links() {
-		wires = append(wires, p.outputWire(l))
+		wires = append(wires, p.LinkWire(l))
 	}
 	p.Sim.AddProbe(func(cycle uint64) {
 		for _, w := range wires {

@@ -110,7 +110,7 @@ func TestLinkActivityMatchesAllocation(t *testing.T) {
 	}
 	var wires []wireRef
 	for _, l := range p.Mesh.Links() {
-		wires = append(wires, wireRef{link: l.ID, wire: p.outputWire(p.Mesh.Link(l.ID))})
+		wires = append(wires, wireRef{link: l.ID, wire: p.LinkWire(p.Mesh.Link(l.ID))})
 	}
 	slotWords := p.Params.SlotWords
 	violations := 0

@@ -8,9 +8,11 @@ import (
 // TestExperimentsFastForwardBitIdentical regenerates the golden suite
 // with fast-forwarding off and on. The rendered tables and every metric
 // must be byte-identical: fast-forward is a wall-clock optimization,
-// never an observable one. E15 (chaos repair), E18 (conformance
-// differential sweep) and E21 (per-stage set-up traces) exercise the
-// entry/exit machinery hardest.
+// never an observable one. E15 (chaos repair), E21 (per-stage set-up
+// traces) and the workload packs of E23 and E24, whose bounded sources
+// go quiet, exercise the entry/exit machinery hardest. E18's scenario
+// sweep runs cycle-accurately in either mode: its sources never go
+// quiet, so there is nothing to skip.
 func TestExperimentsFastForwardBitIdentical(t *testing.T) {
 	defer SetFastForward(false)
 	SetFastForward(false)

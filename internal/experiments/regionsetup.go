@@ -66,7 +66,7 @@ func RegionSetup() (*Result, error) {
 	sb.WriteString(t.Render())
 	sb.WriteString("\nThe regioned variant pays the region-select envelope on every packet and an extra\n" +
 		"packet where a path crosses a region cut; in exchange the element-ID ceiling\n" +
-		"disappears (a 16x16 torus sets up through six regions, see E16 and the scale CI job).\n" +
+		"disappears (a 16x16 torus sets up through six regions, see the scale CI job).\n" +
 		"PredictedWords is the analytic mirror (alloc.PathSetupCost) of the path packets;\n" +
 		"the measured Words additionally carry the register-write packets of each set-up.\n")
 	res.Text = sb.String()

@@ -204,20 +204,13 @@ func Attach(p *core.Platform, seed uint64, faults ...Fault) (*Injector, error) {
 	return inj, nil
 }
 
-// linkWire resolves the source-end wire of a data link the same way the
-// platform wired it.
+// linkWire resolves the source-end wire of a data link, refusing a link
+// ID outside the mesh (a fault's link comes from user input).
 func linkWire(p *core.Platform, id topology.LinkID) (*sim.Reg[phit.Flit], error) {
 	if id < 0 || id >= topology.LinkID(p.Mesh.NumLinks()) {
 		return nil, fmt.Errorf("fault: link %d out of range", id)
 	}
-	l := p.Mesh.Link(id)
-	if r, ok := p.Routers[l.From]; ok {
-		return r.OutputWire(l.FromPort), nil
-	}
-	if n, ok := p.NIs[l.From]; ok {
-		return n.OutputWire(), nil
-	}
-	return nil, fmt.Errorf("fault: link %d has no modelled source", id)
+	return p.LinkWire(p.Mesh.Link(id)), nil
 }
 
 // Name implements sim.Component.

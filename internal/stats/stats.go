@@ -94,12 +94,7 @@ func NewMonitor(p *core.Platform) *Monitor {
 	}
 	m := &Monitor{reg: reg, shared: shared, samples: make(map[topology.LinkID]*LinkSample)}
 	for _, l := range p.Mesh.Links() {
-		var w *sim.Reg[phit.Flit]
-		if r, ok := p.Routers[l.From]; ok {
-			w = r.OutputWire(l.FromPort)
-		} else {
-			w = p.NIs[l.From].OutputWire()
-		}
+		w := p.LinkWire(l)
 		name := fmt.Sprintf("%s->%s", p.Mesh.Node(l.From).Name, p.Mesh.Node(l.To).Name)
 		lbl := telemetry.L("link", name)
 		s := &LinkSample{

@@ -167,26 +167,3 @@ func words(bytes, bytesPerWord int) uint64 {
 	}
 	return uint64((bytes + bytesPerWord - 1) / bytesPerWord)
 }
-
-// PlanPhase is one phase of an admission-plane load plan derived from a
-// compiled pack: the opens to submit together, torn down again at the
-// end of the phase. Coordinates address routers; the control plane
-// resolves them to NIs itself (packs driven through the plan should use
-// one NI per router).
-type PlanPhase struct {
-	Name     string
-	Opens    []ConnReq
-	Teardown bool
-}
-
-// Plan projects the compiled phase schedule onto the admission plane:
-// every phase becomes a batch of opens followed by a teardown, which
-// exercises set-up, DRR arbitration, quota and backpressure against
-// exactly the application's connection pattern.
-func (c *Compiled) Plan() []PlanPhase {
-	plan := make([]PlanPhase, 0, len(c.Phases))
-	for _, ph := range c.Phases {
-		plan = append(plan, PlanPhase{Name: ph.Name, Opens: ph.Conns, Teardown: true})
-	}
-	return plan
-}

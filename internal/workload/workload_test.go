@@ -317,22 +317,6 @@ func TestChaosUnrepairableRunsDegraded(t *testing.T) {
 	}
 }
 
-func TestPlanProjection(t *testing.T) {
-	c, err := Compile(testDNNSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := c.Plan()
-	if len(plan) != len(c.Phases) {
-		t.Fatalf("plan has %d phases, pack has %d", len(plan), len(c.Phases))
-	}
-	for i, ph := range plan {
-		if !ph.Teardown || len(ph.Opens) != len(c.Phases[i].Conns) {
-			t.Fatalf("plan phase %s malformed", ph.Name)
-		}
-	}
-}
-
 // TestResultReportRendersEveryPhase: the shared -workload report table
 // carries one row per phase plus the summary verdict line.
 func TestResultReportRendersEveryPhase(t *testing.T) {
