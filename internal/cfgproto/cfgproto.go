@@ -121,14 +121,15 @@ func MaskWords(wheel int) int { return (wheel + 6) / 7 }
 // transmitted most-significant group first: for an 8-slot wheel the first
 // word carries slot 7 in its LSB and the second word carries slots 6..0,
 // reproducing the Fig. 6 layout.
-func EncodeMask(m slots.Mask) []phit.ConfigWord {
+func EncodeMask(m slots.Mask) []phit.ConfigWord { return appendMask(nil, m) }
+
+func appendMask(dst []phit.ConfigWord, m slots.Mask) []phit.ConfigWord {
 	n := MaskWords(m.Size)
-	words := make([]phit.ConfigWord, n)
 	for i := 0; i < n; i++ {
 		shift := uint(7 * (n - 1 - i))
-		words[i] = phit.NewConfigWord(uint8((m.Bits >> shift) & 0x7F))
+		dst = append(dst, phit.NewConfigWord(uint8((m.Bits>>shift)&0x7F)))
 	}
-	return words
+	return dst
 }
 
 // DecodeMask reassembles a slot mask from its transmitted words.
@@ -241,23 +242,26 @@ type PathSetup struct {
 }
 
 // Words serializes the packet.
-func (p PathSetup) Words() ([]phit.ConfigWord, error) {
+func (p PathSetup) Words() ([]phit.ConfigWord, error) { return p.AppendWords(nil) }
+
+// AppendWords serializes the packet onto dst.
+func (p PathSetup) AppendWords(dst []phit.ConfigWord) ([]phit.ConfigWord, error) {
 	if len(p.Pairs) == 0 || len(p.Pairs) > MaxPairs {
-		return nil, fmt.Errorf("cfgproto: %d pairs out of range 1..%d", len(p.Pairs), MaxPairs)
+		return dst, fmt.Errorf("cfgproto: %d pairs out of range 1..%d", len(p.Pairs), MaxPairs)
 	}
-	words := []phit.ConfigWord{Header(OpPathSetup, len(p.Pairs))}
-	words = append(words, EncodeMask(p.Mask)...)
+	n := len(dst)
+	dst = appendMask(append(dst, Header(OpPathSetup, len(p.Pairs))), p.Mask)
 	for _, pr := range p.Pairs {
 		if pr.Element < 0 || pr.Element >= MaxElements {
-			return nil, fmt.Errorf("cfgproto: element ID %d out of range", pr.Element)
+			return dst[:n], fmt.Errorf("cfgproto: element ID %d out of range", pr.Element)
 		}
 		sw, err := pr.Spec.Encode()
 		if err != nil {
-			return nil, err
+			return dst[:n], err
 		}
-		words = append(words, phit.NewConfigWord(uint8(pr.Element)), sw)
+		dst = append(dst, phit.NewConfigWord(uint8(pr.Element)), sw)
 	}
-	return words, nil
+	return dst, nil
 }
 
 // RegWrite is one register write.
@@ -269,20 +273,26 @@ type RegWrite struct {
 
 // WriteRegPacket serializes register writes (up to MaxPairs per packet).
 func WriteRegPacket(writes []RegWrite) ([]phit.ConfigWord, error) {
+	return AppendWriteRegPacket(nil, writes)
+}
+
+// AppendWriteRegPacket serializes register writes onto dst.
+func AppendWriteRegPacket(dst []phit.ConfigWord, writes []RegWrite) ([]phit.ConfigWord, error) {
 	if len(writes) == 0 || len(writes) > MaxPairs {
-		return nil, fmt.Errorf("cfgproto: %d writes out of range 1..%d", len(writes), MaxPairs)
+		return dst, fmt.Errorf("cfgproto: %d writes out of range 1..%d", len(writes), MaxPairs)
 	}
-	words := []phit.ConfigWord{Header(OpWriteReg, len(writes))}
+	n := len(dst)
+	dst = append(dst, Header(OpWriteReg, len(writes)))
 	for _, w := range writes {
 		if w.Element < 0 || w.Element >= MaxElements {
-			return nil, fmt.Errorf("cfgproto: element ID %d out of range", w.Element)
+			return dst[:n], fmt.Errorf("cfgproto: element ID %d out of range", w.Element)
 		}
-		words = append(words,
+		dst = append(dst,
 			phit.NewConfigWord(uint8(w.Element)),
 			phit.NewConfigWord(w.Reg),
 			phit.NewConfigWord(w.Value))
 	}
-	return words, nil
+	return dst, nil
 }
 
 // ReadRegPacket serializes a single register read.

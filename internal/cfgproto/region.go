@@ -38,17 +38,18 @@ func RegionSelectWords(region int) int {
 }
 
 // RegionSelect builds the envelope prefix selecting a region.
-func RegionSelect(region int) ([]phit.ConfigWord, error) {
+func RegionSelect(region int) ([]phit.ConfigWord, error) { return appendRegionSelect(nil, region) }
+
+func appendRegionSelect(dst []phit.ConfigWord, region int) ([]phit.ConfigWord, error) {
 	if region < 0 || region >= MaxRegions {
-		return nil, fmt.Errorf("cfgproto: region %d out of range 0..%d", region, MaxRegions-1)
+		return dst, fmt.Errorf("cfgproto: region %d out of range 0..%d", region, MaxRegions-1)
 	}
 	n := RegionSelectWords(region)
-	words := make([]phit.ConfigWord, 0, n+1)
-	words = append(words, Header(OpRegion, n))
+	dst = append(dst, Header(OpRegion, n))
 	for i := n - 1; i >= 0; i-- {
-		words = append(words, phit.NewConfigWord(uint8(region>>(7*i))&0x7F))
+		dst = append(dst, phit.NewConfigWord(uint8(region>>(7*i))&0x7F))
 	}
-	return words, nil
+	return dst, nil
 }
 
 // ParseRegionSelect decodes a region select at the head of words,
@@ -76,14 +77,19 @@ func ParseRegionSelect(words []phit.ConfigWord) (region, consumed int, err error
 
 // Envelope wraps a complete packet in a region select.
 func Envelope(region int, packet []phit.ConfigWord) ([]phit.ConfigWord, error) {
+	return AppendEnvelope(nil, region, packet)
+}
+
+// AppendEnvelope appends packet, wrapped in a region select, to dst.
+func AppendEnvelope(dst []phit.ConfigWord, region int, packet []phit.ConfigWord) ([]phit.ConfigWord, error) {
 	if len(packet) == 0 {
-		return nil, fmt.Errorf("cfgproto: empty packet")
+		return dst, fmt.Errorf("cfgproto: empty packet")
 	}
-	sel, err := RegionSelect(region)
+	dst, err := appendRegionSelect(dst, region)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return append(sel, packet...), nil
+	return append(dst, packet...), nil
 }
 
 // DecodeEnvelope splits an enveloped packet into its region and payload.

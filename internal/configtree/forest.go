@@ -17,6 +17,7 @@ import (
 // decode against their region-local IDs.
 type Forest struct {
 	mods []*Module
+	env  []phit.ConfigWord // Submit's envelope buffer; SubmitPacket copies
 }
 
 // NewForest builds the facade over the per-region modules, indexed by
@@ -45,11 +46,34 @@ func (f *Forest) Submit(region int, words []phit.ConfigWord) (int, error) {
 	if len(f.mods) == 1 {
 		return len(words), f.mods[region].SubmitPacket(words)
 	}
-	env, err := cfgproto.Envelope(region, words)
+	env, err := cfgproto.AppendEnvelope(f.env[:0], region, words)
 	if err != nil {
 		return 0, err
 	}
+	f.env = env
 	return len(env), f.mods[region].SubmitPacket(env)
+}
+
+// WireWords is the number of words Submit transmits for an n-word packet
+// to region: n, plus the envelope on a multi-region forest.
+func (f *Forest) WireWords(region, n int) int {
+	if len(f.mods) == 1 {
+		return n
+	}
+	return n + 1 + cfgproto.RegionSelectWords(region)
+}
+
+// Fits reports, as an error, whether every region r has staging room for
+// need[r] more words; a caller that checks a whole transaction first can
+// then submit it without any packet failing for lack of room.
+func (f *Forest) Fits(need []int) error {
+	for r, n := range need {
+		m := f.mods[r]
+		if staged := m.QueueLen(); n > 0 && staged+n > m.params.QueueDepth {
+			return fmt.Errorf("configtree: staging queue full in region %d (%d+%d > %d)", r, staged, n, m.params.QueueDepth)
+		}
+	}
+	return nil
 }
 
 // SubmitEnvelope routes an already-enveloped packet to the region its

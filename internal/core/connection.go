@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"daelite/internal/alloc"
-	"daelite/internal/cfgproto"
-	"daelite/internal/phit"
 	"daelite/internal/telemetry"
 	"daelite/internal/topology"
 )
@@ -111,9 +109,26 @@ func (p *Platform) Open(spec ConnectionSpec) (*Connection, error) {
 		return nil, err
 	}
 	if spec.multicast() {
-		return p.openMulticast(spec, -1, nil)
+		tree, err := p.Alloc.Multicast(spec.Src, spec.Dsts, spec.SlotsFwd)
+		if err != nil {
+			return nil, fmt.Errorf("core: multicast allocation: %w", err)
+		}
+		return p.finish(&Connection{Spec: spec, Tree: tree}, noPref)
 	}
-	return p.openUnicast(spec, -1, -1)
+	if spec.SlotsRev <= 0 {
+		spec.SlotsRev = 1
+	}
+	opts := spec.allocOptions()
+	fwd, err := p.Alloc.Unicast(spec.Src, spec.Dst, spec.SlotsFwd, opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: forward allocation: %w", err)
+	}
+	rev, err := p.Alloc.Unicast(spec.Dst, spec.Src, spec.SlotsRev, opts)
+	if err != nil {
+		p.Alloc.ReleaseUnicast(fwd)
+		return nil, fmt.Errorf("core: reverse allocation: %w", err)
+	}
+	return p.finish(&Connection{Spec: spec, Fwd: fwd, Rev: rev}, noPref)
 }
 
 // validateEndpoints rejects specs whose endpoints are not NIs of this
@@ -141,95 +156,95 @@ func (p *Platform) validateEndpoints(spec ConnectionSpec) error {
 	return check(spec.Dst, "dst")
 }
 
-func (p *Platform) openUnicast(spec ConnectionSpec, prefSrcCh, prefDstCh int) (*Connection, error) {
-	if spec.SlotsRev <= 0 {
-		spec.SlotsRev = 1
-	}
-	opts := spec.allocOptions()
-	fwd, err := p.Alloc.Unicast(spec.Src, spec.Dst, spec.SlotsFwd, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: forward allocation: %w", err)
-	}
-	rev, err := p.Alloc.Unicast(spec.Dst, spec.Src, spec.SlotsRev, opts)
-	if err != nil {
-		p.Alloc.ReleaseUnicast(fwd)
-		return nil, fmt.Errorf("core: reverse allocation: %w", err)
-	}
-	return p.finishUnicast(spec, fwd, rev, prefSrcCh, prefDstCh)
-}
-
 // allocOptions translates the spec's routing knobs for the allocator.
 func (s ConnectionSpec) allocOptions() alloc.Options {
 	return alloc.Options{Multipath: s.Multipath, MaxDetour: s.MaxDetour, Spread: s.Spread}
 }
 
-// finishUnicast turns an already-reserved forward/reverse pair into a live
-// connection: channel indices, path and register configuration packets,
-// submission. On failure the reservations are released.
-func (p *Platform) finishUnicast(spec ConnectionSpec, fwd, rev *alloc.Unicast, prefSrcCh, prefDstCh int) (*Connection, error) {
-	srcCh, err := p.allocChannelPref(spec.Src, prefSrcCh)
-	if err != nil {
-		p.Alloc.ReleaseUnicast(fwd)
-		p.Alloc.ReleaseUnicast(rev)
+// finish turns a connection whose reservation (Fwd and Rev, or Tree) is
+// committed into a live one: it takes the NI channels, preferring the
+// indices in pref, and builds and submits the set-up transaction. On
+// failure nothing is staged and the reservation and channels are
+// released.
+func (p *Platform) finish(c *Connection, pref chanPref) (*Connection, error) {
+	if err := p.takeChannels(c, pref); err != nil {
+		p.releaseSlots(c)
 		return nil, err
 	}
-	dstCh, err := p.allocChannelPref(spec.Dst, prefDstCh)
-	if err != nil {
-		p.freeChannel(spec.Src, srcCh)
-		p.Alloc.ReleaseUnicast(fwd)
-		p.Alloc.ReleaseUnicast(rev)
-		return nil, err
-	}
-
-	c := &Connection{
-		ID:         p.nextConnID,
-		Spec:       spec,
-		SrcChannel: srcCh,
-		DstChannel: dstCh,
-		Fwd:        fwd,
-		Rev:        rev,
-		State:      Opening,
-	}
+	c.ID = p.nextConnID
+	c.State = Opening
 	p.nextConnID++
-
-	// Path set-up packets: the forward direction writes the source's TX
-	// and destination's RX table under (srcCh, dstCh); the reverse
-	// direction swaps the roles and uses the same channel indices at
-	// each side, which is what pairs the credit wires.
-	var packets []cfgPacket
-	fp, err := p.unicastPackets(fwd, srcCh, dstCh, true)
+	c.Setup = telemetry.Span{
+		Op:          "setup",
+		ID:          c.ID,
+		SubmitCycle: p.Sim.Cycle(),
+		Detail:      p.connDetail(c.Spec),
+	}
+	err := p.build(c, true)
+	if err == nil {
+		err = p.submit(&c.Setup)
+	}
 	if err != nil {
-		return nil, err
-	}
-	rp, err := p.unicastPackets(rev, dstCh, srcCh, true)
-	if err != nil {
-		return nil, err
-	}
-	packets = append(packets, fp...)
-	packets = append(packets, rp...)
-
-	// Register initialization: credits mirror the remote receive queue
-	// capacity; FlagOpen arms both endpoints.
-	credit := p.Params.RecvQueueDepth
-	if credit > phit.MaxCreditValue {
-		credit = phit.MaxCreditValue
-	}
-	wr, err := p.regPackets([]cfgproto.RegWrite{
-		{Element: int(spec.Src), Reg: cfgproto.RegSelect(cfgproto.RegCredit, srcCh), Value: uint8(credit)},
-		{Element: int(spec.Dst), Reg: cfgproto.RegSelect(cfgproto.RegCredit, dstCh), Value: uint8(credit)},
-		{Element: int(spec.Src), Reg: cfgproto.RegSelect(cfgproto.RegFlags, srcCh), Value: cfgproto.FlagOpen},
-		{Element: int(spec.Dst), Reg: cfgproto.RegSelect(cfgproto.RegFlags, dstCh), Value: cfgproto.FlagOpen},
-	})
-	if err != nil {
-		return nil, err
-	}
-	packets = append(packets, wr...)
-
-	if err := p.submitAll(c, packets); err != nil {
+		p.releaseSlots(c)
+		p.freeChannels(c)
 		return nil, err
 	}
 	p.connections[c.ID] = c
 	return c, nil
+}
+
+// takeChannels assigns c's NI channels, preferring the indices in pref;
+// on failure it frees the ones it took.
+func (p *Platform) takeChannels(c *Connection, pref chanPref) error {
+	src, err := p.allocChannelPref(c.Spec.Src, pref.src)
+	if err != nil {
+		return err
+	}
+	if c.Tree == nil {
+		dst, err := p.allocChannelPref(c.Spec.Dst, pref.dst)
+		if err != nil {
+			p.freeChannel(c.Spec.Src, src)
+			return err
+		}
+		c.SrcChannel, c.DstChannel = src, dst
+		return nil
+	}
+	c.SrcChannel = src
+	c.DstChannels = make(map[topology.NodeID]int, len(c.Spec.Dsts))
+	for _, d := range c.Spec.Dsts {
+		want, ok := pref.dsts[d]
+		if !ok {
+			want = -1
+		}
+		ch, err := p.allocChannelPref(d, want)
+		if err != nil {
+			p.freeChannels(c)
+			return err
+		}
+		c.DstChannels[d] = ch
+	}
+	return nil
+}
+
+// releaseSlots returns c's slot reservation to the allocator.
+func (p *Platform) releaseSlots(c *Connection) {
+	if c.Tree != nil {
+		p.Alloc.ReleaseMulticast(c.Tree)
+		return
+	}
+	p.Alloc.ReleaseUnicast(c.Fwd)
+	p.Alloc.ReleaseUnicast(c.Rev)
+}
+
+// freeChannels returns the NI channels c holds.
+func (p *Platform) freeChannels(c *Connection) {
+	p.freeChannel(c.Spec.Src, c.SrcChannel)
+	if c.Tree == nil {
+		p.freeChannel(c.Spec.Dst, c.DstChannel)
+	}
+	for d, ch := range c.DstChannels {
+		p.freeChannel(d, ch)
+	}
 }
 
 // RestoreUnicast wires an already-committed reservation pair into a live
@@ -240,91 +255,13 @@ func (p *Platform) finishUnicast(spec ConnectionSpec, fwd, rev *alloc.Unicast, p
 // failure they are released. SlotsRev of the spec must carry the
 // normalized value the original admission used.
 func (p *Platform) RestoreUnicast(spec ConnectionSpec, fwd, rev *alloc.Unicast) (*Connection, error) {
-	return p.finishUnicast(spec, fwd, rev, -1, -1)
+	return p.finish(&Connection{Spec: spec, Fwd: fwd, Rev: rev}, noPref)
 }
 
 // RestoreMulticast wires an already-committed multicast tree into a live
 // connection; see RestoreUnicast.
 func (p *Platform) RestoreMulticast(spec ConnectionSpec, tree *alloc.Multicast) (*Connection, error) {
-	return p.finishMulticast(spec, tree, -1, nil)
-}
-
-func (p *Platform) openMulticast(spec ConnectionSpec, prefSrcCh int, prefDstChs map[topology.NodeID]int) (*Connection, error) {
-	tree, err := p.Alloc.Multicast(spec.Src, spec.Dsts, spec.SlotsFwd)
-	if err != nil {
-		return nil, fmt.Errorf("core: multicast allocation: %w", err)
-	}
-	return p.finishMulticast(spec, tree, prefSrcCh, prefDstChs)
-}
-
-// finishMulticast turns an already-reserved tree into a live connection;
-// on failure the reservation is released.
-func (p *Platform) finishMulticast(spec ConnectionSpec, tree *alloc.Multicast, prefSrcCh int, prefDstChs map[topology.NodeID]int) (*Connection, error) {
-	srcCh, err := p.allocChannelPref(spec.Src, prefSrcCh)
-	if err != nil {
-		p.Alloc.ReleaseMulticast(tree)
-		return nil, err
-	}
-	dstChs := make(map[topology.NodeID]int, len(spec.Dsts))
-	for _, d := range spec.Dsts {
-		pref := -1
-		if prefDstChs != nil {
-			if want, ok := prefDstChs[d]; ok {
-				pref = want
-			}
-		}
-		ch, err := p.allocChannelPref(d, pref)
-		if err != nil {
-			for dd, cc := range dstChs {
-				p.freeChannel(dd, cc)
-			}
-			p.freeChannel(spec.Src, srcCh)
-			p.Alloc.ReleaseMulticast(tree)
-			return nil, err
-		}
-		dstChs[d] = ch
-	}
-
-	c := &Connection{
-		ID:          p.nextConnID,
-		Spec:        spec,
-		SrcChannel:  srcCh,
-		DstChannels: dstChs,
-		Tree:        tree,
-		State:       Opening,
-	}
-	p.nextConnID++
-
-	packets, err := p.multicastPackets(tree, srcCh, dstChs, true)
-	if err != nil {
-		return nil, err
-	}
-	// Multicast disables end-to-end flow control at the source (single
-	// credit counter cannot track several destinations); destinations
-	// must consume at line rate.
-	writes := []cfgproto.RegWrite{{
-		Element: int(spec.Src),
-		Reg:     cfgproto.RegSelect(cfgproto.RegFlags, srcCh),
-		Value:   cfgproto.FlagOpen | cfgproto.FlagMulticast,
-	}}
-	for _, d := range spec.Dsts {
-		writes = append(writes, cfgproto.RegWrite{
-			Element: int(d),
-			Reg:     cfgproto.RegSelect(cfgproto.RegFlags, dstChs[d]),
-			Value:   cfgproto.FlagOpen,
-		})
-	}
-	wr, err := p.regPackets(writes)
-	if err != nil {
-		return nil, err
-	}
-	packets = append(packets, wr...)
-
-	if err := p.submitAll(c, packets); err != nil {
-		return nil, err
-	}
-	p.connections[c.ID] = c
-	return c, nil
+	return p.finish(&Connection{Spec: spec, Tree: tree}, noPref)
 }
 
 // connDetail renders a connection's endpoints for span/event records.
@@ -339,36 +276,6 @@ func (p *Platform) connDetail(spec ConnectionSpec) string {
 	}
 	sort.Strings(ds)
 	return src + ">{" + strings.Join(ds, ",") + "}"
-}
-
-func (p *Platform) submitAll(c *Connection, packets []cfgPacket) error {
-	c.Setup = telemetry.Span{
-		Op:          "setup",
-		ID:          c.ID,
-		SubmitCycle: p.Sim.Cycle(),
-		Detail:      p.connDetail(c.Spec),
-	}
-	c.Setup.Regions = countRegions(packets)
-	for _, pkt := range packets {
-		n, err := p.Config.Submit(pkt.region, pkt.words)
-		if err != nil {
-			return err
-		}
-		c.Setup.Words += n // wire words, envelope included
-	}
-	p.pendingSpans = append(p.pendingSpans, &c.Setup)
-	p.traceConfig(&c.Setup, packets)
-	return nil
-}
-
-// countRegions counts the distinct configuration regions a packet batch
-// touches.
-func countRegions(packets []cfgPacket) int {
-	seen := make(map[int]bool)
-	for _, pkt := range packets {
-		seen[pkt.region] = true
-	}
-	return len(seen)
 }
 
 // AwaitOpen runs the platform until the connection's configuration has
@@ -391,90 +298,26 @@ func (c *Connection) SetupCycles() uint64 { return c.Setup.Cycles() }
 // Close tears the connection down: slots are disabled destination-first
 // (the same packet structure as set-up, with no-forward specs), flags and
 // credits cleared, and allocator/channel resources released once the
-// tear-down packets have been submitted.
+// tear-down packets have been submitted. A tear-down that does not fit
+// the staging queues stages nothing and leaves the connection intact.
 func (p *Platform) Close(c *Connection) error {
 	if c.State == Closed {
 		return fmt.Errorf("core: connection %d already closed", c.ID)
 	}
-	var packets []cfgPacket
-	var err error
-	var flagClears []cfgproto.RegWrite
-	if c.Tree != nil {
-		packets, err = p.multicastPackets(c.Tree, c.SrcChannel, c.DstChannels, false)
-		if err != nil {
-			return err
-		}
-		flagClears = append(flagClears, cfgproto.RegWrite{
-			Element: int(c.Spec.Src), Reg: cfgproto.RegSelect(cfgproto.RegFlags, c.SrcChannel),
-		})
-		for d, ch := range c.DstChannels {
-			// Clear the unreturned-delivery counter along with the flags:
-			// multicast is creditless, so consumed words accumulate there
-			// with no reverse path to drain them, and a stale count would
-			// leak as bogus credits to whichever connection reuses the
-			// channel next.
-			flagClears = append(flagClears,
-				cfgproto.RegWrite{Element: int(d), Reg: cfgproto.RegSelect(cfgproto.RegFlags, ch)},
-				cfgproto.RegWrite{Element: int(d), Reg: cfgproto.RegSelect(cfgproto.RegDelivered, ch)},
-			)
-		}
-	} else {
-		fp, err := p.unicastPackets(c.Fwd, c.SrcChannel, c.DstChannel, false)
-		if err != nil {
-			return err
-		}
-		rp, err := p.unicastPackets(c.Rev, c.DstChannel, c.SrcChannel, false)
-		if err != nil {
-			return err
-		}
-		packets = append(packets, fp...)
-		packets = append(packets, rp...)
-		flagClears = []cfgproto.RegWrite{
-			{Element: int(c.Spec.Src), Reg: cfgproto.RegSelect(cfgproto.RegFlags, c.SrcChannel)},
-			{Element: int(c.Spec.Dst), Reg: cfgproto.RegSelect(cfgproto.RegFlags, c.DstChannel)},
-			{Element: int(c.Spec.Src), Reg: cfgproto.RegSelect(cfgproto.RegCredit, c.SrcChannel)},
-			{Element: int(c.Spec.Dst), Reg: cfgproto.RegSelect(cfgproto.RegCredit, c.DstChannel)},
-			// A delivery consumed after the last reverse-slot latch leaves
-			// its credit unreturned; clear the counter so it cannot leak
-			// into the channel's next user.
-			{Element: int(c.Spec.Dst), Reg: cfgproto.RegSelect(cfgproto.RegDelivered, c.DstChannel)},
-		}
-	}
-	wr, err := p.regPackets(flagClears)
-	if err != nil {
+	if err := p.build(c, false); err != nil {
 		return err
 	}
-	packets = append(packets, wr...)
 	td := &telemetry.Span{
 		Op:          "teardown",
 		ID:          c.ID,
 		SubmitCycle: p.Sim.Cycle(),
 		Detail:      p.connDetail(c.Spec),
-		Regions:     countRegions(packets),
 	}
-	for _, pkt := range packets {
-		n, err := p.Config.Submit(pkt.region, pkt.words)
-		if err != nil {
-			return err
-		}
-		td.Words += n
+	if err := p.submit(td); err != nil {
+		return err
 	}
-	p.pendingSpans = append(p.pendingSpans, td)
-	p.traceConfig(td, packets)
-
-	// Release bookkeeping.
-	if c.Tree != nil {
-		p.Alloc.ReleaseMulticast(c.Tree)
-		p.freeChannel(c.Spec.Src, c.SrcChannel)
-		for d, ch := range c.DstChannels {
-			p.freeChannel(d, ch)
-		}
-	} else {
-		p.Alloc.ReleaseUnicast(c.Fwd)
-		p.Alloc.ReleaseUnicast(c.Rev)
-		p.freeChannel(c.Spec.Src, c.SrcChannel)
-		p.freeChannel(c.Spec.Dst, c.DstChannel)
-	}
+	p.releaseSlots(c)
+	p.freeChannels(c)
 	c.State = Closed
 	delete(p.connections, c.ID)
 	return nil

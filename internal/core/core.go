@@ -125,6 +125,9 @@ type Platform struct {
 	connections  map[int]*Connection
 	nextConnID   int
 
+	// tx is the configuration transaction under construction.
+	tx txBuffers
+
 	// tel is the attached telemetry registry (nil when observability is
 	// off); harvest is the cached per-component handle state of the
 	// sampling probe. pendingSpans holds configuration transactions
@@ -434,11 +437,6 @@ func (p *Platform) CompleteConfig(budget uint64) (uint64, error) {
 	}
 	p.pendingSpans = p.pendingSpans[:0]
 	return done, nil
-}
-
-// allocChannel reserves a free local channel index on an NI.
-func (p *Platform) allocChannel(n topology.NodeID) (int, error) {
-	return p.allocChannelPref(n, -1)
 }
 
 // allocChannelPref reserves pref if it is a free channel index, else the

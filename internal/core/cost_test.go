@@ -33,13 +33,13 @@ func TestPathSetupCostMatchesBuilder(t *testing.T) {
 			Add(analysis.UnicastSetupCost(g, c.Rev, p.Params.Wheel, regionOf, num))
 
 		measure := func(u *alloc.Unicast, srcCh, dstCh int) (packets, words int) {
-			pkts, err := p.unicastPackets(u, srcCh, dstCh, true)
-			if err != nil {
+			p.resetTx()
+			if err := p.buildUnicast(u, srcCh, dstCh, true); err != nil {
 				t.Fatal(err)
 			}
-			for _, pkt := range pkts {
+			for _, pkt := range p.tx.packets {
 				packets++
-				words += len(pkt.words)
+				words += pkt.to - pkt.from
 				if num > 1 {
 					words += 1 + cfgproto.RegionSelectWords(pkt.region)
 				}

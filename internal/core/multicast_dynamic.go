@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 
-	"daelite/internal/alloc"
-	"daelite/internal/cfgproto"
-	"daelite/internal/slots"
 	"daelite/internal/topology"
 )
 
@@ -13,21 +10,26 @@ import (
 // multicast connection using a partial-path set-up packet — the paper's
 // "paths that start at a router instead of a source NI" (Fig. 7). The
 // running stream to the existing destinations is not disturbed; the new
-// destination starts receiving once the packet has settled.
+// destination starts receiving once the packet has settled. A graft
+// that does not fit the staging queues stages nothing and is rolled
+// back.
 func (p *Platform) AddMulticastDestination(c *Connection, dst topology.NodeID) error {
-	if c.Tree == nil {
-		return fmt.Errorf("core: connection %d is not multicast", c.ID)
-	}
-	if c.State == Closed {
-		return fmt.Errorf("core: connection %d is closed", c.ID)
-	}
-	newEdges, err := p.Alloc.MulticastAttach(c.Tree, dst)
-	if err != nil {
+	if err := p.liveTree(c); err != nil {
 		return err
 	}
-	ch, err := p.allocChannel(dst)
+	if _, err := p.Alloc.MulticastAttach(c.Tree, dst); err != nil {
+		return err
+	}
+	ch, err := p.allocChannelPref(dst, -1)
+	if err == nil {
+		if err = p.buildBranch(c, dst, ch, true); err == nil {
+			err = p.submit(nil)
+		}
+		if err != nil {
+			p.freeChannel(dst, ch)
+		}
+	}
 	if err != nil {
-		// Roll the graft back.
 		if _, derr := p.Alloc.MulticastDetach(c.Tree, dst); derr != nil {
 			return fmt.Errorf("core: %v (rollback failed: %v)", err, derr)
 		}
@@ -35,72 +37,32 @@ func (p *Platform) AddMulticastDestination(c *Connection, dst topology.NodeID) e
 	}
 	c.DstChannels[dst] = ch
 	c.Spec.Dsts = append(c.Spec.Dsts, dst)
-
-	seg, err := p.branchSegment(c, dst, newEdges, ch, true)
-	if err != nil {
-		return err
-	}
-	packets, err := p.segmentsToPackets(c.Tree.InjectSlots, [][]pairAt{seg})
-	if err != nil {
-		return err
-	}
-	wr, err := p.regPackets([]cfgproto.RegWrite{{
-		Element: int(dst),
-		Reg:     cfgproto.RegSelect(cfgproto.RegFlags, ch),
-		Value:   cfgproto.FlagOpen,
-	}})
-	if err != nil {
-		return err
-	}
-	packets = append(packets, wr...)
-	for _, pkt := range packets {
-		if _, err := p.Config.Submit(pkt.region, pkt.words); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // RemoveMulticastDestination prunes one destination from a live multicast
 // connection: the branch's slots are disabled destination-first with a
-// partial tear-down packet, then released.
+// partial tear-down packet, then released. A prune that does not fit the
+// staging queues stages nothing and leaves the tree intact.
 func (p *Platform) RemoveMulticastDestination(c *Connection, dst topology.NodeID) error {
-	if c.Tree == nil {
-		return fmt.Errorf("core: connection %d is not multicast", c.ID)
+	if err := p.liveTree(c); err != nil {
+		return err
 	}
 	ch, ok := c.DstChannels[dst]
 	if !ok {
 		return fmt.Errorf("core: %v is not a destination of connection %d", p.Mesh.Node(dst).Name, c.ID)
 	}
-	// Build the tear-down segment before detaching (the depths and edge
-	// structure are still intact).
-	depth := c.Tree.DestDepth[dst]
-	// Determine which edges will be pruned by doing the detach on the
-	// allocator (it also releases the occupancy).
-	pruned, err := p.Alloc.MulticastDetach(c.Tree, dst)
-	if err != nil {
+	if len(c.Tree.Dsts) == 1 {
+		return fmt.Errorf("core: cannot remove the last destination of connection %d (close it instead)", c.ID)
+	}
+	if err := p.buildBranch(c, dst, ch, false); err != nil {
 		return err
 	}
-	seg, err := p.prunedSegment(dst, depth, pruned, ch)
-	if err != nil {
+	if err := p.submit(nil); err != nil {
 		return err
 	}
-	packets, err := p.segmentsToPackets(c.Tree.InjectSlots, [][]pairAt{seg})
-	if err != nil {
+	if _, err := p.Alloc.MulticastDetach(c.Tree, dst); err != nil {
 		return err
-	}
-	wr, err := p.regPackets([]cfgproto.RegWrite{{
-		Element: int(dst),
-		Reg:     cfgproto.RegSelect(cfgproto.RegFlags, ch),
-	}})
-	if err != nil {
-		return err
-	}
-	packets = append(packets, wr...)
-	for _, pkt := range packets {
-		if _, err := p.Config.Submit(pkt.region, pkt.words); err != nil {
-			return err
-		}
 	}
 	p.freeChannel(dst, ch)
 	delete(c.DstChannels, dst)
@@ -114,63 +76,13 @@ func (p *Platform) RemoveMulticastDestination(c *Connection, dst topology.NodeID
 	return nil
 }
 
-// branchSegment builds the destination-first pair list of a grafted
-// branch: the new destination NI, the routers owning each new edge, ending
-// at the graft router (whose pair adds the branch output to its existing
-// input), with padding pairs across pipelined links.
-func (p *Platform) branchSegment(c *Connection, dst topology.NodeID, newEdges []alloc.TreeEdge, ch int, enable bool) ([]pairAt, error) {
-	g := p.Mesh.Graph
-	inEdge := make(map[topology.NodeID]alloc.TreeEdge, len(c.Tree.Edges))
-	for _, e := range c.Tree.Edges {
-		inEdge[g.Link(e.Link).To] = e
+// liveTree rejects graft and prune on a unicast or closed connection.
+func (p *Platform) liveTree(c *Connection) error {
+	if c.Tree == nil {
+		return fmt.Errorf("core: connection %d is not multicast", c.ID)
 	}
-	seg := []pairAt{{
-		element: int(dst),
-		spec:    cfgproto.NISpec(false, enable, ch),
-		depth:   c.Tree.DestDepth[dst],
-	}}
-	prev := c.Tree.DestDepth[dst]
-	// Walk the new edges from the destination side upward.
-	for i := len(newEdges) - 1; i >= 0; i-- {
-		e := newEdges[i]
-		parent := g.Link(e.Link).From
-		pe, ok := inEdge[parent]
-		if !ok {
-			return nil, fmt.Errorf("core: graft router %d has no incoming tree edge", parent)
-		}
-		inPort := g.Link(pe.Link).ToPort
-		if !enable {
-			inPort = slots.NoInput
-		}
-		seg = padTo(seg, prev, e.Depth)
-		seg = append(seg, pairAt{
-			element: int(parent),
-			spec:    cfgproto.RouterSpec(inPort, g.Link(e.Link).FromPort),
-			depth:   e.Depth,
-		})
-		prev = e.Depth
+	if c.State == Closed {
+		return fmt.Errorf("core: connection %d is closed", c.ID)
 	}
-	return seg, nil
-}
-
-// prunedSegment builds the tear-down pair list for a pruned branch.
-func (p *Platform) prunedSegment(dst topology.NodeID, dstDepth int, pruned []alloc.TreeEdge, ch int) ([]pairAt, error) {
-	g := p.Mesh.Graph
-	seg := []pairAt{{
-		element: int(dst),
-		spec:    cfgproto.NISpec(false, false, ch),
-		depth:   dstDepth,
-	}}
-	prev := dstDepth
-	for _, e := range pruned { // already ordered leaf-upward
-		parent := g.Link(e.Link).From
-		seg = padTo(seg, prev, e.Depth)
-		seg = append(seg, pairAt{
-			element: int(parent),
-			spec:    cfgproto.RouterSpec(slots.NoInput, g.Link(e.Link).FromPort),
-			depth:   e.Depth,
-		})
-		prev = e.Depth
-	}
-	return seg, nil
+	return nil
 }

@@ -50,89 +50,13 @@ func (r *RepairResult) DetectToDoneCycles() uint64 {
 }
 
 // ExcludeLinks marks links as failed for all future allocations; repairs
-// route around them. Existing reservations are not touched — tear them
-// down via Repair.
+// route around them. Existing reservations are not touched —
+// RepairStalled tears down the connections a health monitor found
+// stalled.
 func (p *Platform) ExcludeLinks(links ...topology.LinkID) {
 	for _, l := range links {
 		p.Alloc.ExcludeLink(l)
 	}
-}
-
-// Repair tears a connection down and re-opens it with the same spec and
-// the same NI channel indices, routed around the allocator's excluded
-// links, then runs the platform until the new configuration settles.
-// Traffic endpoints bound to (NI, channel) keep working across the repair:
-// words still queued at the source are delivered over the new path, only
-// words in flight on a failed link are lost. Unrelated connections are
-// never touched — their slots keep rotating while the repair packets flow
-// through the separate configuration tree (the paper's E13 property, under
-// faults).
-func (p *Platform) Repair(c *Connection, budget uint64) (*RepairResult, error) {
-	if c.State == Closed {
-		return nil, fmt.Errorf("core: connection %d already closed", c.ID)
-	}
-	res := &RepairResult{
-		OldID:       c.ID,
-		SubmitCycle: p.Sim.Cycle(),
-		Excluded:    p.Alloc.ExcludedLinks(),
-	}
-	if p.tracer != nil {
-		// The repair span parents both configuration legs (teardown +
-		// re-set-up); the deferred End stamps it when the repair
-		// returns — at settle on success, at the failure cycle
-		// otherwise (a second End is a no-op).
-		rspan := p.tracer.StartChild(p.traceParent, fmt.Sprintf("repair #%d", c.ID), "repair", res.SubmitCycle)
-		p.tracer.SetAttr(rspan, "detail", p.connDetail(c.Spec))
-		saved := p.traceParent
-		p.traceParent = rspan
-		defer func() {
-			p.traceParent = saved
-			p.tracer.End(rspan, p.Sim.Cycle())
-		}()
-	}
-	spec := c.Spec
-	prefSrc := c.SrcChannel
-	prefDst := c.DstChannel
-	prefDsts := c.DstChannels
-	if err := p.Close(c); err != nil {
-		return nil, fmt.Errorf("core: repair tear-down: %w", err)
-	}
-	var nc *Connection
-	var err error
-	if spec.multicast() {
-		nc, err = p.openMulticast(spec, prefSrc, prefDsts)
-	} else {
-		nc, err = p.openUnicast(spec, prefSrc, prefDst)
-	}
-	if err != nil {
-		return res, fmt.Errorf("core: repair re-allocation: %w", err)
-	}
-	if err := p.AwaitOpen(nc, budget); err != nil {
-		return res, fmt.Errorf("core: repair configuration: %w", err)
-	}
-	res.Conn = nc
-	res.NewID = nc.ID
-	res.DoneCycle = p.Sim.Cycle()
-	if p.tel != nil {
-		// The repair span covers the whole tear-down + re-set-up
-		// transaction; the set-up and teardown legs are also emitted
-		// individually by CompleteConfig. Words counts the re-set-up
-		// packets (the repair-specific configuration cost).
-		p.tel.EmitSpan(telemetry.Span{
-			Op:          "repair",
-			ID:          nc.ID,
-			SubmitCycle: res.SubmitCycle,
-			SettleCycle: res.DoneCycle,
-			Words:       nc.Setup.Words,
-			Detail:      p.connDetail(nc.Spec),
-		})
-		p.tel.Emit(telemetry.Event{
-			Cycle:  res.DoneCycle,
-			Kind:   "repair",
-			Detail: fmt.Sprintf("conn %d -> %d (%s)", res.OldID, res.NewID, p.connDetail(nc.Spec)),
-		})
-	}
-	return res, nil
 }
 
 // RepairStalled runs the full detect-diagnose-repair loop once: it takes
@@ -140,9 +64,15 @@ func (p *Platform) Repair(c *Connection, budget uint64) (*RepairResult, error) {
 // every stalled connection down, and re-admits them all as one batch
 // through the allocator's parallel admission engine — one configuration
 // settle covers the whole group, so N repairs cost one round through the
-// configuration tree instead of N. Results are returned in ID order; on
-// the first failing re-admission it returns what succeeded so far along
-// with the error.
+// configuration tree instead of N. Each re-opened connection keeps its
+// spec and NI channel indices, routed around the excluded links, so
+// traffic endpoints bound to (NI, channel) keep working: words still
+// queued at a source are delivered over the new path, only words in
+// flight on a failed link are lost. Unrelated connections are never
+// touched — their slots keep rotating while the repair packets flow
+// through the separate configuration tree (the paper's E13 property,
+// under faults). Results are returned in ID order; on the first failing
+// re-admission it returns what succeeded so far along with the error.
 func (p *Platform) RepairStalled(h *HealthMonitor, budget uint64) ([]*RepairResult, error) {
 	stalled := h.Stalled()
 	if len(stalled) == 0 {

@@ -296,13 +296,23 @@ func TestRepairFailsWhenNoAlternatePath(t *testing.T) {
 	p := repairPlatform(t, 2, 2)
 	m := p.Mesh
 	c := openAwait(t, p, core.ConnectionSpec{Src: m.NI(0, 0, 0), Dst: m.NI(1, 0, 0), SlotsFwd: 1})
-	// Exclude both entries into the destination's router: repair must
-	// report failure rather than pretend.
-	p.ExcludeLinks(
-		findLink(t, p, m.Router(0, 0), m.Router(1, 0)),
-		findLink(t, p, m.Router(1, 1), m.Router(1, 0)),
-	)
-	if _, err := p.Repair(c, 20000); err == nil {
+	dead := findLink(t, p, m.Router(0, 0), m.Router(1, 0))
+	if !pathUses(c, dead) {
+		t.Fatalf("path %v does not cross link %d", c.Fwd.Paths[0].Path, dead)
+	}
+	if _, err := fault.Attach(p, 3, fault.Fault{Kind: fault.LinkDown, Link: dead, From: p.Cycle() + 100}); err != nil {
+		t.Fatal(err)
+	}
+	traffic.NewSource(p.Sim, "src", p.NI(m.NI(0, 0, 0)), c.SrcChannel, traffic.SourceConfig{Rate: 0.2, Seed: 1})
+	traffic.NewSink(p.Sim, "sink", p.NI(m.NI(1, 0, 0)), c.DstChannel)
+	mon := core.NewHealthMonitor(p, 128)
+	if _, ok := p.Sim.RunUntil(func() bool { return len(mon.Stalled()) > 0 }, 5000); !ok {
+		t.Fatal("stall never detected")
+	}
+	// Exclude the other entry into the destination's router too: repair
+	// must report failure rather than pretend.
+	p.ExcludeLinks(findLink(t, p, m.Router(1, 1), m.Router(1, 0)))
+	if _, err := p.RepairStalled(mon, 20000); err == nil {
 		t.Fatal("repair succeeded over a fully cut destination")
 	}
 }

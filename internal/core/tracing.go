@@ -63,7 +63,7 @@ func (p *Platform) TraceParent() tracing.SpanRef { return p.traceParent }
 // transaction: the transaction span (under the set parent, or a fresh
 // trace) plus one inject child per involved region, all starting at the
 // submit cycle. CompleteConfig ends them when the trees drain.
-func (p *Platform) traceConfig(s *telemetry.Span, packets []cfgPacket) {
+func (p *Platform) traceConfig(s *telemetry.Span) {
 	if p.tracer == nil {
 		return
 	}
@@ -72,8 +72,9 @@ func (p *Platform) traceConfig(s *telemetry.Span, packets []cfgPacket) {
 	p.tracer.SetAttr(root, "words", strconv.Itoa(s.Words))
 	p.tracer.SetAttr(root, "span_regions", strconv.Itoa(s.Regions))
 	pt := &pendingTrace{root: root}
-	seen := make(map[int]bool, 2)
-	for _, pkt := range packets {
+	seen := p.tx.seen
+	clear(seen)
+	for _, pkt := range p.tx.packets {
 		if seen[pkt.region] {
 			continue
 		}
