@@ -66,24 +66,26 @@ func (a *Allocator) MulticastAttach(m *Multicast, dst topology.NodeID) ([]TreeEd
 		return nil, fmt.Errorf("alloc: destination %d unreachable from the tree", dst)
 	}
 
-	// Feasibility: every new link free in the branch's rotated slots,
-	// destination RX table free at the final depth. The graft path may
-	// cross existing tree nodes; links already in the tree carry the
-	// stream anyway and are skipped.
-	inTree := make(map[topology.LinkID]bool, len(m.Edges))
-	for _, e := range m.Edges {
-		inTree[e.Link] = true
-	}
-	depth := nodeDepth[best.from]
-	var newEdges []TreeEdge
-	for _, l := range best.path {
-		if !inTree[l] {
-			occ := a.LinkOccupancy(l)
-			if occ.Overlaps(m.InjectSlots.RotateUp(depth)) {
-				return nil, ErrNoCapacity{Want: m.InjectSlots.Count(), Got: 0}
-			}
-			newEdges = append(newEdges, TreeEdge{Link: l, Depth: depth})
+	// A shortest path from the graft point can run into another tree
+	// node; the branch grafts at the last one instead, so no tree node
+	// gains a second input: the tree stays a tree and MulticastDetach
+	// prunes exactly the edges added here. Feasibility: every new link
+	// free in the branch's rotated slots, destination RX table free at
+	// the final depth.
+	from, path := best.from, best.path
+	for k, l := range path {
+		if _, ok := nodeDepth[a.g.Link(l).To]; ok {
+			from, path = a.g.Link(l).To, best.path[k+1:]
 		}
+	}
+	depth := nodeDepth[from]
+	var newEdges []TreeEdge
+	for _, l := range path {
+		occ := a.LinkOccupancy(l)
+		if occ.Overlaps(m.InjectSlots.RotateUp(depth)) {
+			return nil, ErrNoCapacity{Want: m.InjectSlots.Count(), Got: 0}
+		}
+		newEdges = append(newEdges, TreeEdge{Link: l, Depth: depth})
 		depth += a.g.SlotAdvance(l)
 	}
 	rxFree := slots.Mask{Bits: ^a.rxBits(dst) & wheelBits(a.wheel), Size: a.wheel}

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 
 	"daelite/internal/topology"
@@ -137,4 +138,59 @@ func (r *churnRNG) Intn(n int) int {
 	r.state ^= r.state >> 7
 	r.state ^= r.state << 17
 	return int(r.state % uint64(n))
+}
+
+// TestMulticastAttachKeepsATree grafts every destination it can onto
+// trees over meshes with pipelined links, where a shortest path from the
+// best graft point can run into another tree node. No tree node may
+// gain a second incoming edge, and detaching a destination right after
+// attaching it must restore the tree and the occupancy exactly.
+func TestMulticastAttachKeepsATree(t *testing.T) {
+	for nis := 1; nis <= 2; nis++ {
+		m, err := topology.NewMesh(topology.MeshSpec{Width: 3, Height: 3, NIsPerRouter: nis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range m.Links() {
+			if m.Node(l.From).Kind == topology.Router && m.Node(l.To).Kind == topology.Router && i%3 == 0 {
+				m.Graph.SetPipeline(l.ID, 1+i%2)
+			}
+		}
+		for _, src := range m.AllNIs {
+			for _, first := range m.AllNIs {
+				if first == src {
+					continue
+				}
+				a := New(m.Graph, 16)
+				mc, err := a.Multicast(src, []topology.NodeID{first}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range m.AllNIs {
+					if d == src || d == first {
+						continue
+					}
+					edges, used := append([]TreeEdge(nil), mc.Edges...), a.TotalSlotsUsed()
+					if _, err := a.MulticastAttach(mc, d); err != nil {
+						continue
+					}
+					in := map[topology.NodeID]int{}
+					for _, e := range mc.Edges {
+						if in[m.Link(e.Link).To]++; in[m.Link(e.Link).To] > 1 {
+							t.Fatalf("nis %d, src %d: grafting %d gave node %d a second input: %v", nis, src, d, m.Link(e.Link).To, mc.Edges)
+						}
+					}
+					if _, err := a.MulticastDetach(mc, d); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(mc.Edges, edges) || a.TotalSlotsUsed() != used {
+						t.Fatalf("nis %d, src %d: attach+detach of %d moved edges %v -> %v, slots %d -> %d", nis, src, d, edges, mc.Edges, used, a.TotalSlotsUsed())
+					}
+					if _, err := a.MulticastAttach(mc, d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
 }
