@@ -131,4 +131,7 @@ func TestFlightRecorderDumpsOnPlantedViolation(t *testing.T) {
 	if after.ModTime() != before.ModTime() || after.Size() != before.Size() {
 		t.Error("second dump for the same reason rewrote the file")
 	}
+	if got := recordedText(ck.Recorded()); got != flightRecorderRecorded {
+		t.Errorf("planted flip recorded:\n%s\npinned:\n%s", got, flightRecorderRecorded)
+	}
 }

@@ -264,6 +264,46 @@ func TestWorkloadMutationSmoke(t *testing.T) {
 	}
 }
 
+// TestFlipDrillRecordedPinned pins every violation the DNN pack's
+// mutation smoke records after its slot-table flip: cycle, check and
+// detail, in order.
+func TestFlipDrillRecordedPinned(t *testing.T) {
+	c, err := Compile(ExampleDNN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, _, err := flipDrill(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, v := range ck.Recorded() {
+		b.WriteString(v.String())
+		b.WriteByte('\n')
+	}
+	if got := b.String(); got != dnnFlipRecorded {
+		t.Errorf("DNN flip drill recorded:\n%s\npinned:\n%s", got, dnnFlipRecorded)
+	}
+}
+
+const dnnFlipRecorded = `@352 table: router R00 out 2 slot 1: input -1, model 0
+@384 table: router R00 out 2 slot 1: input -1, model 0
+@416 table: router R00 out 2 slot 1: input -1, model 0
+@448 table: router R00 out 2 slot 1: input -1, model 0
+@480 table: router R00 out 2 slot 1: input -1, model 0
+@512 table: router R00 out 2 slot 1: input -1, model 0
+@544 table: router R00 out 2 slot 1: input -1, model 0
+@576 table: router R00 out 2 slot 1: input -1, model 0
+@608 table: router R00 out 2 slot 1: input -1, model 0
+@640 table: router R00 out 2 slot 1: input -1, model 0
+@672 table: router R00 out 2 slot 1: input -1, model 0
+@704 table: router R00 out 2 slot 1: input -1, model 0
+@736 table: router R00 out 2 slot 1: input -1, model 0
+@768 table: router R00 out 2 slot 1: input -1, model 0
+@800 table: router R00 out 2 slot 1: input -1, model 0
+@832 table: router R00 out 2 slot 1: input -1, model 0
+`
+
 func TestChaosRunStaysDeterministic(t *testing.T) {
 	c, err := Compile(testDNNSpec())
 	if err != nil {
