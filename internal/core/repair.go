@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"daelite/internal/telemetry"
@@ -71,8 +72,9 @@ func (p *Platform) ExcludeLinks(links ...topology.LinkID) {
 // flight on a failed link are lost. Unrelated connections are never
 // touched — their slots keep rotating while the repair packets flow
 // through the separate configuration tree (the paper's E13 property,
-// under faults). Results are returned in ID order; on the first failing
-// re-admission it returns what succeeded so far along with the error.
+// under faults). Results are returned in ID order. A connection that
+// cannot be re-admitted stays closed: every other one is still repaired
+// and returned, and the failures come back joined.
 func (p *Platform) RepairStalled(h *HealthMonitor, budget uint64) ([]*RepairResult, error) {
 	stalled := h.Stalled()
 	if len(stalled) == 0 {
@@ -128,9 +130,11 @@ func (p *Platform) RepairStalled(h *HealthMonitor, budget uint64) ([]*RepairResu
 	done := p.Sim.Cycle()
 
 	var out []*RepairResult
+	var failed []error
 	for i := range stalled {
 		if errs[i] != nil {
-			return out, fmt.Errorf("core: repair re-allocation: %w", errs[i])
+			failed = append(failed, fmt.Errorf("core: repair re-allocation: %w", errs[i]))
+			continue
 		}
 		nc := conns[i]
 		if nc.State == Opening {
@@ -166,5 +170,5 @@ func (p *Platform) RepairStalled(h *HealthMonitor, budget uint64) ([]*RepairResu
 		}
 		out = append(out, res)
 	}
-	return out, nil
+	return out, errors.Join(failed...)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"daelite/internal/core"
@@ -314,5 +315,55 @@ func TestRepairFailsWhenNoAlternatePath(t *testing.T) {
 	p.ExcludeLinks(findLink(t, p, m.Router(1, 1), m.Router(1, 0)))
 	if _, err := p.RepairStalled(mon, 20000); err == nil {
 		t.Fatal("repair succeeded over a fully cut destination")
+	}
+}
+
+// TestRepairStalledKeepsLaterRepairs: when one stalled connection cannot
+// be re-admitted, every other one that could is still repaired, marked
+// Open and returned, and the failure is reported beside them.
+func TestRepairStalledKeepsLaterRepairs(t *testing.T) {
+	p := repairPlatform(t, 3, 3)
+	m := p.Mesh
+	cut := openAwait(t, p, core.ConnectionSpec{Src: m.NI(0, 0, 0), Dst: m.NI(2, 0, 0), SlotsFwd: 1})
+	moved := openAwait(t, p, core.ConnectionSpec{Src: m.NI(0, 1, 0), Dst: m.NI(2, 1, 0), SlotsFwd: 1})
+	deadCut := findLink(t, p, m.Router(1, 0), m.Router(2, 0))
+	deadMoved := findLink(t, p, m.Router(1, 1), m.Router(2, 1))
+	if !pathUses(cut, deadCut) || !pathUses(moved, deadMoved) {
+		t.Fatalf("paths %v and %v miss links %d and %d",
+			cut.Fwd.Paths[0].Path, moved.Fwd.Paths[0].Path, deadCut, deadMoved)
+	}
+	for i, l := range []topology.LinkID{deadCut, deadMoved} {
+		if _, err := fault.Attach(p, uint64(i+1), fault.Fault{Kind: fault.LinkDown, Link: l, From: p.Cycle() + 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range []*core.Connection{cut, moved} {
+		traffic.NewSource(p.Sim, fmt.Sprintf("src%d", i), p.NI(c.Spec.Src), c.SrcChannel, traffic.SourceConfig{Rate: 0.2, Seed: uint64(i + 1)})
+		traffic.NewSink(p.Sim, fmt.Sprintf("sink%d", i), p.NI(c.Spec.Dst), c.DstChannel)
+	}
+	mon := core.NewHealthMonitor(p, 128)
+	if _, ok := p.Sim.RunUntil(func() bool { return len(mon.Stalled()) == 2 }, 5000); !ok {
+		t.Fatalf("stalled = %v, want both connections", mon.Stalled())
+	}
+	// Cut the other entry into the first destination's router: only the
+	// first connection is beyond repair.
+	p.ExcludeLinks(findLink(t, p, m.Router(2, 1), m.Router(2, 0)))
+
+	results, err := p.RepairStalled(mon, 20000)
+	if err == nil {
+		t.Fatal("repair succeeded over a fully cut destination")
+	}
+	if len(results) != 1 || results[0].OldID != moved.ID {
+		t.Fatalf("results = %v, want one repair of connection %d", results, moved.ID)
+	}
+	nc := results[0].Conn
+	if nc.State != core.Open {
+		t.Fatalf("repaired connection %d left in state %v", nc.ID, nc.State)
+	}
+	sink := p.NI(nc.Spec.Dst)
+	before := sink.RxWords(nc.DstChannel)
+	p.Run(2000)
+	if sink.RxWords(nc.DstChannel) <= before {
+		t.Fatal("repaired connection delivers nothing")
 	}
 }
