@@ -108,14 +108,14 @@ func TestDNNPackAdmissibilityProperty(t *testing.T) {
 			// Property 1: per-link demand claimed by the allocator equals
 			// the model's closed-form occupancy and never exceeds the
 			// wheel.
-			occ := model.LinkOccupancy(live)
+			sched := model.Schedule(live)
 			for _, l := range p.Mesh.Links() {
 				got := p.Alloc.LinkOccupancy(l.ID)
 				if got.Count() > wheel {
 					t.Fatalf("seed %d phase %s: link %d claims %d slots against a %d-slot wheel",
 						seed, ph.Name, l.ID, got.Count(), wheel)
 				}
-				if want := occ[l.ID]; got.Bits != want.Bits {
+				if want := sched.Link(l.ID); got.Bits != want.Bits {
 					t.Fatalf("seed %d phase %s: link %d occupancy %#x, model says %#x",
 						seed, ph.Name, l.ID, got.Bits, want.Bits)
 				}
