@@ -451,7 +451,8 @@ func TestExclusionAppliesBeforeCap(t *testing.T) {
 	a := New(m.Graph, 8)
 	src, dst := m.NI(0, 0, 0), m.NI(8, 8, 0)
 	d := m.Distance(src, dst)
-	dead := m.SimplePaths(src, dst, d, 1)[0][1]
+	paths, _ := m.SimplePathsAvoidingDense(src, dst, d, 1, nil)
+	dead := paths[0][1]
 	a.ExcludeLink(dead)
 	u, err := a.Unicast(src, dst, 1, Options{})
 	if err != nil {

@@ -32,8 +32,9 @@ type pathCache struct {
 	truncations   atomic.Uint64
 }
 
-// pathKey identifies one memoized SimplePaths enumeration: endpoint pair,
-// length bound, enumeration cap, and the exclusion generation it avoided.
+// pathKey identifies one memoized SimplePathsAvoidingDense enumeration:
+// endpoint pair, length bound, enumeration cap, and the exclusion
+// generation it avoided.
 type pathKey struct {
 	src, dst    topology.NodeID
 	maxLen, cap int

@@ -172,7 +172,7 @@ func BenchmarkSimplePaths(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.m.SimplePathsCapped(c.a, c.dst, maxLen, 64)
+				c.m.SimplePathsAvoidingDense(c.a, c.dst, maxLen, 64, nil)
 			}
 		})
 	}

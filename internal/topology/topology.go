@@ -422,34 +422,12 @@ func (g *Graph) Distance(a, b NodeID) int {
 	return g.DistanceAvoidingDense(a, b, nil)
 }
 
-// ShortestPathAvoiding returns a minimum-hop path from a to b that uses no
-// link in avoid, or nil if none exists. It is the routing query behind
-// online repair: after a link failure the allocator re-routes around the
-// excluded links. Ties are broken deterministically by link ID, like
-// ShortestPath.
-func (g *Graph) ShortestPathAvoiding(a, b NodeID, avoid map[LinkID]bool) Path {
-	if len(avoid) == 0 {
-		return g.ShortestPathAvoidingDense(a, b, nil)
-	}
-	return g.ShortestPathAvoidingDense(a, b, g.denseAvoid(avoid))
-}
-
-// denseAvoid converts a sparse avoid set to the dense form the BFS core
-// consumes.
-func (g *Graph) denseAvoid(avoid map[LinkID]bool) []bool {
-	dense := make([]bool, len(g.links))
-	for l, bad := range avoid {
-		if bad && int(l) < len(dense) {
-			dense[l] = true
-		}
-	}
-	return dense
-}
-
-// ShortestPathAvoidingDense is ShortestPathAvoiding with the avoid set
-// given as a dense bool slice indexed by LinkID (nil or short slices treat
-// missing entries as not avoided). This is the allocation-free form the
-// admission engine calls.
+// ShortestPathAvoidingDense returns a minimum-hop path from a to b that
+// uses no link in avoid, or nil if none exists. It is the routing query
+// behind online repair: after a link failure the allocator re-routes
+// around the excluded links. avoid is a dense bool slice indexed by
+// LinkID (nil or short slices treat missing entries as not avoided).
+// Ties are broken deterministically by link ID, like ShortestPath.
 func (g *Graph) ShortestPathAvoidingDense(a, b NodeID, avoid []bool) Path {
 	if a == b {
 		return Path{}
@@ -461,15 +439,6 @@ func (g *Graph) ShortestPathAvoidingDense(a, b NodeID, avoid []bool) Path {
 		return nil
 	}
 	return g.unwind(s, a, b)
-}
-
-// DistanceAvoiding returns the minimum hop count from a to b over paths
-// that use no link in avoid, or -1 if b is unreachable without them.
-func (g *Graph) DistanceAvoiding(a, b NodeID, avoid map[LinkID]bool) int {
-	if len(avoid) == 0 {
-		return g.DistanceAvoidingDense(a, b, nil)
-	}
-	return g.DistanceAvoidingDense(a, b, g.denseAvoid(avoid))
 }
 
 // DistanceAvoidingDense returns the minimum hop count from a to b avoiding
@@ -493,27 +462,14 @@ func (g *Graph) DistanceAvoidingDense(a, b NodeID, avoid []bool) int {
 	return hops
 }
 
-// SimplePaths enumerates all simple paths (no repeated node) from a to b
-// with at most maxLen links, in deterministic order (shortest first, then
-// lexicographic by link IDs). The enumeration is capped at limit paths;
-// limit <= 0 means no cap. Used by the multipath allocator.
-func (g *Graph) SimplePaths(a, b NodeID, maxLen, limit int) []Path {
-	paths, _ := g.SimplePathsAvoidingDense(a, b, maxLen, limit, nil)
-	return paths
-}
-
-// SimplePathsCapped is SimplePaths plus a flag reporting whether the cap
-// dropped candidate paths — the signal the allocator surfaces through
-// telemetry so ErrNoCapacity under truncation is diagnosable.
-func (g *Graph) SimplePathsCapped(a, b NodeID, maxLen, limit int) ([]Path, bool) {
-	return g.SimplePathsAvoidingDense(a, b, maxLen, limit, nil)
-}
-
-// SimplePathsAvoidingDense is SimplePathsCapped over the links not in the
-// dense avoid set (indexed by LinkID; nil avoids nothing): the first limit
-// simple paths from a to b of at most maxLen links that use no avoided
-// link, shortest first and then lexicographic by link IDs, and whether
-// more such paths exist.
+// SimplePathsAvoidingDense enumerates simple paths (no repeated node)
+// over the links not in the dense avoid set (indexed by LinkID; nil
+// avoids nothing): the first limit simple paths from a to b of at most
+// maxLen links that use no avoided link, shortest first and then
+// lexicographic by link IDs, and whether more such paths exist — the
+// signal the allocator surfaces through telemetry so ErrNoCapacity under
+// truncation is diagnosable. limit <= 0 means no cap. Used by the
+// multipath allocator.
 //
 // The paths are generated in that order rather than sorted: a reverse BFS
 // from b gives every node's hop count to b, then one DFS per length L

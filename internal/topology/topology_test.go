@@ -134,7 +134,7 @@ func TestSimplePaths(t *testing.T) {
 	a := m.NI(0, 0, 0)
 	b := m.NI(2, 2, 0)
 	min := m.Distance(a, b)
-	paths := m.SimplePaths(a, b, min, 0)
+	paths, _ := m.SimplePathsAvoidingDense(a, b, min, 0, nil)
 	// In a 3x3 mesh between opposite corners there are C(4,2)=6 shortest
 	// router paths.
 	if len(paths) != 6 {
@@ -156,13 +156,13 @@ func TestSimplePaths(t *testing.T) {
 		}
 	}
 	// Longer detours appear when maxLen grows.
-	more := m.SimplePaths(a, b, min+2, 0)
+	more, _ := m.SimplePathsAvoidingDense(a, b, min+2, 0, nil)
 	if len(more) <= len(paths) {
 		t.Fatalf("allowing detours found %d paths, want > %d", len(more), len(paths))
 	}
 	// Limit caps the result deterministically.
-	capped := m.SimplePaths(a, b, min+2, 3)
-	if len(capped) != 3 {
+	capped, truncated := m.SimplePathsAvoidingDense(a, b, min+2, 3, nil)
+	if len(capped) != 3 || !truncated {
 		t.Fatalf("limit ignored: got %d", len(capped))
 	}
 	for i := range capped {
@@ -363,8 +363,9 @@ func TestShortestPathAvoiding(t *testing.T) {
 	}
 	// Avoiding the first hop forces a detour of equal or +2 length that
 	// skips it.
-	avoid := map[LinkID]bool{direct[0]: true}
-	p := g.ShortestPathAvoiding(src, dst, avoid)
+	avoid := make([]bool, g.NumLinks())
+	avoid[direct[0]] = true
+	p := g.ShortestPathAvoidingDense(src, dst, avoid)
 	if p == nil {
 		t.Fatal("no avoiding path found")
 	}
@@ -376,22 +377,22 @@ func TestShortestPathAvoiding(t *testing.T) {
 	if err := g.ValidatePath(p); err != nil {
 		t.Fatal(err)
 	}
-	if d := g.DistanceAvoiding(src, dst, avoid); d != len(p) {
-		t.Fatalf("DistanceAvoiding = %d, path len = %d", d, len(p))
+	if d := g.DistanceAvoidingDense(src, dst, avoid); d != len(p) {
+		t.Fatalf("DistanceAvoidingDense = %d, path len = %d", d, len(p))
 	}
 	// Empty avoid set falls back to plain shortest path.
-	if got := g.ShortestPathAvoiding(src, dst, nil); len(got) != len(direct) {
+	if got := g.ShortestPathAvoidingDense(src, dst, nil); len(got) != len(direct) {
 		t.Fatalf("nil-avoid length = %d, want %d", len(got), len(direct))
 	}
 	// Cutting every outgoing link isolates the node.
-	all := make(map[LinkID]bool)
+	all := make([]bool, g.NumLinks())
 	for _, l := range g.Out(src) {
 		all[l] = true
 	}
-	if p := g.ShortestPathAvoiding(src, dst, all); p != nil {
+	if p := g.ShortestPathAvoidingDense(src, dst, all); p != nil {
 		t.Fatalf("path found out of isolated node: %v", p)
 	}
-	if d := g.DistanceAvoiding(src, dst, all); d != -1 {
-		t.Fatalf("DistanceAvoiding from isolated node = %d, want -1", d)
+	if d := g.DistanceAvoidingDense(src, dst, all); d != -1 {
+		t.Fatalf("DistanceAvoidingDense from isolated node = %d, want -1", d)
 	}
 }
