@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/cfgproto -run '^$$' -fuzz FuzzRegionDecoder -fuzztime 15s
 	$(GO) test ./internal/ni -run '^$$' -fuzz FuzzNIQueues -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzConfigTransactions -fuzztime 15s
+	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzCheckerExpectation -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzWhatIfBody -fuzztime 15s
 
