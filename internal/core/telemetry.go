@@ -7,12 +7,13 @@ package core
 // same plain counters they always had, and the harvest probe (which the
 // kernel runs sequentially on the stepping goroutine after each commit)
 // mirrors them into the registry every SampleEvery cycles. This keeps the
-// disabled cost at exactly zero, bounds the enabled cost to a handful of
-// atomic stores per sampled cycle, and — because probes and the ordered
-// tail are the only writers — makes every exported value bit-identical
-// across kernel worker counts.
+// disabled cost at exactly zero and bounds the enabled cost to one atomic
+// store per value that moved since the last sample, and, because probes
+// and the ordered tail are the only writers, every exported value is
+// deterministic.
 
 import (
+	"math/bits"
 	"strconv"
 
 	"daelite/internal/telemetry"
@@ -22,27 +23,60 @@ import (
 // DefaultTelemetrySample is the default harvest interval in cycles.
 const DefaultTelemetrySample = 16
 
+// counterMirror is a registry counter the harvest keeps equal to a
+// component's own counter. The harvest is the handle's only writer, so
+// last is what the registry holds, and store skips the atomic store of a
+// value that has not moved.
+type counterMirror struct {
+	c    *telemetry.Counter
+	last uint64
+}
+
+func mirrorCounter(c *telemetry.Counter) counterMirror { return counterMirror{c, c.Value()} }
+
+func (m *counterMirror) store(v uint64) {
+	if v != m.last {
+		m.last = v
+		m.c.Store(v)
+	}
+}
+
+// gaugeMirror is counterMirror for a gauge.
+type gaugeMirror struct {
+	g    *telemetry.Gauge
+	last int64
+}
+
+func mirrorGauge(g *telemetry.Gauge) gaugeMirror { return gaugeMirror{g, g.Value()} }
+
+func (m *gaugeMirror) set(v int64) {
+	if v != m.last {
+		m.last = v
+		m.g.Set(v)
+	}
+}
+
 // chanTel caches the registry handles of one NI channel. Handles are
 // created lazily the first time the channel is observed configured, so an
 // 8-channel NI with one open connection costs one channel, not eight.
 type chanTel struct {
-	stall, tx, rx        *telemetry.Counter
-	sendQ, recvQ, credit *telemetry.Gauge
+	stall, tx, rx        counterMirror
+	sendQ, recvQ, credit gaugeMirror
 }
 
 // niTel caches the registry handles of one NI.
 type niTel struct {
 	id                                     topology.NodeID
 	name                                   string
-	injected, delivered, dropped, rejected *telemetry.Counter
+	injected, delivered, dropped, rejected counterMirror
 	chans                                  []*chanTel
 }
 
 // routerTel caches the registry handles of one router.
 type routerTel struct {
 	id        topology.NodeID
-	forwarded *telemetry.Counter
-	outBusy   []*telemetry.Counter
+	forwarded counterMirror
+	outBusy   []counterMirror
 }
 
 // telHarvest is the sampling probe's cached state.
@@ -52,7 +86,7 @@ type telHarvest struct {
 	nis     []*niTel
 	routers []*routerTel
 	// Admission-engine path cache counters (alloc.CacheStats mirror).
-	cacheHits, cacheMisses, cacheInvalidations, cacheTruncations *telemetry.Counter
+	cacheHits, cacheMisses, cacheInvalidations, cacheTruncations counterMirror
 }
 
 // AttachTelemetry connects a registry to the platform and registers the
@@ -71,10 +105,10 @@ func (p *Platform) AttachTelemetry(reg *telemetry.Registry, sampleEvery int) {
 	h := &telHarvest{
 		every:              uint64(sampleEvery),
 		cycle:              reg.Gauge("cycle"),
-		cacheHits:          reg.Counter("alloc_path_cache_hits_total"),
-		cacheMisses:        reg.Counter("alloc_path_cache_misses_total"),
-		cacheInvalidations: reg.Counter("alloc_path_cache_invalidations_total"),
-		cacheTruncations:   reg.Counter("alloc_path_truncations_total"),
+		cacheHits:          mirrorCounter(reg.Counter("alloc_path_cache_hits_total")),
+		cacheMisses:        mirrorCounter(reg.Counter("alloc_path_cache_misses_total")),
+		cacheInvalidations: mirrorCounter(reg.Counter("alloc_path_cache_invalidations_total")),
+		cacheTruncations:   mirrorCounter(reg.Counter("alloc_path_truncations_total")),
 	}
 	// Nodes() is in ID order, so handle creation — and therefore the
 	// registry contents — is deterministic.
@@ -85,21 +119,21 @@ func (p *Platform) AttachTelemetry(reg *telemetry.Registry, sampleEvery int) {
 			h.nis = append(h.nis, &niTel{
 				id:        n.ID,
 				name:      n.Name,
-				injected:  reg.Counter("ni_injected_words_total", lbl),
-				delivered: reg.Counter("ni_delivered_words_total", lbl),
-				dropped:   reg.Counter("ni_dropped_words_total", lbl),
-				rejected:  reg.Counter("ni_rejected_sends_total", lbl),
+				injected:  mirrorCounter(reg.Counter("ni_injected_words_total", lbl)),
+				delivered: mirrorCounter(reg.Counter("ni_delivered_words_total", lbl)),
+				dropped:   mirrorCounter(reg.Counter("ni_dropped_words_total", lbl)),
+				rejected:  mirrorCounter(reg.Counter("ni_rejected_sends_total", lbl)),
 				chans:     make([]*chanTel, p.Params.NumChannels),
 			})
 		case topology.Router:
 			r := p.Routers[n.ID]
 			rt := &routerTel{
 				id:        n.ID,
-				forwarded: reg.Counter("router_forwarded_words_total", telemetry.L("router", n.Name)),
+				forwarded: mirrorCounter(reg.Counter("router_forwarded_words_total", telemetry.L("router", n.Name))),
 			}
 			for o := 0; o < r.NumOutputs(); o++ {
-				rt.outBusy = append(rt.outBusy, reg.Counter("router_output_busy_cycles_total",
-					telemetry.L("router", n.Name), telemetry.L("port", strconv.Itoa(o))))
+				rt.outBusy = append(rt.outBusy, mirrorCounter(reg.Counter("router_output_busy_cycles_total",
+					telemetry.L("router", n.Name), telemetry.L("port", strconv.Itoa(o)))))
 			}
 			h.routers = append(h.routers, rt)
 		}
@@ -130,18 +164,19 @@ func (p *Platform) harvestTelemetry(cycle uint64) {
 	h := p.harvest
 	h.cycle.Set(int64(cycle))
 	cs := p.Alloc.CacheStats()
-	h.cacheHits.Store(cs.Hits)
-	h.cacheMisses.Store(cs.Misses)
-	h.cacheInvalidations.Store(cs.Invalidations)
-	h.cacheTruncations.Store(cs.Truncations)
+	h.cacheHits.store(cs.Hits)
+	h.cacheMisses.store(cs.Misses)
+	h.cacheInvalidations.store(cs.Invalidations)
+	h.cacheTruncations.store(cs.Truncations)
 	for _, nt := range h.nis {
 		n := p.NIs[nt.id]
 		inj, del := n.Stats()
-		nt.injected.Store(inj)
-		nt.delivered.Store(del)
-		nt.dropped.Store(n.Dropped())
-		nt.rejected.Store(n.Rejected())
-		for ch := range nt.chans {
+		nt.injected.store(inj)
+		nt.delivered.store(del)
+		nt.dropped.store(n.Dropped())
+		nt.rejected.store(n.Rejected())
+		for set := n.FlaggedChannels(); set != 0; set &= set - 1 {
+			ch := bits.TrailingZeros64(set)
 			ct := nt.chans[ch]
 			if ct == nil {
 				if n.Flags(ch) == 0 {
@@ -152,28 +187,31 @@ func (p *Platform) harvestTelemetry(cycle uint64) {
 					telemetry.L("ch", strconv.Itoa(ch)),
 				}
 				ct = &chanTel{
-					stall:  p.tel.Counter("ni_credit_stall_cycles_total", lbls...),
-					tx:     p.tel.Counter("ni_tx_words_total", lbls...),
-					rx:     p.tel.Counter("ni_rx_words_total", lbls...),
-					sendQ:  p.tel.Gauge("ni_send_queue_depth", lbls...),
-					recvQ:  p.tel.Gauge("ni_recv_queue_depth", lbls...),
-					credit: p.tel.Gauge("ni_credit", lbls...),
+					stall:  mirrorCounter(p.tel.Counter("ni_credit_stall_cycles_total", lbls...)),
+					tx:     mirrorCounter(p.tel.Counter("ni_tx_words_total", lbls...)),
+					rx:     mirrorCounter(p.tel.Counter("ni_rx_words_total", lbls...)),
+					sendQ:  mirrorGauge(p.tel.Gauge("ni_send_queue_depth", lbls...)),
+					recvQ:  mirrorGauge(p.tel.Gauge("ni_recv_queue_depth", lbls...)),
+					credit: mirrorGauge(p.tel.Gauge("ni_credit", lbls...)),
 				}
 				nt.chans[ch] = ct
 			}
-			ct.stall.Store(n.CreditStallCycles(ch))
-			ct.tx.Store(n.TxWords(ch))
-			ct.rx.Store(n.RxWords(ch))
-			ct.sendQ.Set(int64(n.SendQueueLen(ch)))
-			ct.recvQ.Set(int64(n.RecvLen(ch)))
-			ct.credit.Set(int64(n.Credit(ch)))
+			ct.stall.store(n.CreditStallCycles(ch))
+			ct.tx.store(n.TxWords(ch))
+			ct.rx.store(n.RxWords(ch))
+			ct.sendQ.set(int64(n.SendQueueLen(ch)))
+			ct.recvQ.set(int64(n.RecvLen(ch)))
+			ct.credit.set(int64(n.Credit(ch)))
 		}
 	}
 	for _, rt := range h.routers {
 		r := p.Routers[rt.id]
-		rt.forwarded.Store(r.Forwarded())
-		for o, c := range rt.outBusy {
-			c.Store(r.OutputBusy(o))
+		if r.Forwarded() == rt.forwarded.last {
+			continue // the outputs' busy counts split Forwarded: none moved
+		}
+		rt.forwarded.store(r.Forwarded())
+		for o := range rt.outBusy {
+			rt.outBusy[o].store(r.OutputBusy(o))
 		}
 	}
 }

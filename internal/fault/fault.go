@@ -4,9 +4,9 @@
 // platform without modifying any hardware model.
 //
 // The injector exploits the sim kernel's two-phase semantics: it registers
-// through AddOrdered, so its Eval runs after every platform element each
-// cycle — even when the platform evaluates on the parallel kernel — and
-// its Reg.Set overrides the pending value the owning element just drove.
+// through AddOrdered and never sleeps, so its Eval runs after every
+// platform element each cycle and its Reg.Set overrides the pending
+// value the owning element just drove.
 // Peek exposes that pending value, which is what makes corrupt-in-place
 // faults (bit flips) possible. Because the ordered tail runs in
 // registration order and all randomness comes from a seeded sim.RNG, a

@@ -5,6 +5,7 @@ import (
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/phit"
+	"daelite/internal/sim"
 	"daelite/internal/slots"
 )
 
@@ -20,6 +21,28 @@ func (m *midCycle) Eval(uint64) {
 	m.calls = m.calls[:0]
 }
 func (m *midCycle) Commit() {}
+
+// drain is an IP-side consumer of one channel that sleeps while the
+// receive queue is empty and is woken only by the NI (WatchRecv), as a
+// traffic sink is: each Eval takes every visible word.
+type drain struct {
+	ni   *NI
+	act  sim.Activity
+	take func(d Delivery, cycle uint64)
+}
+
+func (d *drain) Name() string { return "drain" }
+func (d *drain) Eval(cycle uint64) {
+	for {
+		dv, ok := d.ni.Recv(0)
+		if !ok {
+			break
+		}
+		d.take(dv, cycle)
+	}
+	d.act.Sleep()
+}
+func (d *drain) Commit() {}
 
 // refWord is a word of the reference queues, with the step count at its
 // Send (it may be injected two steps later at the earliest) and, once
@@ -40,16 +63,23 @@ type refWord struct {
 // arrival (B's RxWords plus Dropped) is kept or dropped by the
 // reference's own capacity check. CanSend, SendQueueLen, RecvLen,
 // Rejected, Dropped and every delivered word, tag and cycle must agree.
+// With consumer set, B's IP side is also a drain registered after the
+// mid-cycle calls: it must take every word in the cycle the word becomes
+// visible, so no word waits past that cycle.
 func FuzzNIQueues(f *testing.F) {
-	f.Add(uint8(3), uint8(5), uint8(0x22), uint8(0x81), uint8(6), false,
+	f.Add(uint8(3), uint8(5), uint8(0x22), uint8(0x81), uint8(6), false, false,
 		[]byte{0, 0, 0, 0, 0, 2 | 20<<2, 1, 1, 5, 5, 4, 2 | 30<<2, 1, 1, 1, 1, 0, 4, 2 | 63<<2, 1, 5, 1})
-	f.Add(uint8(0), uint8(1), uint8(0xFF), uint8(0x0F), uint8(0), true,
+	f.Add(uint8(0), uint8(1), uint8(0xFF), uint8(0x0F), uint8(0), true, false,
 		[]byte{0, 0, 0, 2 | 10<<2, 0, 4, 4, 2 | 40<<2, 1, 5, 1, 2 | 5<<2})
-	f.Add(uint8(1), uint8(0), uint8(0x55), uint8(0xAA), uint8(1), false,
+	f.Add(uint8(1), uint8(0), uint8(0x55), uint8(0xAA), uint8(1), false, false,
 		[]byte{0, 0, 2 | 3<<2, 1, 0, 3, 0, 2 | 8<<2, 3, 0, 0, 2 | 16<<2, 5, 1, 1, 2 | 2<<2})
-	f.Add(uint8(7), uint8(15), uint8(0x01), uint8(0x10), uint8(63), true,
+	f.Add(uint8(7), uint8(15), uint8(0x01), uint8(0x10), uint8(63), true, false,
 		[]byte{0, 4, 0, 4, 0, 4, 0, 4, 2 | 63<<2, 2 | 63<<2, 1, 1, 1, 5, 5, 5, 2 | 1<<2, 1})
-	f.Fuzz(func(t *testing.T, sdepth, rdepth, txA, txB, credit uint8, multicast bool, ops []byte) {
+	f.Add(uint8(3), uint8(5), uint8(0x22), uint8(0x81), uint8(6), false, true,
+		[]byte{0, 0, 0, 0, 0, 2 | 20<<2, 1, 0, 5, 0, 4, 2 | 30<<2, 1, 0, 0, 0, 4, 4, 2 | 63<<2, 1, 5, 2 | 8<<2})
+	f.Add(uint8(7), uint8(2), uint8(0xFF), uint8(0xFF), uint8(3), true, true,
+		[]byte{0, 4, 0, 4, 0, 4, 2 | 9<<2, 0, 0, 0, 0, 2 | 3<<2, 3, 0, 3, 0, 2 | 20<<2})
+	f.Fuzz(func(t *testing.T, sdepth, rdepth, txA, txB, credit uint8, multicast, consumer bool, ops []byte) {
 		p := Params{Wheel: 8, SlotWords: 2, NumChannels: 2,
 			SendQueueDepth: 1 + int(sdepth%8), RecvQueueDepth: 1 + int(rdepth%16)}
 		s, a, b := pair(t, p)
@@ -116,6 +146,26 @@ func FuzzNIQueues(f *testing.F) {
 			}
 			check("after Recv", midCycle)
 		}
+		if consumer {
+			ip := &drain{ni: b, take: func(d Delivery, cycle uint64) {
+				if len(recvQ) == 0 {
+					t.Fatalf("step %d: drain took %+v with the reference empty", steps, d)
+				}
+				r := recvQ[0]
+				if d.Word != r.word || d.Tag.Seq != r.seq || d.Tag.Channel != a.ID()<<8 ||
+					d.Tag.SubmitCycle != r.submit || d.Cycle != r.cycle {
+					t.Fatalf("step %d: drain took %+v, reference %+v", steps, d, r)
+				}
+				if d.Cycle != cycle {
+					t.Fatalf("step %d: drain took at cycle %d a word visible since cycle %d", steps, cycle, d.Cycle)
+				}
+				recvQ = recvQ[1:]
+				taken++
+				check("after drain", true)
+			}}
+			ip.act = s.AddOrdered(ip)
+			b.WatchRecv(0, ip.act)
+		}
 		step := func() {
 			s.Step()
 			steps++
@@ -148,6 +198,9 @@ func FuzzNIQueues(f *testing.F) {
 				}
 				sendQ = sendQ[1:]
 				link = append(link, w)
+			}
+			if consumer && len(recvQ) > 0 && recvQ[0].cycle < s.Cycle() {
+				t.Fatalf("step %d: a word visible since cycle %d was not drained", steps, recvQ[0].cycle)
 			}
 			check("after step", false)
 		}

@@ -20,6 +20,7 @@ package ni
 
 import (
 	"fmt"
+	"slices"
 
 	"daelite/internal/cfgproto"
 	"daelite/internal/configtree"
@@ -85,6 +86,10 @@ type channel struct {
 	sendQ fifo.Ring[queuedWord]
 	recvQ fifo.Ring[Delivery]
 
+	// consumers are the IP-side readers of recvQ that sleep while it is
+	// empty (see WatchRecv).
+	consumers []sim.Activity
+
 	// credit is the source-side counter: free words at the remote
 	// receive queue. Initialized by configuration at set-up.
 	credit int
@@ -149,6 +154,10 @@ type NI struct {
 	// configuration port (deserialized into wide words by the shell).
 	busShell BusConfigPort
 	busAccum uint32
+
+	// flagged has bit ch set once channel ch's flags were written
+	// non-zero (see FlaggedChannels).
+	flagged uint64
 
 	// Statistics.
 	injected  uint64
@@ -275,6 +284,21 @@ func (n *NI) Recv(ch int) (Delivery, bool) {
 	return d, true
 }
 
+// WatchRecv registers a as a consumer of channel ch: the NI wakes it in
+// the Commit that makes a word visible in the channel's receive queue,
+// so a consumer may sleep while RecvLen is 0. Every consumer of a
+// channel wakes; they compete for its words in their evaluation order.
+func (n *NI) WatchRecv(ch int, a sim.Activity) {
+	c := n.channels[ch]
+	c.consumers = append(c.consumers, a)
+}
+
+// UnwatchRecv drops a consumer registered with WatchRecv.
+func (n *NI) UnwatchRecv(ch int, a sim.Activity) {
+	c := n.channels[ch]
+	c.consumers = slices.DeleteFunc(c.consumers, func(b sim.Activity) bool { return b == a })
+}
+
 // hostCall notes an IP-side queue mutation: Commit must apply it this
 // cycle even if the NI was asleep.
 func (n *NI) hostCall() {
@@ -311,6 +335,10 @@ func (n *NI) CreditStallCycles(ch int) uint64 { return n.channels[ch].creditStal
 
 // Flags returns the state flags of channel ch.
 func (n *NI) Flags(ch int) uint8 { return n.channels[ch].flags }
+
+// FlaggedChannels returns the set of channels (bit ch) whose flags were
+// ever written non-zero: every other channel still has flags 0.
+func (n *NI) FlaggedChannels() uint64 { return n.flagged }
 
 // Rejected returns the number of Send calls refused because the channel
 // was not open or its send queue was full — the IP-side injection
@@ -477,6 +505,9 @@ func (n *NI) Commit() {
 	}
 	if c := n.pushed; c != nil {
 		c.recvQ.Commit()
+		for _, a := range c.consumers {
+			a.Wake()
+		}
 		n.pushed = nil
 	}
 	if !n.host {
@@ -521,6 +552,9 @@ func (ns *niSink) WriteReg(reg, value uint8) {
 	case cfgproto.RegFlags:
 		if ch < len(n.channels) {
 			n.channels[ch].flags = value
+			if value != 0 {
+				n.flagged |= 1 << ch
+			}
 			n.configured(n.channels[ch])
 		}
 	case cfgproto.RegCredit:

@@ -4,9 +4,12 @@ import "math/bits"
 
 // Fast-forward: with no Add'ed component awake, the platform is at a
 // fixed point (every sleeper proved its next Eval+Commit changes nothing).
-// Only the ordered tail and the gates can still act; when all are quiet,
-// Run moves the clock to their earliest Until without evaluating
-// anything. Default-deny: an Add'ed component that never sleeps, or an
+// Only the awake ordered components, the ordered timers and the gates
+// can still act; when the awake ordered components and the gates are
+// quiet, Run moves the clock to the earliest of their Untils and of the
+// ordered timers (see SleepUntil) without evaluating anything. A
+// sleeping ordered component is quiet until its timer is due.
+// Default-deny: an Add'ed component that never sleeps, or an awake
 // ordered one that is no Quiescer, blocks every skip.
 
 // Quiescence answers "may Run skip while every Add'ed component sleeps?".
@@ -19,7 +22,8 @@ type Quiescence struct {
 }
 
 // Quiescer is implemented by ordered components that can prove their
-// own inertness; Run asks only when the awake set is empty.
+// own inertness while awake; Run asks only when no Add'ed component is
+// awake, and only the awake ordered components.
 type Quiescer interface {
 	Quiescence(now uint64) Quiescence
 }
@@ -43,8 +47,10 @@ func (s *Simulator) DisableFastForward() { s.ffOn = false }
 func (s *Simulator) SkippedCycles() uint64 { return s.ffSkipped }
 
 // SkipBlocker names what kept Run's latest fast-forward attempt from
-// skipping: the first awake Add'ed component, else the first ordered
-// component or gate that was not quiet ("" if that attempt skipped).
+// skipping: the first awake Add'ed component, else the first awake
+// ordered component that was not quiet, else an ordered component whose
+// timer is due now, else the first gate that was not quiet ("" if that
+// attempt skipped).
 func (s *Simulator) SkipBlocker() string { return s.blocker }
 
 // AddQuiescer registers a named gate; every gate must be quiet to skip.
@@ -68,23 +74,37 @@ func (s *Simulator) tryFastForward(budget uint64) uint64 {
 		}
 	}
 	now, skip := s.cycle, budget
-	for i := range len(s.ordered) + len(s.gates) {
-		var q Quiescence
-		if i < len(s.ordered) {
-			c := s.ordered[i]
-			s.blocker = c.Name()
-			if qc, ok := c.(Quiescer); ok {
-				q = qc.Quiescence(now)
-			}
-		} else {
-			g := s.gates[i-len(s.ordered)]
-			s.blocker, q = g.name, g.q(now)
-		}
+	// bound applies one Quiescence to skip, false if it forbids skipping.
+	bound := func(q Quiescence) bool {
 		if !q.Quiet || q.Until != 0 && q.Until <= now {
-			return 0
+			return false
 		}
 		if q.Until != 0 {
 			skip = min(skip, q.Until-now)
+		}
+		return true
+	}
+	for w, b := range s.ordAwake {
+		for ; b != 0; b &= b - 1 {
+			c := s.ordered[w<<6|bits.TrailingZeros64(b)]
+			s.blocker = c.Name()
+			qc, ok := c.(Quiescer)
+			if !ok || !bound(qc.Quiescence(now)) {
+				return 0
+			}
+		}
+	}
+	if t, ok := s.nextTimer(); ok {
+		if t.due <= now {
+			s.blocker = s.ordered[t.idx].Name()
+			return 0
+		}
+		skip = min(skip, t.due-now)
+	}
+	for _, g := range s.gates {
+		s.blocker = g.name
+		if !bound(g.q(now)) {
+			return 0
 		}
 	}
 	s.blocker = ""

@@ -15,11 +15,13 @@
 // Components that deliberately break the order-independence contract —
 // traffic endpoints that drain NI queues, fault injectors that override
 // pending wire values — register through AddOrdered instead of Add and
-// run, in registration order, after the Add'ed set in both phases; they
-// never sleep. Sleeping is the kernel's only activity protocol: with
-// fast-forward armed, Run skips cycles while no Add'ed component is awake
-// (see fastforward.go). The kernel is single-threaded: every phase and every probe
-// runs on the stepping goroutine. The simulator also keeps the provenance
+// run, in registration order, after the Add'ed set in both phases. They
+// sleep on the same kind of awake set, until a Wake or until the cycle
+// they named in SleepUntil. With fast-forward armed, Run skips cycles
+// while no Add'ed component is awake and every awake ordered component
+// is quiet, up to the earliest ordered timer (see fastforward.go). The
+// kernel is single-threaded: every phase and every probe runs on the
+// stepping goroutine. The simulator also keeps the provenance
 // of the payload words in flight, which the wire carries only as a handle
 // (see provenance.go).
 package sim
@@ -29,6 +31,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Component is a piece of synchronous hardware. Eval computes next state
@@ -123,14 +126,17 @@ type latcher interface {
 	describe() string // for the audit, see audit.go
 }
 
-// Activity is an Add'ed component's handle on the kernel's awake set.
+// Activity is a component's handle on the kernel's awake sets: the Add'ed
+// set's, or the ordered tail's (see AddOrdered).
 type Activity struct {
-	s   *Simulator
-	idx int32
+	s       *Simulator
+	idx     int32
+	ordered bool
 }
 
 // Changed returns, and clears, the inputs whose registers latched a new
 // value since the last call: an unchanged input holds what it held then.
+// Only Add'ed components have inputs (see Reg.Wakes).
 func (a Activity) Changed() uint32 {
 	c := a.s.changed[a.idx]
 	a.s.changed[a.idx] = 0
@@ -138,13 +144,58 @@ func (a Activity) Changed() uint32 {
 }
 
 // Sleep takes the component out of the awake set until something wakes
-// it. Call it only when one more Eval+Commit would change nothing: no
-// owned register takes a new value, no counter or queue moves.
-func (a Activity) Sleep() { a.s.awake[a.idx>>6] &^= 1 << (a.idx & 63) }
+// it, cancelling a pending SleepUntil. Call it only when one more
+// Eval+Commit would change nothing: no owned register takes a new
+// value, no counter or queue moves.
+func (a Activity) Sleep() {
+	if a.ordered {
+		a.s.due[a.idx] = noTimer
+		a.s.ordAwake[a.idx>>6] &^= 1 << (a.idx & 63)
+		return
+	}
+	a.s.awake[a.idx>>6] &^= 1 << (a.idx & 63)
+}
 
-// Wake puts the component back in the awake set, beating an earlier Sleep;
-// exported methods that mutate a component outside its Eval call it.
-func (a Activity) Wake() { a.s.awake[a.idx>>6] |= 1 << (a.idx & 63) }
+// Wake puts the component back in the awake set, beating an earlier Sleep
+// or SleepUntil; exported methods that mutate a component outside its
+// Eval call it.
+func (a Activity) Wake() {
+	if a.s.audit != nil {
+		a.s.audit.woke(a)
+	}
+	if a.ordered {
+		a.s.due[a.idx] = noTimer
+		a.s.ordAwake[a.idx>>6] |= 1 << (a.idx & 63)
+		return
+	}
+	a.s.awake[a.idx>>6] |= 1 << (a.idx & 63)
+}
+
+// SleepUntil takes an ordered component out of the awake set until the
+// Step of cycle due, or an earlier Wake; it replaces a pending
+// SleepUntil. Call it only when every Eval+Commit before cycle due would
+// change nothing. A due at or before the next Step's cycle wakes the
+// component for that Step; the largest uint64 is never due.
+func (a Activity) SleepUntil(due uint64) {
+	if !a.ordered {
+		panic("sim: SleepUntil on an Add'ed component")
+	}
+	s := a.s
+	s.ordAwake[a.idx>>6] &^= 1 << (a.idx & 63)
+	if s.due[a.idx] == due {
+		return // already pending, or never due
+	}
+	s.due[a.idx] = due
+	s.timers.push(timer{due: due, idx: a.idx})
+}
+
+// name returns the name of a's component.
+func (a Activity) name() string {
+	if a.ordered {
+		return a.s.ordered[a.idx].Name()
+	}
+	return a.s.components[a.idx].Name()
+}
 
 // wake wakes rd's component and marks rd's input changed.
 func (s *Simulator) wake(rd reader) {
@@ -161,6 +212,9 @@ type Simulator struct {
 	components []Component
 	ordered    []Component
 	awake      []uint64  // bit i: components[i] runs
+	ordAwake   []uint64  // bit i: ordered[i] runs
+	due        []uint64  // by ordered component: its pending SleepUntil, or noTimer
+	timers     timerHeap // the SleepUntil dues, see timer.go
 	changed    []uint32  // by component, see Activity.Changed
 	written    []latcher // registers Set to a new value this cycle
 	regs       int       // registers made by NewReg
@@ -180,8 +234,8 @@ type Simulator struct {
 	ffSkipped uint64
 	blocker   string
 
-	stopMu     sync.Mutex
-	stopped    bool
+	stopped    atomic.Bool // read once per cycle by Run and RunUntil
+	stopMu     sync.Mutex  // guards stopReason
 	stopReason string
 }
 
@@ -204,22 +258,32 @@ func (s *Simulator) Add(c Component) Activity {
 	return Activity{s: s, idx: i}
 }
 
-// AddOrdered registers a component that depends on evaluation order:
-// its Eval reads or writes state owned by other components (a traffic
-// endpoint draining an NI queue, a fault injector overriding pending
-// wire values via Peek/Set). Ordered components never sleep: every cycle
-// they run in registration order after the Add'ed set, in both phases.
-func (s *Simulator) AddOrdered(c Component) {
+// AddOrdered registers a component, awake, that depends on evaluation
+// order: its Eval reads or writes state owned by other components (a
+// traffic endpoint draining an NI queue, a fault injector overriding
+// pending wire values via Peek/Set). The awake ordered components run in
+// registration order after the Add'ed set, in both phases. The returned
+// Activity sleeps and wakes the component like an Add'ed one's, and also
+// has SleepUntil; components that never sleep ignore it.
+func (s *Simulator) AddOrdered(c Component) Activity {
+	i := int32(len(s.ordered))
 	s.ordered = append(s.ordered, c)
+	s.due = append(s.due, noTimer)
+	if i&63 == 0 {
+		s.ordAwake = append(s.ordAwake, 0)
+	}
+	s.ordAwake[i>>6] |= 1 << (i & 63)
+	return Activity{s: s, idx: i, ordered: true}
 }
 
-// phase runs Eval (or Commit) of every awake Add'ed component in order
-// and counts them. It rereads the set, so a component woken in the phase
-// at a later index runs too; only a visited component clears a full word.
-func (s *Simulator) phase(eval bool, cycle uint64) (n uint64) {
-	for w := range s.awake {
-		if s.awake[w] == ^uint64(0) {
-			for _, c := range s.components[w<<6 : w<<6+64] {
+// phase runs Eval (or Commit) of every awake component of comps, whose
+// awake set is awake, in order and counts them. It rereads the set, so a
+// component woken in the phase at a later index runs too; only a visited
+// component clears a full word.
+func phase(comps []Component, awake []uint64, eval bool, cycle uint64) (n uint64) {
+	for w := range awake {
+		if awake[w] == ^uint64(0) {
+			for _, c := range comps[w<<6 : w<<6+64] {
 				if eval {
 					c.Eval(cycle)
 				} else {
@@ -229,14 +293,14 @@ func (s *Simulator) phase(eval bool, cycle uint64) (n uint64) {
 			n += 64
 			continue
 		}
-		for b := s.awake[w]; b != 0; n++ {
+		for b := awake[w]; b != 0; n++ {
 			k := bits.TrailingZeros64(b)
-			if c := s.components[w<<6|k]; eval {
+			if c := comps[w<<6|k]; eval {
 				c.Eval(cycle)
 			} else {
 				c.Commit()
 			}
-			b = s.awake[w] >> k >> 1 << k << 1
+			b = awake[w] >> k >> 1 << k << 1
 		}
 	}
 	return n
@@ -270,9 +334,9 @@ func (s *Simulator) Evaluations() (evaluated, offered uint64) { return s.evals, 
 func (s *Simulator) Stop(reason string) {
 	s.stopMu.Lock()
 	defer s.stopMu.Unlock()
-	if !s.stopped {
-		s.stopped = true
+	if !s.stopped.Load() {
 		s.stopReason = reason
+		s.stopped.Store(true)
 	}
 }
 
@@ -280,36 +344,28 @@ func (s *Simulator) Stop(reason string) {
 func (s *Simulator) Stopped() (bool, string) {
 	s.stopMu.Lock()
 	defer s.stopMu.Unlock()
-	return s.stopped, s.stopReason
+	return s.stopped.Load(), s.stopReason
 }
 
-func (s *Simulator) halted() bool {
-	s.stopMu.Lock()
-	defer s.stopMu.Unlock()
-	return s.stopped
-}
-
-// Step advances the simulation by exactly one clock cycle: Eval of the
-// awake Add'ed components, then of the ordered tail, Commit likewise, the
-// latch of every written register (waking readers of changed ones), probes.
+// Step advances the simulation by exactly one clock cycle: the ordered
+// components whose SleepUntil fell due wake, then Eval of the awake
+// Add'ed components, then of the awake ordered tail, Commit likewise,
+// the latch of every written register (waking readers of changed ones),
+// probes.
 func (s *Simulator) Step() {
 	cycle := s.cycle
+	s.fire(cycle)
 	s.stepping = true
 	if s.audit == nil {
-		s.evals += s.phase(true, cycle)
+		s.evals += phase(s.components, s.awake, true, cycle)
+		phase(s.ordered, s.ordAwake, true, cycle)
+		phase(s.components, s.awake, false, cycle)
+		phase(s.ordered, s.ordAwake, false, cycle)
 	} else {
 		s.evals += s.auditPhase(true, cycle)
-	}
-	for _, c := range s.ordered {
-		c.Eval(cycle)
-	}
-	if s.audit == nil {
-		s.phase(false, cycle)
-	} else {
+		s.auditOrdered(true, cycle)
 		s.auditPhase(false, cycle)
-	}
-	for _, c := range s.ordered {
-		c.Commit()
+		s.auditOrdered(false, cycle)
 	}
 	for _, r := range s.written {
 		r.latch()
@@ -329,7 +385,7 @@ func (s *Simulator) Step() {
 // executed. Step and RunUntil never fast-forward; only Run does.
 func (s *Simulator) Run(n uint64) uint64 {
 	var done uint64
-	for done < n && !s.halted() {
+	for done < n && !s.stopped.Load() {
 		if s.ffOn {
 			if skip := s.tryFastForward(n - done); skip > 0 {
 				done += skip
@@ -347,7 +403,7 @@ func (s *Simulator) Run(n uint64) uint64 {
 // condition first held and true, or the current cycle and false on timeout.
 func (s *Simulator) RunUntil(cond func() bool, budget uint64) (uint64, bool) {
 	for i := uint64(0); i < budget; i++ {
-		if s.halted() {
+		if s.stopped.Load() {
 			return s.cycle, false
 		}
 		s.Step()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,6 +129,32 @@ func TestStop(t *testing.T) {
 	stopped, reason := s.Stopped()
 	if !stopped || reason != "hit 3" {
 		t.Fatalf("Stopped() = %v %q", stopped, reason)
+	}
+}
+
+// TestStopFromAnotherGoroutine: Stop called from another goroutine, as
+// a signal handler does, while Run steps halts the run, and the first
+// caller's reason is kept (run it with -race).
+func TestStopFromAnotherGoroutine(t *testing.T) {
+	s := New()
+	s.Add(&counter{r: NewReg(s, 0)})
+	started := make(chan struct{})
+	s.AddProbe(func(c uint64) {
+		if c == 1 {
+			close(started)
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		<-started
+		s.Stop("first")
+		s.Stop("second")
+	}()
+	s.Run(math.MaxUint64)
+	<-done
+	if stopped, reason := s.Stopped(); !stopped || reason != "first" {
+		t.Fatalf("Stopped() = %v %q, want true \"first\"", stopped, reason)
 	}
 }
 

@@ -85,11 +85,16 @@ const (
 	Bursty
 )
 
-// Source injects words into one NI channel.
+// Source injects words into one NI channel. Between injections it
+// sleeps in the simulator's ordered tail until the next cycle it injects
+// in (see wait).
 type Source struct {
 	name    string
 	ni      *ni.NI
 	channel int
+	act     sim.Activity
+	due     uint64 // the next cycle Eval acts in
+	armed   bool   // Bursty: the draw for cycle due already started a burst
 
 	pattern   Pattern
 	rate      float64 // average words per cycle
@@ -134,7 +139,7 @@ func NewSource(s *sim.Simulator, name string, n *ni.NI, channel int, cfg SourceC
 		rng:      sim.NewRNG(cfg.Seed),
 		payload:  cfg.Payload,
 	}
-	s.AddOrdered(src)
+	src.act = s.AddOrdered(src)
 	return src
 }
 
@@ -150,15 +155,22 @@ func (s *Source) Rejected() uint64 { return s.rejected }
 // Done reports whether a limited source has sent everything.
 func (s *Source) Done() bool { return s.limit > 0 && s.sent >= s.limit }
 
-// Detach permanently idles the source: it never injects again and stays
-// quiescent. Phase-structured workloads detach a source before its NI
-// channel is freed and reused, so a stale generator cannot inject into a
-// successor connection's channel.
-func (s *Source) Detach() { s.detached = true }
+// Detach permanently idles the source: it never injects again and
+// sleeps for good. Phase-structured workloads detach a source before its
+// NI channel is freed and reused, so a stale generator cannot inject
+// into a successor connection's channel.
+func (s *Source) Detach() {
+	s.detached = true
+	s.act.Sleep()
+}
 
 // Eval implements sim.Component.
 func (s *Source) Eval(cycle uint64) {
+	if cycle < s.due {
+		return // evaluated asleep, under the kernel's audit
+	}
 	if s.detached || s.Done() {
+		s.act.Sleep()
 		return
 	}
 	want := 0
@@ -173,45 +185,79 @@ func (s *Source) Eval(cycle uint64) {
 		if s.burstLeft > 0 {
 			want = 1
 			s.burstLeft--
-		} else {
-			// Start a burst with probability rate/burstLen per
-			// cycle so the average rate holds (each burst carries
-			// burstLen words).
-			if s.rng.Float64() < s.rate/float64(s.burstLen) {
-				s.burstLeft = s.burstLen - 1
-				want = 1
-			}
+		} else if s.armed || s.rng.Float64() < s.startP() {
+			s.armed = false
+			s.burstLeft = s.burstLen - 1
+			want = 1
 		}
 	}
-	for i := 0; i < want; i++ {
-		if s.limit > 0 && s.sent >= s.limit {
-			return
+	for range want {
+		if s.Done() {
+			break
 		}
-		if s.ni.Send(s.channel, s.payload(s.sent)) {
-			s.sent++
-		} else {
+		if !s.ni.Send(s.channel, s.payload(s.sent)) {
 			s.rejected++
-			return
+			break
 		}
+		s.sent++
+	}
+	if s.Done() {
+		s.act.Sleep()
+		return
+	}
+	s.wait(cycle)
+}
+
+// startP is a Bursty source's chance to start a burst in a cycle: each
+// burst carries burstLen words, so the average rate holds.
+func (s *Source) startP() float64 { return s.rate / float64(s.burstLen) }
+
+// lookahead bounds the cycles one wait steps through, so a vanishing
+// rate costs one wake per lookahead cycles rather than an endless loop.
+const lookahead = 1 << 12
+
+// wait sleeps the source until the next cycle it injects in. It steps
+// the injection process through the cycles after cycle that inject
+// nothing, exactly as one Eval each would — the same accum += rate
+// steps for CBR, the same draws on the source's own RNG for Bursty — so
+// the run is identical to evaluating every cycle.
+func (s *Source) wait(cycle uint64) {
+	next := cycle + 1
+	switch s.pattern {
+	case CBR:
+		for i := 0; i < lookahead && s.accum+s.rate < 1; i++ {
+			s.accum += s.rate
+			next++
+		}
+	case Bursty:
+		if s.burstLeft > 0 {
+			break
+		}
+		for i := 0; i < lookahead; i++ {
+			if s.rng.Float64() < s.startP() {
+				s.armed = true
+				break
+			}
+			next++
+		}
+	}
+	s.due = next
+	if next > cycle+1 {
+		s.act.SleepUntil(next)
 	}
 }
 
 // Commit implements sim.Component.
 func (s *Source) Commit() {}
 
-// Quiescence implements sim.Quiescer: a limited source that has sent
-// everything never injects again (Eval early-returns on Done), so it is
-// quiet forever; an unlimited or unfinished source pins cycle-accurate
-// execution.
-func (s *Source) Quiescence(now uint64) sim.Quiescence {
-	return sim.Quiescence{Quiet: s.detached || s.Done()}
-}
-
-// Sink drains one NI channel and records latencies.
+// Sink drains one NI channel and records latencies. It sleeps in the
+// simulator's ordered tail while the channel's receive queue is empty;
+// the NI wakes it when a word arrives.
 type Sink struct {
 	name    string
 	ni      *ni.NI
 	channel int
+	act     sim.Activity
 
 	// MaxPerCycle bounds the drain rate (0: unlimited), modelling a
 	// destination IP with finite consumption bandwidth.
@@ -230,7 +276,9 @@ type Sink struct {
 // NewSink attaches a sink to an NI channel.
 func NewSink(s *sim.Simulator, name string, n *ni.NI, channel int) *Sink {
 	k := &Sink{name: name, ni: n, channel: channel, lastSeq: make(map[int]uint64)}
-	s.AddOrdered(k)
+	k.act = s.AddOrdered(k)
+	n.WatchRecv(channel, k.act)
+	k.sleepIfDrained()
 	return k
 }
 
@@ -259,26 +307,33 @@ func (k *Sink) SetVerify(f func(d ni.Delivery) error) { k.verify = f }
 func (k *Sink) VerifyErr() error { return k.verr }
 
 // Detach permanently idles the sink: it stops draining the channel and
-// stays quiescent. A phase-structured workload detaches its sinks before
+// sleeps for good. A phase-structured workload detaches its sinks before
 // tearing the phase's connections down, so a stale sink cannot steal
 // deliveries once the NI channel is reused by a later connection.
-func (k *Sink) Detach() { k.detached = true }
+func (k *Sink) Detach() {
+	k.detached = true
+	k.ni.UnwatchRecv(k.channel, k.act)
+	k.act.Sleep()
+}
+
+// sleepIfDrained sleeps the sink while its channel has nothing to drain.
+func (k *Sink) sleepIfDrained() {
+	if k.ni.RecvLen(k.channel) == 0 {
+		k.act.Sleep()
+	}
+}
 
 // Eval implements sim.Component.
 func (k *Sink) Eval(cycle uint64) {
 	if k.detached {
+		k.act.Sleep()
 		return
 	}
-	n := 0
-	for {
-		if k.MaxPerCycle > 0 && n >= k.MaxPerCycle {
-			return
-		}
+	for n := 0; k.MaxPerCycle == 0 || n < k.MaxPerCycle; n++ {
 		d, ok := k.ni.Recv(k.channel)
 		if !ok {
-			return
+			break
 		}
-		n++
 		k.received++
 		k.stats.Observe(d.Cycle - d.Tag.InjectCycle)
 		k.total.Observe(d.Cycle - d.Tag.SubmitCycle)
@@ -290,17 +345,11 @@ func (k *Sink) Eval(cycle uint64) {
 			k.verr = k.verify(d)
 		}
 	}
+	k.sleepIfDrained()
 }
 
 // Commit implements sim.Component.
 func (k *Sink) Commit() {}
-
-// Quiescence implements sim.Quiescer: quiet while the drained channel's
-// receive queue is empty — Eval would observe nothing and record
-// nothing.
-func (k *Sink) Quiescence(now uint64) sim.Quiescence {
-	return sim.Quiescence{Quiet: k.detached || k.ni.RecvLen(k.channel) == 0}
-}
 
 // Event is one timed injection for trace playback.
 type Event struct {
@@ -313,11 +362,12 @@ type Event struct {
 // Replayer injects a recorded event trace into an NI channel: each word is
 // offered at its timestamp (or as soon afterwards as the send queue
 // accepts it), preserving order. Use it to reproduce application traces
-// through the cycle model.
+// through the cycle model. It sleeps until its next event's cycle.
 type Replayer struct {
 	name    string
 	ni      *ni.NI
 	channel int
+	act     sim.Activity
 	events  []Event
 	next    int
 	sent    uint64
@@ -328,7 +378,8 @@ type Replayer struct {
 // sorted by cycle.
 func NewReplayer(s *sim.Simulator, name string, n *ni.NI, channel int, events []Event) *Replayer {
 	r := &Replayer{name: name, ni: n, channel: channel, events: events}
-	s.AddOrdered(r)
+	r.act = s.AddOrdered(r)
+	r.wait(s.Cycle())
 	return r
 }
 
@@ -355,39 +406,43 @@ func (r *Replayer) Eval(cycle uint64) {
 		r.sent++
 		r.next++
 	}
+	r.wait(cycle + 1)
+}
+
+// wait sleeps the replayer, whose next Eval would be at cycle from, for
+// good once the trace is exhausted, else until its next event's cycle
+// if that lies later; an overdue event keeps it awake.
+func (r *Replayer) wait(from uint64) {
+	if r.Done() {
+		r.act.Sleep()
+	} else if at := r.events[r.next].Cycle; at > from {
+		r.act.SleepUntil(at)
+	}
 }
 
 // Commit implements sim.Component.
 func (r *Replayer) Commit() {}
 
-// Quiescence implements sim.Quiescer: an exhausted trace is quiet
-// forever; otherwise the replayer is quiet exactly until its next
-// event's cycle (an overdue event — a word still waiting on a full
-// queue — reports busy, since Until would not lie in the future).
-func (r *Replayer) Quiescence(now uint64) sim.Quiescence {
-	if r.Done() {
-		return sim.Quiescence{Quiet: true}
-	}
-	if next := r.events[r.next].Cycle; next > now {
-		return sim.Quiescence{Quiet: true, Until: next}
-	}
-	return sim.Quiescence{}
-}
-
 // Recorder captures deliveries on an NI channel as an event trace
 // (timestamped by delivery cycle), so one simulation's output can drive
-// another's input.
+// another's input. Like a Sink, it sleeps while there is nothing to
+// record and the NI wakes it.
 type Recorder struct {
 	name    string
 	ni      *ni.NI
 	channel int
+	act     sim.Activity
 	events  []Event
 }
 
 // NewRecorder attaches a delivery recorder to an NI channel.
 func NewRecorder(s *sim.Simulator, name string, n *ni.NI, channel int) *Recorder {
 	r := &Recorder{name: name, ni: n, channel: channel}
-	s.AddOrdered(r)
+	r.act = s.AddOrdered(r)
+	n.WatchRecv(channel, r.act)
+	if n.RecvLen(channel) == 0 {
+		r.act.Sleep()
+	}
 	return r
 }
 
@@ -406,6 +461,7 @@ func (r *Recorder) Eval(cycle uint64) {
 	for {
 		d, ok := r.ni.Recv(r.channel)
 		if !ok {
+			r.act.Sleep()
 			return
 		}
 		r.events = append(r.events, Event{Cycle: d.Cycle, Word: d.Word})
@@ -414,9 +470,3 @@ func (r *Recorder) Eval(cycle uint64) {
 
 // Commit implements sim.Component.
 func (r *Recorder) Commit() {}
-
-// Quiescence implements sim.Quiescer: quiet while there is nothing to
-// record on the watched channel.
-func (r *Recorder) Quiescence(now uint64) sim.Quiescence {
-	return sim.Quiescence{Quiet: r.ni.RecvLen(r.channel) == 0}
-}
