@@ -82,10 +82,15 @@ fuzz:
 	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzPackedTables -fuzztime 15s
 	$(GO) test ./internal/cfgproto -run '^$$' -fuzz FuzzRegionDecoder -fuzztime 15s
 	$(GO) test ./internal/ni -run '^$$' -fuzz FuzzNIQueues -fuzztime 15s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzKernel -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzConfigTransactions -fuzztime 15s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzCheckerExpectation -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzWhatIfBody -fuzztime 15s
+	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzReadJournal -fuzztime 15s
+	$(GO) test ./internal/cfgproto -run '^$$' -fuzz FuzzRegionEnvelope -fuzztime 15s
+	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzRotateMaskCompensation -fuzztime 15s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzWorkloadSpec -fuzztime 15s
 
 # Run the admission control-plane daemon on the default 4x4 mesh with
 # durable state in ./admd.journal / ./admd.snapshot — restarting picks

@@ -84,6 +84,3 @@ func (u *ConfigUnit) Eval(cycle uint64) {
 		}
 	}
 }
-
-// Commit implements sim.Component.
-func (u *ConfigUnit) Commit() {}

@@ -125,7 +125,7 @@ type NI struct {
 	dropped      uint64
 
 	// sim holds the provenance of injected payload words, stamped
-	// under act.
+	// under act, through which the NI also asks for its Commit.
 	sim *sim.Simulator
 	act sim.Activity
 }
@@ -235,6 +235,7 @@ func (n *NI) Send(ch int, w phit.Word) bool {
 		return false
 	}
 	c.sendQ.Stage(w)
+	n.act.CommitNext()
 	return true
 }
 
@@ -251,6 +252,7 @@ func (n *NI) Recv(ch int) (Delivery, bool) {
 		return Delivery{}, false
 	}
 	c.pendDelivered++
+	n.act.CommitNext()
 	return c.recvQ.Take(), true
 }
 
@@ -372,6 +374,7 @@ func (n *NI) Eval(cycle uint64) {
 				c := n.channels[q]
 				if !c.recvQ.Full() {
 					c.recvQ.Stage(Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1})
+					n.act.CommitNext()
 					n.deliveredCnt++
 				} else {
 					n.dropped++
@@ -396,12 +399,14 @@ func (n *NI) Eval(cycle uint64) {
 				// initiator waits for it before its next write, so
 				// the queue never holds more than this one.
 				c.sendQ.Stage(phit.Word(0xACED))
+				n.act.CommitNext()
 			}
 		}
 	}
 }
 
-// Commit implements sim.Component.
+// Commit implements sim.Committer: it makes the words staged by Send and
+// Eval visible and frees the ones Recv took; each of those asks for it.
 func (n *NI) Commit() {
 	for _, c := range n.channels {
 		c.sendQ.Commit()

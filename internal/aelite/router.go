@@ -140,6 +140,3 @@ func (r *Router) Eval(cycle uint64) {
 		}
 	}
 }
-
-// Commit implements sim.Component.
-func (r *Router) Commit() {}

@@ -218,9 +218,6 @@ func (b *Initiator) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements sim.Component.
-func (b *Initiator) Commit() {}
-
 // TargetShell deserializes channel messages arriving at an NI back into
 // bus transactions and applies them to a Target, sending read data back on
 // the same channel's reverse direction.
@@ -324,6 +321,3 @@ func (t *TargetShell) feed(ch int, d *deser, w phit.Word) {
 		d.have = d.have[:0]
 	}
 }
-
-// Commit implements sim.Component.
-func (t *TargetShell) Commit() {}

@@ -112,7 +112,8 @@ type Module struct {
 	readTimeouts uint64
 	readRetries  uint64
 
-	// act is the kernel handle the module sleeps and wakes through.
+	// act is the kernel handle the module sleeps, wakes and asks for
+	// its Commit through.
 	act sim.Activity
 }
 
@@ -323,6 +324,7 @@ func (m *Module) send(cycle uint64) {
 	m.sent++
 	m.wordsSent++
 	m.fwd.Set(w)
+	m.act.CommitNext() // to compact the consumed words
 	// Crossing a packet boundary starts the cool-down.
 	if m.bhead < len(m.bounds) && m.sent == m.bounds[m.bhead].count {
 		b := m.bounds[m.bhead]
@@ -345,9 +347,11 @@ func (m *Module) send(cycle uint64) {
 func (m *Module) stage(words []phit.ConfigWord, isRead bool) {
 	m.queue = append(m.queue, words...)
 	m.pending = append(m.pending, packetBound{count: len(words), isRead: isRead})
+	m.act.CommitNext()
 }
 
-// Commit implements sim.Component: fold in packets submitted during Eval.
+// Commit implements sim.Committer: fold in packets submitted during Eval
+// and compact the words sent; stage and send ask for it.
 // A buffer at least half consumed has what is left moved to its front,
 // so moving costs at most one entry per entry consumed.
 func (m *Module) Commit() {

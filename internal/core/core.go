@@ -363,9 +363,6 @@ func (lp *linkPipeline) Eval(uint64) {
 	}
 }
 
-// Commit implements sim.Component.
-func (lp *linkPipeline) Commit() {}
-
 // NI returns the NI model at a node.
 func (p *Platform) NI(id topology.NodeID) *ni.NI { return p.NIs[id] }
 

@@ -84,7 +84,6 @@ type relay struct {
 
 func (r *relay) Name() string      { return r.name }
 func (r *relay) Eval(cycle uint64) { r.out.Set(r.in.Get() + 1) }
-func (r *relay) Commit()           {}
 
 // kernelStep steps a chain of n relays one cycle per op.
 func kernelStep(n int) func() {

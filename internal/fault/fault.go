@@ -372,9 +372,6 @@ func (inj *Injector) flipTableEntry(f *Fault) {
 	inj.c.TableFlips++
 }
 
-// Commit implements sim.Component.
-func (inj *Injector) Commit() {}
-
 // Quiescence implements sim.Quiescer. A scheduled fault bounds the skip
 // horizon so the step in which it arms — Eval(From-1), whose pending
 // wire values belong to cycle From — always executes for real (that is

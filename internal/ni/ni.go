@@ -20,6 +20,7 @@ package ni
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"daelite/internal/cfgproto"
@@ -145,6 +146,7 @@ type NI struct {
 	// The channels whose send-queue head Eval consumed and whose receive
 	// queue it staged a word in (nil: none), for Commit to apply, so
 	// that IP-side reads within the same cycle observe pre-edge state.
+	// Eval asks for the Commit when it sets either.
 	popped, pushed *channel
 
 	// cfg is the NI's place on its region's configuration tree.
@@ -167,14 +169,15 @@ type NI struct {
 
 	// sim stamps IP-side submissions (EvalCycle) and holds the
 	// provenance of injected words; act is the kernel handle the NI
-	// sleeps and wakes through. work counts busy channels, and host
-	// records that an IP-side call left queue mutations for Commit.
+	// sleeps, wakes and asks for its Commit through. work counts busy
+	// channels, and host has bit ch set when an IP-side call left queue
+	// mutations on channel ch for Commit.
 	// outIdle records that outWire holds the idle flit (external
 	// writers only ever overwrite a driven wire with idle).
 	sim     *sim.Simulator
 	act     sim.Activity
 	work    int
-	host    bool
+	host    uint64
 	outIdle bool
 }
 
@@ -245,7 +248,7 @@ func (n *NI) Table() *slots.NITable { return n.table }
 // --- IP-side API (called from other components' Eval or from the host
 // between steps; effects are two-phase safe: pushes are visible next
 // cycle, reads see settled state). A call that leaves a queue mutation
-// for Commit wakes the NI.
+// for Commit wakes the NI and asks for its Commit.
 
 // CanSend reports whether channel ch can accept another word from the IP.
 func (n *NI) CanSend(ch int) bool {
@@ -263,7 +266,7 @@ func (n *NI) Send(ch int, w phit.Word) bool {
 	}
 	c.sendQ.Stage(queuedWord{word: w, tag: phit.Tag{Channel: n.id<<8 | ch, Seq: c.seq, SubmitCycle: n.sim.EvalCycle()}})
 	c.seq++
-	n.hostCall()
+	n.hostCall(ch)
 	return true
 }
 
@@ -280,7 +283,7 @@ func (n *NI) Recv(ch int) (Delivery, bool) {
 	}
 	d := c.recvQ.Take()
 	c.pendDelivered++
-	n.hostCall()
+	n.hostCall(ch)
 	return d, true
 }
 
@@ -299,11 +302,12 @@ func (n *NI) UnwatchRecv(ch int, a sim.Activity) {
 	c.consumers = slices.DeleteFunc(c.consumers, func(b sim.Activity) bool { return b == a })
 }
 
-// hostCall notes an IP-side queue mutation: Commit must apply it this
-// cycle even if the NI was asleep.
-func (n *NI) hostCall() {
-	n.host = true
+// hostCall notes an IP-side queue mutation on channel ch: Commit must
+// apply it this cycle even if the NI was asleep.
+func (n *NI) hostCall(ch int) {
+	n.host |= 1 << ch
 	n.act.Wake()
+	n.act.CommitNext()
 }
 
 // SendQueueLen returns the occupancy of channel ch's send queue.
@@ -420,6 +424,7 @@ func (n *NI) Eval(cycle uint64) {
 			if ch.sendQ.Len() > 0 && (ch.flags&cfgproto.FlagMulticast != 0 || ch.credit > 0) {
 				qw := ch.sendQ.Peek()
 				n.popped = ch
+				n.act.CommitNext()
 				if ch.flags&cfgproto.FlagMulticast == 0 {
 					ch.credit--
 				}
@@ -454,6 +459,7 @@ func (n *NI) Eval(cycle uint64) {
 			if !ch.recvQ.Full() {
 				ch.recvQ.Stage(Delivery{Word: in.Data, Tag: n.sim.Provenance(in.Ref), Cycle: c1})
 				n.pushed = ch
+				n.act.CommitNext()
 				n.delivered++
 				ch.rxWords++
 			} else {
@@ -465,7 +471,7 @@ func (n *NI) Eval(cycle uint64) {
 		}
 	}
 
-	if n.work == 0 && !n.host && n.outIdle && inFlit.IsIdle() && in.IsIdle() {
+	if n.work == 0 && n.host == 0 && n.outIdle && inFlit.IsIdle() && in.IsIdle() {
 		n.act.Sleep()
 	}
 }
@@ -494,9 +500,10 @@ func (n *NI) configured(c *channel) {
 	}
 }
 
-// Commit implements sim.Component: apply queue mutations decided in Eval
+// Commit implements sim.Committer: apply queue mutations decided in Eval
 // (network-side pops and pushes) and by the IP-side API during other
-// components' Eval (pending sends, consumed deliveries).
+// components' Eval (pending sends, consumed deliveries), on the channels
+// they touched only.
 func (n *NI) Commit() {
 	if c := n.popped; c != nil {
 		c.sendQ.Pop()
@@ -510,11 +517,8 @@ func (n *NI) Commit() {
 		}
 		n.pushed = nil
 	}
-	if !n.host {
-		return
-	}
-	n.host = false
-	for _, c := range n.channels {
+	for ; n.host != 0; n.host &= n.host - 1 {
+		c := n.channels[bits.TrailingZeros64(n.host)]
 		c.sendQ.Commit()
 		c.recvQ.Commit()
 		if c.pendDelivered > 0 {

@@ -41,17 +41,23 @@ func pair(t *testing.T, p Params) (*sim.Simulator, *NI, *NI) {
 // with 1-word slots.
 func arm(t *testing.T, a, b *NI, txA, txB slots.Mask, credit int, multicast bool) {
 	t.Helper()
+	armChannel(t, a, b, 0, txA, txB, credit, multicast)
+}
+
+// armChannel is arm for channel ch.
+func armChannel(t *testing.T, a, b *NI, ch int, txA, txB slots.Mask, credit int, multicast bool) {
+	t.Helper()
 	rot := 2 / a.params.SlotWords
-	if err := a.Table().SetSend(txA, 0); err != nil {
+	if err := a.Table().SetSend(txA, ch); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Table().SetReceive(txA.RotateUp(rot), 0); err != nil {
+	if err := b.Table().SetReceive(txA.RotateUp(rot), ch); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Table().SetSend(txB, 0); err != nil {
+	if err := b.Table().SetSend(txB, ch); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Table().SetReceive(txB.RotateUp(rot), 0); err != nil {
+	if err := a.Table().SetReceive(txB.RotateUp(rot), ch); err != nil {
 		t.Fatal(err)
 	}
 	flags := cfgproto.FlagOpen
@@ -60,10 +66,10 @@ func arm(t *testing.T, a, b *NI, txA, txB slots.Mask, credit int, multicast bool
 	}
 	as := (*niSink)(a)
 	bs := (*niSink)(b)
-	as.WriteReg(cfgproto.RegSelect(cfgproto.RegFlags, 0), flags)
-	bs.WriteReg(cfgproto.RegSelect(cfgproto.RegFlags, 0), flags)
-	as.WriteReg(cfgproto.RegSelect(cfgproto.RegCredit, 0), uint8(credit))
-	bs.WriteReg(cfgproto.RegSelect(cfgproto.RegCredit, 0), uint8(credit))
+	as.WriteReg(cfgproto.RegSelect(cfgproto.RegFlags, ch), flags)
+	bs.WriteReg(cfgproto.RegSelect(cfgproto.RegFlags, ch), flags)
+	as.WriteReg(cfgproto.RegSelect(cfgproto.RegCredit, ch), uint8(credit))
+	bs.WriteReg(cfgproto.RegSelect(cfgproto.RegCredit, ch), uint8(credit))
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -593,5 +599,96 @@ func TestReopenWakesNI(t *testing.T) {
 	write(cfgproto.RegWrite{Element: 1, Reg: cfgproto.RegSelect(cfgproto.RegCredit, 0), Value: 4}, flags(1, cfgproto.FlagOpen))
 	if d, ok := b.Recv(0); !ok || d.Word != 0x77 {
 		t.Fatalf("reopened channel delivered %v %v, want the queued word", d, ok)
+	}
+}
+
+// TestRecvCommitsOnlyItsChannel: with a word waiting on each of the 8
+// channels of B, a Recv on channel 3 commits channel 3 alone. Its
+// delivery becomes an unreturned credit that B then returns to A; every
+// other channel keeps its queued word, no unreturned credit and A's
+// spent credit.
+func TestRecvCommitsOnlyItsChannel(t *testing.T) {
+	p := params()
+	p.NumChannels = 8
+	s, a, b := pair(t, p)
+	const credit = 4
+	for ch := range 8 {
+		armChannel(t, a, b, ch, slots.MaskOf(8, ch), slots.MaskOf(8, ch), credit, false)
+		if !a.Send(ch, phit.Word(0x10+ch)) {
+			t.Fatalf("send on channel %d refused", ch)
+		}
+	}
+	s.Run(40)
+	others := func(when string) {
+		t.Helper()
+		for ch := range 8 {
+			if ch == 3 {
+				continue
+			}
+			if b.RecvLen(ch) != 1 || b.DeliveredCredits(ch) != 0 || a.Credit(ch) != credit-1 {
+				t.Fatalf("%s: channel %d: %d queued, %d unreturned, source credit %d; want 1, 0, %d",
+					when, ch, b.RecvLen(ch), b.DeliveredCredits(ch), a.Credit(ch), credit-1)
+			}
+		}
+	}
+	others("before Recv")
+	if d, ok := b.Recv(3); !ok || d.Word != 0x13 {
+		t.Fatalf("Recv(3) = %v %v, want 0x13", d, ok)
+	}
+	s.Step()
+	if b.RecvLen(3) != 0 || b.DeliveredCredits(3) != 1 {
+		t.Fatalf("after the commit: channel 3 has %d queued, %d unreturned; want 0, 1", b.RecvLen(3), b.DeliveredCredits(3))
+	}
+	others("after the commit")
+	s.Run(40)
+	if b.DeliveredCredits(3) != 0 || a.Credit(3) != credit {
+		t.Fatalf("channel 3: %d unreturned, source credit %d; want 0, %d", b.DeliveredCredits(3), a.Credit(3), credit)
+	}
+	others("after the credit's return")
+}
+
+// forgetful stages a delivery into B's receive queue the way NI.Eval's
+// receive path does, but without asking for the NI's Commit: the NI
+// variant that forgets its request.
+type forgetful struct {
+	n  *NI
+	at uint64
+}
+
+func (f *forgetful) Name() string { return "forgetful" }
+func (f *forgetful) Eval(cycle uint64) {
+	if cycle == f.at {
+		c := f.n.channels[0]
+		c.recvQ.Stage(Delivery{Word: 0x99, Cycle: cycle + 1})
+		f.n.pushed = c
+	}
+}
+
+// TestAuditCatchesAForgottenCommit: under the audit, an NI whose staged
+// delivery was not followed by a request for its Commit fails the run
+// when the audit's unrequested Commit wakes the channel's consumer,
+// naming the NI; without the audit, the word never becomes visible.
+func TestAuditCatchesAForgottenCommit(t *testing.T) {
+	run := func(audited bool) (*NI, []string) {
+		s, a, b := pair(t, params())
+		arm(t, a, b, slots.MaskOf(8, 1), slots.MaskOf(8, 3), 4, false)
+		var msgs []string
+		if audited {
+			s.Audit(func(msg string) { msgs = append(msgs, msg) })
+		}
+		s.AddOrdered(&forgetful{n: b, at: 5})
+		var consumer sim.Activity
+		consumer = s.AddOrdered(&sim.Func{Label: "consumer", OnEval: func(uint64) { consumer.Sleep() }})
+		b.WatchRecv(0, consumer)
+		s.Run(20)
+		return b, msgs
+	}
+	if b, msgs := run(false); b.RecvLen(0) != 0 || len(msgs) != 0 {
+		t.Fatalf("unaudited: %d words visible, audit said %q; want 0 and nothing", b.RecvLen(0), msgs)
+	}
+	_, msgs := run(true)
+	want := "sleep audit: cycle 5: B did not ask for its commit but woke consumer"
+	if len(msgs) != 1 || msgs[0] != want {
+		t.Fatalf("audit said %q, want exactly %q", msgs, want)
 	}
 }

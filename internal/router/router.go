@@ -213,11 +213,6 @@ func (r *Router) Eval(cycle uint64) {
 	}
 }
 
-// Commit implements sim.Component. It has nothing to do: the wires latch
-// in the kernel, and Eval updates the owner-only stage fields in place
-// after reading them.
-func (r *Router) Commit() {}
-
 // routerSink adapts the router to cfgproto.Sink.
 type routerSink Router
 

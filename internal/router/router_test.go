@@ -31,7 +31,6 @@ func (d *driver) Eval(c uint64) {
 		d.wire.Set(phit.Idle())
 	}
 }
-func (d *driver) Commit() {}
 
 func newRouter(t *testing.T, s *sim.Simulator, numIn, numOut int) *Router {
 	t.Helper()

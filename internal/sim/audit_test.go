@@ -30,7 +30,6 @@ func (d *delay) Eval(uint64) {
 		d.act.Sleep()
 	}
 }
-func (d *delay) Commit() {}
 
 // pulse drives in to 5 for one cycle, at cycle 3, from the host side.
 func pulse(s *Simulator, early bool) (*delay, *Reg[int]) {
@@ -109,5 +108,61 @@ func TestAuditNamesTheLostWrite(t *testing.T) {
 	plain.Run(12)
 	if pout.Get() != 5 {
 		t.Fatalf("without the audit the wrong sleep should leave 5 on the wire, got %d", pout.Get())
+	}
+}
+
+// latecomer is a Committer that stages a value in Eval and drives it in
+// Commit, but asks for its Commit only when ask is set.
+type latecomer struct {
+	out    *Reg[int]
+	act    Activity
+	ask    bool
+	staged int
+}
+
+func (l *latecomer) Name() string { return "latecomer" }
+func (l *latecomer) Eval(cycle uint64) {
+	if cycle == 3 {
+		l.staged = 7
+		if l.ask {
+			l.act.CommitNext()
+		}
+	}
+}
+func (l *latecomer) Commit() {
+	if l.staged != 0 {
+		l.out.Set(l.staged)
+		l.staged = 0
+	}
+}
+
+// TestAuditNamesAnUnaskedCommit: a Commit the kernel skips because its
+// component did not ask for it fails the audit once it would have set a
+// register, naming the component and the register; one that asked runs
+// in both modes and passes.
+func TestAuditNamesAnUnaskedCommit(t *testing.T) {
+	run := func(ask, audited bool) (int, []string) {
+		s := New()
+		var msgs []string
+		if audited {
+			s.Audit(func(msg string) { msgs = append(msgs, msg) })
+		}
+		l := &latecomer{out: NewReg(s, 0), ask: ask}
+		l.act = s.Add(l)
+		s.Run(6)
+		return l.out.Get(), msgs
+	}
+	for _, audited := range []bool{false, true} {
+		if got, msgs := run(true, audited); got != 7 || len(msgs) != 0 {
+			t.Fatalf("asked, audited %v: drove %d, audit said %q; want 7 and nothing", audited, got, msgs)
+		}
+	}
+	if got, _ := run(false, false); got != 0 {
+		t.Fatalf("unasked Commit ran: drove %d", got)
+	}
+	_, msgs := run(false, true)
+	want := "sleep audit: cycle 3: latecomer did not ask for its commit but set register #1 (int, read by no component) to 7"
+	if len(msgs) != 1 || msgs[0] != want {
+		t.Fatalf("audit said %q, want exactly %q", msgs, want)
 	}
 }

@@ -21,7 +21,6 @@ func (t *tickComp) Eval(cycle uint64) {
 		t.fired++
 	}
 }
-func (t *tickComp) Commit() {}
 func (t *tickComp) Quiescence(now uint64) Quiescence {
 	if now <= t.at {
 		return Quiescence{Quiet: true, Until: t.at}
@@ -34,7 +33,6 @@ type mute struct{}
 
 func (mute) Name() string      { return "mute" }
 func (mute) Eval(cycle uint64) {}
-func (mute) Commit()           {}
 
 // TestFastForwardSkipsQuiescentStretch: once the only component sleeps,
 // Run skips the rest of its budget in one skip of any length, not a

@@ -22,7 +22,6 @@ func (c *scripted) Eval(cycle uint64) {
 		f(c.act)
 	}
 }
-func (c *scripted) Commit() {}
 
 func addScripted(s *Simulator, label string, script map[uint64]func(Activity)) *scripted {
 	c := &scripted{label: label, script: script}
@@ -33,9 +32,10 @@ func addScripted(s *Simulator, label string, script map[uint64]func(Activity)) *
 func sleepUntil(due uint64) func(Activity) { return func(a Activity) { a.SleepUntil(due) } }
 
 // TestOrderedAwakeKeepRegistrationOrder: the awake ordered components run
-// in registration order whatever sleeps in between; one woken mid-phase
-// at a later index runs in that phase, one at an earlier index commits
-// in that cycle and evaluates the next.
+// in registration order whatever sleeps in between, and each one that
+// evaluated commits, sleeping or not; one woken mid-phase at a later
+// index runs in that phase, one at an earlier index whose Commit is
+// asked for commits in that cycle and evaluates the next.
 func TestOrderedAwakeKeepRegistrationOrder(t *testing.T) {
 	s := New()
 	var log []string
@@ -68,6 +68,7 @@ func TestOrderedAwakeKeepRegistrationOrder(t *testing.T) {
 			a.Sleep()
 		case 1:
 			acts[0].Wake() // earlier index: commits now, evaluates next
+			acts[0].CommitNext()
 			a.Sleep()
 		}
 	})
@@ -75,7 +76,7 @@ func TestOrderedAwakeKeepRegistrationOrder(t *testing.T) {
 		s.Step()
 		log = append(log, "|")
 	}
-	want := "Ea Eb Ec Ed Cb | Eb Ed Ca Cb | Ea Eb Ca Cb |"
+	want := "Ea Eb Ec Ed Ca Cb Cc Cd | Eb Ed Ca Cb Cd | Ea Eb Ca Cb |"
 	if got := strings.Join(log, " "); got != want {
 		t.Fatalf("phase log\n got %s\nwant %s", got, want)
 	}

@@ -9,8 +9,12 @@
 // is independent of component evaluation order and therefore deterministic.
 //
 // The kernel is activity-driven: only registers Set to a new value latch,
-// and an Add'ed component may sleep until a register it reads changes or
-// a host call wakes it. Awake components run in registration order.
+// through one write list per register type that the clock edge latches
+// in one call, and an Add'ed component may sleep until a register it
+// reads changes or a host call wakes it. Awake components run in
+// registration order. A component with state of its own to latch is a
+// Committer, and its Commit runs only in the cycles it asks for one
+// (Activity.CommitNext), from its Eval or from an IP-side call.
 //
 // Components that deliberately break the order-independence contract —
 // traffic endpoints that drain NI queues, fault injectors that override
@@ -35,15 +39,22 @@ import (
 )
 
 // Component is a piece of synchronous hardware. Eval computes next state
-// from current state; Commit latches it. Eval must not observe any state
-// written during the same Eval phase (use Reg for all inter-component
-// signals to get this for free).
+// from current state. Eval must not observe any state written during the
+// same Eval phase (use Reg for all inter-component signals to get this
+// for free).
 type Component interface {
 	// Name identifies the component in traces and error messages.
 	Name() string
 	// Eval computes the next state for the current cycle.
 	Eval(cycle uint64)
-	// Commit latches the state computed by Eval.
+}
+
+// Committer is a component with state of its own to latch after the Eval
+// phase (queue mutations, two-phase buffers). Its Commit runs in a cycle
+// only if it asked for that cycle's commit through Activity.CommitNext.
+type Committer interface {
+	Component
+	// Commit latches the state Eval and IP-side calls left pending.
 	Commit()
 }
 
@@ -52,9 +63,9 @@ type Component interface {
 // to appear after the next clock edge.
 type Reg[T comparable] struct {
 	cur, next T
-	dirty     bool  // on the simulator's write list this cycle
+	dirty     bool  // on its type's write list this cycle
 	id        int32 // creation order, to name the register in an audit
-	s         *Simulator
+	list      *regList[T]
 	readers   []reader // woken by a latched change, see Wakes
 }
 
@@ -65,10 +76,33 @@ type reader struct {
 	bit uint32
 }
 
-// NewReg returns a register of s initialized to v.
+// regList is the write list of every register of one type T: the
+// registers Set to a new value this cycle. The latch walks it in one
+// call, so the clock edge makes one interface call per register type.
+type regList[T comparable] struct {
+	s    *Simulator
+	regs []*Reg[T]
+}
+
+// latcher is the untyped view of one type's write list.
+type latcher interface {
+	latch()                // latch every register on the list and empty it
+	len() int              // registers on the list
+	describe(i int) string // the i-th one, for the audit (see audit.go)
+}
+
+// NewReg returns a register of s initialized to v, on s's write list for
+// T (made at the first register of that type).
 func NewReg[T comparable](s *Simulator, v T) *Reg[T] {
 	s.regs++
-	return &Reg[T]{cur: v, next: v, id: int32(s.regs), s: s}
+	key := any((*T)(nil)) // one map key per type T
+	l, ok := s.listOf[key].(*regList[T])
+	if !ok {
+		l = &regList[T]{s: s}
+		s.listOf[key] = l
+		s.lists = append(s.lists, l)
+	}
+	return &Reg[T]{cur: v, next: v, id: int32(s.regs), list: l}
 }
 
 // Get returns the currently latched value.
@@ -76,14 +110,14 @@ func (r *Reg[T]) Get() T { return r.cur }
 
 // Set schedules v to become visible after the next clock edge. Setting
 // the latched value on an unwritten register is a no-op; the first Set of
-// a new value puts the register on the write list the latch phase walks.
+// a new value puts the register on its type's write list.
 func (r *Reg[T]) Set(v T) {
 	if !r.dirty {
 		if v == r.cur {
 			return
 		}
 		r.dirty = true
-		r.s.written = append(r.s.written, r)
+		r.list.regs = append(r.list.regs, r)
 	}
 	r.next = v
 }
@@ -103,28 +137,27 @@ func (r *Reg[T]) Peek() T {
 func (r *Reg[T]) Wakes(a Activity, input int) {
 	rd := reader{idx: a.idx, bit: 1 << input}
 	r.readers = append(r.readers, rd)
-	r.s.wake(rd)
+	r.list.s.wake(rd)
 }
 
-// latch commits a written register. A later Set this cycle may have
-// written the held value back (an ordered-tail override): then nothing
-// changes and no reader wakes.
-func (r *Reg[T]) latch() {
-	r.dirty = false
-	if r.next == r.cur {
-		return
+// latch commits every written register of the list. A later Set this
+// cycle may have written the held value back (an ordered-tail override):
+// then nothing changes and no reader wakes.
+func (l *regList[T]) latch() {
+	for _, r := range l.regs {
+		r.dirty = false
+		if r.next == r.cur {
+			continue
+		}
+		r.cur = r.next
+		for _, rd := range r.readers {
+			l.s.wake(rd)
+		}
 	}
-	r.cur = r.next
-	for _, rd := range r.readers {
-		r.s.wake(rd)
-	}
+	l.regs = l.regs[:0]
 }
 
-// latcher is the untyped view of a written register.
-type latcher interface {
-	latch()
-	describe() string // for the audit, see audit.go
-}
+func (l *regList[T]) len() int { return len(l.regs) }
 
 // Activity is a component's handle on the kernel's awake sets: the Add'ed
 // set's, or the ordered tail's (see AddOrdered).
@@ -171,6 +204,19 @@ func (a Activity) Wake() {
 	a.s.awake[a.idx>>6] |= 1 << (a.idx & 63)
 }
 
+// CommitNext asks for the component's Commit in this cycle's commit
+// phase, or, between steps and after its turn in the phase, in the next
+// Step's. A Committer calls it from its Eval, or from an IP-side method
+// that leaves state for Commit; a component that is no Committer must
+// not.
+func (a Activity) CommitNext() {
+	if a.ordered {
+		a.s.ordCommit[a.idx>>6] |= 1 << (a.idx & 63)
+		return
+	}
+	a.s.commit[a.idx>>6] |= 1 << (a.idx & 63)
+}
+
 // SleepUntil takes an ordered component out of the awake set until the
 // Step of cycle due, or an earlier Wake; it replaces a pending
 // SleepUntil. Call it only when every Eval+Commit before cycle due would
@@ -207,17 +253,22 @@ func (s *Simulator) wake(rd reader) {
 // completed. Probes observe fully settled state.
 type Probe func(cycle uint64)
 
-// Simulator owns the clock, the component list, and the write list.
+// Simulator owns the clock, the component lists and the write lists.
 type Simulator struct {
 	components []Component
 	ordered    []Component
-	awake      []uint64  // bit i: components[i] runs
-	ordAwake   []uint64  // bit i: ordered[i] runs
-	due        []uint64  // by ordered component: its pending SleepUntil, or noTimer
-	timers     timerHeap // the SleepUntil dues, see timer.go
-	changed    []uint32  // by component, see Activity.Changed
-	written    []latcher // registers Set to a new value this cycle
-	regs       int       // registers made by NewReg
+	commits    []Committer     // by component: its Committer, or nil
+	ordCommits []Committer     // likewise for ordered
+	awake      []uint64        // bit i: components[i] runs
+	ordAwake   []uint64        // bit i: ordered[i] runs
+	commit     []uint64        // bit i: commits[i] asked for its Commit
+	ordCommit  []uint64        // bit i: ordCommits[i] asked for its Commit
+	due        []uint64        // by ordered component: its pending SleepUntil, or noTimer
+	timers     timerHeap       // the SleepUntil dues, see timer.go
+	changed    []uint32        // by component, see Activity.Changed
+	lists      []latcher       // one write list per register type, in creation order
+	listOf     map[any]latcher // the same lists by type, see NewReg
+	regs       int             // registers made by NewReg
 	probes     []Probe
 	prov       provenance // see provenance.go
 	cycle      uint64
@@ -240,7 +291,9 @@ type Simulator struct {
 }
 
 // New returns an empty simulator at cycle 0.
-func New() *Simulator { return &Simulator{prov: provenance{hold: minProvenanceHold}} }
+func New() *Simulator {
+	return &Simulator{listOf: map[any]latcher{}, prov: provenance{hold: minProvenanceHold}}
+}
 
 // Add registers a component with the simulator, awake, and returns its
 // Activity handle; components that never sleep ignore it. Components
@@ -250,12 +303,17 @@ func New() *Simulator { return &Simulator{prov: provenance{hold: minProvenanceHo
 func (s *Simulator) Add(c Component) Activity {
 	i := int32(len(s.components))
 	s.components = append(s.components, c)
+	cm, _ := c.(Committer)
+	s.commits = append(s.commits, cm)
 	s.changed = append(s.changed, 0)
 	if i&63 == 0 {
 		s.awake = append(s.awake, 0)
+		s.commit = append(s.commit, 0)
 	}
 	s.awake[i>>6] |= 1 << (i & 63)
-	return Activity{s: s, idx: i}
+	a := Activity{s: s, idx: i}
+	bind(c, a)
+	return a
 }
 
 // AddOrdered registers a component, awake, that depends on evaluation
@@ -268,42 +326,61 @@ func (s *Simulator) Add(c Component) Activity {
 func (s *Simulator) AddOrdered(c Component) Activity {
 	i := int32(len(s.ordered))
 	s.ordered = append(s.ordered, c)
+	cm, _ := c.(Committer)
+	s.ordCommits = append(s.ordCommits, cm)
 	s.due = append(s.due, noTimer)
 	if i&63 == 0 {
 		s.ordAwake = append(s.ordAwake, 0)
+		s.ordCommit = append(s.ordCommit, 0)
 	}
 	s.ordAwake[i>>6] |= 1 << (i & 63)
-	return Activity{s: s, idx: i, ordered: true}
+	a := Activity{s: s, idx: i, ordered: true}
+	bind(c, a)
+	return a
 }
 
-// phase runs Eval (or Commit) of every awake component of comps, whose
-// awake set is awake, in order and counts them. It rereads the set, so a
-// component woken in the phase at a later index runs too; only a visited
-// component clears a full word.
-func phase(comps []Component, awake []uint64, eval bool, cycle uint64) (n uint64) {
+// bind hands a Func its Activity, through which it asks for its Commit.
+func bind(c Component, a Activity) {
+	if f, ok := c.(*Func); ok {
+		f.act = a
+	}
+}
+
+// phase runs Eval of every awake component of comps, whose awake set is
+// awake, in order and counts them. It rereads the set, so a component
+// woken in the phase at a later index runs too; only a visited component
+// clears a full word.
+func phase(comps []Component, awake []uint64, cycle uint64) (n uint64) {
 	for w := range awake {
 		if awake[w] == ^uint64(0) {
 			for _, c := range comps[w<<6 : w<<6+64] {
-				if eval {
-					c.Eval(cycle)
-				} else {
-					c.Commit()
-				}
+				c.Eval(cycle)
 			}
 			n += 64
 			continue
 		}
 		for b := awake[w]; b != 0; n++ {
 			k := bits.TrailingZeros64(b)
-			if c := comps[w<<6|k]; eval {
-				c.Eval(cycle)
-			} else {
-				c.Commit()
-			}
+			comps[w<<6|k].Eval(cycle)
 			b = awake[w] >> k >> 1 << k << 1
 		}
 	}
 	return n
+}
+
+// commitPhase runs, in order, the Commit of every component of cs that
+// asked for it in req, clearing each request before its Commit. Like
+// phase it rereads the requests: one made in the phase at a later index
+// runs in it, one at an index already passed stays for the next Step.
+func commitPhase(cs []Committer, req []uint64) {
+	for w := range req {
+		for b := req[w]; b != 0; {
+			k := bits.TrailingZeros64(b)
+			req[w] &^= 1 << k
+			cs[w<<6|k].Commit()
+			b = req[w] >> k >> 1 << k << 1
+		}
+	}
 }
 
 // AddProbe registers a probe run after each cycle's commit phase.
@@ -349,28 +426,27 @@ func (s *Simulator) Stopped() (bool, string) {
 
 // Step advances the simulation by exactly one clock cycle: the ordered
 // components whose SleepUntil fell due wake, then Eval of the awake
-// Add'ed components, then of the awake ordered tail, Commit likewise,
-// the latch of every written register (waking readers of changed ones),
-// probes.
+// Add'ed components, then of the awake ordered tail, then the requested
+// Commits (Add'ed, then ordered), the latch of each register type's
+// write list (waking readers of changed registers), probes.
 func (s *Simulator) Step() {
 	cycle := s.cycle
 	s.fire(cycle)
 	s.stepping = true
 	if s.audit == nil {
-		s.evals += phase(s.components, s.awake, true, cycle)
-		phase(s.ordered, s.ordAwake, true, cycle)
-		phase(s.components, s.awake, false, cycle)
-		phase(s.ordered, s.ordAwake, false, cycle)
+		s.evals += phase(s.components, s.awake, cycle)
+		phase(s.ordered, s.ordAwake, cycle)
+		commitPhase(s.commits, s.commit)
+		commitPhase(s.ordCommits, s.ordCommit)
 	} else {
-		s.evals += s.auditPhase(true, cycle)
-		s.auditOrdered(true, cycle)
-		s.auditPhase(false, cycle)
-		s.auditOrdered(false, cycle)
+		s.evals += s.auditPhase(cycle)
+		s.auditOrdered(cycle)
+		s.auditCommits(s.commits, s.commit, cycle)
+		s.auditCommits(s.ordCommits, s.ordCommit, cycle)
 	}
-	for _, r := range s.written {
-		r.latch()
+	for _, l := range s.lists {
+		l.latch()
 	}
-	s.written = s.written[:0]
 	s.stepping = false
 	s.cycle++
 	s.offered += uint64(len(s.components))
@@ -429,11 +505,14 @@ func (s *Simulator) ComponentNames() []string {
 }
 
 // Func wraps plain functions as a Component, for probes and test stimuli
-// that need to participate in the Eval/Commit protocol.
+// that need to participate in the Eval/Commit protocol. A Func with
+// OnCommit asks for its Commit in every Eval.
 type Func struct {
 	Label    string
 	OnEval   func(cycle uint64)
 	OnCommit func()
+
+	act Activity // set by Add or AddOrdered
 }
 
 // Name implements Component.
@@ -444,9 +523,12 @@ func (f *Func) Eval(cycle uint64) {
 	if f.OnEval != nil {
 		f.OnEval(cycle)
 	}
+	if f.OnCommit != nil {
+		f.act.CommitNext()
+	}
 }
 
-// Commit implements Component.
+// Commit implements Committer.
 func (f *Func) Commit() {
 	if f.OnCommit != nil {
 		f.OnCommit()

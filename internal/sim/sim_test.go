@@ -16,7 +16,6 @@ type counter struct {
 
 func (c *counter) Name() string { return "counter" }
 func (c *counter) Eval(uint64)  { c.r.Set(c.r.Get() + 1) }
-func (c *counter) Commit()      {}
 
 func TestRegTwoPhase(t *testing.T) {
 	s := New()
@@ -47,7 +46,6 @@ type relay struct {
 
 func (r *relay) Name() string { return r.label }
 func (r *relay) Eval(uint64)  { r.dst.Set(r.src.Get()) }
-func (r *relay) Commit()      {}
 
 func TestShiftRegisterOrderIndependence(t *testing.T) {
 	// Build the chain twice: once in forward order, once reversed. The
@@ -328,12 +326,19 @@ func TestStopFromProbeMidRun(t *testing.T) {
 	}
 }
 
-// idle is a component that never Sets any register.
-type idle struct{ evals, commits int }
+// idle is a component that never Sets any register and asks for its
+// Commit in every Eval.
+type idle struct {
+	act            Activity
+	evals, commits int
+}
 
 func (c *idle) Name() string { return "idle" }
-func (c *idle) Eval(uint64)  { c.evals++ }
-func (c *idle) Commit()      { c.commits++ }
+func (c *idle) Eval(uint64) {
+	c.evals++
+	c.act.CommitNext()
+}
+func (c *idle) Commit() { c.commits++ }
 
 // TestComponentNeverSets covers the never-Set edge case: a register no
 // component writes keeps its initial value through every commit, and the
@@ -342,7 +347,7 @@ func TestComponentNeverSets(t *testing.T) {
 	s := New()
 	quiet := NewReg(s, 42)
 	silent := &idle{}
-	s.Add(silent)
+	silent.act = s.Add(silent)
 	s.Add(&counter{r: NewReg(s, 0)})
 	s.Run(25)
 	if got := quiet.Get(); got != 42 {
@@ -360,14 +365,14 @@ type idleReporter struct{ idle }
 func (*idleReporter) Idle() bool { return true }
 
 // TestIdleMethodDoesNotSkipComponent pins that the kernel matches no
-// method beyond Component: a component reporting Idle() == true is
-// Eval'ed and Commit'ed every cycle, in the Add'ed set and the ordered
-// tail alike.
+// method beyond Committer: a component reporting Idle() == true that
+// asks for its Commit is Eval'ed and Commit'ed every cycle, in the
+// Add'ed set and the ordered tail alike.
 func TestIdleMethodDoesNotSkipComponent(t *testing.T) {
 	s := New()
 	added, ordered := &idleReporter{}, &idleReporter{}
-	s.Add(added)
-	s.AddOrdered(ordered)
+	added.act = s.Add(added)
+	ordered.act = s.AddOrdered(ordered)
 	s.Run(25)
 	for _, c := range []*idleReporter{added, ordered} {
 		if c.evals != 25 || c.commits != 25 {
@@ -425,7 +430,8 @@ func TestOrderedTailSemantics(t *testing.T) {
 }
 
 // sleeper reads one register and goes to sleep while it holds zero — the
-// smallest component that opts into the activity protocol.
+// smallest component that opts into the activity protocol. It asks for
+// its Commit in every Eval.
 type sleeper struct {
 	in             *Reg[int]
 	act            Activity
@@ -435,6 +441,7 @@ type sleeper struct {
 func (c *sleeper) Name() string { return "sleeper" }
 func (c *sleeper) Eval(uint64) {
 	c.evals++
+	c.act.CommitNext()
 	if c.in.Get() == 0 {
 		c.act.Sleep()
 	}
@@ -457,13 +464,16 @@ func TestSleeperWakesOnChangeOnly(t *testing.T) {
 	in := NewReg(s, 0)
 	c := newSleeper(s, in)
 	s.Run(10)
-	if c.evals != 1 || c.commits != 0 {
-		t.Fatalf("idle sleeper: %d evals, %d commits, want 1, 0", c.evals, c.commits)
+	if c.evals != 1 || c.commits != 1 {
+		t.Fatalf("idle sleeper: %d evals, %d commits, want 1, 1", c.evals, c.commits)
 	}
 	in.Set(0) // same value on a clean register: a no-op
+	if n := written(s); n != 0 {
+		t.Fatalf("Set of the held value put %d registers on a write list", n)
+	}
 	s.Run(10)
-	if c.evals != 1 || len(s.written) != 0 {
-		t.Fatalf("Set of the held value woke the reader (%d evals, %d written)", c.evals, len(s.written))
+	if c.evals != 1 || c.commits != 1 {
+		t.Fatalf("Set of the held value woke the reader (%d evals, %d commits)", c.evals, c.commits)
 	}
 	in.Set(3)
 	in.Set(0) // written back before the edge: latched, but no change
@@ -485,6 +495,14 @@ func TestSleeperWakesOnChangeOnly(t *testing.T) {
 	if evaluated, offered := s.Evaluations(); evaluated != 13 || offered != 51 {
 		t.Fatalf("Evaluations() = %d of %d, want 13 of 51", evaluated, offered)
 	}
+}
+
+// written counts the registers on s's write lists.
+func written(s *Simulator) (n int) {
+	for _, l := range s.lists {
+		n += l.len()
+	}
+	return n
 }
 
 // TestHostSetBetweenStepsLandsAtNextLatch: a register written by the host
@@ -550,7 +568,8 @@ func TestOrderedOverrideWithSleepers(t *testing.T) {
 
 // TestAwakeOrderAndMidStepWake: awake components run in registration
 // order whatever sleeps in between, and a component woken by the ordered
-// tail mid-step commits in that same cycle, then evaluates the next.
+// tail mid-step, with its Commit asked for as an IP-side call does,
+// commits in that same cycle, then evaluates the next.
 func TestAwakeOrderAndMidStepWake(t *testing.T) {
 	s := New()
 	var log []string
@@ -573,13 +592,14 @@ func TestAwakeOrderAndMidStepWake(t *testing.T) {
 	s.AddOrdered(&Func{Label: "host", OnEval: func(cy uint64) {
 		if cy == 2 {
 			b.Wake()
+			b.CommitNext()
 		}
 	}})
 	for i := 0; i < 4; i++ {
 		s.Step()
 		log = append(log, "|")
 	}
-	want := "Ea Eb Ec Ca Cc | Ea Ec Ca Cc | Ea Ec Ca Cb Cc | Ea Eb Ec Ca Cc |"
+	want := "Ea Eb Ec Ca Cb Cc | Ea Ec Ca Cc | Ea Ec Ca Cb Cc | Ea Eb Ec Ca Cb Cc |"
 	if got := strings.Join(log, " "); got != want {
 		t.Fatalf("phase log\n got %s\nwant %s", got, want)
 	}

@@ -247,9 +247,6 @@ func (s *Source) wait(cycle uint64) {
 	}
 }
 
-// Commit implements sim.Component.
-func (s *Source) Commit() {}
-
 // Sink drains one NI channel and records latencies. It sleeps in the
 // simulator's ordered tail while the channel's receive queue is empty;
 // the NI wakes it when a word arrives.
@@ -348,9 +345,6 @@ func (k *Sink) Eval(cycle uint64) {
 	k.sleepIfDrained()
 }
 
-// Commit implements sim.Component.
-func (k *Sink) Commit() {}
-
 // Event is one timed injection for trace playback.
 type Event struct {
 	// Cycle is the earliest cycle the word may be offered to the NI.
@@ -420,9 +414,6 @@ func (r *Replayer) wait(from uint64) {
 	}
 }
 
-// Commit implements sim.Component.
-func (r *Replayer) Commit() {}
-
 // Recorder captures deliveries on an NI channel as an event trace
 // (timestamped by delivery cycle), so one simulation's output can drive
 // another's input. Like a Sink, it sleeps while there is nothing to
@@ -467,6 +458,3 @@ func (r *Recorder) Eval(cycle uint64) {
 		r.events = append(r.events, Event{Cycle: d.Cycle, Word: d.Word})
 	}
 }
-
-// Commit implements sim.Component.
-func (r *Recorder) Commit() {}
