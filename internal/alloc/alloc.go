@@ -319,19 +319,17 @@ func (u *Unicast) SlotCount() int {
 type Options struct {
 	// Multipath allows splitting the demand over several paths.
 	Multipath bool
-	// MaxPaths bounds the number of paths tried/used (default 8).
+	// MaxPaths bounds the number of candidate paths tried/used (default
+	// 8): the first MaxPaths simple paths that avoid the excluded links,
+	// shortest first and then lexicographic by link ID. Only those are
+	// enumerated and cached. When more candidates existed the allocator
+	// counts a truncation in its cache stats, surfaced through
+	// telemetry, so an ErrNoCapacity caused by the cap is diagnosable.
 	MaxPaths int
 	// MaxDetour allows paths up to MaxDetour links longer than the
 	// shortest (default 0: shortest paths only; multipath benefits from
 	// 2).
 	MaxDetour int
-	// MaxEnumPaths bounds how many simple paths avoiding the excluded
-	// links are enumerated (and cached) per (src, dst, detour) before
-	// MaxPaths selection (default 64, the historical hard cap). When the
-	// bound drops candidates the allocator counts a truncation in its
-	// cache stats, surfaced through telemetry, so an ErrNoCapacity
-	// caused by truncation is diagnosable.
-	MaxEnumPaths int
 	// Spread selects slots spaced as evenly as possible around the
 	// wheel instead of the lowest free ones, minimizing the worst-case
 	// scheduling latency (the wait for the next owned slot). Used by
@@ -345,9 +343,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDetour < 0 {
 		o.MaxDetour = 0
-	}
-	if o.MaxEnumPaths <= 0 {
-		o.MaxEnumPaths = 64
 	}
 	return o
 }
@@ -376,10 +371,7 @@ func (a *Allocator) Unicast(src, dst topology.NodeID, nslots int, opts Options) 
 	if min < 0 {
 		return nil, fmt.Errorf("alloc: no path from %d to %d avoiding %d excluded links", src, dst, a.numExcluded)
 	}
-	paths := a.cachedPaths(src, dst, min+opts.MaxDetour, opts.MaxEnumPaths)
-	if len(paths) > opts.MaxPaths {
-		paths = paths[:opts.MaxPaths]
-	}
+	paths := a.cachedPaths(src, dst, min+opts.MaxDetour, opts.MaxPaths)
 
 	if !opts.Multipath {
 		for _, p := range paths {

@@ -438,11 +438,11 @@ func TestUnicastFailsWhenCut(t *testing.T) {
 }
 
 // TestExclusionAppliesBeforeCap: the candidate cap keeps the first
-// MaxEnumPaths paths that avoid the excluded links, not the first
-// MaxEnumPaths paths overall. Between NI (0,0) and NI (8,8) of the 16x16
-// torus every one of the 64 lexicographically first shortest paths
-// shares its second link, yet most of the 51,480 shortest paths avoid
-// it, so excluding that link must leave a shortest path to allocate.
+// MaxPaths paths that avoid the excluded links, not the first MaxPaths
+// paths overall. Between NI (0,0) and NI (8,8) of the 16x16 torus every
+// one of the 64 lexicographically first shortest paths shares its second
+// link, yet most of the 51,480 shortest paths avoid it, so excluding that
+// link must leave a shortest path to allocate.
 func TestExclusionAppliesBeforeCap(t *testing.T) {
 	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
 	if err != nil {
@@ -488,6 +488,48 @@ func TestDetourSearchIsBounded(t *testing.T) {
 	}
 	if got, want := u.Paths[0].Path, firstShortestPath(m.Graph, src, dst); !reflect.DeepEqual(got, want) {
 		t.Fatalf("first path %v, want %v", got, want)
+	}
+}
+
+// TestCacheKeepsOnlyTriedCandidates admits the benchmark's dense
+// permutation, NI (x,y) to NI (x+5,y+3) of the 16x16 torus, forward and
+// reverse. Every such pair has 56 shortest paths, so every entry holds
+// exactly the MaxPaths candidates Unicast tries, every lookup counts a
+// truncation, and no entry is a sub-slice of a longer enumeration, which
+// would keep the dropped candidates alive.
+func TestCacheKeepsOnlyTriedCandidates(t *testing.T) {
+	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(m.Graph, 16)
+	const maxPaths = 8 // Options' default
+	for y := 0; y < 16; y++ {
+		for x := 0; x < 16; x++ {
+			src, dst := m.NI(x, y, 0), m.NI((x+5)%16, (y+3)%16, 0)
+			for _, pair := range [][2]topology.NodeID{{src, dst}, {dst, src}} {
+				if _, err := a.Unicast(pair[0], pair[1], 1, Options{}); err != nil {
+					t.Fatalf("(%d,%d): %v", x, y, err)
+				}
+			}
+		}
+	}
+	if got := len(a.cache.paths); got != 2*16*16 {
+		t.Fatalf("%d path-cache entries, want %d", got, 2*16*16)
+	}
+	for k, e := range a.cache.paths {
+		if k.cap != maxPaths || len(e.paths) != maxPaths || cap(e.paths) != maxPaths || !e.truncated {
+			t.Fatalf("%d->%d: cap %d, %d paths in an array of %d, truncated %v; want %d of %d, truncated",
+				k.src, k.dst, k.cap, len(e.paths), cap(e.paths), e.truncated, maxPaths, maxPaths)
+		}
+		for _, p := range e.paths {
+			if cap(p) != len(p) {
+				t.Fatalf("%d->%d: path of %d links can reach %d", k.src, k.dst, len(p), cap(p))
+			}
+		}
+	}
+	if got := a.CacheStats().Truncations; got != 2*16*16 {
+		t.Fatalf("%d truncations, want one per Unicast (%d)", got, 2*16*16)
 	}
 }
 

@@ -118,9 +118,11 @@ func (a *Allocator) CacheStats() CacheStats {
 
 // cachedPaths returns the memoized candidate path set from src to dst: the
 // first cap simple paths of at most maxLen links that avoid the current
-// exclusion set, shortest first and then lexicographic by link ID. The
-// exclusions apply before the cap, so a repair sees every usable path the
-// cap admits. The result is shared and immutable.
+// exclusion set, shortest first and then lexicographic by link ID. Unicast
+// passes its MaxPaths as cap, so an entry holds exactly the candidates it
+// tries, in one backing array of their own. The exclusions apply before
+// the cap, so a repair sees every usable path the cap admits. The result
+// is shared and immutable.
 func (a *Allocator) cachedPaths(src, dst topology.NodeID, maxLen, cap int) []topology.Path {
 	c := a.cache
 	key := pathKey{src: src, dst: dst, maxLen: maxLen, cap: cap, gen: a.gen}

@@ -1,6 +1,9 @@
 package alloc
 
 import (
+	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"daelite/internal/slots"
@@ -103,4 +106,177 @@ func FuzzVerify(f *testing.F) {
 		mut.Paths[0] = pa
 		_ = Verify(m.Graph, wheel, append([]*Unicast{mut}, liveU[1:]...), liveM)
 	})
+}
+
+// FuzzUnicastCandidates checks that Unicast, which enumerates and caches
+// only the first MaxPaths candidates, admits exactly what refUnicast
+// admits from an uncached 64-path enumeration sliced to MaxPaths: the
+// same paths, the same inject slots and the same ErrNoCapacity.Got, op by
+// op, with exclusions and releases interleaved and the two allocators'
+// fingerprints equal at the end. Pairs are drawn on the 8x8 mesh and the
+// 16x16 torus; the demand of 1..10 slots on a wheel of 8 sometimes
+// cannot fit.
+//
+// data[0] picks the topology, then each op is four bytes: kind, source,
+// destination, argument. The low two bits of kind select a single-path
+// request, a multipath request, an ExcludeLink (the link ID is source
+// and destination as one 16-bit number) or the release of a live
+// unicast; bits 2-3 pick MaxDetour from candidateDetours, bit 4 asks a
+// single-path request for Spread and bits 5-6 pick MaxPaths from
+// candidateCaps, so entries cached under different caps meet.
+func FuzzUnicastCandidates(f *testing.F) {
+	mesh8, err := topology.NewMesh(topology.MeshSpec{Width: 8, Height: 8, NIsPerRouter: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	torus16, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	meshes := []*topology.Mesh{mesh8, torus16}
+	const wheel = 8
+	index := func(m *topology.Mesh, x, y int) byte {
+		return byte(slices.Index(m.AllNIs, m.NI(x, y, 0)))
+	}
+
+	// TestExclusionAppliesBeforeCap: exclude the second link of the
+	// first shortest path from NI (0,0) to NI (8,8) of the torus, then
+	// ask for one slot on a shortest path.
+	src, dst := torus16.NI(0, 0, 0), torus16.NI(8, 8, 0)
+	first, _ := torus16.SimplePathsAvoidingDense(src, dst, torus16.Distance(src, dst), 1, nil)
+	dead := first[0][1]
+	f.Add([]byte{1, 2, byte(dead >> 8), byte(dead), 0, 0, index(torus16, 0, 0), index(torus16, 8, 8), 0})
+	// TestDetourSearchIsBounded: two slots corner to corner on the 8x8
+	// mesh, multipath, MaxDetour 8.
+	f.Add([]byte{0, 1 | 3<<2, index(mesh8, 0, 0), index(mesh8, 7, 7), 1})
+	// One pair under two caps: five slots from NI (6,3) to NI (0,0) of
+	// the torus with MaxPaths 3, a multipath flow from NI (4,3) to NI
+	// (1,0) that fills links of those three paths, then three more slots
+	// for the first pair, which only a later path of the default eight
+	// can carry. A cache entry keyed without its cap fails here.
+	s, d := index(torus16, 6, 3), index(torus16, 0, 0)
+	f.Add([]byte{1, 2 << 5, s, d, 4, 1, index(torus16, 4, 3), index(torus16, 1, 0), 2, 0, s, d, 2})
+	f.Add([]byte{1, 0x11, 0x12, 0x34, 0x56, 0x05, 0x80, 0x40, 0x07, 0x03, 0x01, 0xc0, 0x09, 0x00, 0x12, 0x34, 0x05})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := meshes[int(data[0])%len(meshes)]
+		a, ref := New(m.Graph, wheel), New(m.Graph, wheel)
+		var live, liveRef []*Unicast
+		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
+			kind, sb, db, arg := ops[0], ops[1], ops[2], ops[3]
+			switch kind & 3 {
+			case 2:
+				l := topology.LinkID((int(sb)<<8 | int(db)) % m.NumLinks())
+				a.ExcludeLink(l)
+				ref.ExcludeLink(l)
+				continue
+			case 3:
+				if len(live) > 0 {
+					j := int(sb) % len(live)
+					a.ReleaseUnicast(live[j])
+					ref.ReleaseUnicast(liveRef[j])
+					live = slices.Delete(live, j, j+1)
+					liveRef = slices.Delete(liveRef, j, j+1)
+				}
+				continue
+			}
+			src := m.AllNIs[int(sb)%len(m.AllNIs)]
+			dst := m.AllNIs[int(db)%len(m.AllNIs)]
+			if src == dst {
+				continue
+			}
+			n := 1 + int(arg)%10
+			opts := Options{
+				Multipath: kind&3 == 1,
+				MaxDetour: candidateDetours[kind>>2&3],
+				MaxPaths:  candidateCaps[kind>>5&3],
+				Spread:    kind&3 == 0 && kind&0x10 != 0,
+			}
+			u, err := a.Unicast(src, dst, n, opts)
+			want, wantErr := refUnicast(ref, src, dst, n, opts)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%d->%d %d slots %+v: Unicast err %v, reference err %v", src, dst, n, opts, err, wantErr)
+			}
+			if err != nil {
+				var got, exp ErrNoCapacity
+				if errors.As(err, &got) != errors.As(wantErr, &exp) || got != exp {
+					t.Fatalf("%d->%d %d slots %+v: Unicast err %v, reference err %v", src, dst, n, opts, err, wantErr)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(u.Paths, want.Paths) {
+				t.Fatalf("%d->%d %d slots %+v: Unicast took %v, reference %v", src, dst, n, opts, u.Paths, want.Paths)
+			}
+			live, liveRef = append(live, u), append(liveRef, want)
+		}
+		if a.Fingerprint() != ref.Fingerprint() {
+			t.Fatal("allocator states diverged")
+		}
+	})
+}
+
+// candidateDetours are the MaxDetour values FuzzUnicastCandidates draws:
+// shortest paths, small detours, and TestDetourSearchIsBounded's 8.
+var candidateDetours = [4]int{0, 1, 2, 8}
+
+// candidateCaps are the MaxPaths values FuzzUnicastCandidates draws: the
+// default 8, one path, a few, and the 16 the aelite host uses.
+var candidateCaps = [4]int{0, 1, 3, 16}
+
+// refUnicast is Unicast as it was when the path cache enumerated 64
+// candidates and Unicast sliced them to MaxPaths: it enumerates afresh,
+// bypassing the cache, and selects slots the same way.
+func refUnicast(a *Allocator, src, dst topology.NodeID, nslots int, opts Options) (*Unicast, error) {
+	opts = opts.withDefaults()
+	avoid := a.avoidSet()
+	min := a.g.DistanceAvoidingDense(src, dst, avoid)
+	if min < 0 {
+		return nil, errors.New("unreachable")
+	}
+	paths, _ := a.g.SimplePathsAvoidingDense(src, dst, min+opts.MaxDetour, 64, avoid)
+	if len(paths) > opts.MaxPaths {
+		paths = paths[:opts.MaxPaths]
+	}
+	if !opts.Multipath {
+		best := 0
+		for _, p := range paths {
+			cand := a.CandidateSlots(p)
+			if cand.Count() >= nslots {
+				take := firstN(cand, nslots)
+				if opts.Spread {
+					take = PickSpread(cand, nslots)
+				}
+				u := &Unicast{Src: src, Dst: dst, Paths: []PathAlloc{{Path: p, InjectSlots: take}}}
+				a.commitUnicast(u)
+				return u, nil
+			}
+			best = max(best, cand.Count())
+		}
+		return nil, ErrNoCapacity{Want: nslots, Got: best}
+	}
+	mark := a.beginTxn()
+	u := &Unicast{Src: src, Dst: dst}
+	remaining := nslots
+	for _, p := range paths {
+		if remaining == 0 {
+			break
+		}
+		cand := a.CandidateSlots(p)
+		if cand.Empty() {
+			continue
+		}
+		pa := PathAlloc{Path: p, InjectSlots: firstN(cand, remaining)}
+		a.commitUnicast(&Unicast{Src: src, Dst: dst, Paths: []PathAlloc{pa}})
+		u.Paths = append(u.Paths, pa)
+		remaining -= pa.InjectSlots.Count()
+	}
+	if remaining > 0 {
+		a.abortTxn(mark)
+		return nil, ErrNoCapacity{Want: nslots, Got: nslots - remaining}
+	}
+	a.commitTxn()
+	return u, nil
 }

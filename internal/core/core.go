@@ -125,6 +125,9 @@ type Platform struct {
 	connections  map[int]*Connection
 	nextConnID   int
 
+	// settleCycles is ConfigSettleCycles, fixed once the trees are built.
+	settleCycles uint64
+
 	// tx is the configuration transaction under construction.
 	tx txBuffers
 
@@ -258,6 +261,7 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 		mod.ConnectResponse(p.wireTree(tree, root, mod.ForwardWire()))
 		p.Trees[reg] = tree
 		mods[reg] = mod
+		p.settleCycles = max(p.settleCycles, uint64(2*(tree.MaxDepth()+1)+2))
 	}
 	p.Config = configtree.NewForest(mods...)
 	p.Host = mods[0]
@@ -379,15 +383,7 @@ func (p *Platform) Cycle() uint64 { return p.Sim.Cycle() }
 // modules go idle within which every in-flight word has traversed its
 // tree (two cycles per tree hop, plus the module's own output stage).
 // With several regions the deepest tree bounds the settle time.
-func (p *Platform) ConfigSettleCycles() uint64 {
-	depth := 0
-	for _, t := range p.Trees {
-		if d := t.MaxDepth(); d > depth {
-			depth = d
-		}
-	}
-	return uint64(2*(depth+1) + 2)
-}
+func (p *Platform) ConfigSettleCycles() uint64 { return p.settleCycles }
 
 // CompleteConfig runs the simulation until every region's configuration
 // module is idle and all in-flight configuration words have settled — a

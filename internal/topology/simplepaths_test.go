@@ -148,6 +148,8 @@ func FuzzSimplePaths(f *testing.F) {
 	})
 }
 
+// BenchmarkSimplePaths enumerates with the cap the allocator asks for:
+// its default MaxPaths of 8.
 func BenchmarkSimplePaths(b *testing.B) {
 	torus, err := NewMesh(MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
 	if err != nil {
@@ -172,7 +174,7 @@ func BenchmarkSimplePaths(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.m.SimplePathsAvoidingDense(c.a, c.dst, maxLen, 64, nil)
+				c.m.SimplePathsAvoidingDense(c.a, c.dst, maxLen, 8, nil)
 			}
 		})
 	}

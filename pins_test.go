@@ -491,13 +491,13 @@ var pins = []pin{
 		`"setup #`, `"inject r0"`, `"inject r1"`, `"settle"`, `"teardown #`, `"repair #`, `"stall"`, `"fault"`, `"record":"trace_event"`},
 		want: pinResult{delivered: 3274, conns: 0x8f4b748c049a289a, payload: 0x3bb4b7ce2547fc08, credits: 0xfa917c8bdd7a52aa, carriers: 6054, skipped: 0, evaluated: 190626, offered: 928950, alloc: 0x665b4359366512f2, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, repairs: 1, chrome: 0x80a9ff07aafe1aff, traceND: 0x6a8f2e9578e42e86}},
 	{name: "dnn", run: pack(workload.ExampleDNN), must: packMust,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 31117, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 31117, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x16ab457c6742dcf2, ndjson: 0x15d990882b30759a, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "dnn+ff", run: pack(workload.ExampleDNN), ff: true,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6392, evaluated: 31117, offered: 306867, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x9e497f2fd0efec88, ndjson: 0x9e1990b749ac90fc, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6392, evaluated: 31117, offered: 306867, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x16ab457c6742dcf2, ndjson: 0x15d990882b30759a, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "tinytera", run: tinyTera, must: packMust,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 76339, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0x235b280b3cdbecc3, ndjson: 0x18f3352b9da2152e, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 76339, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xeaa481cbe1510264, ndjson: 0x491c9f9e820a90a3, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 	{name: "tinytera+ff", run: tinyTera, ff: true,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6809, evaluated: 76339, offered: 239085, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0x235b280b3cdbecc3, ndjson: 0x18f3352b9da2152e, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6809, evaluated: 76339, offered: 239085, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xeaa481cbe1510264, ndjson: 0x491c9f9e820a90a3, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 }
 
 func TestPins(t *testing.T) {
