@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzCheckerExpectation -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzWhatIfBody -fuzztime 15s
+	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzNodeRef -fuzztime 15s
 	$(GO) test ./internal/admission -run '^$$' -fuzz FuzzReadJournal -fuzztime 15s
 	$(GO) test ./internal/cfgproto -run '^$$' -fuzz FuzzRegionEnvelope -fuzztime 15s
 	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzRotateMaskCompensation -fuzztime 15s

@@ -19,14 +19,14 @@
 // epoch bump, no journal growth), drafts opens deterministically, admits
 // them as one alloc.Batch (bit-identical for every worker count), runs
 // the configuration to settlement, appends one record to the request
-// journal, publishes the read model (GET /v1/connections,
-// /v1/fingerprint, /v1/tenants) and only then answers the tick's
-// mutations, so a client reading right after its reply sees its own
-// change; the periodic snapshot comes last. A snapshot captures the
-// exact committed reservations plus tenant accounting; restart = adopt
-// the snapshot verbatim + replay the journal suffix, reproducing the
-// pre-restart allocator occupancy exactly — verified by comparing
-// alloc.Fingerprint values.
+// journal and only then answers the tick's mutations; the periodic
+// snapshot comes last. Reads (GET /v1/connections, /v1/fingerprint,
+// /v1/tenants) queue on the loop like snapshots and are answered between
+// ticks, so a client reading right after its reply sees its own change.
+// A snapshot captures the exact committed reservations plus tenant
+// accounting; restart = adopt the snapshot verbatim + replay the journal
+// suffix, reproducing the pre-restart allocator occupancy exactly —
+// verified by comparing alloc.Fingerprint values.
 package admission
 
 import (
@@ -110,6 +110,7 @@ const (
 	opClose
 	opWhatIf
 	opSnapshot
+	opRead
 )
 
 func (k opKind) String() string {
@@ -120,6 +121,8 @@ func (k opKind) String() string {
 		return "teardown"
 	case opWhatIf:
 		return "whatif"
+	case opRead:
+		return "read"
 	default:
 		return "snapshot"
 	}
@@ -139,6 +142,7 @@ type pending struct {
 	spec   core.ConnectionSpec // normalized; opOpen/opWhatIf
 	cost   int                 // slot cost of spec
 	handle uint64              // opClose
+	read   func()              // opRead: runs on the loop between ticks
 	enq    time.Time
 	reply  chan reply
 
@@ -163,7 +167,7 @@ type liveConn struct {
 	setup      uint64 // settled set-up duration in cycles
 }
 
-// ConnInfo is the read-model of a live connection (GET /v1/connections).
+// ConnInfo describes one live connection (GET /v1/connections).
 type ConnInfo struct {
 	Handle      uint64   `json:"handle"`
 	Tenant      string   `json:"tenant"`
@@ -173,7 +177,7 @@ type ConnInfo struct {
 	SetupCycles uint64   `json:"setup_cycles"`
 }
 
-// TenantInfo is the read-model of one tenant (GET /v1/tenants).
+// TenantInfo describes one tenant's usage and queue (GET /v1/tenants).
 type TenantInfo struct {
 	Name      string `json:"name"`
 	Class     Class  `json:"class"`
@@ -187,7 +191,10 @@ type TenantInfo struct {
 
 // Service is the admission control plane over one platform. Create with
 // NewService, optionally Restore, then Start; the platform must not be
-// touched by anyone else afterwards (the service loop owns it).
+// touched by anyone else afterwards (the service loop owns it). While
+// the loop runs, the readers (Fingerprint, Tick, Conns, Tenants) queue on
+// the control channel and the loop answers them between ticks; before
+// Start and after the loop has exited they read its state directly.
 type Service struct {
 	p   *core.Platform
 	reg *telemetry.Registry
@@ -218,18 +225,6 @@ type Service struct {
 	tick, seq   uint64
 	queuedCount int
 	snapDirty   uint64 // mutating ticks since the last snapshot
-
-	// Shared read views, guarded by mu; the loop rebuilds them at the
-	// end of every tick so HTTP readers never touch the platform or the
-	// loop-owned maps. The slices are replaced wholesale, never mutated
-	// in place.
-	mu          sync.Mutex
-	viewFP      uint64
-	viewEp      uint64
-	viewSeq     uint64
-	viewTick    uint64
-	viewConns   []ConnInfo
-	viewTenants []TenantInfo
 
 	// Service-level metrics.
 	ticksTotal, journalRecords, snapshots *telemetry.Counter
@@ -277,7 +272,7 @@ func NewService(p *core.Platform, reg *telemetry.Registry, cfg Config) (*Service
 		}
 		s.journal = w
 	}
-	s.refreshViews()
+	s.setGauges()
 	return s, nil
 }
 
@@ -337,35 +332,113 @@ func (s *Service) failStragglers() {
 }
 
 // Fingerprint returns the allocator occupancy fingerprint, epoch and
-// journal sequence as of the last completed tick.
+// journal sequence at a tick boundary: a call made after a mutation's
+// reply sees that mutation. While the service runs the call waits for
+// the loop to finish its current tick; it never fails for load.
 func (s *Service) Fingerprint() (fp, epoch, seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewFP, s.viewEp, s.viewSeq
+	s.atBoundary(func() { fp, epoch, seq = s.fingerprint() })
+	return fp, epoch, seq
 }
 
-// Tick returns the last completed tick number.
-func (s *Service) Tick() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewTick
+// Tick returns the last completed tick number, read at a tick boundary
+// like Fingerprint.
+func (s *Service) Tick() (tick uint64) {
+	s.atBoundary(func() { tick = s.tick })
+	return tick
 }
 
-// Conns returns the live-connection read model sorted by handle, as of
-// the last completed tick. The returned slice is shared and read-only.
-func (s *Service) Conns() []ConnInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewConns
+// Conns returns the live connections sorted by handle, read at a tick
+// boundary like Fingerprint. The caller owns the returned slice.
+func (s *Service) Conns() (conns []ConnInfo) {
+	s.atBoundary(func() { conns = s.connInfos() })
+	return conns
 }
 
-// Tenants returns the tenant read model in deterministic name order, as
-// of the last completed tick. The returned slice is shared and
-// read-only.
-func (s *Service) Tenants() []TenantInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewTenants
+// Tenants returns every tenant's usage and queue length in deterministic
+// name order, read at a tick boundary like Fingerprint. The caller owns
+// the returned slice.
+func (s *Service) Tenants() (tenants []TenantInfo) {
+	s.atBoundary(func() { tenants = s.tenantInfos() })
+	return tenants
+}
+
+// atBoundary runs read against the loop-owned state where no tick is in
+// progress. While the loop runs, read is queued behind the requests
+// already submitted and the loop runs it between ticks, so it sees every
+// mutation answered before the call. Before Start, and once the loop has
+// exited, read runs here. The loop must never call atBoundary itself: it
+// would wait on its own control queue.
+func (s *Service) atBoundary(read func()) {
+	if s.started.Load() {
+		if _, ok := s.toLoop(&pending{op: opRead, read: read, reply: make(chan reply, 1)}); ok {
+			return
+		}
+	}
+	read()
+}
+
+// toLoop hands a control request (a read or a snapshot) to the loop and
+// waits for its reply. It blocks while the control queue is full rather
+// than refusing; ok is false when the loop exited without answering, and
+// the state it owned is then final and safe to read.
+func (s *Service) toLoop(pd *pending) (r reply, ok bool) {
+	select {
+	case s.control <- pd:
+	case <-s.done:
+		return reply{}, false
+	}
+	select {
+	case r = <-pd.reply:
+		return r, true
+	case <-s.done:
+		// The loop may have answered just before it exited.
+		select {
+		case r = <-pd.reply:
+			return r, true
+		default:
+			return reply{}, false
+		}
+	}
+}
+
+// fingerprint, connInfos and tenantInfos read the loop-owned state; only
+// the loop, or a caller that knows the loop is not running, calls them.
+func (s *Service) fingerprint() (fp, epoch, seq uint64) {
+	return s.p.Alloc.Fingerprint(), s.p.Alloc.Epoch(), s.seq
+}
+
+func (s *Service) connInfos() []ConnInfo {
+	conns := make([]ConnInfo, 0, len(s.conns))
+	for _, lc := range s.conns {
+		conns = append(conns, ConnInfo{
+			Handle:      lc.handle,
+			Tenant:      lc.tenant,
+			Spec:        toWireSpec(lc.spec),
+			SlotCost:    lc.cost,
+			OpenedTick:  lc.openedTick,
+			SetupCycles: lc.setup,
+		})
+	}
+	sort.Slice(conns, func(i, j int) bool { return conns[i].Handle < conns[j].Handle })
+	return conns
+}
+
+func (s *Service) tenantInfos() []TenantInfo {
+	tenants := make([]TenantInfo, 0, len(s.order))
+	for _, name := range s.order {
+		t := s.tenants[name]
+		tenants = append(tenants, TenantInfo{
+			Name:      t.cfg.Name,
+			Class:     t.cfg.Class,
+			Weight:    t.weight,
+			MaxSlots:  t.cfg.MaxSlots,
+			MaxConns:  t.cfg.MaxConns,
+			SlotsUsed: t.slotsUsed,
+			Conns:     t.conns,
+			Queued:    t.pending.Load(),
+		})
+	}
+	return tenants
 }
 
 // queueBound returns the tenant's pending-request bound.
@@ -435,9 +508,14 @@ func (s *Service) loop() {
 	}
 }
 
-// handleControl serves out-of-band operations (snapshot requests) at
-// tick boundaries, so they observe a quiescent platform.
+// handleControl serves out-of-band operations (reads and snapshot
+// requests) at tick boundaries, so they observe a quiescent platform.
 func (s *Service) handleControl(pd *pending) {
+	if pd.op == opRead {
+		pd.read()
+		pd.reply <- reply{status: 200}
+		return
+	}
 	if err := s.takeSnapshot(); err != nil {
 		pd.reply <- reply{status: 500, body: map[string]any{"error": err.Error()}}
 		return
@@ -445,14 +523,12 @@ func (s *Service) handleControl(pd *pending) {
 	pd.reply <- reply{status: 200, body: map[string]any{"snapshot": s.cfg.SnapshotPath, "seq": s.seq}}
 }
 
+// drainControl serves the control requests queued when it starts and no
+// more, so readers that re-queue as soon as they are answered cannot
+// hold off the next tick.
 func (s *Service) drainControl() {
-	for {
-		select {
-		case pd := <-s.control:
-			s.handleControl(pd)
-		default:
-			return
-		}
+	for n := len(s.control); n > 0; n-- {
+		s.handleControl(<-s.control)
 	}
 }
 
@@ -515,11 +591,17 @@ func (s *Service) drainAndShutdown() {
 		}
 		s.runTick()
 	}
-	// Unblock any control callers that raced the shutdown.
+	// Unblock any control callers that raced the shutdown: reads see
+	// the final state, snapshot requests are refused (the final snapshot
+	// follows).
 	for {
 		select {
 		case pd := <-s.control:
-			pd.reply <- reply{status: 503, body: map[string]any{"error": errShuttingDown.Error()}}
+			if pd.op == opRead {
+				s.handleControl(pd)
+			} else {
+				pd.reply <- reply{status: 503, body: map[string]any{"error": errShuttingDown.Error()}}
+			}
 			continue
 		default:
 		}
@@ -694,12 +776,11 @@ func (s *Service) runTick() {
 		}
 	}
 
-	// Publish the tick's read model before answering (read-your-writes:
-	// a client that reads GET /v1/connections or /v1/fingerprint right
-	// after its 200 sees its own change), and answer mutations only now:
-	// teardown and open latencies include the configuration settling on
-	// the platform.
-	s.refreshViews()
+	// Answer mutations only now: teardown and open latencies include the
+	// configuration settling on the platform. A read the client sends
+	// after its reply queues on the loop and is answered after this tick
+	// (read-your-writes).
+	s.setGauges()
 	for _, rr := range closeReplies {
 		s.answer(rr.pd, rr.rep)
 	}
@@ -939,45 +1020,8 @@ func (s *Service) answer(pd *pending, r reply) {
 	}
 }
 
-// refreshViews publishes the loop-owned state into the shared read
-// model and the gauges.
-func (s *Service) refreshViews() {
-	fp := s.p.Alloc.Fingerprint()
-	ep := s.p.Alloc.Epoch()
-	conns := make([]ConnInfo, 0, len(s.conns))
-	for _, lc := range s.conns {
-		conns = append(conns, ConnInfo{
-			Handle:      lc.handle,
-			Tenant:      lc.tenant,
-			Spec:        toWireSpec(lc.spec),
-			SlotCost:    lc.cost,
-			OpenedTick:  lc.openedTick,
-			SetupCycles: lc.setup,
-		})
-	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Handle < conns[j].Handle })
-	tenants := make([]TenantInfo, 0, len(s.order))
-	for _, name := range s.order {
-		t := s.tenants[name]
-		tenants = append(tenants, TenantInfo{
-			Name:      t.cfg.Name,
-			Class:     t.cfg.Class,
-			Weight:    t.weight,
-			MaxSlots:  t.cfg.MaxSlots,
-			MaxConns:  t.cfg.MaxConns,
-			SlotsUsed: t.slotsUsed,
-			Conns:     t.conns,
-			Queued:    t.pending.Load(),
-		})
-	}
-	s.mu.Lock()
-	s.viewFP = fp
-	s.viewEp = ep
-	s.viewSeq = s.seq
-	s.viewTick = s.tick
-	s.viewConns = conns
-	s.viewTenants = tenants
-	s.mu.Unlock()
+// setGauges publishes the loop-owned counts into the gauges.
+func (s *Service) setGauges() {
 	s.tickGauge.Set(int64(s.tick))
 	s.liveConnsGauge.Set(int64(len(s.conns)))
 	for _, name := range s.order {

@@ -19,14 +19,16 @@ import (
 //	POST   /v1/whatif               read-only feasibility check (OpenRequest body)
 //	GET    /v1/connections          live connections
 //	GET    /v1/tenants              tenant accounting and queue state
-//	GET    /v1/fingerprint          allocator fingerprint / epoch / journal seq
+//	GET    /v1/fingerprint          allocator fingerprint / epoch / journal seq / tick
 //	POST   /v1/snapshot             write a snapshot now
 //	GET    /v1/info                 platform geometry and service config
 //	GET    /healthz                 liveness
 //	GET    /metrics                 Prometheus text format
 //
-// Overload and shutdown answer 503 with a Retry-After header; quota
-// violations answer 429; infeasible opens answer 409.
+// GET /v1/connections, /v1/tenants and /v1/fingerprint are answered by
+// the service loop between ticks, after every mutation already answered;
+// they wait rather than refuse under load. Overload and shutdown answer 503 with a Retry-After header;
+// quota violations answer 429; infeasible opens answer 409.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/connections", s.handleOpen)
@@ -170,17 +172,22 @@ func (s *Service) handleListTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleFingerprint(w http.ResponseWriter, r *http.Request) {
-	fp, epoch, seq := s.Fingerprint()
+	var fp, epoch, seq, tick uint64
+	s.atBoundary(func() {
+		fp, epoch, seq = s.fingerprint()
+		tick = s.tick
+	})
 	writeJSON(w, http.StatusOK, map[string]any{
 		"fingerprint": fmt.Sprintf("%016x", fp),
 		"epoch":       epoch,
 		"seq":         seq,
-		"tick":        s.Tick(),
+		"tick":        tick,
 	})
 }
 
 func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if err := s.TakeSnapshot(); err != nil {
+	seq, err := s.snapshot()
+	if err != nil {
 		if err == errShuttingDown {
 			s.writeRefused(w, err)
 			return
@@ -188,7 +195,6 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
-	_, _, seq := s.Fingerprint()
 	writeJSON(w, http.StatusOK, map[string]any{"snapshot": s.cfg.SnapshotPath, "seq": seq})
 }
 

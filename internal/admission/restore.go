@@ -73,7 +73,7 @@ func (s *Service) Restore() (*RestoreReport, error) {
 	}
 
 	rep.Fingerprint = s.p.Alloc.Fingerprint()
-	s.refreshViews()
+	s.setGauges()
 	return rep, nil
 }
 

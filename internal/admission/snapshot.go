@@ -90,26 +90,30 @@ func (s *Service) takeSnapshot() error {
 // TakeSnapshot asks the service loop to write a snapshot at the next
 // tick boundary and waits for the result. Safe to call while serving.
 func (s *Service) TakeSnapshot() error {
+	_, err := s.snapshot()
+	return err
+}
+
+// snapshot is TakeSnapshot returning the journal sequence the snapshot
+// captured.
+func (s *Service) snapshot() (seq uint64, err error) {
 	if s.cfg.SnapshotPath == "" {
-		return fmt.Errorf("admission: no snapshot path configured")
+		return 0, fmt.Errorf("admission: no snapshot path configured")
 	}
 	if !s.started.Load() {
-		return s.takeSnapshot()
+		return s.seq, s.takeSnapshot()
 	}
-	pd := &pending{op: opSnapshot, reply: make(chan reply, 1)}
 	if s.closing.Load() {
-		return errShuttingDown
+		return 0, errShuttingDown
 	}
-	select {
-	case s.control <- pd:
-	default:
-		return fmt.Errorf("admission: control queue full")
+	r, ok := s.toLoop(&pending{op: opSnapshot, reply: make(chan reply, 1)})
+	switch {
+	case !ok || r.status == 503:
+		return 0, errShuttingDown
+	case r.status != 200:
+		return 0, fmt.Errorf("%v", r.body["error"])
 	}
-	r := <-pd.reply
-	if r.status != 200 {
-		return fmt.Errorf("%v", r.body["error"])
-	}
-	return nil
+	return r.body["seq"].(uint64), nil
 }
 
 func writeSnapshot(path string, snap *snapshotFile) error {

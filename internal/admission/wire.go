@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -28,8 +29,15 @@ type NodeRef struct {
 	direct bool
 }
 
-// UnmarshalJSON accepts 17 or "2,3".
+// UnmarshalJSON accepts 17 or "2,3". The canonical form, a quoted
+// "<digits>,<digits>", is parsed here byte by byte; anything else goes
+// through encoding/json and fmt, which decide what it means and how it
+// fails.
 func (n *NodeRef) UnmarshalJSON(b []byte) error {
+	if x, y, ok := parseCoord(b); ok {
+		n.x, n.y, n.coord = x, y, true
+		return nil
+	}
 	var num int64
 	if err := json.Unmarshal(b, &num); err == nil {
 		n.id = topology.NodeID(num)
@@ -45,6 +53,36 @@ func (n *NodeRef) UnmarshalJSON(b []byte) error {
 	}
 	n.coord = true
 	return nil
+}
+
+// parseCoord parses b as exactly `"<digits>,<digits>"`. A side longer
+// than 18 digits is left to the general path, so parseDigits cannot
+// overflow.
+func parseCoord(b []byte) (x, y int, ok bool) {
+	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
+		return 0, 0, false
+	}
+	xs, ys, found := bytes.Cut(b[1:len(b)-1], []byte{','})
+	if !found {
+		return 0, 0, false
+	}
+	x, okx := parseDigits(xs)
+	y, oky := parseDigits(ys)
+	return x, y, okx && oky
+}
+
+func parseDigits(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	v := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
 }
 
 // Resolve maps the reference to an NI node of the mesh. Direct IDs are

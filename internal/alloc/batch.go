@@ -55,10 +55,11 @@ func (a *Allocator) DryRun(reqs []Request) (*UseCaseAlloc, error) {
 // Batch admits many request groups with the optimistic-concurrency shape
 // of the sim kernel: phase 1 what-if-evaluates every item concurrently
 // against a read snapshot of the current occupancy (workers <= 0 means
-// GOMAXPROCS), phase 2 commits in item order, re-evaluating any proposal
-// an earlier commit invalidated. Proposals depend only on the snapshot
-// and re-evaluation happens sequentially in item order, so results are
-// bit-identical for every worker count.
+// GOMAXPROCS; the caller's goroutine is one of them, so one worker, or
+// one item, starts no goroutine), phase 2 commits in item order,
+// re-evaluating any proposal an earlier commit invalidated. Proposals
+// depend only on the snapshot and re-evaluation happens sequentially in
+// item order, so results are bit-identical for every worker count.
 //
 // Batch only allocates (occupancy grows monotonically through the call),
 // so an item that fails against the snapshot cannot succeed against any
@@ -87,24 +88,29 @@ func (a *Allocator) Batch(items []BatchItem, workers int) ([]BatchResult, BatchS
 	}
 	proposals := make([]proposal, len(items))
 	var cursor atomic.Int64
+	evaluate := func() {
+		snap := a.Clone()
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(items) {
+				return
+			}
+			mark := snap.beginTxn()
+			uc, err := snap.AllocateUseCase(items[i].Reqs)
+			snap.abortTxn(mark)
+			proposals[i] = proposal{uc: uc, err: err}
+		}
+	}
+	// The caller's goroutine is one of the workers.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snap := a.Clone()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				mark := snap.beginTxn()
-				uc, err := snap.AllocateUseCase(items[i].Reqs)
-				snap.abortTxn(mark)
-				proposals[i] = proposal{uc: uc, err: err}
-			}
+			evaluate()
 		}()
 	}
+	evaluate()
 	wg.Wait()
 
 	// Phase 2: deterministic sequential commit in item order.
