@@ -75,7 +75,7 @@ func runSim(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error {
 		}
 		p = inst.Platform
 		if pf.FastForward {
-			p.EnableFastForward()
+			p.Sim.EnableFastForward()
 		}
 		for i, c := range inst.Connections {
 			rate := sp.Connections[i].Rate

@@ -764,9 +764,6 @@ func (s *Service) runTick() {
 	// The open replies carry the measured set-up span.
 	for _, rr := range openReplies {
 		if rr.lc != nil {
-			if rr.lc.conn.State == core.Opening {
-				rr.lc.conn.State = core.Open
-			}
 			rr.lc.setup = rr.lc.conn.SetupCycles()
 			s.setupCycles.Observe(rr.lc.setup)
 			rr.rep.body["setup_cycles"] = rr.lc.setup

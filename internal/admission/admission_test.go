@@ -743,12 +743,13 @@ func TestStopAnswersQueuedStragglers(t *testing.T) {
 	}
 }
 
-// TestReadYourWrites: after every 200 to an open or a close, the read
-// model served over HTTP already reflects that request — the connection
-// count, the allocator fingerprint and the journal sequence. A snapshot
-// after every mutating tick keeps the service busy between its replies
-// and the end of the tick, which is where a read model published after
-// the replies would still show the previous tick.
+// TestReadYourWrites: after every 200 to an open or a close, the state
+// served over HTTP already reflects that request — the connection
+// count, the allocator fingerprint and the journal sequence. Reads are
+// answered by the service loop after the reply's tick has ended. A
+// snapshot after every mutating tick keeps the service busy between its
+// replies and the end of the tick, so a read answered before the tick
+// ended would still show the previous tick.
 func TestReadYourWrites(t *testing.T) {
 	dir := t.TempDir()
 	_, srv := testService(t, 4, 4, Config{

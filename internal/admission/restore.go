@@ -150,11 +150,6 @@ func (s *Service) adoptSnapshot(snap *snapshotFile) error {
 	if _, err := s.p.CompleteConfig(s.cfg.SettleBudget); err != nil {
 		return fmt.Errorf("admission: settle restored configuration: %w", err)
 	}
-	for _, lc := range s.conns {
-		if lc.conn.State == core.Opening {
-			lc.conn.State = core.Open
-		}
-	}
 	s.seq = snap.Seq
 	s.tick = snap.Tick
 	s.nextHandle = maxU64(s.nextHandle, snap.NextHandle)
@@ -338,11 +333,6 @@ func (s *Service) replayRecord(rec journalRecord) (opens, closes int, err error)
 
 	if _, err := s.p.CompleteConfig(s.cfg.SettleBudget); err != nil {
 		return opens, closes, fmt.Errorf("admission: journal seq %d settle: %w", rec.Seq, err)
-	}
-	for _, lc := range s.conns {
-		if lc.conn.State == core.Opening {
-			lc.conn.State = core.Open
-		}
 	}
 	s.seq = rec.Seq
 	s.tick = rec.Tick

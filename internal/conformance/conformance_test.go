@@ -180,6 +180,36 @@ func TestLatencyLawSingleSlot(t *testing.T) {
 	}
 }
 
+// TestCompleteConfigOpensBatchConnections: a connection opened through
+// OpenBatch is Open once CompleteConfig has settled its set-up, with no
+// caller marking it, so the structural checks that skip while a
+// connection is Opening see a corrupted destination table.
+func TestCompleteConfigOpensBatchConnections(t *testing.T) {
+	p, err := core.NewMeshPlatform(topology.MeshSpec{Width: 3, Height: 3, NIsPerRouter: 1},
+		core.DefaultParams(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns, errs := p.OpenBatch([]core.ConnectionSpec{{Src: p.Mesh.NI(0, 0, 0), Dst: p.Mesh.NI(2, 1, 0), SlotsFwd: 2}})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if _, err := p.CompleteConfig(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	c := conns[0]
+	ck := Attach(p, telemetry.NewRegistry(), Options{})
+	p.Run(10_000)
+	if err := p.NI(c.Spec.Dst).Table().SetReceive(c.Fwd.Paths[0].DestSlots(p.Mesh.Graph), slots.NoChannel); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(5_000)
+	ck.CheckNow()
+	if c.State != core.Open || ck.ViolationCount(CheckTable) == 0 {
+		t.Fatalf("connection %s, %d table violations; want open and at least one", c.State, ck.ViolationCount(CheckTable))
+	}
+}
+
 // TestCheckerCountsInRegistry: violations surface as labelled telemetry
 // counters, not just internal state.
 func TestCheckerCountsInRegistry(t *testing.T) {

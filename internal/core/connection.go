@@ -45,8 +45,8 @@ type ConnState int
 const (
 	// Opening means set-up packets are queued or in flight.
 	Opening ConnState = iota
-	// Open means configuration completed (as observed via
-	// Platform.CompleteConfig).
+	// Open means the set-up settled: Platform.CompleteConfig sets it
+	// when it observes the set-up's configuration drained.
 	Open
 	// Closed means the connection was torn down and its resources
 	// released.
@@ -98,9 +98,9 @@ type Connection struct {
 }
 
 // Open allocates, configures and returns a connection. The returned
-// connection is in state Opening; run the platform (e.g. via
-// CompleteConfig or AwaitOpen) to let the configuration packets traverse
-// the tree, then mark it open with AwaitOpen.
+// connection is in state Opening; CompleteConfig (or AwaitOpen) runs the
+// platform until the configuration packets have traversed the tree and
+// marks it Open.
 func (p *Platform) Open(spec ConnectionSpec) (*Connection, error) {
 	if spec.SlotsFwd <= 0 {
 		return nil, fmt.Errorf("core: SlotsFwd must be positive")
@@ -278,17 +278,12 @@ func (p *Platform) connDetail(spec ConnectionSpec) string {
 	return src + ">{" + strings.Join(ds, ",") + "}"
 }
 
-// AwaitOpen runs the platform until the connection's configuration has
-// fully settled and marks it Open; CompleteConfig settles the set-up span
-// on the way.
+// AwaitOpen runs the platform until every pending configuration, c's
+// among them, has settled; CompleteConfig settles c's set-up span and
+// marks c Open.
 func (p *Platform) AwaitOpen(c *Connection, budget uint64) error {
-	if _, err := p.CompleteConfig(budget); err != nil {
-		return err
-	}
-	if c.State == Opening {
-		c.State = Open
-	}
-	return nil
+	_, err := p.CompleteConfig(budget)
+	return err
 }
 
 // SetupCycles returns the measured set-up duration (submission to settled

@@ -64,9 +64,9 @@ type Params struct {
 	// set-up at equal size.
 	MaxRegionElements int
 	// FastForward arms the kernel's fast-forward
-	// (sim.EnableFastForward): while every component sleeps and the
-	// host and traffic are quiet, Platform.Run skips cycles instead of
-	// evaluating them. Observable behaviour — wire fingerprints,
+	// (sim.EnableFastForward): while every component, traffic endpoints
+	// included, sleeps, Platform.Run skips cycles instead of evaluating
+	// them. Observable behaviour — wire fingerprints,
 	// telemetry, traces — is bit-identical to cycle-accurate execution.
 	FastForward bool
 }
@@ -139,6 +139,11 @@ type Platform struct {
 	tel          *telemetry.Registry
 	harvest      *telHarvest
 	pendingSpans []*telemetry.Span
+
+	// openWakes are woken when CompleteConfig opens a connection (the
+	// health monitor's, which polls a new connection's baseline in the
+	// next cycle).
+	openWakes []sim.Activity
 
 	// tracer is the attached causal tracer (nil when tracing is off);
 	// traceParent is the span adopted as parent by newly submitted
@@ -268,28 +273,9 @@ func NewPlatform(m *topology.Mesh, params Params, hostNI topology.NodeID) (*Plat
 	p.Tree = p.Trees[0]
 
 	if params.FastForward {
-		p.EnableFastForward()
+		s.EnableFastForward()
 	}
 	return p, nil
-}
-
-// EnableFastForward arms fast-forward on the platform's kernel: while
-// every router, NI, link pipeline and configuration module sleeps, and
-// the host has no transaction in flight, Run skips cycles.
-func (p *Platform) EnableFastForward() {
-	p.Sim.EnableFastForward()
-	p.Sim.AddQuiescer("host", p.hostQuiescence)
-}
-
-// hostQuiescence is the platform-level quiescence gate: configuration
-// transactions submitted by the host pin cycle-accurate execution until
-// they are fully transmitted AND settled (CompleteConfig has stamped
-// their telemetry spans and causal traces).
-func (p *Platform) hostQuiescence(now uint64) sim.Quiescence {
-	if p.Config.Busy() || len(p.pendingSpans) > 0 || len(p.pendingTraces) > 0 {
-		return sim.Quiescence{}
-	}
-	return sim.Quiescence{Quiet: true}
 }
 
 // LinkWire is the source-end wire of data link l, the register the
@@ -388,8 +374,9 @@ func (p *Platform) ConfigSettleCycles() uint64 { return p.settleCycles }
 // CompleteConfig runs the simulation until every region's configuration
 // module is idle and all in-flight configuration words have settled — a
 // transaction spanning several regions completes only when all involved
-// trees have drained. It returns the cycle at which configuration
-// completed, or an error on budget exhaustion.
+// trees have drained — and marks Open every connection whose set-up it
+// settled. It returns the cycle at which configuration completed, or an
+// error on budget exhaustion, which leaves the connections Opening.
 func (p *Platform) CompleteConfig(budget uint64) (uint64, error) {
 	drained := func() bool { return !p.Config.Busy() }
 	var idle []uint64
@@ -420,15 +407,26 @@ func (p *Platform) CompleteConfig(budget uint64) (uint64, error) {
 	done := p.Sim.Cycle()
 	p.settleTraces(idle, done)
 	// Every submitted transaction has drained: settle its span and
-	// publish it. Spans settle even without a registry — SetupCycles
-	// reads them directly.
+	// publish it, and open the connection a set-up span belongs to
+	// unless it was closed meanwhile. Spans settle even without a
+	// registry — SetupCycles reads them directly.
+	opened := false
 	for _, s := range p.pendingSpans {
 		s.SettleCycle = done
 		if p.tel != nil {
 			p.tel.EmitSpan(*s)
 		}
+		if c := p.connections[s.ID]; c != nil && &c.Setup == s {
+			c.State = Open
+			opened = true
+		}
 	}
 	p.pendingSpans = p.pendingSpans[:0]
+	if opened {
+		for _, a := range p.openWakes {
+			a.Wake()
+		}
+	}
 	return done, nil
 }
 

@@ -32,6 +32,8 @@ type HealthMonitor struct {
 	// goroutine, deterministic order) the cycle a stall is declared —
 	// the flight recorder arms its dump trigger here.
 	OnStall func(c *Connection, cycle uint64)
+
+	act sim.Activity // the timer of the next poll that could declare a stall
 }
 
 type connHealth struct {
@@ -65,54 +67,14 @@ func NewHealthMonitor(p *Platform, stallTimeout uint64) *HealthMonitor {
 	}
 	h := &HealthMonitor{p: p, timeout: stallTimeout, state: make(map[int]*connHealth)}
 	p.Sim.AddProbe(h.poll)
-	p.Sim.AddQuiescer("health-monitor", h.Quiescence)
+	// The polling probe does not run during skipped cycles, so the
+	// monitor holds the next poll that could declare a stall as the
+	// timer of an ordered component that only sleeps: fast-forward stops
+	// in time for that poll. CompleteConfig wakes it when it opens a
+	// connection, so the baseline poll is not skipped either.
+	h.act = p.Sim.AddOrdered(&sim.Func{Label: "health-monitor", OnEval: func(uint64) { h.act.Sleep() }})
+	p.openWakes = append(p.openWakes, h.act)
 	return h
-}
-
-// Quiescence is the monitor's fast-forward gate. The polling probe does
-// not run during skipped cycles, so a skip must never jump over a cycle
-// at which a stall would have been declared. With all NI counters
-// frozen (the rest of the platform is quiescent when this is
-// consulted), the earliest possible declaration for a connection is
-// min(lastAdvance)+timeout, and only if the pressure window
-// lastPressure+timeout is still open then; the skip horizon is bounded
-// to keep that poll cycle-accurate.
-func (h *HealthMonitor) Quiescence(now uint64) sim.Quiescence {
-	q := sim.Quiescence{Quiet: true}
-	for id, c := range h.p.connections {
-		if c.State != Open {
-			continue
-		}
-		st := h.state[id]
-		if st == nil {
-			// First poll hasn't captured a baseline yet.
-			return sim.Quiescence{}
-		}
-		if st.stalled {
-			continue // latched; no further declaration for this conn
-		}
-		if now-st.lastPressure >= h.timeout {
-			continue // pressure window expired; frozen counters cannot revive it
-		}
-		minAdv := ^uint64(0)
-		for _, la := range st.lastAdvance {
-			if la < minAdv {
-				minAdv = la
-			}
-		}
-		t0 := minAdv + h.timeout // earliest possible stall declaration
-		if t0 >= st.lastPressure+h.timeout {
-			continue // pressure expires before any destination freezes long enough
-		}
-		// The probe observing cycle t0 runs after the step at t0-1.
-		if t0 <= now+1 {
-			return sim.Quiescence{}
-		}
-		if q.Until == 0 || t0-1 < q.Until {
-			q.Until = t0 - 1
-		}
-	}
-	return q
 }
 
 // StallTimeout returns the configured no-progress window.
@@ -132,6 +94,7 @@ func (h *HealthMonitor) poll(cycle uint64) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	next := ^uint64(0) // the earliest poll that could declare a stall
 	for _, id := range ids {
 		c := h.p.connections[id]
 		if c.State != Open {
@@ -174,26 +137,36 @@ func (h *HealthMonitor) poll(cycle uint64) {
 		if st.stalled || cycle-st.lastPressure >= h.timeout {
 			continue
 		}
+		minAdv := cycle
 		for _, la := range st.lastAdvance {
-			if cycle-la >= h.timeout {
-				st.stalled = true
-				st.detect = cycle
-				detail := fmt.Sprintf("conn %d (%s)", id, h.p.connDetail(c.Spec))
-				if h.p.tel != nil {
-					h.p.tel.Emit(telemetry.Event{
-						Cycle:  cycle,
-						Kind:   "stall",
-						Detail: detail,
-					})
-				}
-				h.p.tracer.Point(tracing.SpanRef{}, "stall", "health", detail, cycle)
-				if h.OnStall != nil {
-					h.OnStall(c, cycle)
-				}
-				break
+			minAdv = min(minAdv, la)
+		}
+		if t0 := minAdv + h.timeout; t0 > cycle {
+			// With every counter frozen the poll of cycle t0 is the
+			// first that could declare this stall, if the pressure
+			// window is still open then; it runs after the step of
+			// cycle t0-1.
+			if t0 < st.lastPressure+h.timeout {
+				next = min(next, t0-1)
 			}
+			continue
+		}
+		st.stalled = true
+		st.detect = cycle
+		detail := fmt.Sprintf("conn %d (%s)", id, h.p.connDetail(c.Spec))
+		if h.p.tel != nil {
+			h.p.tel.Emit(telemetry.Event{
+				Cycle:  cycle,
+				Kind:   "stall",
+				Detail: detail,
+			})
+		}
+		h.p.tracer.Point(tracing.SpanRef{}, "stall", "health", detail, cycle)
+		if h.OnStall != nil {
+			h.OnStall(c, cycle)
 		}
 	}
+	h.act.SleepUntil(next)
 }
 
 // endpoint pairs a destination NI with its local channel.

@@ -137,9 +137,6 @@ func (p *Platform) RepairStalled(h *HealthMonitor, budget uint64) ([]*RepairResu
 			continue
 		}
 		nc := conns[i]
-		if nc.State == Opening {
-			nc.State = Open
-		}
 		res := &RepairResult{
 			OldID:       oldIDs[i],
 			NewID:       nc.ID,

@@ -4,11 +4,13 @@
 // platform without modifying any hardware model.
 //
 // The injector exploits the sim kernel's two-phase semantics: it registers
-// through AddOrdered and never sleeps, so its Eval runs after every
-// platform element each cycle and its Reg.Set overrides the pending
-// value the owning element just drove.
-// Peek exposes that pending value, which is what makes corrupt-in-place
-// faults (bit flips) possible. Because the ordered tail runs in
+// through AddOrdered, so its Eval runs after every platform element in
+// each cycle it is awake and its Reg.Set overrides the pending value the
+// owning element just drove. Peek exposes that pending value, which is
+// what makes corrupt-in-place faults (bit flips) possible. It sleeps
+// until the step in which its next fault arms, and within an active
+// window while every wire it watches is inert; a write to one by the
+// element driving it wakes it in the same cycle (Reg.WakesOnSet). Because the ordered tail runs in
 // registration order and all randomness comes from a seeded sim.RNG, a
 // fault schedule is fully determined by (seed, cycle-window, target): the
 // same run replays bit-identically, which is the property every chaos
@@ -150,6 +152,7 @@ type Injector struct {
 	fired  []bool // one-shot bookkeeping per fault
 	c      Counters
 	links  map[topology.LinkID]*LinkErrors
+	act    sim.Activity
 
 	// Telemetry (optional): each fault emits one event when it first
 	// becomes active, and the activation counters are mirrored into the
@@ -176,6 +179,7 @@ func Attach(p *core.Platform, seed uint64, faults ...Fault) (*Injector, error) {
 		fired:  make([]bool, len(faults)),
 		links:  make(map[topology.LinkID]*LinkErrors),
 	}
+	rootWatched := false
 	for i := range inj.faults {
 		f := &inj.faults[i]
 		switch f.Kind {
@@ -186,7 +190,7 @@ func Attach(p *core.Platform, seed uint64, faults ...Fault) (*Injector, error) {
 			}
 			inj.wires[f.Link] = w
 		case ConfigDrop, ConfigFlip:
-			// Target is the tree root wire; nothing to resolve.
+			rootWatched = true // the tree root wire
 		case SlotTableFlip:
 			r := p.Routers[f.Router]
 			if r == nil {
@@ -200,7 +204,13 @@ func Attach(p *core.Platform, seed uint64, faults ...Fault) (*Injector, error) {
 			return nil, fmt.Errorf("fault %d: unknown kind %d", i, int(f.Kind))
 		}
 	}
-	p.Sim.AddOrdered(inj)
+	inj.act = p.Sim.AddOrdered(inj)
+	for _, w := range inj.wires {
+		w.WakesOnSet(inj.act)
+	}
+	if rootWatched {
+		p.Host.RootWire().WakesOnSet(inj.act)
+	}
 	return inj, nil
 }
 
@@ -270,7 +280,7 @@ func (inj *Injector) DeadLinks(c uint64) []topology.LinkID {
 }
 
 // Eval implements sim.Component. Running after every platform element, it
-// overrides the pending wire values for cycle+1.
+// overrides the pending wire values for cycle+1, then sleeps (see sleep).
 func (inj *Injector) Eval(cycle uint64) {
 	c1 := cycle + 1 // the cycle the pending wire values belong to
 	for i := range inj.faults {
@@ -331,6 +341,37 @@ func (inj *Injector) Eval(cycle uint64) {
 		inj.telCFlips.Store(inj.c.ConfigFlips)
 		inj.telTable.Store(inj.c.TableFlips)
 	}
+	inj.sleep(c1)
+}
+
+// sleep ends an Eval whose wire values belong to cycle c1. The next
+// Eval that can act is the one in which a fault arms — Eval(From-1),
+// whose pending wire values belong to cycle From, and which makes the
+// one-time announcement — or, while a fault's window stays open, one
+// in which its wire holds a word or a credit. So the injector sleeps
+// until the earliest arming, but only if every wire of an open window
+// is inert now, after its own overrides: such a wire stays inert until
+// a write, which wakes the injector (WakesOnSet).
+func (inj *Injector) sleep(c1 uint64) {
+	due := ^uint64(0) // never
+	for i := range inj.faults {
+		f := &inj.faults[i]
+		switch {
+		case c1 < f.From:
+			due = min(due, f.From-1)
+		case f.Kind == SlotTableFlip || f.To != 0 && c1+1 >= f.To:
+			// One-shot and fired, or the window closes before the next Eval.
+		case f.Kind == ConfigDrop || f.Kind == ConfigFlip:
+			if inj.p.Host.RootWire().Peek().Valid {
+				return
+			}
+		default:
+			if v := inj.wires[f.Link].Peek(); v.Valid || v.CreditValid {
+				return
+			}
+		}
+	}
+	inj.act.SleepUntil(due)
 }
 
 // announce emits the one-time activation event of fault i, into the
@@ -370,33 +411,6 @@ func (inj *Injector) flipTableEntry(f *Fault) {
 	}
 	_ = t.Set(f.Out, mask, upset)
 	inj.c.TableFlips++
-}
-
-// Quiescence implements sim.Quiescer. A scheduled fault bounds the skip
-// horizon so the step in which it arms — Eval(From-1), whose pending
-// wire values belong to cycle From — always executes for real (that is
-// also where the one-time activation announcement fires). Active faults
-// are quiet: the kernel asks only while every element sleeps, so every
-// wire is idle and stays idle — a LinkDown kills nothing and the
-// probabilistic kinds, which fire on valid words or symbols only, draw
-// no randomness.
-func (inj *Injector) Quiescence(now uint64) sim.Quiescence {
-	q := sim.Quiescence{Quiet: true}
-	bound := func(until uint64) {
-		if q.Until == 0 || until < q.Until {
-			q.Until = until
-		}
-	}
-	for i := range inj.faults {
-		f := &inj.faults[i]
-		if f.Kind == SlotTableFlip && !inj.fired[i] && f.From <= now+1 {
-			return sim.Quiescence{}
-		}
-		if now+1 < f.From {
-			bound(f.From - 1)
-		}
-	}
-	return q
 }
 
 // RouterLinks returns the router-to-router links of a platform in ID order

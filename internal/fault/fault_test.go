@@ -7,6 +7,7 @@ import (
 	"daelite/internal/core"
 	"daelite/internal/ni"
 	"daelite/internal/sim"
+	"daelite/internal/telemetry"
 	"daelite/internal/topology"
 	"daelite/internal/traffic"
 )
@@ -81,6 +82,49 @@ func TestLinkDownStopsDelivery(t *testing.T) {
 	}
 	if dead := inj.DeadLinks(p.Cycle()); len(dead) != 1 || dead[0] != hop {
 		t.Fatalf("DeadLinks = %v, want [%d]", dead, hop)
+	}
+}
+
+// TestInjectorSleepsBetweenActs: the injector sleeps outside its windows
+// and on inert wires inside them, and loses nothing by it. Audited
+// (every would-be-asleep Eval still runs and must set nothing) and
+// fast-forwarded, every fault arms and announces in the cycle it does
+// stepped, with the same activations and deliveries.
+func TestInjectorSleepsBetweenActs(t *testing.T) {
+	run := func(ff, audit bool) (string, uint64) {
+		p := platform(t, 2, 2)
+		if audit {
+			p.Sim.Audit(func(msg string) { t.Fatal(msg) })
+		}
+		if ff {
+			p.Sim.EnableFastForward()
+		}
+		src, dst := p.Mesh.NI(0, 0, 0), p.Mesh.NI(1, 0, 0)
+		c := openConn(t, p, src, dst)
+		hop := routerHop(t, p, c)
+		at := p.Cycle()
+		inj, err := Attach(p, 3,
+			Fault{Kind: PayloadFlip, Link: hop, From: at + 100, To: at + 250, Prob: 0.5, Bit: -1},
+			Fault{Kind: LinkDown, Link: hop, From: at + 300, To: at + 600},
+			Fault{Kind: ConfigFlip, From: at + 700, To: at + 800},
+			Fault{Kind: SlotTableFlip, Router: p.Mesh.Link(hop).From, Out: p.Mesh.Link(hop).FromPort, Slot: 1, From: at + 2500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		inj.AttachTelemetry(reg)
+		traffic.NewSource(p.Sim, "src", p.NI(src), c.SrcChannel, traffic.SourceConfig{Rate: 0.2, Limit: 150, Seed: 7})
+		sink := traffic.NewSink(p.Sim, "sink", p.NI(dst), c.DstChannel)
+		p.Run(3000)
+		return fmt.Sprint(reg.Events(), inj.Counters(), sink.Received()), p.Sim.SkippedCycles()
+	}
+	want, _ := run(false, false)
+	if got, _ := run(false, true); got != want {
+		t.Fatalf("audited: %s\nstepped: %s", got, want)
+	}
+	got, skipped := run(true, false)
+	if got != want || skipped == 0 {
+		t.Fatalf("fast-forwarded (%d cycles skipped): %s\nstepped: %s", skipped, got, want)
 	}
 }
 

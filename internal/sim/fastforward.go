@@ -2,40 +2,16 @@ package sim
 
 import "math/bits"
 
-// Fast-forward: with no Add'ed component awake, the platform is at a
-// fixed point (every sleeper proved its next Eval+Commit changes nothing).
-// Only the awake ordered components, the ordered timers and the gates
-// can still act; when the awake ordered components and the gates are
-// quiet, Run moves the clock to the earliest of their Untils and of the
-// ordered timers (see SleepUntil) without evaluating anything. A
-// sleeping ordered component is quiet until its timer is due.
-// Default-deny: an Add'ed component that never sleeps, or an awake
-// ordered one that is no Quiescer, blocks every skip.
-
-// Quiescence answers "may Run skip while every Add'ed component sleeps?".
-// Quiet: Eval and Commit would write no register, move no counter, draw
-// no random number, emit nothing. Until is the first cycle whose Step
-// must execute for real (an event, a fault window); 0 means unbounded.
-type Quiescence struct {
-	Quiet bool
-	Until uint64
-}
-
-// Quiescer is implemented by ordered components that can prove their
-// own inertness while awake; Run asks only when no Add'ed component is
-// awake, and only the awake ordered components.
-type Quiescer interface {
-	Quiescence(now uint64) Quiescence
-}
-
-// QuiescenceFunc is a gate registered with AddQuiescer: a platform-level
-// condition no component owns.
-type QuiescenceFunc func(now uint64) Quiescence
-
-type gate struct {
-	name string
-	q    QuiescenceFunc
-}
+// Fast-forward has one rule: when no Add'ed or ordered component is
+// awake, Run moves the clock to the earliest ordered timer (see
+// SleepUntil), or to the end of its budget, without evaluating
+// anything; otherwise it steps. With every component asleep the
+// platform is at a fixed point — each sleeper proved its next
+// Eval+Commit changes nothing — so only a timer falling due can end
+// the stretch. A component that must act at a known cycle (a fault
+// window, a possible stall declaration) sleeps until then; one that
+// never sleeps blocks every skip. A register the host Set between
+// steps is not latched yet, so it, too, makes Run step.
 
 // EnableFastForward lets Run skip cycles while nothing can act.
 func (s *Simulator) EnableFastForward() { s.ffOn = true }
@@ -48,15 +24,10 @@ func (s *Simulator) SkippedCycles() uint64 { return s.ffSkipped }
 
 // SkipBlocker names what kept Run's latest fast-forward attempt from
 // skipping: the first awake Add'ed component, else the first awake
-// ordered component that was not quiet, else an ordered component whose
-// timer is due now, else the first gate that was not quiet ("" if that
+// ordered component, else a register written between steps, else the
+// ordered component whose timer is due at that cycle ("" if that
 // attempt skipped).
 func (s *Simulator) SkipBlocker() string { return s.blocker }
-
-// AddQuiescer registers a named gate; every gate must be quiet to skip.
-func (s *Simulator) AddQuiescer(name string, g QuiescenceFunc) {
-	s.gates = append(s.gates, gate{name, g})
-}
 
 // AddFastForwardHook registers h to run after each skip from `from` to
 // `to`, for observers that sample every cycle; no wire moves in between.
@@ -64,48 +35,30 @@ func (s *Simulator) AddFastForwardHook(h func(from, to uint64)) {
 	s.ffHooks = append(s.ffHooks, h)
 }
 
-// tryFastForward skips as many cycles as the ordered tail and the gates
-// allow, at most budget, and returns the count (0 = step normally).
+// tryFastForward skips to the earliest ordered timer, at most budget
+// cycles, and returns the count (0 = step normally).
 func (s *Simulator) tryFastForward(budget uint64) uint64 {
-	for w, b := range s.awake {
-		if b != 0 {
-			s.blocker = s.components[w<<6|bits.TrailingZeros64(b)].Name()
+	if c := firstAwake(s.components, s.awake); c != nil {
+		s.blocker = c.Name()
+		return 0
+	}
+	if c := firstAwake(s.ordered, s.ordAwake); c != nil {
+		s.blocker = c.Name()
+		return 0
+	}
+	for _, l := range s.lists {
+		if l.len() > 0 {
+			s.blocker = l.describe(0)
 			return 0
 		}
 	}
 	now, skip := s.cycle, budget
-	// bound applies one Quiescence to skip, false if it forbids skipping.
-	bound := func(q Quiescence) bool {
-		if !q.Quiet || q.Until != 0 && q.Until <= now {
-			return false
-		}
-		if q.Until != 0 {
-			skip = min(skip, q.Until-now)
-		}
-		return true
-	}
-	for w, b := range s.ordAwake {
-		for ; b != 0; b &= b - 1 {
-			c := s.ordered[w<<6|bits.TrailingZeros64(b)]
-			s.blocker = c.Name()
-			qc, ok := c.(Quiescer)
-			if !ok || !bound(qc.Quiescence(now)) {
-				return 0
-			}
-		}
-	}
 	if t, ok := s.nextTimer(); ok {
 		if t.due <= now {
 			s.blocker = s.ordered[t.idx].Name()
 			return 0
 		}
 		skip = min(skip, t.due-now)
-	}
-	for _, g := range s.gates {
-		s.blocker = g.name
-		if !bound(g.q(now)) {
-			return 0
-		}
 	}
 	s.blocker = ""
 	s.cycle += skip
@@ -114,4 +67,15 @@ func (s *Simulator) tryFastForward(budget uint64) uint64 {
 		h(now, s.cycle)
 	}
 	return skip
+}
+
+// firstAwake returns the first component of comps in the awake set
+// awake, nil if none is.
+func firstAwake(comps []Component, awake []uint64) Component {
+	for w, b := range awake {
+		if b != 0 {
+			return comps[w<<6|bits.TrailingZeros64(b)]
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -9,26 +10,26 @@ import (
 func addSleeper(s *Simulator) *sleeper { return newSleeper(s, NewReg(s, 0)) }
 
 // tickComp is an ordered component that acts exactly once, at cycle
-// `at`, and is quiet otherwise with a precise Until bound.
+// `at`, sleeping until then and for good afterwards.
 type tickComp struct {
+	act   Activity
 	at    uint64
-	fired uint64
+	fired []uint64
 }
 
 func (t *tickComp) Name() string { return "tick" }
 func (t *tickComp) Eval(cycle uint64) {
 	if cycle == t.at {
-		t.fired++
+		t.fired = append(t.fired, cycle)
 	}
-}
-func (t *tickComp) Quiescence(now uint64) Quiescence {
-	if now <= t.at {
-		return Quiescence{Quiet: true, Until: t.at}
+	if cycle < t.at {
+		t.act.SleepUntil(t.at)
+		return
 	}
-	return Quiescence{Quiet: true}
+	t.act.Sleep()
 }
 
-// mute is an ordered component with no Quiescer.
+// mute is an ordered component that never sleeps.
 type mute struct{}
 
 func (mute) Name() string      { return "mute" }
@@ -73,12 +74,15 @@ func TestFastForwardNeverInStepOrRunUntil(t *testing.T) {
 	}
 }
 
+// TestFastForwardHonorsUntilHorizon: a component asleep until a cycle
+// ends the skip there, acts at that cycle as it does stepped, and the
+// skip resumes once it sleeps for good.
 func TestFastForwardHonorsUntilHorizon(t *testing.T) {
 	run := func(ff bool) (*tickComp, uint64) {
 		s := New()
 		addSleeper(s)
 		tc := &tickComp{at: 2500}
-		s.AddOrdered(tc)
+		tc.act = s.AddOrdered(tc)
 		if ff {
 			s.EnableFastForward()
 		}
@@ -87,8 +91,8 @@ func TestFastForwardHonorsUntilHorizon(t *testing.T) {
 	}
 	ref, _ := run(false)
 	got, skipped := run(true)
-	if got.fired != 1 || ref.fired != 1 || skipped == 0 {
-		t.Fatalf("tick fired %d times under fast-forward (skipped %d), %d without; want 1", got.fired, skipped, ref.fired)
+	if fmt.Sprint(got.fired, ref.fired) != "[2500] [2500]" || skipped != 3998 {
+		t.Fatalf("tick fired at %v under fast-forward (skipped %d), at %v without; want [2500], 3998 skipped", got.fired, skipped, ref.fired)
 	}
 }
 
@@ -113,22 +117,5 @@ func TestFastForwardOrderedDefaultDeny(t *testing.T) {
 	s.Run(500)
 	if s.SkippedCycles() != 0 || s.SkipBlocker() != "mute" {
 		t.Fatalf("skipped %d, blocker %q; want 0, mute", s.SkippedCycles(), s.SkipBlocker())
-	}
-}
-
-func TestFastForwardGateDeny(t *testing.T) {
-	s := New()
-	addSleeper(s)
-	quiet := false
-	s.AddQuiescer("gate", func(now uint64) Quiescence { return Quiescence{Quiet: quiet} })
-	s.EnableFastForward()
-	s.Run(500)
-	if s.SkippedCycles() != 0 || s.SkipBlocker() != "gate" {
-		t.Fatalf("skipped %d cycles (blocker %q) while the gate reported busy", s.SkippedCycles(), s.SkipBlocker())
-	}
-	quiet = true
-	s.Run(500)
-	if s.SkippedCycles() != 500 {
-		t.Fatalf("skipped %d of 500 cycles after the gate went quiet", s.SkippedCycles())
 	}
 }

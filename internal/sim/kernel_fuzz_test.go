@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"daelite/internal/phit"
@@ -13,7 +14,10 @@ import (
 // and commits every component every cycle and latches every register
 // through one untyped write list, and compares them after every cycle:
 // every register's value, every component's committed state and the
-// order in which Commits changed state.
+// order in which Commits changed state. Two more kernel runs, plain and
+// audited, have fast-forward armed and advance by Run: each cycle they
+// execute must match the reference after that cycle, and across each
+// cycle they skip the reference must change nothing.
 //
 // The components are correct by construction, so any difference is the
 // kernel's. An Add'ed component reads up to two registers (refreshing
@@ -23,14 +27,19 @@ import (
 // of a fuzzed period: it writes its own register, overrides one no
 // sleeper writes (Peek, then Set), makes an IP-side call on an Add'ed
 // Committer (Wake and CommitNext, as NI.Send does) or stages work for
-// its own Commit; a sleeper sleeps until its next such cycle. Registers
-// are Reg[int], Reg[phit.Flit] and Reg[phit.ConfigWord]. Between steps
-// the host Sets the free registers, which only it and the ordered tail
-// write, and makes IP-side calls.
+// its own Commit; a sleeper sleeps until its next such cycle. A watcher
+// also overrides, in every cycle, a register whenever its pending value
+// is odd, as a fault injector corrupts a wire holding a word; it sleeps
+// only while that value is even, and a write wakes it (WakesOnSet), so
+// it watches a register only the host and an Add'ed non-sleeper write.
+// Registers are Reg[int], Reg[phit.Flit] and Reg[phit.ConfigWord].
+// Between steps the host Sets the free registers, which only it and the
+// ordered tail write, and makes IP-side calls.
 func FuzzKernel(f *testing.F) {
 	// Spec bytes: free registers, components-1, one kind per register,
 	// then per component flags (1 ordered, 2 Committer, 4 sleeper, 8
-	// spurious requests, bits 4-5 the ordered action) and three bytes.
+	// spurious requests, bits 4-5 the ordered action, 64 watcher) and
+	// three bytes.
 	// Op bytes: op&3 == 2 Sets free register op>>2, 3 calls Committer
 	// op>>2 (each with the next byte), else 1+(op>>2)%8 steps.
 	f.Add([]byte{2, 5, 0, 1, 2, 0, 1, 2, 0, 1,
@@ -51,13 +60,24 @@ func FuzzKernel(f *testing.F) {
 		2, 0, 7, 1, 6, 1, 0, 2, 14, 2, 3, 3, 1, 3, 4, 4,
 		53, 4, 5, 5, 21, 5, 6, 0, 37, 6, 7, 1, 5, 7, 0, 2},
 		[]byte{4, 8, 12, 3, 100, 7, 0, 16, 11, 9, 28, 28, 28, 3, 5, 24, 28})
+	f.Add([]byte{1, 3, 1, 0, 2, 1, 0,
+		6, 0, 0, 4, // Add'ed sleeping Committer reading the free register
+		4, 1, 0, 2, // Add'ed sleeper reading it
+		69, 0, 0, 5, // ordered sleeper watching the free register, period 6
+		21, 1, 0, 3}, // ordered sleeper, period 4, writing its own (the watched one is not overridable)
+		[]byte{28, 28, 2, 3, 28, 2, 8, 1, 28, 28, 2, 5, 28, 28, 28})
+	f.Add([]byte{0, 1, 0, 0,
+		4, 0, 0, 2, // Add'ed sleeper
+		1, 0, 0, 3}, // ordered component that never sleeps, writing every 4th cycle
+		[]byte{28, 28})
 	f.Fuzz(func(t *testing.T, spec, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
 		sys := decodeSystem(spec)
-		plain, audited, ref := newKernelRun(sys, false, t), newKernelRun(sys, true, t), newRefRun(sys)
-		runs := []*fzRun{plain, audited, ref}
+		plain, audited, ref := newKernelRun(sys, false, false, t), newKernelRun(sys, true, false, t), newRefRun(sys)
+		ffs := []*fzRun{newKernelRun(sys, false, true, t), newKernelRun(sys, true, true, t)}
+		runs := []*fzRun{plain, audited, ref, ffs[0], ffs[1]}
 		compare := func(when string) {
 			t.Helper()
 			for _, r := range runs[:2] {
@@ -97,11 +117,34 @@ func FuzzKernel(f *testing.F) {
 					run.comps[c].call(1 + arg%7)
 				}
 			default:
-				for range 1 + int(op>>2)%8 {
-					for _, run := range runs {
+				n := 1 + int(op>>2)%8
+				start := ref.cycle
+				states := []string{ref.state()} // the reference at start+i
+				for range n {
+					for _, run := range runs[:3] {
 						run.step()
 					}
 					compare(fmt.Sprintf("after cycle %d", ref.cycle))
+					states = append(states, ref.state())
+				}
+				for _, r := range ffs {
+					r.advance(n)
+					for _, sn := range r.seen {
+						if want := states[sn.cycle-start]; sn.state != want {
+							t.Fatalf("%s, at cycle %d: %s, reference %s", r.name, sn.cycle, sn.state, want)
+						}
+					}
+					for _, sk := range r.skips {
+						for c := sk[0] + 1; c <= sk[1]; c++ {
+							if states[c-start] != states[sk[0]-start] {
+								t.Fatalf("%s skipped [%d,%d), but the reference moved from %s to %s at cycle %d",
+									r.name, sk[0], sk[1], states[sk[0]-start], states[c-start], c)
+							}
+						}
+					}
+					if got := r.state(); got != states[n] {
+						t.Fatalf("%s, at cycle %d: %s, reference %s", r.name, ref.cycle, got, states[n])
+					}
 				}
 			}
 		}
@@ -115,12 +158,14 @@ const fzMask = 0x1FF
 // fzSpec is one fuzzed component.
 type fzSpec struct {
 	ordered, committer, sleeper, spurious bool
+	watch                                 bool   // ordered: a watcher
 	in                                    [2]int // registers read
 	out                                   int    // its own register
 	k                                     int    // mixed into what it computes
 	period, offset                        uint64 // ordered: acts in cycles c with (c+offset)%period == 0
 	action                                int    // ordered: 0 write out, 1 override target, 2 call target, 3 stage
 	target                                int    // ordered: a register (1) or a component (2)
+	watched                               int    // watcher: the register it overrides while odd
 }
 
 // fzSystem is a fuzzed system: register kinds (0 int, 1 Flit, 2
@@ -163,6 +208,7 @@ func decodeSystem(spec []byte) fzSystem {
 			period:    1 + uint64(c%7),
 			offset:    uint64(a % 5),
 			action:    flags >> 4 & 3,
+			watch:     flags&65 == 65,
 		}
 		sys.comps = append(sys.comps, sp)
 		if !sp.ordered && sp.committer {
@@ -170,22 +216,46 @@ func decodeSystem(spec []byte) fzSystem {
 		}
 	}
 	// Overrides go to registers no sleeper writes: free ones, the
-	// outputs of Add'ed non-sleepers and of the ordered tail.
-	var overridable []int
+	// outputs of Add'ed non-sleepers and of the ordered tail. A watcher
+	// is the one ordered writer of what it watches (see WakesOnSet): a
+	// free register or an Add'ed non-sleeper's output, which no other
+	// watcher watches and no other component overrides.
+	var overridable, watchable []int
 	for r := range sys.free {
 		overridable = append(overridable, r)
+		watchable = append(watchable, r)
 	}
 	for _, sp := range sys.comps {
 		if sp.ordered || !sp.sleeper {
 			overridable = append(overridable, sp.out)
 		}
+		if !sp.ordered && !sp.sleeper {
+			watchable = append(watchable, sp.out)
+		}
+	}
+	watcher := map[int]int{} // by watched register
+	for i := range sys.comps {
+		sp := &sys.comps[i]
+		if !sp.watch || len(watchable) == 0 {
+			sp.watch = false
+			continue
+		}
+		sp.watched = watchable[sp.k/7%len(watchable)]
+		if _, taken := watcher[sp.watched]; taken {
+			sp.watch = false
+			continue
+		}
+		watcher[sp.watched] = i
 	}
 	for i := range sys.comps {
 		sp := &sys.comps[i]
+		if sp.action == 1 && len(overridable) > 0 {
+			sp.target = overridable[sp.k%len(overridable)]
+		}
+		w, watched := watcher[sp.target]
 		switch {
 		case !sp.ordered:
-		case sp.action == 1 && len(overridable) > 0:
-			sp.target = overridable[sp.k%len(overridable)]
+		case sp.action == 1 && len(overridable) > 0 && (!watched || w == i):
 		case sp.action == 2 && len(sys.targets) > 0:
 			sp.target = sys.targets[sp.k%len(sys.targets)]
 		case sp.action == 3 && sp.committer:
@@ -202,6 +272,7 @@ type fzReg interface {
 	peek() int
 	set(v int)
 	wakes(a Activity, input int)
+	wakesOnSet(a Activity)
 }
 
 type intReg struct{ *Reg[int] }
@@ -305,6 +376,15 @@ func (c *fz) evalOrdered(cycle uint64) {
 			c.act.CommitNext()
 		}
 	}
+	if c.sp.watch {
+		r := c.run.regs[c.sp.watched]
+		if r.peek()&1 != 0 {
+			r.set(r.peek() ^ (int(cycle) + c.sp.k))
+		}
+		if r.peek()&1 != 0 {
+			return // still odd: it acts again next cycle
+		}
+	}
 	if c.sp.sleeper {
 		c.act.SleepUntil(cycle + p - (cycle+c.sp.offset)%p)
 	}
@@ -333,6 +413,39 @@ type fzRun struct {
 	log   []int // components whose Commit changed state, in order
 	step  func()
 	cycle uint64
+
+	// A fast-forwarded kernel run advances by Run and notes the state
+	// after each cycle it executes and each skip's [from, to).
+	sim   *Simulator
+	seen  []fzSeen
+	skips [][2]uint64
+}
+
+// fzSeen is a run's state after the cycle that ends at cycle.
+type fzSeen struct {
+	cycle uint64
+	state string
+}
+
+// state renders every register, every component's committed state and
+// the Commit log.
+func (run *fzRun) state() string {
+	var b strings.Builder
+	for _, r := range run.regs {
+		fmt.Fprintf(&b, "%d ", r.get())
+	}
+	for _, c := range run.comps {
+		fmt.Fprintf(&b, "%d/%d/%d ", c.state, c.host, c.pending)
+	}
+	fmt.Fprint(&b, run.log)
+	return b.String()
+}
+
+// advance runs a fast-forwarded kernel run n cycles.
+func (run *fzRun) advance(n int) {
+	run.seen, run.skips = run.seen[:0], run.skips[:0]
+	run.sim.Run(uint64(n))
+	run.cycle = run.sim.Cycle()
 }
 
 // build makes run's components, registering each with add, which
@@ -350,13 +463,20 @@ func (run *fzRun) build(sys fzSystem, add func(c Component, ordered bool) activi
 	}
 }
 
-// newKernelRun builds sys on the kernel, audited or not.
-func newKernelRun(sys fzSystem, audited bool, t *testing.T) *fzRun {
+// newKernelRun builds sys on the kernel, audited or not, fast-forwarded
+// or not.
+func newKernelRun(sys fzSystem, audited, ff bool, t *testing.T) *fzRun {
 	s := New()
-	run := &fzRun{name: "kernel"}
+	run := &fzRun{name: "kernel", sim: s}
 	if audited {
 		run.name = "audited kernel"
 		s.Audit(func(msg string) { t.Fatal(msg) })
+	}
+	if ff {
+		run.name += " with fast-forward"
+		s.EnableFastForward()
+		s.AddProbe(func(c uint64) { run.seen = append(run.seen, fzSeen{c, run.state()}) })
+		s.AddFastForwardHook(func(from, to uint64) { run.skips = append(run.skips, [2]uint64{from, to}) })
 	}
 	for _, k := range sys.kinds {
 		switch k {
@@ -375,10 +495,13 @@ func newKernelRun(sys fzSystem, audited bool, t *testing.T) *fzRun {
 		return s.Add(c)
 	})
 	for _, c := range run.comps {
-		if !c.sp.ordered {
+		switch {
+		case !c.sp.ordered:
 			for in, r := range c.sp.in {
 				run.regs[r].wakes(c.act.(Activity), in)
 			}
+		case c.sp.watch:
+			run.regs[c.sp.watched].wakesOnSet(c.act.(Activity))
 		}
 	}
 	run.step = func() {
@@ -391,6 +514,10 @@ func newKernelRun(sys fzSystem, audited bool, t *testing.T) *fzRun {
 func (r intReg) wakes(a Activity, input int)  { r.Wakes(a, input) }
 func (r flitReg) wakes(a Activity, input int) { r.Wakes(a, input) }
 func (r wordReg) wakes(a Activity, input int) { r.Wakes(a, input) }
+
+func (r intReg) wakesOnSet(a Activity)  { r.WakesOnSet(a) }
+func (r flitReg) wakesOnSet(a Activity) { r.WakesOnSet(a) }
+func (r wordReg) wakesOnSet(a Activity) { r.WakesOnSet(a) }
 
 // refKernel is the naive reference kernel's register file: one untyped
 // write list for every register.
@@ -420,6 +547,7 @@ func (r refReg) set(v int) {
 	r.k.next[r.i] = v & fzMask
 }
 func (refReg) wakes(Activity, int) {}
+func (refReg) wakesOnSet(Activity) {}
 
 // newRefRun builds sys on the reference kernel: every cycle it
 // evaluates every Add'ed component, then every ordered one, commits

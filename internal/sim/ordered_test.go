@@ -161,10 +161,9 @@ func TestRunFastForwardsToEarliestTimer(t *testing.T) {
 	}
 }
 
-// TestFastForwardAwakeOrderedBlocks: an awake ordered component that is
-// no Quiescer blocks every skip and is named as the blocker, and a timer
-// due at the next Step blocks it too; a sleeping one is quiet until its
-// timer.
+// TestFastForwardAwakeOrderedBlocks: an awake ordered component blocks
+// every skip and is named as the blocker, and a timer due at the next
+// Step blocks it too; a sleeping one is quiet until its timer.
 func TestFastForwardAwakeOrderedBlocks(t *testing.T) {
 	s := New()
 	addSleeper(s)
@@ -187,6 +186,46 @@ func TestFastForwardAwakeOrderedBlocks(t *testing.T) {
 	s.Run(100)
 	if s.SkippedCycles() != 0 || s.SkipBlocker() != "every-cycle" || len(c.evals) != 100 {
 		t.Fatalf("skipped %d, blocker %q, %d evals; want 0, every-cycle, 100", s.SkippedCycles(), s.SkipBlocker(), len(c.evals))
+	}
+}
+
+// TestWakesOnSetWakesTheWatcher: an ordered component registered with
+// WakesOnSet sleeps until its register is written with a new value: a
+// write in the Add'ed phase wakes it for that cycle's Eval, where Peek
+// shows the write, one between steps for the next Step, and rewriting
+// the held value wakes nothing. Its timer survives the wakes, so
+// renewing it pushes nothing.
+func TestWakesOnSetWakesTheWatcher(t *testing.T) {
+	s := New()
+	r := NewReg(s, 0)
+	s.Add(&Func{Label: "writer", OnEval: func(cy uint64) {
+		switch cy {
+		case 3:
+			r.Set(1)
+		case 5:
+			r.Set(1) // the held value
+		}
+	}})
+	var seen []string
+	var act Activity
+	act = s.AddOrdered(&Func{Label: "watcher", OnEval: func(cy uint64) {
+		seen = append(seen, fmt.Sprintf("%d:%d", cy, r.Peek()))
+		if cy < 20 {
+			act.SleepUntil(20)
+			return
+		}
+		act.Sleep()
+	}})
+	r.WakesOnSet(act)
+	s.Run(8)
+	r.Set(2)
+	s.Run(8)
+	if len(s.timers) != 1 {
+		t.Fatalf("%d timer entries pushed by cycle 16, want the one", len(s.timers))
+	}
+	s.Run(14)
+	if got := strings.Join(seen, " "); got != "0:0 3:1 8:2 20:2" {
+		t.Fatalf("watcher evaluated at %s, want 0:0 3:1 8:2 20:2", got)
 	}
 }
 

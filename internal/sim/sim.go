@@ -20,14 +20,14 @@
 // traffic endpoints that drain NI queues, fault injectors that override
 // pending wire values — register through AddOrdered instead of Add and
 // run, in registration order, after the Add'ed set in both phases. They
-// sleep on the same kind of awake set, until a Wake or until the cycle
-// they named in SleepUntil. With fast-forward armed, Run skips cycles
-// while no Add'ed component is awake and every awake ordered component
-// is quiet, up to the earliest ordered timer (see fastforward.go). The
-// kernel is single-threaded: every phase and every probe runs on the
-// stepping goroutine. The simulator also keeps the provenance
-// of the payload words in flight, which the wire carries only as a handle
-// (see provenance.go).
+// sleep on the same kind of awake set, until a Wake, until the cycle
+// they named in SleepUntil, or until a register they watch is written
+// (Reg.WakesOnSet). With fast-forward armed, Run skips cycles while no
+// component is awake, up to the earliest ordered timer (see
+// fastforward.go). The kernel is single-threaded: every phase and every
+// probe runs on the stepping goroutine. The simulator also keeps the
+// provenance of the payload words in flight, which the wire carries only
+// as a handle (see provenance.go).
 package sim
 
 import (
@@ -88,7 +88,7 @@ type regList[T comparable] struct {
 type latcher interface {
 	latch()                // latch every register on the list and empty it
 	len() int              // registers on the list
-	describe(i int) string // the i-th one, for the audit (see audit.go)
+	describe(i int) string // the i-th one, for the audit (see audit.go) and SkipBlocker
 }
 
 // NewReg returns a register of s initialized to v, on s's write list for
@@ -138,6 +138,42 @@ func (r *Reg[T]) Wakes(a Activity, input int) {
 	rd := reader{idx: a.idx, bit: 1 << input}
 	r.readers = append(r.readers, rd)
 	r.list.s.wake(rd)
+}
+
+// WakesOnSet registers ordered component a to wake in any Step in which
+// r holds a write as the ordered phase starts — one from an Add'ed
+// component's Eval or from the host between steps: the ordered twin of
+// Wakes, for a component that overrides r's pending value (Peek, then
+// Set) and sleeps while r holds nothing to act on. a must be the only
+// ordered component, and no Commit, that writes r. The check runs once
+// per Step, so Set pays nothing for it.
+func (r *Reg[T]) WakesOnSet(a Activity) {
+	if !a.ordered {
+		panic("sim: WakesOnSet with an Add'ed component")
+	}
+	r.list.s.watches = append(r.list.s.watches, watch{r, a.idx})
+}
+
+// written reports whether r holds a write this cycle.
+func (r *Reg[T]) written() bool { return r.dirty }
+
+// watch is one WakesOnSet registration: ordered component idx and the
+// register whose write wakes it.
+type watch struct {
+	reg interface{ written() bool }
+	idx int32
+}
+
+// wakeWatchers wakes, before the ordered phase, the component of every
+// watch whose register holds a write. It leaves a pending SleepUntil in
+// place, so the Eval it causes can renew the same timer without pushing
+// it again.
+func (s *Simulator) wakeWatchers() {
+	for _, w := range s.watches {
+		if w.reg.written() {
+			s.ordAwake[w.idx>>6] |= 1 << (w.idx & 63)
+		}
+	}
 }
 
 // latch commits every written register of the list. A later Set this
@@ -266,6 +302,7 @@ type Simulator struct {
 	due        []uint64        // by ordered component: its pending SleepUntil, or noTimer
 	timers     timerHeap       // the SleepUntil dues, see timer.go
 	changed    []uint32        // by component, see Activity.Changed
+	watches    []watch         // see WakesOnSet
 	lists      []latcher       // one write list per register type, in creation order
 	listOf     map[any]latcher // the same lists by type, see NewReg
 	regs       int             // registers made by NewReg
@@ -280,7 +317,6 @@ type Simulator struct {
 
 	// Fast-forward state (see fastforward.go).
 	ffOn      bool
-	gates     []gate
 	ffHooks   []func(from, to uint64)
 	ffSkipped uint64
 	blocker   string
@@ -426,20 +462,27 @@ func (s *Simulator) Stopped() (bool, string) {
 
 // Step advances the simulation by exactly one clock cycle: the ordered
 // components whose SleepUntil fell due wake, then Eval of the awake
-// Add'ed components, then of the awake ordered tail, then the requested
-// Commits (Add'ed, then ordered), the latch of each register type's
-// write list (waking readers of changed registers), probes.
+// Add'ed components, the wakes of written WakesOnSet registers, Eval of
+// the awake ordered tail, then the requested Commits (Add'ed, then
+// ordered), the latch of each register type's write list (waking
+// readers of changed registers), probes.
 func (s *Simulator) Step() {
 	cycle := s.cycle
 	s.fire(cycle)
 	s.stepping = true
 	if s.audit == nil {
 		s.evals += phase(s.components, s.awake, cycle)
+		if len(s.watches) > 0 {
+			s.wakeWatchers()
+		}
 		phase(s.ordered, s.ordAwake, cycle)
 		commitPhase(s.commits, s.commit)
 		commitPhase(s.ordCommits, s.ordCommit)
 	} else {
 		s.evals += s.auditPhase(cycle)
+		if len(s.watches) > 0 {
+			s.wakeWatchers()
+		}
 		s.auditOrdered(cycle)
 		s.auditCommits(s.commits, s.commit, cycle)
 		s.auditCommits(s.ordCommits, s.ordCommit, cycle)

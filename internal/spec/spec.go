@@ -245,11 +245,6 @@ func (s *Spec) Build() (*Instance, error) {
 	if _, err := p.CompleteConfig(5_000_000); err != nil {
 		return nil, err
 	}
-	for _, c := range inst.Connections {
-		if c.State == core.Opening {
-			c.State = core.Open
-		}
-	}
 	return inst, nil
 }
 

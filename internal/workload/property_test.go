@@ -99,11 +99,6 @@ func TestDNNPackAdmissibilityProperty(t *testing.T) {
 			if _, err := p.CompleteConfig(5_000_000); err != nil {
 				t.Fatalf("seed %d phase %s: settle: %v", seed, ph.Name, err)
 			}
-			for _, cn := range live {
-				if cn.State == core.Opening {
-					cn.State = core.Open
-				}
-			}
 
 			// Property 1: per-link demand claimed by the allocator equals
 			// the model's closed-form occupancy and never exceeds the

@@ -89,7 +89,7 @@ func (c *Compiled) BuildPlatform(fastForward bool) (*core.Platform, error) {
 		return nil, err
 	}
 	if fastForward {
-		p.EnableFastForward()
+		p.Sim.EnableFastForward()
 	}
 	return p, nil
 }
@@ -137,11 +137,6 @@ func openPhase(p *core.Platform, ph *Phase) ([]*core.Connection, error) {
 	}
 	if _, err := p.CompleteConfig(5_000_000); err != nil {
 		return nil, fmt.Errorf("workload: phase %s: settle setup: %w", ph.Name, err)
-	}
-	for _, cn := range conns {
-		if cn != nil && cn.State == core.Opening {
-			cn.State = core.Open
-		}
 	}
 	return conns, nil
 }

@@ -475,7 +475,7 @@ var pins = []pin{
 	{name: "dense", run: torus("dense"),
 		want: pinResult{delivered: 7088, conns: 0xbf241624211c38c5, payload: 0xc42e2c1b1bdf0d45, credits: 0x53302c21af1cb4b5, carriers: 8672, skipped: 0, evaluated: 264352, offered: 6957776, alloc: 0xcd1ce4dd5ec2a3f7, cycles: 13432}},
 	{name: "duty", run: torus("duty"), ff: true,
-		want: pinResult{delivered: 1536, conns: 0xc02572a923b6c8ea, payload: 0x5004f75999cd9a45, credits: 0x65bcae9553cde6a5, carriers: 832, skipped: 7898, evaluated: 46597, offered: 666148, alloc: 0xfb97e8cfe22ca1e8, cycles: 9184}},
+		want: pinResult{delivered: 1536, conns: 0xc02572a923b6c8ea, payload: 0x5004f75999cd9a45, credits: 0x65bcae9553cde6a5, carriers: 832, skipped: 7903, evaluated: 46597, offered: 663558, alloc: 0xfb97e8cfe22ca1e8, cycles: 9184}},
 	{name: "chaos", run: soak{side: 4, seed: 7, conns: 6, cycles: 10_000, targeted: true}.run,
 		want: pinResult{delivered: 4006, conns: 0xc94a84f481181a64, payload: 0x5508386100cdda1c, credits: 0x03941671fb348828, carriers: 6974, skipped: 0, evaluated: 122734, offered: 343992, alloc: 0x6c3fa2d2119fc4e1, cycles: 10424, faults: fault.Counters{FlitsKilled: 64, TableFlips: 2}, repairs: 3}},
 	{name: "soak/42", run: soak{side: 4, seed: 42, conns: 5, cycles: 12_000, observe: obsTelemetry | obsStats}.run, must: telemetryMust,
@@ -486,18 +486,18 @@ var pins = []pin{
 		`daelite_config_spans_total{op="setup"}`, `daelite_config_spans_total{op="teardown"}`, `daelite_events_total{kind="fault"}`},
 		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 0, evaluated: 45410, offered: 407682, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "ffsoak+ff", run: ffSoak.run, ff: true,
-		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5897, evaluated: 45410, offered: 213081, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
+		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5907, evaluated: 45410, offered: 212751, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "regions6x6", run: soak{side: 6, region: 24, seed: 42, conns: 5, cycles: 12_000, teardown: true, observe: obsTracer}.run, must: []string{
 		`"setup #`, `"inject r0"`, `"inject r1"`, `"settle"`, `"teardown #`, `"repair #`, `"stall"`, `"fault"`, `"record":"trace_event"`},
 		want: pinResult{delivered: 3274, conns: 0x8f4b748c049a289a, payload: 0x3bb4b7ce2547fc08, credits: 0xfa917c8bdd7a52aa, carriers: 6054, skipped: 0, evaluated: 190626, offered: 928950, alloc: 0x665b4359366512f2, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, repairs: 1, chrome: 0x80a9ff07aafe1aff, traceND: 0x6a8f2e9578e42e86}},
 	{name: "dnn", run: pack(workload.ExampleDNN), must: packMust,
 		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 31117, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x16ab457c6742dcf2, ndjson: 0x15d990882b30759a, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "dnn+ff", run: pack(workload.ExampleDNN), ff: true,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6392, evaluated: 31117, offered: 306867, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x16ab457c6742dcf2, ndjson: 0x15d990882b30759a, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6442, evaluated: 31117, offered: 305217, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x16ab457c6742dcf2, ndjson: 0x15d990882b30759a, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "tinytera", run: tinyTera, must: packMust,
 		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 76339, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xeaa481cbe1510264, ndjson: 0x491c9f9e820a90a3, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 	{name: "tinytera+ff", run: tinyTera, ff: true,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6809, evaluated: 76339, offered: 239085, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xeaa481cbe1510264, ndjson: 0x491c9f9e820a90a3, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6839, evaluated: 76339, offered: 238095, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xeaa481cbe1510264, ndjson: 0x491c9f9e820a90a3, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 }
 
 func TestPins(t *testing.T) {
