@@ -79,6 +79,7 @@ workloads:
 fuzz:
 	$(GO) test ./internal/alloc -run '^$$' -fuzz FuzzVerify -fuzztime 30s
 	$(GO) test ./internal/alloc -run '^$$' -fuzz FuzzUnicastCandidates -fuzztime 15s
+	$(GO) test ./internal/alloc -run '^$$' -fuzz FuzzDryRun -fuzztime 15s
 	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzSimplePaths -fuzztime 15s
 	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzPackedTables -fuzztime 15s
 	$(GO) test ./internal/cfgproto -run '^$$' -fuzz FuzzRegionDecoder -fuzztime 15s

@@ -12,22 +12,19 @@ import (
 )
 
 // runAlloc runs the contention-free slot allocation flow for requests
-// sx,sy-dx,dy:slots and prints the schedule — per-connection paths and
-// injection slots — and the per-link occupancy. -batch results are
-// bit-identical for every -workers count.
+// sx,sy-dx,dy:slots, admitting them in order, and prints the schedule —
+// per-connection paths and injection slots — and the per-link occupancy.
 //
 //	daelite alloc -mesh 4x4 -wheel 16 0,0-3,3:2 1,0-1,3:4
 func runAlloc(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error {
 	var meshSpec string
 	var wheel int
-	var multipath, batch, stats bool
-	var detour, workers int
+	var multipath, stats bool
+	var detour int
 	fs.StringVar(&meshSpec, "mesh", "4x4", "mesh dimensions WxH")
 	fs.IntVar(&wheel, "wheel", 16, "TDM slot-table size")
 	fs.BoolVar(&multipath, "multipath", false, "allow splitting connections over multiple paths")
 	fs.IntVar(&detour, "detour", 0, "maximum detour links beyond shortest path")
-	fs.BoolVar(&batch, "batch", false, "admit all requests as one batch through the parallel admission engine")
-	fs.IntVar(&workers, "workers", 0, "batch what-if evaluation workers (0 = one per CPU)")
 	fs.BoolVar(&stats, "stats", false, "print path cache statistics after the run")
 	if err := parse(fs, argv); err != nil {
 		return err
@@ -50,45 +47,21 @@ func runAlloc(fs *flag.FlagSet, argv []string, stdout, stderr io.Writer) error {
 		if r.Src, r.Dst, err = parseRoute(m, arg, "%d", &r.Slots); err != nil {
 			return fmt.Errorf("bad request %q (want sx,sy-dx,dy:slots): %w", arg, err)
 		}
-		r.Opts = opts
 	}
 
 	title := fmt.Sprintf("Slot allocation on a %dx%d mesh, %d slots", spec.Width, spec.Height, wheel)
-	if batch {
-		title += fmt.Sprintf(" (batch, workers=%d)", workers)
-	}
 	t := report.NewTable(title, "Request", "Status", "Paths", "Injection slots")
-	addRow := func(arg string, u *alloc.Unicast, err error) {
+	for i, r := range reqs {
+		u, err := a.Unicast(r.Src, r.Dst, r.Slots, opts)
 		if err != nil {
-			t.AddRow(arg, "FAILED: "+err.Error(), "-", "-")
-			return
+			t.AddRow(fs.Arg(i), "FAILED: "+err.Error(), "-", "-")
+			continue
 		}
 		var slotCols []string
 		for _, pa := range u.Paths {
 			slotCols = append(slotCols, fmt.Sprint(pa.InjectSlots.Slots()))
 		}
-		t.AddRow(arg, "ok", pathNames(m.Graph, u), strings.Join(slotCols, " | "))
-	}
-	if batch {
-		items := make([]alloc.BatchItem, len(reqs))
-		for i, r := range reqs {
-			items[i] = alloc.BatchItem{Reqs: []alloc.Request{r}}
-		}
-		results, bs := a.Batch(items, workers)
-		for i, res := range results {
-			if res.Err != nil {
-				addRow(fs.Arg(i), nil, res.Err)
-				continue
-			}
-			addRow(fs.Arg(i), res.Alloc.Unicasts[0], nil)
-		}
-		fmt.Fprintf(stdout, "batch: %d items, %d committed, %d failed, %d conflicts re-evaluated, %d workers\n\n",
-			bs.Items, bs.Committed, bs.Failed, bs.Conflicts, bs.Workers)
-	} else {
-		for i, r := range reqs {
-			u, err := a.Unicast(r.Src, r.Dst, r.Slots, opts)
-			addRow(fs.Arg(i), u, err)
-		}
+		t.AddRow(fs.Arg(i), "ok", pathNames(m.Graph, u), strings.Join(slotCols, " | "))
 	}
 	fmt.Fprintln(stdout, t.Render())
 	fmt.Fprintln(stdout, occupancy("Link occupancy (used slots)", m.Graph, a, "Link", "Slots"))

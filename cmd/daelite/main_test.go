@@ -73,8 +73,12 @@ func TestRun(t *testing.T) {
 			stdout: []string{"spec valid: mesh 3x3, 3 connections", "video", "conn1", "multicast tree", "Utilization", "configuration completed"}},
 		{name: "spec -check", args: []string{"spec", "-check", specPath}, stdout: []string{"spec valid"}},
 		{name: "spec without a file", args: []string{"spec"}, code: 2, stderr: []string{"usage: daelite spec"}},
-		{name: "alloc -batch -stats", args: []string{"alloc", "-mesh", "4x4", "-batch", "-stats", "-workers", "2", "0,0-3,3:2", "1,0-1,3:4"},
-			stdout: []string{"batch: 2 items, 2 committed", "Link occupancy (used slots)", "path cache:"}},
+		{name: "alloc -stats", args: []string{"alloc", "-mesh", "4x4", "-stats", "0,0-3,3:2", "1,0-1,3:4"},
+			stdout: []string{"Link occupancy (used slots)", "path cache:"}},
+		// Admission is in order: there is no batch engine to select and
+		// no worker count to give it.
+		{name: "alloc -batch", args: []string{"alloc", "-batch", "0,0-3,3:2"}, code: 2, stderr: []string{"-batch"}},
+		{name: "alloc -workers", args: []string{"alloc", "-workers", "2", "0,0-3,3:2"}, code: 2, stderr: []string{"-workers"}},
 	}
 	for _, c := range commands {
 		rows = append(rows, row{name: c.name + " -h", args: []string{c.name, "-h"}, stderr: []string{"daelite " + c.name}})

@@ -1,9 +1,9 @@
 // Package admission is the control plane that turns the daelite library
 // into a served system: a long-running, multi-tenant set-up/teardown
 // service owning a virtual NoC platform. Clients ask for guaranteed-
-// service connections over HTTP (JSON); the service answers by driving
-// the parallel batch admission engine (alloc.Batch via core.OpenBatch)
-// and the real configuration tree, so every accepted request ends as
+// service connections over HTTP (JSON); the service answers by admitting
+// them in order through the allocator (core.OpenBatch) and driving the
+// real configuration tree, so every accepted request ends as
 // programmed slot tables on the cycle-accurate platform — the paper's
 // tens-of-microseconds set-up served as a request/response workload.
 //
@@ -17,10 +17,9 @@
 // Determinism and durability. The service advances in ticks. Each tick
 // processes teardowns, answers what-if queries (read-only DryRun — no
 // epoch bump, no journal growth), drafts opens deterministically, admits
-// them as one alloc.Batch (bit-identical for every worker count), runs
-// the configuration to settlement, appends one record to the request
-// journal and only then answers the tick's mutations; the periodic
-// snapshot comes last. Reads (GET /v1/connections, /v1/fingerprint,
+// them in draft order as one core.OpenBatch, runs the configuration to
+// settlement, appends one record to the request journal and only then
+// answers the tick's mutations; the periodic snapshot comes last. Reads (GET /v1/connections, /v1/fingerprint,
 // /v1/tenants) queue on the loop like snapshots and are answered between
 // ticks, so a client reading right after its reply sees its own change.
 // A snapshot captures the exact committed reservations plus tenant
@@ -833,8 +832,9 @@ func (s *Service) processCloses(closes []*pending) (handles []uint64, closeRepli
 }
 
 // processWhatIfs answers read-only feasibility queries via the
-// allocator's DryRun: no occupancy write, no epoch bump, no cache
-// generation change — concurrent admissions keep their path cache.
+// allocator's DryRun: no occupancy write, no epoch bump, no journal
+// growth, so the answers leave the tick's admissions as they would be
+// without them.
 func (s *Service) processWhatIfs(whatifs []*pending) {
 	for _, pd := range whatifs {
 		_, item, err := core.AllocItem(pd.spec)

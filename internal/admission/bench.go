@@ -17,7 +17,7 @@ import (
 // experiments.Micro (BenchmarkMicro/AdmissionRequest):
 // each op is one complete admission round trip — an HTTP open decoded,
 // queued, drafted under DRR and quota, committed through the platform's
-// batch engine with its configuration settled and journal sequence
+// OpenBatch with its configuration settled and journal sequence
 // advanced, then the handle closed the same way so occupancy returns to
 // the baseline. It measures the end-to-end cost of one control-plane
 // request, not just the allocator.

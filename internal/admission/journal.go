@@ -11,10 +11,10 @@ import (
 
 // The request journal is NDJSON: one journalRecord per mutating tick, in
 // tick order. Replay correctness depends on recording *batches*, not
-// individual requests: the batch engine's phase-2 conflict re-evaluation
-// means an item's slots can depend on every earlier item of the same
-// batch — including items that committed a reservation and then failed
-// downstream (outcome "aborted"). Replay therefore re-forms the exact
+// individual requests: a batch reserves its items in order before it
+// builds any, so an item's slots can depend on every earlier item of the
+// same batch — including items that committed a reservation and then
+// failed downstream (outcome "aborted"). Replay therefore re-forms the exact
 // batch (every allocation-touching attempt, in order) and closes the
 // aborted items afterwards, which reproduces occupancy bit-for-bit.
 

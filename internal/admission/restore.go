@@ -248,9 +248,9 @@ func checkPath(g *topology.Graph, links []topology.LinkID, src, dst topology.Nod
 
 // replayRecord re-drives one journal record through the platform: the
 // teardowns first, then the recorded open batch — every allocation-
-// touching attempt in its original order, because the batch engine's
-// conflict re-evaluation makes later items' slots depend on earlier
-// items of the same batch. Outcomes are enforced: "ok" must commit under
+// touching attempt in its original order, because a batch reserves its
+// items in order before building any, so later items' slots depend on
+// earlier items of the same batch. Outcomes are enforced: "ok" must commit under
 // its recorded handle, "nofit" must fail inside the allocator again, and
 // "aborted" (committed, then failed downstream and released) is closed
 // right after the batch if the downstream failure does not reproduce.

@@ -19,10 +19,11 @@
 //
 // The admission hot path is engineered for throughput: occupancy lives in
 // flat slices indexed by link/node ID (no map lookups), simple-path
-// enumeration is memoized in a generation-invalidated cache shared by
-// clones, and transactional flows (multipath, use-cases) run on an
-// undo-journal instead of deep clones, so an aborted what-if costs O(its
-// own writes) rather than O(network).
+// enumeration is memoized in a generation-invalidated cache, and
+// transactional flows (multipath, use-cases, what-if dry runs) run on an
+// undo-journal instead of copies, so an aborted what-if costs O(its own
+// writes) rather than O(network). Admission is in-order and single-owner:
+// every allocation goes through one greedy policy, one item at a time.
 package alloc
 
 import (
@@ -53,10 +54,10 @@ type Allocator struct {
 	excluded    []bool
 	numExcluded int
 
-	// gen identifies the current exclusion set in the shared path cache:
-	// 0 means "nothing excluded"; every exclusion change takes a fresh
-	// globally-unique generation so stale cached path sets can never be
-	// served (see cache.go).
+	// gen identifies the current exclusion set in the path cache: 0
+	// means "nothing excluded"; every other exclusion change takes a
+	// fresh generation so stale cached path sets can never be served
+	// (see cache.go).
 	gen   uint64
 	cache *pathCache
 
@@ -510,26 +511,6 @@ func (a *Allocator) ReleaseUnicast(u *Unicast) {
 		}
 		a.setRXBits(u.Dst, a.rxBits(u.Dst)&^pa.InjectSlots.RotateUp(off).Bits)
 	}
-}
-
-// Clone copies the allocator state (what-if evaluation, batch snapshots).
-// The copy shares the graph and the path cache — both safe for concurrent
-// readers — so cloning is a few slice copies, independent of how many
-// connections are live.
-func (a *Allocator) Clone() *Allocator {
-	c := &Allocator{
-		g:           a.g,
-		wheel:       a.wheel,
-		linkOcc:     append([]uint64(nil), a.linkOcc...),
-		niTX:        append([]uint64(nil), a.niTX...),
-		niRX:        append([]uint64(nil), a.niRX...),
-		excluded:    append([]bool(nil), a.excluded...),
-		numExcluded: a.numExcluded,
-		gen:         a.gen,
-		cache:       a.cache,
-		epoch:       a.epoch,
-	}
-	return c
 }
 
 // TotalSlotsUsed sums reserved (link, slot) pairs, a load metric for

@@ -551,23 +551,6 @@ func firstShortestPath(g *topology.Graph, a, b topology.NodeID) topology.Path {
 	return p
 }
 
-func TestCloneCopiesExclusions(t *testing.T) {
-	m := mesh(t, 2, 2)
-	a := New(m.Graph, 8)
-	dead := linkBetween(t, m.Graph, m.Router(0, 0), m.Router(1, 0))
-	a.ExcludeLink(dead)
-	c := a.Clone()
-	got := c.ExcludedLinks()
-	if len(got) != 1 || got[0] != dead {
-		t.Fatalf("clone exclusions = %v", got)
-	}
-	// Independence: lifting on the clone leaves the original excluded.
-	c.IncludeLink(dead)
-	if len(a.ExcludedLinks()) != 1 {
-		t.Fatal("IncludeLink on clone leaked into original")
-	}
-}
-
 func TestMulticastAvoidsExcludedLink(t *testing.T) {
 	m := mesh(t, 2, 2)
 	a := New(m.Graph, 8)

@@ -1,35 +1,27 @@
 package alloc
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"daelite/internal/topology"
-)
+import "daelite/internal/topology"
 
 // pathCache memoizes the graph queries behind admission — simple-path
 // enumeration, shortest paths, and distances — so steady-state set-up does
-// zero graph search. It is shared by an allocator and all its clones
-// (batch workers read it concurrently under the lock).
+// zero graph search. Each allocator owns its cache.
 //
 // Invalidation is generation-based: every entry is keyed by the exclusion
 // generation it was computed under. Generation 0 means "no links
-// excluded" and is shared by every allocator in that state; each
-// ExcludeLink/IncludeLink takes a fresh generation from nextGen, so two
-// allocators whose exclusion sets diverged can never share an entry, and
-// entries for an abandoned exclusion set simply stop being referenced.
-// Stale generations are pruned on the next bump.
+// excluded"; each ExcludeLink/IncludeLink that leaves links excluded takes
+// a fresh generation from nextGen, so entries for an abandoned exclusion
+// set are never served again. Stale generations are pruned on the next
+// bump.
 type pathCache struct {
-	mu      sync.RWMutex
 	paths   map[pathKey]pathEntry
 	sp      map[spKey]topology.Path
 	dist    map[spKey]int
-	nextGen atomic.Uint64
+	nextGen uint64
 
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	invalidations atomic.Uint64
-	truncations   atomic.Uint64
+	hits          uint64
+	misses        uint64
+	invalidations uint64
+	truncations   uint64
 }
 
 // pathKey identifies one memoized SimplePathsAvoidingDense enumeration:
@@ -70,17 +62,15 @@ func newPathCache() *pathCache {
 	}
 }
 
-// bumpGen takes a fresh globally-unique exclusion generation and prunes
-// entries of non-zero generations (they can only belong to exclusion sets
-// that are now unreachable or about to be superseded; generation-0
-// entries stay valid forever).
+// bumpGen takes a fresh exclusion generation and prunes entries of
+// non-zero generations (they belong to the exclusion set being
+// superseded; generation-0 entries stay valid forever).
 func (c *pathCache) bumpGen() uint64 {
-	gen := c.nextGen.Add(1)
-	c.mu.Lock()
+	c.nextGen++
 	for k := range c.paths {
 		if k.gen != 0 {
 			delete(c.paths, k)
-			c.invalidations.Add(1)
+			c.invalidations++
 		}
 	}
 	for k := range c.sp {
@@ -93,8 +83,7 @@ func (c *pathCache) bumpGen() uint64 {
 			delete(c.dist, k)
 		}
 	}
-	c.mu.Unlock()
-	return gen
+	return c.nextGen
 }
 
 // CacheStats is a snapshot of the path cache counters, mirrored into the
@@ -106,14 +95,10 @@ type CacheStats struct {
 	Truncations   uint64
 }
 
-// CacheStats returns the shared path cache counters.
+// CacheStats returns the path cache counters.
 func (a *Allocator) CacheStats() CacheStats {
-	return CacheStats{
-		Hits:          a.cache.hits.Load(),
-		Misses:        a.cache.misses.Load(),
-		Invalidations: a.cache.invalidations.Load(),
-		Truncations:   a.cache.truncations.Load(),
-	}
+	c := a.cache
+	return CacheStats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations, Truncations: c.truncations}
 }
 
 // cachedPaths returns the memoized candidate path set from src to dst: the
@@ -126,27 +111,22 @@ func (a *Allocator) CacheStats() CacheStats {
 func (a *Allocator) cachedPaths(src, dst topology.NodeID, maxLen, cap int) []topology.Path {
 	c := a.cache
 	key := pathKey{src: src, dst: dst, maxLen: maxLen, cap: cap, gen: a.gen}
-	c.mu.RLock()
-	e, ok := c.paths[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
+	if e, ok := c.paths[key]; ok {
+		c.hits++
 		if e.truncated {
-			c.truncations.Add(1)
+			c.truncations++
 		}
 		return e.paths
 	}
-	c.misses.Add(1)
+	c.misses++
 	paths, truncated := a.g.SimplePathsAvoidingDense(src, dst, maxLen, cap, a.avoidSet())
 	if truncated {
-		c.truncations.Add(1)
+		c.truncations++
 	}
-	c.mu.Lock()
 	if len(c.paths) >= maxCacheEntries {
 		c.paths = make(map[pathKey]pathEntry)
 	}
 	c.paths[key] = pathEntry{paths: paths, truncated: truncated}
-	c.mu.Unlock()
 	return paths
 }
 
@@ -155,21 +135,16 @@ func (a *Allocator) cachedPaths(src, dst topology.NodeID, maxLen, cap int) []top
 func (a *Allocator) cachedDistance(src, dst topology.NodeID) int {
 	c := a.cache
 	key := spKey{src: src, dst: dst, gen: a.gen}
-	c.mu.RLock()
-	d, ok := c.dist[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
+	if d, ok := c.dist[key]; ok {
+		c.hits++
 		return d
 	}
-	c.misses.Add(1)
-	d = a.g.DistanceAvoidingDense(src, dst, a.avoidSet())
-	c.mu.Lock()
+	c.misses++
+	d := a.g.DistanceAvoidingDense(src, dst, a.avoidSet())
 	if len(c.dist) >= maxCacheEntries {
 		c.dist = make(map[spKey]int)
 	}
 	c.dist[key] = d
-	c.mu.Unlock()
 	return d
 }
 
@@ -178,21 +153,16 @@ func (a *Allocator) cachedDistance(src, dst topology.NodeID) int {
 func (a *Allocator) cachedPlainDistance(src, dst topology.NodeID) int {
 	c := a.cache
 	key := spKey{src: src, dst: dst, gen: 0}
-	c.mu.RLock()
-	d, ok := c.dist[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
+	if d, ok := c.dist[key]; ok {
+		c.hits++
 		return d
 	}
-	c.misses.Add(1)
-	d = a.g.DistanceAvoidingDense(src, dst, nil)
-	c.mu.Lock()
+	c.misses++
+	d := a.g.DistanceAvoidingDense(src, dst, nil)
 	if len(c.dist) >= maxCacheEntries {
 		c.dist = make(map[spKey]int)
 	}
 	c.dist[key] = d
-	c.mu.Unlock()
 	return d
 }
 
@@ -202,20 +172,15 @@ func (a *Allocator) cachedPlainDistance(src, dst topology.NodeID) int {
 func (a *Allocator) cachedShortestPath(src, dst topology.NodeID) topology.Path {
 	c := a.cache
 	key := spKey{src: src, dst: dst, gen: a.gen}
-	c.mu.RLock()
-	p, ok := c.sp[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
+	if p, ok := c.sp[key]; ok {
+		c.hits++
 		return p
 	}
-	c.misses.Add(1)
-	p = a.g.ShortestPathAvoidingDense(src, dst, a.avoidSet())
-	c.mu.Lock()
+	c.misses++
+	p := a.g.ShortestPathAvoidingDense(src, dst, a.avoidSet())
 	if len(c.sp) >= maxCacheEntries {
 		c.sp = make(map[spKey]topology.Path)
 	}
 	c.sp[key] = p
-	c.mu.Unlock()
 	return p
 }

@@ -280,3 +280,96 @@ func refUnicast(a *Allocator, src, dst topology.NodeID, nslots int, opts Options
 	a.commitTxn()
 	return u, nil
 }
+
+// FuzzDryRun checks the what-if contract on a fuzzer-chosen op stream:
+// before every admission, DryRun leaves the fingerprint, epoch, excluded
+// links, exclusion generation and journal as it found them, and predicts
+// exactly what the AllocateUseCase that follows commits — the same paths
+// and slots, or the same error. data[0] picks the topology, then each op
+// is four bytes: kind, source, destination, argument. The low three bits
+// of kind select a forward+reverse unicast pair (0-3, which also pick
+// MaxPaths from candidateCaps), a two-destination multicast, the release
+// of a live use-case, an ExcludeLink (the link ID is source and
+// destination as one 16-bit number) or an IncludeLink of an excluded
+// link; bit 3 asks the pair for Multipath, bit 4 for Spread and bits 5-6
+// pick MaxDetour from candidateDetours.
+func FuzzDryRun(f *testing.F) {
+	mesh8, err := topology.NewMesh(topology.MeshSpec{Width: 8, Height: 8, NIsPerRouter: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	torus16, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	meshes := []*topology.Mesh{mesh8, torus16}
+	const wheel = 8
+
+	f.Add([]byte{0, 0, 1, 9, 3, 4, 2, 10, 1, 0x08 | 2<<5, 0, 18, 5, 5, 0, 0, 0, 0x18, 1, 9, 7})
+	f.Add([]byte{1, 6, 0, 40, 0, 1, 0, 17, 2, 0x19, 0, 17, 3, 7, 0, 0, 0, 0x2a, 16, 1, 6})
+	f.Add([]byte{0, 0x0b | 1<<5, 10, 23, 3, 0x08 | 2<<5, 10, 23, 4, 0x0b | 2<<5, 23, 10, 3, 5, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := meshes[int(data[0])%len(meshes)]
+		a := New(m.Graph, wheel)
+		ni := func(b byte) topology.NodeID { return m.AllNIs[int(b)%len(m.AllNIs)] }
+		var live []*UseCaseAlloc
+		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
+			kind, sb, db, arg := ops[0], ops[1], ops[2], ops[3]
+			src, dst := ni(sb), ni(db)
+			var reqs []Request
+			switch kind & 7 {
+			case 4:
+				reqs = []Request{{Src: src, Dsts: []topology.NodeID{dst, ni(sb + db + 1)}, Slots: 1 + int(arg)%3}}
+			case 5:
+				if len(live) > 0 {
+					j := int(sb) % len(live)
+					a.ReleaseUseCase(live[j])
+					live = slices.Delete(live, j, j+1)
+				}
+				continue
+			case 6:
+				a.ExcludeLink(topology.LinkID((int(sb)<<8 | int(db)) % m.NumLinks()))
+				continue
+			case 7:
+				if ex := a.ExcludedLinks(); len(ex) > 0 {
+					a.IncludeLink(ex[int(sb)%len(ex)])
+				}
+				continue
+			default:
+				opts := Options{
+					Multipath: kind&0x08 != 0,
+					Spread:    kind&0x10 != 0,
+					MaxDetour: candidateDetours[kind>>5&3],
+					MaxPaths:  candidateCaps[kind&3],
+				}
+				reqs = []Request{
+					{Src: src, Dst: dst, Slots: 1 + int(arg)%6, Opts: opts},
+					{Src: dst, Dst: src, Slots: 1 + int(arg>>4)%2, Opts: opts},
+				}
+			}
+
+			fp, epoch, excluded := a.Fingerprint(), a.Epoch(), a.ExcludedLinks()
+			gen, cacheGen, journal := a.gen, a.cache.nextGen, len(a.journal)
+			want, wantErr := a.DryRun(reqs)
+			if a.Fingerprint() != fp || a.Epoch() != epoch || !slices.Equal(a.ExcludedLinks(), excluded) ||
+				a.gen != gen || a.cache.nextGen != cacheGen || len(a.journal) != journal {
+				t.Fatalf("DryRun(%+v) changed the allocator", reqs)
+			}
+			got, err := a.AllocateUseCase(reqs)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%+v: DryRun err %v, AllocateUseCase err %v", reqs, wantErr, err)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: DryRun predicted %+v, AllocateUseCase committed %+v", reqs, want, got)
+			}
+			live = append(live, got)
+		}
+	})
+}

@@ -71,3 +71,43 @@ func (a *Allocator) AdoptMulticast(m *Multicast) error {
 	a.commitMulticast(m)
 	return nil
 }
+
+// unicastFits reports whether u's exact reservation is collision-free
+// against the current occupancy.
+func (a *Allocator) unicastFits(u *Unicast) bool {
+	for _, pa := range u.Paths {
+		if pa.InjectSlots.Bits&a.txBits(u.Src) != 0 {
+			return false
+		}
+		off := 0
+		for _, l := range pa.Path {
+			if pa.InjectSlots.RotateUp(off).Bits&a.linkBits(l) != 0 {
+				return false
+			}
+			off += a.g.SlotAdvance(l)
+		}
+		if pa.InjectSlots.RotateUp(off).Bits&a.rxBits(u.Dst) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// multicastFits reports whether m's exact reservation is collision-free
+// against the current occupancy.
+func (a *Allocator) multicastFits(m *Multicast) bool {
+	if m.InjectSlots.Bits&a.txBits(m.Src) != 0 {
+		return false
+	}
+	for _, e := range m.Edges {
+		if m.InjectSlots.RotateUp(e.Depth).Bits&a.linkBits(e.Link) != 0 {
+			return false
+		}
+	}
+	for d, dep := range m.DestDepth {
+		if m.InjectSlots.RotateUp(dep).Bits&a.rxBits(d) != 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -9,7 +9,7 @@ import (
 // TestDryRunIsReadOnly is the what-if purity contract the control plane
 // depends on: a dry-run must leave the live allocator untouched in every
 // observable way — occupancy, epoch, journal, exclusion generation and
-// the shared path-cache generation counter.
+// the path-cache generation counter.
 func TestDryRunIsReadOnly(t *testing.T) {
 	m, err := topology.NewMesh(topology.MeshSpec{Width: 4, Height: 4, NIsPerRouter: 1})
 	if err != nil {
@@ -23,7 +23,7 @@ func TestDryRunIsReadOnly(t *testing.T) {
 	fpBefore := a.Fingerprint()
 	epochBefore := a.Epoch()
 	genBefore := a.gen
-	cacheGenBefore := a.cache.nextGen.Load()
+	cacheGenBefore := a.cache.nextGen
 	journalBefore := len(a.journal)
 
 	reqs := []Request{
@@ -47,7 +47,7 @@ func TestDryRunIsReadOnly(t *testing.T) {
 	if a.gen != genBefore {
 		t.Errorf("DryRun changed exclusion generation: %d -> %d", genBefore, a.gen)
 	}
-	if got := a.cache.nextGen.Load(); got != cacheGenBefore {
+	if got := a.cache.nextGen; got != cacheGenBefore {
 		t.Errorf("DryRun bumped the path-cache generation: %d -> %d", cacheGenBefore, got)
 	}
 	if len(a.journal) != journalBefore {

@@ -33,11 +33,17 @@ func (a *Allocator) AllocateUseCase(reqs []Request) (*UseCaseAlloc, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("alloc: empty use-case")
 	}
+	nu := 0
+	for _, r := range reqs {
+		if len(r.Dsts) == 0 {
+			nu++
+		}
+	}
 	// Requests commit directly under an undo-journal transaction: a
 	// failing request rolls back only the words the earlier requests
 	// wrote, not a copy of the whole network.
 	mark := a.beginTxn()
-	out := &UseCaseAlloc{}
+	out := &UseCaseAlloc{Unicasts: make([]*Unicast, 0, nu)}
 	for i, r := range reqs {
 		if len(r.Dsts) > 0 {
 			mc, err := a.Multicast(r.Src, r.Dsts, r.Slots)

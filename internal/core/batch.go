@@ -9,11 +9,11 @@ import (
 	"daelite/internal/topology"
 )
 
-// ErrBatchAlloc wraps batch-item failures that happened inside the
-// allocator (no capacity, no path): the item had no effect on occupancy.
-// Callers distinguish these "nofit" outcomes from downstream failures
-// (channel exhaustion after a committed reservation, which OpenBatch
-// rolls back) with errors.Is.
+// ErrBatchAlloc wraps Open and OpenBatch failures that happened inside
+// the allocator (no capacity, no path): the item had no effect on
+// occupancy. Callers distinguish these "nofit" outcomes from downstream
+// failures (channel exhaustion after a committed reservation, which is
+// rolled back) with errors.Is.
 var ErrBatchAlloc = errors.New("batch allocation failed")
 
 // ErrNoChannel marks NI channel exhaustion: the slot reservation fit,
@@ -35,11 +35,11 @@ type chanPref struct {
 // noPref asks for the lowest free channels.
 var noPref = chanPref{src: -1, dst: -1}
 
-// OpenBatch admits many connections as one batch: all slot reservations
-// are computed through the allocator's batch engine, then each admitted
-// connection's configuration packets are built and submitted in spec
-// order. It returns one connection or one error per spec, index-aligned;
-// a failed spec never blocks the others. Like Open, returned connections
+// OpenBatch admits many connections as one batch: every spec's slots are
+// reserved in spec order, each seeing the reservations of the specs
+// before it, then each admitted connection's configuration packets are
+// built and submitted in spec order. It returns one connection or one
+// error per spec, index-aligned; a failed spec never blocks the others. Like Open, returned connections
 // are in state Opening until the configuration settles
 // (CompleteConfig/AwaitOpen).
 func (p *Platform) OpenBatch(specs []ConnectionSpec) ([]*Connection, []error) {
@@ -80,47 +80,53 @@ func AllocItem(spec ConnectionSpec) (ConnectionSpec, alloc.BatchItem, error) {
 	}}, nil
 }
 
-// openBatch is OpenBatchTraced with per-item NI channel preferences;
-// nil prefs prefer nothing.
-func (p *Platform) openBatch(specs []ConnectionSpec, prefs []chanPref, parents []tracing.SpanRef) ([]*Connection, []error) {
-	items := make([]alloc.BatchItem, len(specs))
-	normalized := make([]ConnectionSpec, len(specs))
-	preErr := make([]error, len(specs))
-	for i, spec := range specs {
-		if err := p.validateEndpoints(spec); err != nil {
-			preErr[i] = err
-			continue
-		}
-		normalized[i], items[i], preErr[i] = AllocItem(spec)
+// reserve is the per-item admission step Open and OpenBatch share: it
+// validates and normalizes spec and reserves its slots in one
+// AllocateUseCase — the forward+reverse pair, or the tree. The returned
+// connection holds the reservation and no channels yet (finish takes
+// them). Allocator refusals wrap ErrBatchAlloc.
+func (p *Platform) reserve(spec ConnectionSpec) (*Connection, error) {
+	if err := p.validateEndpoints(spec); err != nil {
+		return nil, err
 	}
+	spec, item, err := AllocItem(spec)
+	if err != nil {
+		return nil, err
+	}
+	uc, err := p.Alloc.AllocateUseCase(item.Reqs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w: %w", ErrBatchAlloc, err)
+	}
+	c := &Connection{Spec: spec}
+	if spec.multicast() {
+		c.Tree = uc.Multicasts[0]
+	} else {
+		c.Fwd, c.Rev = uc.Unicasts[0], uc.Unicasts[1]
+	}
+	return c, nil
+}
 
-	results, _ := p.Alloc.Batch(items, 0)
-
+// openBatch is OpenBatchTraced with per-item NI channel preferences;
+// nil prefs prefer nothing. Every item is reserved, in order, before any
+// is finished, so an item that later fails for want of a channel still
+// shaped the slots of the items after it — journal replay relies on that.
+func (p *Platform) openBatch(specs []ConnectionSpec, prefs []chanPref, parents []tracing.SpanRef) ([]*Connection, []error) {
 	conns := make([]*Connection, len(specs))
 	errs := make([]error, len(specs))
+	for i, spec := range specs {
+		conns[i], errs[i] = p.reserve(spec)
+	}
 	if parents != nil {
 		// Each item's set-up transaction adopts its own trace parent.
 		saved := p.traceParent
 		defer func() { p.traceParent = saved }()
 	}
-	for i := range specs {
+	for i, c := range conns {
+		if c == nil {
+			continue
+		}
 		if parents != nil && i < len(parents) {
 			p.traceParent = parents[i]
-		}
-		if preErr[i] != nil {
-			errs[i] = preErr[i]
-			continue
-		}
-		r := results[i]
-		if r.Err != nil {
-			errs[i] = fmt.Errorf("core: %w: %w", ErrBatchAlloc, r.Err)
-			continue
-		}
-		c := &Connection{Spec: normalized[i]}
-		if c.Spec.multicast() {
-			c.Tree = r.Alloc.Multicasts[0]
-		} else {
-			c.Fwd, c.Rev = r.Alloc.Unicasts[0], r.Alloc.Unicasts[1]
 		}
 		pref := noPref
 		if prefs != nil {

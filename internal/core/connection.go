@@ -97,38 +97,16 @@ type Connection struct {
 	Setup telemetry.Span
 }
 
-// Open allocates, configures and returns a connection. The returned
-// connection is in state Opening; CompleteConfig (or AwaitOpen) runs the
-// platform until the configuration packets have traversed the tree and
-// marks it Open.
+// Open allocates, configures and returns a connection, exactly as a
+// one-spec OpenBatch would. The returned connection is in state Opening;
+// CompleteConfig (or AwaitOpen) runs the platform until the configuration
+// packets have traversed the tree and marks it Open.
 func (p *Platform) Open(spec ConnectionSpec) (*Connection, error) {
-	if spec.SlotsFwd <= 0 {
-		return nil, fmt.Errorf("core: SlotsFwd must be positive")
-	}
-	if err := p.validateEndpoints(spec); err != nil {
+	c, err := p.reserve(spec)
+	if err != nil {
 		return nil, err
 	}
-	if spec.multicast() {
-		tree, err := p.Alloc.Multicast(spec.Src, spec.Dsts, spec.SlotsFwd)
-		if err != nil {
-			return nil, fmt.Errorf("core: multicast allocation: %w", err)
-		}
-		return p.finish(&Connection{Spec: spec, Tree: tree}, noPref)
-	}
-	if spec.SlotsRev <= 0 {
-		spec.SlotsRev = 1
-	}
-	opts := spec.allocOptions()
-	fwd, err := p.Alloc.Unicast(spec.Src, spec.Dst, spec.SlotsFwd, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: forward allocation: %w", err)
-	}
-	rev, err := p.Alloc.Unicast(spec.Dst, spec.Src, spec.SlotsRev, opts)
-	if err != nil {
-		p.Alloc.ReleaseUnicast(fwd)
-		return nil, fmt.Errorf("core: reverse allocation: %w", err)
-	}
-	return p.finish(&Connection{Spec: spec, Fwd: fwd, Rev: rev}, noPref)
+	return p.finish(c, noPref)
 }
 
 // validateEndpoints rejects specs whose endpoints are not NIs of this

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"daelite/internal/sim"
@@ -34,6 +36,11 @@ type HealthMonitor struct {
 	OnStall func(c *Connection, cycle uint64)
 
 	act sim.Activity // the timer of the next poll that could declare a stall
+
+	// ids and dsts are poll's reused buffers, so a poll allocates only
+	// for a connection it sees for the first time.
+	ids  []int
+	dsts []endpoint
 }
 
 type connHealth struct {
@@ -89,13 +96,13 @@ func (h *HealthMonitor) poll(cycle uint64) {
 	}
 	// Poll in ID order: stall events must be emitted in a deterministic
 	// order, not the connection map's iteration order.
-	ids := make([]int, 0, len(h.p.connections))
+	h.ids = h.ids[:0]
 	for id := range h.p.connections {
-		ids = append(ids, id)
+		h.ids = append(h.ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(h.ids)
 	next := ^uint64(0) // the earliest poll that could declare a stall
-	for _, id := range ids {
+	for _, id := range h.ids {
 		c := h.p.connections[id]
 		if c.State != Open {
 			continue
@@ -106,7 +113,8 @@ func (h *HealthMonitor) poll(cycle uint64) {
 				lastRx:      make(map[topology.NodeID]uint64),
 				lastAdvance: make(map[topology.NodeID]uint64),
 			}
-			for _, d := range connDsts(c) {
+			h.dsts = connDsts(h.dsts, c)
+			for _, d := range h.dsts {
 				st.lastRx[d.node] = h.p.NIs[d.node].RxWords(d.channel)
 				st.lastAdvance[d.node] = cycle
 			}
@@ -122,7 +130,8 @@ func (h *HealthMonitor) poll(cycle uint64) {
 		}
 		st.lastTx = tx
 
-		for _, d := range connDsts(c) {
+		h.dsts = connDsts(h.dsts, c)
+		for _, d := range h.dsts {
 			cur := h.p.NIs[d.node].RxWords(d.channel)
 			if cur > st.lastRx[d.node] {
 				st.lastAdvance[d.node] = cycle
@@ -175,16 +184,19 @@ type endpoint struct {
 	channel int
 }
 
-func connDsts(c *Connection) []endpoint {
-	if c.Tree != nil {
-		out := make([]endpoint, 0, len(c.DstChannels))
-		for d, ch := range c.DstChannels {
-			out = append(out, endpoint{node: d, channel: ch})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].node < out[j].node })
-		return out
+// connDsts fills buf with c's destination endpoints in node order and
+// returns it. It reads the connection's current channels, so a multicast
+// destination grafted or pruned since the last poll is watched or dropped.
+func connDsts(buf []endpoint, c *Connection) []endpoint {
+	buf = buf[:0]
+	if c.Tree == nil {
+		return append(buf, endpoint{node: c.Spec.Dst, channel: c.DstChannel})
 	}
-	return []endpoint{{node: c.Spec.Dst, channel: c.DstChannel}}
+	for d, ch := range c.DstChannels {
+		buf = append(buf, endpoint{node: d, channel: ch})
+	}
+	slices.SortFunc(buf, func(a, b endpoint) int { return cmp.Compare(a.node, b.node) })
+	return buf
 }
 
 // Stalled returns the currently stalled open connections in ID order.

@@ -367,3 +367,17 @@ func TestRepairStalledKeepsLaterRepairs(t *testing.T) {
 		t.Fatal("repaired connection delivers nothing")
 	}
 }
+
+// TestHealthPollDoesNotAllocate: the monitor's probe runs on every
+// stepped cycle, so once it has seen a connection it must poll without
+// allocating — a multicast's destinations included.
+func TestHealthPollDoesNotAllocate(t *testing.T) {
+	p := repairPlatform(t, 3, 3)
+	core.NewHealthMonitor(p, 0)
+	openAwait(t, p, core.ConnectionSpec{Src: p.Mesh.NI(0, 0, 0), Dst: p.Mesh.NI(2, 2, 0), SlotsFwd: 1})
+	openAwait(t, p, core.ConnectionSpec{Src: p.Mesh.NI(1, 0, 0), Dsts: []topology.NodeID{p.Mesh.NI(0, 2, 0), p.Mesh.NI(2, 1, 0)}, SlotsFwd: 1})
+	p.Run(1) // the first poll after set-up records the new connections
+	if n := testing.AllocsPerRun(10, func() { p.Run(100) }); n != 0 {
+		t.Fatalf("100 monitored cycles allocate %v times, want 0", n)
+	}
+}

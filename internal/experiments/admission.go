@@ -129,9 +129,8 @@ func AllocChurnOp() (func(), error) {
 }
 
 // AllocBatchOp returns an op admitting one 32-item churn batch on a 16x16
-// torus with the given worker count (0 = GOMAXPROCS), the body of the
-// AllocBatch and AllocBatchPar entries of Micro.
-func AllocBatchOp(workers int) (func(), error) {
+// torus, the body of the AllocBatch entry of Micro.
+func AllocBatchOp() (func(), error) {
 	m, err := topology.NewMesh(topology.MeshSpec{Width: 16, Height: 16, NIsPerRouter: 1, Wrap: true})
 	if err != nil {
 		return nil, err
@@ -141,7 +140,7 @@ func AllocBatchOp(workers int) (func(), error) {
 	var live []*alloc.UseCaseAlloc
 	return func() {
 		items := admissionBatch(m, rng, 32)
-		results, _ := a.Batch(items, workers)
+		results := a.Batch(items, 1)
 		for _, r := range results {
 			if r.Err == nil {
 				live = append(live, r.Alloc)

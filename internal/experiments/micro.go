@@ -52,13 +52,10 @@ var Micro = []MicroBench{
 		}
 		return func() { bm.Run(1) }, nil
 	})},
-	// The admission engine: one sequential churn decision per op (the
-	// headline set-ups/sec number), then one 32-item batch per op with
-	// one worker and with one per CPU; the pair bounds the parallel
-	// evaluation gain.
+	// The admission engine: one churn decision per op (the headline
+	// set-ups/sec number), then one 32-item batch per op.
 	{"AllocChurn", simple(0, AllocChurnOp)},
-	{"AllocBatch", simple(0, func() (func(), error) { return AllocBatchOp(1) })},
-	{"AllocBatchPar", simple(0, func() (func(), error) { return AllocBatchOp(0) })},
+	{"AllocBatch", simple(0, AllocBatchOp)},
 	// One full control-plane round trip through a running admission
 	// service: the served-system overhead on top of Alloc*.
 	{"AdmissionRequest", func() (func(), float64, func(), error) {
