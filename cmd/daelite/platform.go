@@ -133,7 +133,7 @@ type exporters struct {
 // startExporters attaches a telemetry registry to the platform and starts
 // the exporters the flags ask for; with none asked for it returns nil and
 // the platform runs at zero telemetry cost. Call before opening
-// connections so set-up spans are captured, and before stats.NewMonitor
+// connections so set-up spans are counted, and before stats.NewMonitor
 // so the monitor publishes into the same registry. /metrics renders what
 // the harvest probe last mirrored, never live simulation state, so
 // scraping is race-free while the run steps.

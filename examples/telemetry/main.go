@@ -25,7 +25,7 @@ func main() {
 	}
 
 	// Attach the registry before opening anything so the set-up spans of
-	// every connection are captured.
+	// every connection are counted.
 	reg := daelite.NewTelemetryRegistry()
 	p.AttachTelemetry(reg, 0)
 
@@ -76,11 +76,13 @@ func main() {
 	}
 	fmt.Println("every connection attains exactly its reservation: TDM slots are exclusive")
 
-	// The same story from the registry: spans for every set-up, and the
-	// harvested counters behind the numbers above.
+	// The same story from the platform: each connection's set-up span,
+	// then the registry's span counters and the harvested counters
+	// behind the numbers above.
 	p.FlushTelemetry()
 	fmt.Println("\nconfiguration spans:")
-	for _, s := range reg.Spans() {
+	for _, c := range conns {
+		s := c.Setup
 		fmt.Printf("  %s %s: submitted @%d, settled @%d (%d cycles, %d words)\n",
 			s.Op, s.Detail, s.SubmitCycle, s.SettleCycle, s.Cycles(), s.Words)
 	}

@@ -965,7 +965,7 @@ func (s *Service) tracePoint(pd *pending, name, cat, detail string) {
 // cross-tick queue wait, the inject window (configuration words draining
 // through the region trees), and the fixed settle tail. All values come
 // from the same cycle domain as the trace spans, so the sums reconcile
-// with the telemetry set-up span exactly.
+// with the connection's set-up span exactly.
 func (s *Service) stageBreakdown(pd *pending, lc *liveConn) map[string]uint64 {
 	queue := uint64(0)
 	if pd.grantCyc > pd.enqCycle {

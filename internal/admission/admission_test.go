@@ -150,6 +150,74 @@ func TestOpenCloseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAttachedRegistryStaysBounded: with the registry attached to the
+// platform, as daelite admd attaches it, open+close churn only moves
+// counters. The NDJSON export keeps its length and the registry its
+// metric count from N rounds to 2N, and config_spans_total counts every
+// set-up.
+func TestAttachedRegistryStaysBounded(t *testing.T) {
+	const rounds = 20
+	p := testPlatform(t, 4, 4)
+	reg := telemetry.NewRegistry()
+	p.AttachTelemetry(reg, 0)
+	s, err := NewService(p, reg, Config{Tenants: defaultTenants()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	srv := httptest.NewServer(s.Handler())
+	defer func() {
+		srv.Close()
+		if err := s.Stop(); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	}()
+
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			status, body := post(t, srv.URL, "/v1/connections", openReq("alpha", 1, 14, 1))
+			if status != http.StatusOK {
+				t.Fatalf("open: status %d body %v", status, body)
+			}
+			if status, body := del(t, srv.URL, uint64(body["handle"].(float64)), "alpha"); status != http.StatusOK {
+				t.Fatalf("close: status %d body %v", status, body)
+			}
+		}
+	}
+	ndLines := func() int {
+		var b bytes.Buffer
+		if err := telemetry.WriteNDJSON(&b, reg, 0); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(b.String(), "\n")
+	}
+	scrape := func() string {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		if _, err := b.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	churn(rounds)
+	lines, metrics := ndLines(), reg.NumMetrics()
+	churn(rounds)
+	if got := ndLines(); got != lines {
+		t.Errorf("NDJSON export grew from %d lines after %d rounds to %d after %d", lines, rounds, got, 2*rounds)
+	}
+	if got := reg.NumMetrics(); got != metrics {
+		t.Errorf("registry grew from %d metrics to %d", metrics, got)
+	}
+	if want := fmt.Sprintf("daelite_config_spans_total{op=\"setup\"} %d\n", 2*rounds); !strings.Contains(scrape(), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+}
+
 func TestWhatIfIsReadOnly(t *testing.T) {
 	s, srv := testService(t, 4, 4, Config{})
 	fp0, ep0, seq0 := s.Fingerprint()

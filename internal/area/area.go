@@ -333,19 +333,3 @@ func (e EnergyModel) DaeliteHopPJ(width int) Float {
 	w := Float(width)
 	return 2*e.RegWritePJPerBit*w + e.XbarPJPerBit*w + e.LinkPJPerBit*w
 }
-
-// AeliteHopPJ returns the energy of one word traversing one aelite hop:
-// three register stages, header decode amortized over the words of a
-// packet (payloadPerHeader payload words share one header, which itself
-// also crosses the hop), the crossbar and the wire.
-func (e EnergyModel) AeliteHopPJ(width, payloadPerHeader int) Float {
-	w := Float(width)
-	perWord := 3*e.RegWritePJPerBit*w + e.XbarPJPerBit*w + e.LinkPJPerBit*w
-	if payloadPerHeader < 1 {
-		payloadPerHeader = 1
-	}
-	// The header word costs a full hop of its own plus the decode, all
-	// amortized over its payload words.
-	headerShare := (perWord + e.HeaderDecodePJ) / Float(payloadPerHeader)
-	return perWord + e.HeaderDecodePJ/Float(payloadPerHeader) + headerShare
-}

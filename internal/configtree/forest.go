@@ -76,21 +76,6 @@ func (f *Forest) Fits(need []int) error {
 	return nil
 }
 
-// SubmitEnvelope routes an already-enveloped packet to the region its
-// region select names; the envelope stays on the wire. This is the raw
-// host-port path: callers that build their own envelopes (or replay
-// captured streams) go through here.
-func (f *Forest) SubmitEnvelope(words []phit.ConfigWord) error {
-	region, _, err := cfgproto.ParseRegionSelect(words)
-	if err != nil {
-		return err
-	}
-	if region >= len(f.mods) {
-		return fmt.Errorf("configtree: envelope for region %d, forest has %d", region, len(f.mods))
-	}
-	return f.mods[region].SubmitPacket(words)
-}
-
 // Busy reports whether any region's module still has words to send or is
 // in cool-down: a multi-region transaction settles only when all
 // involved trees have drained.

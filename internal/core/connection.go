@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"daelite/internal/alloc"
-	"daelite/internal/telemetry"
 	"daelite/internal/topology"
 )
 
@@ -92,9 +91,38 @@ type Connection struct {
 	// cycles bound the set-up duration as measured on the platform
 	// (Table III methodology) and Words counts the configuration words
 	// of all set-up packets. It settles when CompleteConfig observes the
-	// configuration drained, and is mirrored into the platform's
-	// telemetry registry when one is attached.
-	Setup telemetry.Span
+	// configuration drained, which also adds it to the platform's
+	// config_span* counters when a telemetry registry is attached.
+	Setup Span
+}
+
+// Span is one structured configuration transaction — a connection
+// set-up, tear-down or repair — with its cycle-domain timeline and the
+// configuration words it cost.
+type Span struct {
+	// Op is the transaction kind: "setup", "teardown" or "repair".
+	Op string
+	// ID is the connection ID the transaction belongs to.
+	ID int
+	// SubmitCycle is when the first packet entered the configuration
+	// module's queue; SettleCycle is when the whole transaction had
+	// drained through the tree (0 while still in flight).
+	SubmitCycle, SettleCycle uint64
+	// Words counts the 7-bit configuration words of the transaction as
+	// transmitted on the wire, region-select envelopes included.
+	Words int
+	// Regions counts the configuration regions the transaction touched.
+	Regions int
+	// Detail carries a human-readable endpoint description.
+	Detail string
+}
+
+// Cycles returns the submit-to-settle duration, the Table III metric.
+func (s Span) Cycles() uint64 {
+	if s.SettleCycle < s.SubmitCycle {
+		return 0
+	}
+	return s.SettleCycle - s.SubmitCycle
 }
 
 // Open allocates, configures and returns a connection, exactly as a
@@ -152,7 +180,7 @@ func (p *Platform) finish(c *Connection, pref chanPref) (*Connection, error) {
 	c.ID = p.nextConnID
 	c.State = Opening
 	p.nextConnID++
-	c.Setup = telemetry.Span{
+	c.Setup = Span{
 		Op:          "setup",
 		ID:          c.ID,
 		SubmitCycle: p.Sim.Cycle(),
@@ -280,7 +308,7 @@ func (p *Platform) Close(c *Connection) error {
 	if err := p.build(c, false); err != nil {
 		return err
 	}
-	td := &telemetry.Span{
+	td := &Span{
 		Op:          "teardown",
 		ID:          c.ID,
 		SubmitCycle: p.Sim.Cycle(),

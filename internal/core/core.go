@@ -134,11 +134,11 @@ type Platform struct {
 	// tel is the attached telemetry registry (nil when observability is
 	// off); harvest is the cached per-component handle state of the
 	// sampling probe. pendingSpans holds configuration transactions
-	// submitted but not yet settled; CompleteConfig stamps and emits
+	// submitted but not yet settled; CompleteConfig stamps and counts
 	// them.
 	tel          *telemetry.Registry
 	harvest      *telHarvest
-	pendingSpans []*telemetry.Span
+	pendingSpans []*Span
 
 	// openWakes are woken when CompleteConfig opens a connection (the
 	// health monitor's, which polls a new connection's baseline in the
@@ -407,14 +407,14 @@ func (p *Platform) CompleteConfig(budget uint64) (uint64, error) {
 	done := p.Sim.Cycle()
 	p.settleTraces(idle, done)
 	// Every submitted transaction has drained: settle its span and
-	// publish it, and open the connection a set-up span belongs to
+	// count it, and open the connection a set-up span belongs to
 	// unless it was closed meanwhile. Spans settle even without a
 	// registry — SetupCycles reads them directly.
 	opened := false
 	for _, s := range p.pendingSpans {
 		s.SettleCycle = done
 		if p.tel != nil {
-			p.tel.EmitSpan(*s)
+			p.countSpan(s.Op, s.Cycles(), s.Words)
 		}
 		if c := p.connections[s.ID]; c != nil && &c.Setup == s {
 			c.State = Open

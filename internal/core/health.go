@@ -22,7 +22,7 @@ const DefaultStallTimeout = 512
 // HealthMonitor watches every open connection's end-to-end progress and
 // flags stalls: a connection whose source has pressure (queued words or
 // ongoing injection) while a destination's received-word counter freezes
-// for StallTimeout cycles. It observes through a simulator probe and adds
+// for its stall timeout. It observes through a simulator probe and adds
 // no hardware, mirroring how a software health daemon would poll NI
 // counters through the configuration tree.
 type HealthMonitor struct {
@@ -83,9 +83,6 @@ func NewHealthMonitor(p *Platform, stallTimeout uint64) *HealthMonitor {
 	p.openWakes = append(p.openWakes, h.act)
 	return h
 }
-
-// StallTimeout returns the configured no-progress window.
-func (h *HealthMonitor) StallTimeout() uint64 { return h.timeout }
 
 func (h *HealthMonitor) poll(cycle uint64) {
 	// Drop state of closed connections.

@@ -10,7 +10,6 @@ import (
 	"daelite/internal/cfgproto"
 	"daelite/internal/phit"
 	"daelite/internal/slots"
-	"daelite/internal/telemetry"
 	"daelite/internal/topology"
 )
 
@@ -428,7 +427,7 @@ func (b *txBuffers) addWrites(region int) error {
 // envelopes included, it stages nothing and fails. span is the set-up
 // or tear-down span the transaction fills, publishes and traces; a
 // graft or prune passes nil and records none.
-func (p *Platform) submit(span *telemetry.Span) error {
+func (p *Platform) submit(span *Span) error {
 	b := &p.tx
 	clear(b.need)
 	for _, pkt := range b.packets {

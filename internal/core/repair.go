@@ -148,17 +148,10 @@ func (p *Platform) RepairStalled(h *HealthMonitor, budget uint64) ([]*RepairResu
 		}
 		if p.tel != nil {
 			// The repair span covers the whole tear-down + re-set-up
-			// transaction; the set-up and teardown legs are also emitted
+			// transaction; the set-up and teardown legs are also counted
 			// individually by CompleteConfig. Words counts the re-set-up
 			// packets (the repair-specific configuration cost).
-			p.tel.EmitSpan(telemetry.Span{
-				Op:          "repair",
-				ID:          nc.ID,
-				SubmitCycle: res.SubmitCycle,
-				SettleCycle: res.DoneCycle,
-				Words:       nc.Setup.Words,
-				Detail:      p.connDetail(nc.Spec),
-			})
+			p.countSpan("repair", res.RepairCycles(), nc.Setup.Words)
 			p.tel.Emit(telemetry.Event{
 				Cycle:  res.DoneCycle,
 				Kind:   "repair",

@@ -79,6 +79,11 @@ type routerTel struct {
 	outBusy   []counterMirror
 }
 
+// spanTel caches the config_span* counters of one transaction op.
+type spanTel struct {
+	count, cycles, words *telemetry.Counter
+}
+
 // telHarvest is the sampling probe's cached state.
 type telHarvest struct {
 	every   uint64
@@ -87,13 +92,16 @@ type telHarvest struct {
 	routers []*routerTel
 	// Admission-engine path cache counters (alloc.CacheStats mirror).
 	cacheHits, cacheMisses, cacheInvalidations, cacheTruncations counterMirror
+	// spans holds each configuration op's counters, created the first
+	// time the op settles so an op that never happened exports nothing.
+	spans map[string]*spanTel
 }
 
 // AttachTelemetry connects a registry to the platform and registers the
 // harvest probe. sampleEvery is the harvest interval in cycles (<= 0
-// selects DefaultTelemetrySample); spans and events are always emitted
-// immediately, independent of the interval. Attach at most once per
-// platform, before the run whose data you want.
+// selects DefaultTelemetrySample); settled configuration spans and
+// events are always counted immediately, independent of the interval.
+// Attach at most once per platform, before the run whose data you want.
 func (p *Platform) AttachTelemetry(reg *telemetry.Registry, sampleEvery int) {
 	if p.tel != nil {
 		panic("core: telemetry already attached")
@@ -109,6 +117,7 @@ func (p *Platform) AttachTelemetry(reg *telemetry.Registry, sampleEvery int) {
 		cacheMisses:        mirrorCounter(reg.Counter("alloc_path_cache_misses_total")),
 		cacheInvalidations: mirrorCounter(reg.Counter("alloc_path_cache_invalidations_total")),
 		cacheTruncations:   mirrorCounter(reg.Counter("alloc_path_truncations_total")),
+		spans:              make(map[string]*spanTel),
 	}
 	// Nodes() is in ID order, so handle creation — and therefore the
 	// registry contents — is deterministic.
@@ -158,6 +167,24 @@ func (p *Platform) FlushTelemetry() {
 		return
 	}
 	p.harvestTelemetry(p.Sim.Cycle())
+}
+
+// countSpan adds one settled configuration transaction of kind op to the
+// config_span* counters. Callers check that a registry is attached.
+func (p *Platform) countSpan(op string, cycles uint64, words int) {
+	st := p.harvest.spans[op]
+	if st == nil {
+		lbl := telemetry.L("op", op)
+		st = &spanTel{
+			count:  p.tel.Counter("config_spans_total", lbl),
+			cycles: p.tel.Counter("config_span_cycles_total", lbl),
+			words:  p.tel.Counter("config_span_words_total", lbl),
+		}
+		p.harvest.spans[op] = st
+	}
+	st.count.Inc()
+	st.cycles.Add(cycles)
+	st.words.Add(uint64(words))
 }
 
 func (p *Platform) harvestTelemetry(cycle uint64) {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"daelite/internal/telemetry"
 	"daelite/internal/telemetry/tracing"
 )
 
@@ -56,14 +55,11 @@ func (p *Platform) Tracer() *tracing.Tracer { return p.tracer }
 // zero SpanRef; transactions without a parent open their own trace.
 func (p *Platform) SetTraceParent(ref tracing.SpanRef) { p.traceParent = ref }
 
-// TraceParent returns the currently set parent span.
-func (p *Platform) TraceParent() tracing.SpanRef { return p.traceParent }
-
 // traceConfig opens the trace of one just-submitted configuration
 // transaction: the transaction span (under the set parent, or a fresh
 // trace) plus one inject child per involved region, all starting at the
 // submit cycle. CompleteConfig ends them when the trees drain.
-func (p *Platform) traceConfig(s *telemetry.Span) {
+func (p *Platform) traceConfig(s *Span) {
 	if p.tracer == nil {
 		return
 	}

@@ -35,7 +35,7 @@ func indexSetupSpans(spans []tracing.Span) (map[string]tracing.Span, map[uint64]
 // connection's SetupCycles into how long the config words took to flow
 // through the tree(s) versus how long the platform then waited for the
 // settle window — and cross-checks that the trace root's cycle count
-// equals the telemetry span's SetupCycles exactly.
+// equals the connection's SetupCycles exactly.
 func TraceBreakdown() (*Result, error) {
 	res := newResult("E21", "per-stage set-up latency via causal traces")
 	const w, h, wheel = 6, 6, 8

@@ -1,24 +1,26 @@
 package telemetry
 
-// Exporter edge cases: the corners a scraper or offline parser would
-// trip over — label values needing escaping, the histogram's implicit
-// +Inf bucket, and the NDJSON span record round-tripping every field
-// (Regions included) through encoding/json.
+// Exporter edge cases: the corners a scraper would trip over — label
+// values needing escaping and the histogram's implicit +Inf bucket.
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
 // TestPrometheusLabelValueEscaping: label values carrying quotes,
-// backslashes and newlines must render as valid Prometheus text —
-// %q-escaped, one metric per line.
+// backslashes and newlines must render as valid Prometheus text, one
+// metric per line. The exposition format escapes exactly those three;
+// its parser rejects any other escape, so a tab, a control byte or a
+// non-ASCII rune goes out as it is.
 func TestPrometheusLabelValueEscaping(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("edge_total", L("path", `a\b`)).Add(1)
 	reg.Counter("edge_total", L("path", `say "hi"`)).Add(2)
 	reg.Counter("edge_total", L("path", "two\nlines")).Add(3)
+	reg.Counter("edge_total", L("path", "tab\there")).Add(4)
+	reg.Counter("edge_total", L("path", "ctl\x01byte")).Add(5)
+	reg.Counter("edge_total", L("path", "nb\u00a0sp")).Add(6)
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, reg); err != nil {
@@ -29,6 +31,9 @@ func TestPrometheusLabelValueEscaping(t *testing.T) {
 		`daelite_edge_total{path="a\\b"} 1`,
 		`daelite_edge_total{path="say \"hi\""} 2`,
 		`daelite_edge_total{path="two\nlines"} 3`,
+		"daelite_edge_total{path=\"tab\there\"} 4",
+		"daelite_edge_total{path=\"ctl\x01byte\"} 5",
+		"daelite_edge_total{path=\"nb\u00a0sp\"} 6",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %q in:\n%s", want, out)
@@ -78,48 +83,5 @@ func TestPrometheusHistogramInfBucket(t *testing.T) {
 	// exporter that dropped the overflow samples would emit 2 here.
 	if strings.Contains(out, `le="+Inf"} 2`) {
 		t.Error("+Inf bucket lost the overflow samples")
-	}
-}
-
-// TestNDJSONSpanRegionsRoundTrip: a span's Regions field (added with
-// the hierarchical config regions) must survive the NDJSON export, and
-// stay omitted when unknown so old consumers see unchanged records.
-func TestNDJSONSpanRegionsRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.EmitSpan(Span{Op: "setup", ID: 7, SubmitCycle: 10, SettleCycle: 130, Words: 61, Regions: 3, Detail: "NI00>NI55"})
-	reg.EmitSpan(Span{Op: "teardown", ID: 7, SubmitCycle: 200, SettleCycle: 260, Words: 30})
-
-	var b strings.Builder
-	if err := WriteNDJSON(&b, reg, 300); err != nil {
-		t.Fatal(err)
-	}
-	var spans []Span
-	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
-		var rec struct {
-			Record string `json:"record"`
-			Span
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
-		}
-		if rec.Record == "span" {
-			spans = append(spans, rec.Span)
-			if rec.Span.Regions == 0 && strings.Contains(line, `"regions"`) {
-				t.Errorf("zero Regions not omitted: %s", line)
-			}
-		}
-	}
-	if len(spans) != 2 {
-		t.Fatalf("round-tripped %d spans, want 2", len(spans))
-	}
-	got, want := spans[0], Span{Op: "setup", ID: 7, SubmitCycle: 10, SettleCycle: 130, Words: 61, Regions: 3, Detail: "NI00>NI55"}
-	if got != want {
-		t.Errorf("span round trip:\n got %+v\nwant %+v", got, want)
-	}
-	if spans[1].Regions != 0 {
-		t.Errorf("regionless span gained Regions=%d", spans[1].Regions)
-	}
-	if got.Cycles() != 120 {
-		t.Errorf("round-tripped span spans %d cycles, want 120", got.Cycles())
 	}
 }

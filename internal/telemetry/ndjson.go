@@ -8,16 +8,15 @@ import (
 
 // NDJSON snapshot format: one JSON object per line, each with a "record"
 // discriminator. A snapshot opens with a meta record and then emits, in
-// deterministic order: every metric (sorted by key), every span and every
-// event (emission order). encoding/json marshals maps with sorted keys,
-// so two identical registry states produce byte-identical streams — the
-// property the root determinism test asserts across runs.
+// deterministic order: every metric (sorted by key), then every event
+// still in the ring (emission order). encoding/json marshals maps with
+// sorted keys, so two identical registry states produce byte-identical
+// streams — the property the root determinism test asserts across runs.
 
 type ndMeta struct {
 	Record  string `json:"record"`
 	Cycle   uint64 `json:"cycle"`
 	Metrics int    `json:"metrics"`
-	Spans   int    `json:"spans"`
 	Events  int    `json:"events"`
 	Dropped uint64 `json:"dropped_events,omitempty"`
 }
@@ -40,11 +39,6 @@ type ndMetric struct {
 	Samples []SeriesSample `json:"samples,omitempty"`
 }
 
-type ndSpan struct {
-	Record string `json:"record"`
-	Span
-}
-
 type ndEvent struct {
 	Record string `json:"record"`
 	Event
@@ -55,7 +49,6 @@ type ndEvent struct {
 // record so offline analysis can align multiple snapshots).
 func WriteNDJSON(w io.Writer, r *Registry, cycle uint64) error {
 	entries := r.sortedEntries()
-	spans := r.Spans()
 	events := r.Events()
 
 	enc := json.NewEncoder(w)
@@ -63,7 +56,6 @@ func WriteNDJSON(w io.Writer, r *Registry, cycle uint64) error {
 		Record:  "meta",
 		Cycle:   cycle,
 		Metrics: len(entries),
-		Spans:   len(spans),
 		Events:  len(events),
 		Dropped: r.DroppedEvents(),
 	}); err != nil {
@@ -105,11 +97,6 @@ func WriteNDJSON(w io.Writer, r *Registry, cycle uint64) error {
 		}
 	}
 
-	for _, s := range spans {
-		if err := enc.Encode(ndSpan{Record: "span", Span: s}); err != nil {
-			return err
-		}
-	}
 	for _, ev := range events {
 		if err := enc.Encode(ndEvent{Record: "event", Event: ev}); err != nil {
 			return err

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -11,9 +10,9 @@ import (
 // format (version 0.0.4). Metric families are emitted in sorted-name
 // order and label sets in sorted-key order, so the output for a given
 // registry state is deterministic. Series are exported as a gauge holding
-// the most recent sample; spans and events are summarised as counters
-// (per-op span counts and cycle sums) since Prometheus has no native
-// structured-event type — use the NDJSON exporter for the full stream.
+// the most recent sample. The event ring has no Prometheus form: its
+// counts are the events_total counters, and its records are in the
+// NDJSON export.
 func WritePrometheus(w io.Writer, r *Registry) error {
 	entries := r.sortedEntries()
 
@@ -80,73 +79,6 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			}
 		}
 	}
-
-	// Span summary: count and total cycles per op, in sorted-op order.
-	type opAgg struct {
-		count  uint64
-		cycles uint64
-		words  uint64
-	}
-	aggs := make(map[string]*opAgg)
-	for _, s := range r.Spans() {
-		a := aggs[s.Op]
-		if a == nil {
-			a = &opAgg{}
-			aggs[s.Op] = a
-		}
-		if !s.Settled() {
-			continue
-		}
-		a.count++
-		a.cycles += s.Cycles()
-		a.words += uint64(s.Words)
-	}
-	ops := make([]string, 0, len(aggs))
-	for op := range aggs {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	if len(ops) > 0 {
-		for _, fam := range []string{"daelite_config_spans_total", "daelite_config_span_cycles_total", "daelite_config_span_words_total"} {
-			if err := writeType(fam, "counter"); err != nil {
-				return err
-			}
-		}
-		for _, op := range ops {
-			a := aggs[op]
-			lbl := promLabels([]Label{{Key: "op", Value: op}}, "")
-			if _, err := fmt.Fprintf(w, "daelite_config_spans_total%s %d\n", lbl, a.count); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "daelite_config_span_cycles_total%s %d\n", lbl, a.cycles); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "daelite_config_span_words_total%s %d\n", lbl, a.words); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Event summary: counts per kind.
-	kinds := make(map[string]uint64)
-	for _, ev := range r.Events() {
-		kinds[ev.Kind]++
-	}
-	ks := make([]string, 0, len(kinds))
-	for k := range kinds {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	if len(ks) > 0 {
-		if err := writeType("daelite_events_total", "counter"); err != nil {
-			return err
-		}
-		for _, k := range ks {
-			if _, err := fmt.Fprintf(w, "daelite_events_total%s %d\n", promLabels([]Label{{Key: "kind", Value: k}}, ""), kinds[k]); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -166,6 +98,10 @@ func promName(name string) string {
 	return b.String()
 }
 
+// promEscape escapes a label value the way the exposition format does:
+// backslash, double quote and newline, and nothing else.
+var promEscape = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // promLabels renders a label set (plus an optional le bucket label) as
 // {k="v",...}, or the empty string for no labels.
 func promLabels(labels []Label, le string) string {
@@ -180,13 +116,13 @@ func promLabels(labels []Label, le string) string {
 			b.WriteByte(',')
 		}
 		first = false
-		fmt.Fprintf(&b, "%s=%q", promLabelKey(l.Key), l.Value)
+		fmt.Fprintf(&b, "%s=\"%s\"", promLabelKey(l.Key), promEscape.Replace(l.Value))
 	}
 	if le != "" {
 		if !first {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "le=%q", le)
+		fmt.Fprintf(&b, "le=\"%s\"", le)
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -2,7 +2,10 @@
 // the repository: a deterministic metrics registry that platform
 // components publish into, plus machine-readable exporters (Prometheus
 // text exposition, NDJSON) and the building blocks the human-readable
-// reports are views over.
+// reports are views over. The registry keeps counts, not records: a
+// configuration transaction's own record lives on core.Connection.Setup
+// and in the causal tracer, and the registry only counts it. Its one
+// record store is a bounded ring of recent events.
 //
 // Determinism contract. Every value in a registry is keyed by simulation
 // cycles, never by wall clock, and every mutation happens on the
@@ -17,7 +20,7 @@
 // above, but exporters may read concurrently (the -metrics-addr HTTP
 // endpoint scrapes a live simulation). Scalar metrics (Counter, Gauge,
 // Histogram buckets) therefore use atomic storage, and the variable-size
-// structures (spans, events, series) are guarded by the registry mutex.
+// structures (the event ring, series) are guarded by mutexes.
 // This keeps the single-writer hot path lock-free: a Counter.Add is one
 // atomic add.
 //
@@ -187,42 +190,6 @@ func (s *Series) Last() (SeriesSample, bool) {
 	return s.samples[len(s.samples)-1], true
 }
 
-// Span is one structured configuration transaction — a connection
-// set-up, tear-down or repair — with its cycle-domain timeline and the
-// configuration words it cost. Spans replace the ad-hoc
-// SetupSubmitCycle/SetupDoneCycle/SetupWords fields that used to live on
-// core.Connection.
-type Span struct {
-	// Op is the transaction kind: "setup", "teardown" or "repair".
-	Op string `json:"op"`
-	// ID is the connection ID the transaction belongs to.
-	ID int `json:"id"`
-	// SubmitCycle is when the first packet entered the configuration
-	// module's queue; SettleCycle is when the whole transaction had
-	// drained through the tree (0 while still in flight).
-	SubmitCycle uint64 `json:"submit"`
-	SettleCycle uint64 `json:"settle"`
-	// Words counts the 7-bit configuration words of the transaction as
-	// transmitted on the wire, region-select envelopes included.
-	Words int `json:"words"`
-	// Regions counts the configuration regions the transaction touched
-	// (1 on single-region platforms; omitted when unknown).
-	Regions int `json:"regions,omitempty"`
-	// Detail carries a human-readable endpoint description.
-	Detail string `json:"detail,omitempty"`
-}
-
-// Cycles returns the submit-to-settle duration, the Table III metric.
-func (s Span) Cycles() uint64 {
-	if s.SettleCycle < s.SubmitCycle {
-		return 0
-	}
-	return s.SettleCycle - s.SubmitCycle
-}
-
-// Settled reports whether the transaction has drained.
-func (s Span) Settled() bool { return s.SettleCycle != 0 || s.SubmitCycle == 0 }
-
 // Event is one discrete cycle-stamped occurrence (a fault activating, a
 // stall being detected, a repair completing).
 type Event struct {
@@ -294,17 +261,18 @@ func metricKey(name string, labels []Label) string {
 // DefaultMaxEvents bounds a registry's event log.
 const DefaultMaxEvents = 65536
 
-// Registry holds every metric, span and event of one platform. Metric
-// accessors are get-or-create and may be called at any time; see the
-// package comment for the concurrency and determinism contracts.
+// Registry holds every metric of one platform plus a bounded ring of its
+// most recent events. Metric accessors are get-or-create and may be
+// called at any time; see the package comment for the concurrency and
+// determinism contracts.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metricEntry
 
-	spans  []Span
 	events []Event
 	// MaxEvents caps the event log (oldest dropped); zero selects
-	// DefaultMaxEvents. Set it before the run starts.
+	// DefaultMaxEvents. Set it before the run starts. The events_total
+	// counters count every event, dropped or kept.
 	MaxEvents int
 
 	dropped uint64 // events discarded over the cap
@@ -316,9 +284,14 @@ func NewRegistry() *Registry {
 }
 
 func (r *Registry) entry(name string, labels []Label, k kind, create func() *metricEntry) *metricEntry {
-	key := metricKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.entryLocked(name, labels, k, create)
+}
+
+// entryLocked is entry for a caller that holds r.mu.
+func (r *Registry) entryLocked(name string, labels []Label, k kind, create func() *metricEntry) *metricEntry {
+	key := metricKey(name, labels)
 	if e, ok := r.metrics[key]; ok {
 		if e.kind != k {
 			panic(fmt.Sprintf("telemetry: metric %q registered as %v, requested as %v", key, e.kind, k))
@@ -340,10 +313,13 @@ func copyLabels(labels []Label) []Label {
 // Counter returns (creating if needed) the counter with this name and
 // label set.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	e := r.entry(name, labels, kindCounter, func() *metricEntry {
+	return r.entry(name, labels, kindCounter, newCounterEntry(name, labels)).counter
+}
+
+func newCounterEntry(name string, labels []Label) func() *metricEntry {
+	return func() *metricEntry {
 		return &metricEntry{name: name, labels: copyLabels(labels), kind: kindCounter, counter: &Counter{}}
-	})
-	return e.counter
+	}
 }
 
 // Gauge returns (creating if needed) the gauge with this name and label
@@ -378,17 +354,13 @@ func (r *Registry) Series(name string, window int, labels ...Label) *Series {
 	return e.series
 }
 
-// EmitSpan records a settled (or submitted) configuration transaction.
-func (r *Registry) EmitSpan(s Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans = append(r.spans, s)
-}
-
-// Emit records one event, dropping the oldest beyond MaxEvents.
+// Emit counts one event in events_total{kind} and records it in the
+// event ring, dropping the oldest beyond MaxEvents.
 func (r *Registry) Emit(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	lbl := []Label{{Key: "kind", Value: e.Kind}}
+	r.entryLocked("events_total", lbl, kindCounter, newCounterEntry("events_total", lbl)).counter.Inc()
 	max := r.MaxEvents
 	if max <= 0 {
 		max = DefaultMaxEvents
@@ -398,15 +370,6 @@ func (r *Registry) Emit(e Event) {
 		r.dropped++
 	}
 	r.events = append(r.events, e)
-}
-
-// Spans returns a copy of all recorded spans, in emission order.
-func (r *Registry) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	return out
 }
 
 // Events returns a copy of the event log, in emission order.

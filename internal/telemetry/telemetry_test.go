@@ -89,24 +89,10 @@ func TestSeriesWindow(t *testing.T) {
 	}
 }
 
-func TestSpansAndEvents(t *testing.T) {
+// TestEventsCountPastTheRing: the event ring keeps the last MaxEvents
+// events, but events_total counts every one of them.
+func TestEventsCountPastTheRing(t *testing.T) {
 	r := NewRegistry()
-	r.EmitSpan(Span{Op: "setup", ID: 1, SubmitCycle: 100, SettleCycle: 160, Words: 12})
-	r.EmitSpan(Span{Op: "repair", ID: 1, SubmitCycle: 500, SettleCycle: 620, Words: 14})
-	spans := r.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("%d spans, want 2", len(spans))
-	}
-	if c := spans[0].Cycles(); c != 60 {
-		t.Errorf("setup span cycles = %d, want 60", c)
-	}
-	if !spans[0].Settled() {
-		t.Error("settled span reported unsettled")
-	}
-	if (Span{Op: "setup", SubmitCycle: 9}).Settled() {
-		t.Error("in-flight span reported settled")
-	}
-
 	r.MaxEvents = 3
 	for i := 0; i < 5; i++ {
 		r.Emit(Event{Cycle: uint64(i), Kind: "tick"})
@@ -121,10 +107,27 @@ func TestSpansAndEvents(t *testing.T) {
 	if d := r.DroppedEvents(); d != 2 {
 		t.Errorf("dropped = %d, want 2", d)
 	}
+
+	var prom, nd bytes.Buffer
+	if err := WritePrometheus(&prom, r); err != nil {
+		t.Fatal(err)
+	}
+	if want := `daelite_events_total{kind="tick"} 5`; !strings.Contains(prom.String(), want) {
+		t.Errorf("prometheus missing %q:\n%s", want, prom.String())
+	}
+	if err := WriteNDJSON(&nd, r, 5); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(nd.String(), `"record":"event"`); n != 3 {
+		t.Errorf("NDJSON holds %d event records, want 3:\n%s", n, nd.String())
+	}
+	if !strings.Contains(nd.String(), `"dropped_events":2`) {
+		t.Errorf("NDJSON meta lacks dropped_events 2:\n%s", nd.String())
+	}
 }
 
-// buildSample fills a registry with one metric of each kind plus spans
-// and events, for the exporter tests.
+// buildSample fills a registry with one metric of each kind plus an
+// event, for the exporter tests.
 func buildSample() *Registry {
 	r := NewRegistry()
 	r.Counter("flits_total", L("link", "r0>r1")).Add(128)
@@ -135,7 +138,6 @@ func buildSample() *Registry {
 	s := r.Series("link_util", 8, L("link", "r0>r1"))
 	s.Append(100, 0.25)
 	s.Append(200, 0.5)
-	r.EmitSpan(Span{Op: "setup", ID: 1, SubmitCycle: 10, SettleCycle: 70, Words: 12})
 	r.Emit(Event{Cycle: 300, Kind: "fault", Detail: "link down"})
 	return r
 }
@@ -156,8 +158,6 @@ func TestWritePrometheus(t *testing.T) {
 		"daelite_setup_cycles_sum 260",
 		"daelite_setup_cycles_count 2",
 		`daelite_link_util{link="r0>r1"} 0.5`,
-		`daelite_config_spans_total{op="setup"} 1`,
-		`daelite_config_span_cycles_total{op="setup"} 60`,
 		`daelite_events_total{kind="fault"} 1`,
 	} {
 		if !strings.Contains(out, want) {
@@ -181,7 +181,7 @@ func TestWriteNDJSON(t *testing.T) {
 	}
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// meta + 4 metrics + 1 span + 1 event
+	// meta + 4 metrics + events_total + 1 event
 	if len(lines) != 7 {
 		t.Fatalf("%d NDJSON lines, want 7:\n%s", len(lines), out)
 	}
@@ -190,8 +190,7 @@ func TestWriteNDJSON(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"record":"counter"`, `"record":"gauge"`, `"record":"histogram"`,
-		`"record":"series"`, `"record":"span"`, `"record":"event"`,
-		`"op":"setup"`, `"kind":"fault"`,
+		`"record":"series"`, `"record":"event"`, `"kind":"fault"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("NDJSON missing %q\n--- got ---\n%s", want, out)

@@ -314,17 +314,6 @@ func (g *Graph) Arity(n NodeID) int {
 	return g.InDegree(n)
 }
 
-// NodesOfKind returns IDs of all nodes of kind k, in ID order.
-func (g *Graph) NodesOfKind(k Kind) []NodeID {
-	var ids []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == k {
-			ids = append(ids, n.ID)
-		}
-	}
-	return ids
-}
-
 // FindNode returns the ID of the node with the given name.
 func (g *Graph) FindNode(name string) (NodeID, bool) {
 	for _, n := range g.nodes {

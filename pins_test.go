@@ -458,7 +458,7 @@ var (
 		`daelite_events_total{kind="stall"}`,
 		`daelite_events_total{kind="repair"}`,
 		`daelite_events_total{kind="fault"}`,
-		`"record":"span"`, `"record":"event"`,
+		`"record":"event"`,
 	}
 	packMust = []string{`daelite_config_spans_total{op="setup"}`, `daelite_config_spans_total{op="teardown"}`}
 )
@@ -479,25 +479,25 @@ var pins = []pin{
 	{name: "chaos", run: soak{side: 4, seed: 7, conns: 6, cycles: 10_000, targeted: true}.run,
 		want: pinResult{delivered: 4006, conns: 0xc94a84f481181a64, payload: 0x5508386100cdda1c, credits: 0x03941671fb348828, carriers: 6974, skipped: 0, evaluated: 122734, offered: 343992, alloc: 0x6c3fa2d2119fc4e1, cycles: 10424, faults: fault.Counters{FlitsKilled: 64, TableFlips: 2}, repairs: 3}},
 	{name: "soak/42", run: soak{side: 4, seed: 42, conns: 5, cycles: 12_000, observe: obsTelemetry | obsStats}.run, must: telemetryMust,
-		want: pinResult{delivered: 3606, conns: 0x9a68c2e11ab730a7, payload: 0x073637621ce3aacc, credits: 0x3eff56f5a2231146, carriers: 6781, skipped: 0, evaluated: 129003, offered: 407682, alloc: 0xee19baf74de52e3b, cycles: 12354, faults: fault.Counters{FlitsKilled: 29}, repairs: 1, prom: 0xb691ab1490f243d7, ndjson: 0x13ec5b8fc73c112d}},
+		want: pinResult{delivered: 3606, conns: 0x9a68c2e11ab730a7, payload: 0x073637621ce3aacc, credits: 0x3eff56f5a2231146, carriers: 6781, skipped: 0, evaluated: 129003, offered: 407682, alloc: 0xee19baf74de52e3b, cycles: 12354, faults: fault.Counters{FlitsKilled: 29}, repairs: 1, prom: 0x194afa067f5a5cb5, ndjson: 0x0d5c4fa9e5965cce}},
 	{name: "soak/43", run: soak{side: 4, seed: 43, conns: 5, cycles: 12_000, observe: obsTelemetry | obsStats}.run,
-		want: pinResult{delivered: 3772, conns: 0x43bf5f1268f214b7, payload: 0xa14ee8ce24d60498, credits: 0x1362b0a68329efef, carriers: 7110, skipped: 0, evaluated: 138005, offered: 408210, alloc: 0x03e6dc64e2fa61fe, cycles: 12370, faults: fault.Counters{FlitsKilled: 87}, repairs: 3, prom: 0xb441e585fe312da3, ndjson: 0xd12f01b1f089fc7b}},
+		want: pinResult{delivered: 3772, conns: 0x43bf5f1268f214b7, payload: 0xa14ee8ce24d60498, credits: 0x1362b0a68329efef, carriers: 7110, skipped: 0, evaluated: 138005, offered: 408210, alloc: 0x03e6dc64e2fa61fe, cycles: 12370, faults: fault.Counters{FlitsKilled: 87}, repairs: 3, prom: 0xde8bf5716cfc9981, ndjson: 0x0220d2c4457cab63}},
 	{name: "ffsoak", run: ffSoak.run, must: []string{"daelite_fault_flits_killed_total",
 		`daelite_config_spans_total{op="setup"}`, `daelite_config_spans_total{op="teardown"}`, `daelite_events_total{kind="fault"}`},
-		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 0, evaluated: 45410, offered: 407682, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
+		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 0, evaluated: 45410, offered: 407682, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcb81d976dab648dd, ndjson: 0x1389dbacbb39ed22, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "ffsoak+ff", run: ffSoak.run, ff: true,
-		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5907, evaluated: 45410, offered: 212751, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcda7a92c358a6065, ndjson: 0xf9dce619f23eae38, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
+		want: pinResult{delivered: 1225, conns: 0x8c7981436a50a714, payload: 0xec62dca7683764b0, credits: 0x34ae7f2ba03aeadf, carriers: 2338, skipped: 5907, evaluated: 45410, offered: 212751, alloc: 0x33a3ff17294f337b, cycles: 12354, faults: fault.Counters{FlitsKilled: 25}, repairs: 1, prom: 0xcb81d976dab648dd, ndjson: 0x1389dbacbb39ed22, chrome: 0x3fa819e54f533f89, traceND: 0xdb9737eed8ce0578}},
 	{name: "regions6x6", run: soak{side: 6, region: 24, seed: 42, conns: 5, cycles: 12_000, teardown: true, observe: obsTracer}.run, must: []string{
 		`"setup #`, `"inject r0"`, `"inject r1"`, `"settle"`, `"teardown #`, `"repair #`, `"stall"`, `"fault"`, `"record":"trace_event"`},
 		want: pinResult{delivered: 3274, conns: 0x8f4b748c049a289a, payload: 0x3bb4b7ce2547fc08, credits: 0xfa917c8bdd7a52aa, carriers: 6054, skipped: 0, evaluated: 190626, offered: 928950, alloc: 0x665b4359366512f2, cycles: 12386, faults: fault.Counters{FlitsKilled: 64}, repairs: 1, chrome: 0x80a9ff07aafe1aff, traceND: 0x6a8f2e9578e42e86}},
 	{name: "dnn", run: pack(workload.ExampleDNN), must: packMust,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 31117, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x7efa7b987ee7138a, ndjson: 0x2acdd74ca0eb8a02, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 0, evaluated: 31117, offered: 517803, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x05bf6188f968fe6e, ndjson: 0xc7dbfe25a1322aa9, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "dnn+ff", run: pack(workload.ExampleDNN), ff: true,
-		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6442, evaluated: 31117, offered: 305217, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x7efa7b987ee7138a, ndjson: 0x2acdd74ca0eb8a02, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
+		want: pinResult{delivered: 946, conns: 0xd397481c9537a942, payload: 0xbf38948aca2a516b, credits: 0x0195b21cf995f9de, carriers: 178, skipped: 6442, evaluated: 31117, offered: 305217, alloc: 0xd1bcf6dd17f7ac8d, cycles: 15691, prom: 0x05bf6188f968fe6e, ndjson: 0xc7dbfe25a1322aa9, chrome: 0xc90d2f467b237c9f, traceND: 0xe5875b087a1f2543}},
 	{name: "tinytera", run: tinyTera, must: packMust,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 76339, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xd2e547d4aa303928, ndjson: 0xe655e7ee84d104e1, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 0, evaluated: 76339, offered: 463782, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xec08fad234ac2a40, ndjson: 0x9219fc56cd80eb9d, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 	{name: "tinytera+ff", run: tinyTera, ff: true,
-		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6839, evaluated: 76339, offered: 238095, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xd2e547d4aa303928, ndjson: 0xe655e7ee84d104e1, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
+		want: pinResult{delivered: 4608, conns: 0x24273149fb724383, payload: 0x271df65a77dbf3a1, credits: 0x869af913b6679fe5, carriers: 4616, skipped: 6839, evaluated: 76339, offered: 238095, alloc: 0xd1bcf6dd17f7ac8d, cycles: 14054, prom: 0xec08fad234ac2a40, ndjson: 0x9219fc56cd80eb9d, chrome: 0x164cbdfa0adddc6c, traceND: 0xf9eb73d5a528873c}},
 }
 
 func TestPins(t *testing.T) {

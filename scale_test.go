@@ -98,7 +98,7 @@ func TestScale16x16(t *testing.T) {
 			t.Fatalf("no trace root %q for connection %d", name, c.ID)
 		}
 		if got, want := root.Cycles(), c.SetupCycles(); got != want {
-			t.Fatalf("conn %d: trace root spans %d cycles, telemetry span %d", c.ID, got, want)
+			t.Fatalf("conn %d: trace root spans %d cycles, set-up span %d", c.ID, got, want)
 		}
 		var injects int
 		var settleEnd uint64

@@ -112,8 +112,10 @@ func ParseSpec(r io.Reader) (*PlatformSpec, error) { return spec.Parse(r) }
 // --- Observability ---
 
 // TelemetryRegistry is the deterministic cycle-domain metrics store:
-// counters, gauges, histograms, windowed series, configuration spans and
-// events. Attach one with Platform.AttachTelemetry and export it with
+// counters, gauges, histograms and windowed series, plus a bounded ring
+// of recent events. It counts configuration spans (config_span*) but does
+// not keep them: each connection's set-up span is Connection.Setup.
+// Attach one with Platform.AttachTelemetry and export it with
 // WritePrometheus or WriteTelemetryNDJSON.
 type TelemetryRegistry = telemetry.Registry
 
@@ -122,8 +124,9 @@ type TelemetryLabel = telemetry.Label
 
 // ConfigSpan is the structured record of one configuration operation
 // (set-up, tear-down or repair): submit and settle cycles plus the
-// configuration words spent.
-type ConfigSpan = telemetry.Span
+// configuration words spent. A connection's set-up span is its Setup
+// field.
+type ConfigSpan = core.Span
 
 // TelemetryEvent is one discrete occurrence (fault activation, stall
 // detection, repair) stamped with its cycle.
@@ -142,7 +145,8 @@ func WritePrometheus(w io.Writer, r *TelemetryRegistry) error {
 }
 
 // WriteTelemetryNDJSON writes a newline-delimited JSON snapshot of the
-// registry (metrics, spans, events), stamped with the given cycle.
+// registry (every metric, then the event ring), stamped with the given
+// cycle.
 func WriteTelemetryNDJSON(w io.Writer, r *TelemetryRegistry, cycle uint64) error {
 	return telemetry.WriteNDJSON(w, r, cycle)
 }
